@@ -20,17 +20,10 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Callable
 
 from repro.experiments import registry
-from repro.experiments.common import ExperimentScale, FigureResult, resolve_scale
+from repro.experiments.common import resolve_scale
 from repro.experiments.parallel import run_experiments
-
-#: name -> run callable (kept as a mapping for backwards compatibility
-#: with library users and tests; the registry is the source of truth).
-EXPERIMENTS: dict[str, Callable[[ExperimentScale, int], FigureResult]] = {
-    name: registry.load(name).run for name in registry.REGISTRY
-}
 
 
 def main(argv: list[str] | None = None) -> int:

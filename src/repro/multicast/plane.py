@@ -36,26 +36,28 @@ Everything is deterministic: ties on the event queue break by
 insertion order and the plane draws no randomness, so a replayed
 workload produces byte-identical reports.
 
-**Epoch-cached schedules.**  Between two membership events a group's
-overlay is frozen, so every send from one source walks the *same* tree
-with the *same* per-hop serialize/latency terms.  The plane exploits
-that: per (group, membership epoch) it keeps a schedule context, and
-per source inside it a :class:`_SendTemplate` — the frozen adjacency
-with latencies and uplink bandwidths precomputed.  A cached send skips
-the tree extraction entirely, and instead of one engine callback per
-delivery, deliveries sit in a plane-level pending heap that a single
-*wavefront* event drains in batches (:meth:`ServicePlane._pump`),
-falling back to event granularity exactly where a foreign event — a
-membership change, a scheduled send, a bounded ``run(until)`` —
-interleaves.  Uplink reservations, tie-breaking and every float
-expression are replayed identically, so receipts, audits and ``mc.*``
-trace streams are byte-identical to the uncached path (escape hatch:
-``REPRO_NO_SCHED_CACHE=1`` or ``schedule_cache=False``).
+**One send path: the epoch-cached schedule template.**  Between two
+membership events a group's overlay is frozen, so every send from one
+source walks the *same* tree with the *same* per-hop serialize/latency
+terms.  Per (group, membership epoch) the plane keeps a schedule
+context, and per source inside it a :class:`_SendTemplate` — the frozen
+adjacency with latencies and uplink bandwidths precomputed; a first
+send from a source is simply the send that builds its template.  Every
+send is played from its template: deliveries sit in a plane-level
+pending heap that a single *wavefront* event drains in batches
+(:meth:`ServicePlane._pump`), falling back to one delivery per engine
+event exactly where a foreign event — a membership change, a scheduled
+send, a bounded ``run(until)`` — interleaves.  The specification of
+that order is "one engine event per delivery, ties by insertion": the
+walker that implemented it literally was deleted once the template
+path had been proven byte-identical to it, and its receipts, audits,
+``mc.*`` traces and reports live on as the golden digests in
+``tests/golden/plane_observables.json`` (see that package's module
+docstring for where they came from and how to regenerate them).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from time import perf_counter
@@ -69,6 +71,7 @@ from repro.systems import DEFAULT_UNIFORM_FANOUT
 from repro.trace.tracer import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
+    from repro.multicast.kernel import FlatTree
     from repro.multicast.session import SystemKind
     from repro.systems import SystemDescriptor
     from repro.workloads.groups import ServiceEvent
@@ -275,141 +278,65 @@ class SendReceipt:
             )
 
 
-class _SendState:
-    """Internal per-send dissemination state (frozen at origin)."""
-
-    __slots__ = ("receipt", "children", "host_of", "depth", "remaining")
-
-    def __init__(
-        self,
-        receipt: SendReceipt,
-        children: dict[int, list[int]],
-        host_of: dict[int, str],
-        depth: dict[int, int],
-    ) -> None:
-        self.receipt = receipt
-        self.children = children
-        self.host_of = host_of
-        self.depth = depth
-        self.remaining = len(host_of) - 1  # everyone but the source
-
-
+@dataclass(slots=True, eq=False)
 class _EpochSchedule:
     """Everything derivable from one (group, membership epoch).
 
     Valid exactly while :meth:`MulticastService.membership_epoch` still
     returns ``epoch`` — join/leave/drop bump the epoch and the plane
     discards the context (counted as schedule-cache invalidations).
-    The trace lists are shared across sends on purpose: the uncached
-    path rebuilds them with identical contents every send, so reusing
-    one object keeps the emitted JSON byte-identical.
+    The trace lists are shared across the epoch's sends: every
+    ``mc.origin`` carries the same frozen membership, so one object
+    serves them all.
     """
 
-    __slots__ = (
-        "epoch",
-        "member_names",
-        "name_to_ident",
-        "host_of",
-        "system_name",
-        "space_bits",
-        "trace_members",
-        "trace_capacities",
-        "templates",
-    )
-
-    def __init__(
-        self,
-        epoch: int,
-        member_names: tuple[str, ...],
-        name_to_ident: dict[str, int],
-        host_of: dict[int, str],
-        system_name: str,
-        space_bits: int,
-        trace_members: list[int],
-        trace_capacities: list[list[float]],
-    ) -> None:
-        self.epoch = epoch
-        self.member_names = member_names
-        self.name_to_ident = name_to_ident
-        self.host_of = host_of
-        self.system_name = system_name
-        self.space_bits = space_bits
-        self.trace_members = trace_members
-        self.trace_capacities = trace_capacities
-        self.templates: dict[int, _SendTemplate] = {}
+    epoch: int
+    member_names: tuple[str, ...]
+    name_to_ident: dict[str, int]
+    host_of: dict[int, str]
+    system_name: str
+    space_bits: int
+    trace_members: list[int]
+    trace_capacities: list[list[float]]
+    templates: dict[int, _SendTemplate] = field(default_factory=dict)
 
 
+@dataclass(slots=True, eq=False)
 class _SendTemplate:
     """One source's frozen dissemination schedule within an epoch.
 
     ``children_of`` pairs each child with its precomputed hop latency;
-    ``bandwidth_of`` caches internal nodes' uplink rates (the legacy
-    path re-reads ``service.hosts`` — a dict copy — per forward).  The
+    ``bandwidth_of`` holds the internal nodes' uplink rates, read once
+    from ``service.hosts`` so a forward costs no registry lookup.  The
     charges tuple preserves :meth:`children_counts` iteration order so
-    replaying it accumulates the forwarding ledger in the exact float
-    order :meth:`MulticastService.charge_tree` would.
+    :meth:`MulticastService.charge` accumulates the forwarding ledger
+    in the same float order the synchronous
+    :meth:`MulticastService.multicast` does.
     """
 
-    __slots__ = (
-        "source_ident",
-        "tree",
-        "messages_sent",
-        "children_of",
-        "bandwidth_of",
-        "depth",
-        "charges",
-        "member_count",
-    )
-
-    def __init__(
-        self,
-        source_ident: int,
-        tree: Any,
-        messages_sent: int,
-        children_of: dict[int, tuple[tuple[int, float], ...]],
-        bandwidth_of: dict[int, float],
-        depth: dict[int, int],
-        charges: tuple[tuple[str, int], ...],
-        member_count: int,
-    ) -> None:
-        self.source_ident = source_ident
-        self.tree = tree
-        self.messages_sent = messages_sent
-        self.children_of = children_of
-        self.bandwidth_of = bandwidth_of
-        self.depth = depth
-        self.charges = charges
-        self.member_count = member_count
+    tree: FlatTree
+    children_of: dict[int, tuple[tuple[int, float], ...]]
+    bandwidth_of: dict[int, float]
+    depth: dict[int, int]
+    charges: tuple[tuple[str, int], ...]
 
 
-class _CachedSend:
-    """Per-send progress for a template-driven dissemination."""
+@dataclass(slots=True, eq=False)
+class _SendState:
+    """Per-send progress of one template-driven dissemination.
 
-    __slots__ = ("receipt", "context", "template", "remaining")
+    Holds the ledger and stats of the group *incarnation* the send was
+    originated under: a name dropped and recreated mid-flight gets a
+    fresh ledger, and this send's deliveries must keep landing in the
+    old one.
+    """
 
-    def __init__(
-        self,
-        receipt: SendReceipt,
-        context: _EpochSchedule,
-        template: _SendTemplate,
-    ) -> None:
-        self.receipt = receipt
-        self.context = context
-        self.template = template
-        self.remaining = template.member_count - 1  # everyone but the source
-
-
-def _forward_steps_from_parent(tree: Any) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(parent, children) steps for trees without ``forward_steps``
-    (the legacy dict-based :class:`MulticastResult`), grouped in the
-    same first-delivery order the kernel's flat arrays produce."""
-    children: dict[int, list[int]] = {}
-    for child, parent in tree.parent.items():
-        if parent is not None:
-            children.setdefault(parent, []).append(child)
-    return tuple(
-        (parent, tuple(kids)) for parent, kids in children.items()
-    )
+    receipt: SendReceipt
+    template: _SendTemplate
+    host_of: dict[int, str]
+    ledger: SequenceLedger
+    stats: GroupStats
+    remaining: int  # frozen members still to deliver to
 
 
 @dataclass
@@ -505,6 +432,41 @@ class PlaneReport:
         return "\n".join(lines)
 
 
+@dataclass(slots=True, eq=False)
+class _Group:
+    """One incarnation of a group name: its sequence space, its
+    counters and, while it is live, the current epoch's schedules."""
+
+    ledger: SequenceLedger
+    stats: GroupStats
+    context: _EpochSchedule | None = None
+
+
+class _WallClock:
+    """Wall-clock seconds spent inside the plane's entry points.
+
+    Re-entrant: a send fired from inside ``drain`` is already on the
+    clock, so only the outermost ``with`` reads the timer.
+    """
+
+    __slots__ = ("seconds", "_depth", "_started")
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self._depth = 0
+        self._started = 0.0
+
+    def __enter__(self) -> None:
+        if self._depth == 0:
+            self._started = perf_counter()
+        self._depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._depth -= 1
+        if self._depth == 0:
+            self.seconds += perf_counter() - self._started
+
+
 # -- the plane --------------------------------------------------------------
 
 
@@ -524,7 +486,6 @@ class ServicePlane:
         simulator: Simulator | None = None,
         space_bits: int = 19,
         hop_latency: float | HostLatency = 0.0,
-        schedule_cache: bool | None = None,
     ) -> None:
         self.service = (
             service if service is not None else MulticastService(space_bits)
@@ -536,28 +497,19 @@ class ServicePlane:
             if callable(hop_latency)
             else (lambda a, b, _s=float(hop_latency): _s)
         )
-        self._ledgers: dict[str, SequenceLedger] = {}
-        self._stats: dict[str, GroupStats] = {}
-        self._active: dict[str, bool] = {}
+        # every incarnation of every group name, in creation order; the
+        # last one is the live group unless its stats say closed
+        self._groups: dict[str, list[_Group]] = {}
         self._next_mid = 1
         self._receipts: list[SendReceipt] = []
-        # epoch-cached dissemination schedules (None = honor the
-        # REPRO_NO_SCHED_CACHE escape hatch, the equivalence tests'
-        # lever for running the uncached reference path)
-        self._schedule_cache = (
-            schedule_cache
-            if schedule_cache is not None
-            else not os.environ.get("REPRO_NO_SCHED_CACHE")
-        )
-        self._contexts: dict[str, _EpochSchedule] = {}
         # pending deliveries: (time, plane seq, state, child, parent) —
-        # the plane seq replays the engine's insertion-order tie-break
-        self._pending: list[tuple[float, int, _CachedSend, int, int]] = []
+        # the plane seq is the insertion-order tie-break the engine
+        # would apply were each delivery its own event
+        self._pending: list[tuple[float, int, _SendState, int, int]] = []
         self._pending_seq = 0
         self._wavefront: EventHandle | None = None
         self._wavefront_time: float | None = None
-        self._wall_s = 0.0
-        self._wall_depth = 0
+        self._wall = _WallClock()
 
     # -- membership lifecycle (admissible mid-stream) -------------------
 
@@ -589,36 +541,45 @@ class ServicePlane:
         ledger = SequenceLedger()
         for member in self.service.members_of(group_name):
             ledger.admit(member)
-        self._ledgers[group_name] = ledger
-        self._stats[group_name] = GroupStats(created_at=self.now)
-        self._active[group_name] = True
+        # a recreated name opens a new incarnation beside the closed
+        # one, whose in-flight sends keep their own ledger and stats
+        self._groups.setdefault(group_name, []).append(
+            _Group(ledger, GroupStats(created_at=self.now))
+        )
+
+    def _live(self, group_name: str) -> _Group:
+        """The name's live incarnation (KeyError if none)."""
+        incarnations = self._groups.get(group_name)
+        if not incarnations or incarnations[-1].stats.closed:
+            raise KeyError(f"no group named {group_name!r}")
+        return incarnations[-1]
 
     def join(self, group_name: str, host_name: str) -> None:
         """Admit a host mid-stream: the overlay rebuilds through the
         registry path; in-flight sends keep their frozen trees.  The
         joiner is obligated from the *next* sequence number."""
         self.service.join_group(group_name, host_name)
-        self._ledgers[group_name].admit(host_name)
+        self._live(group_name).ledger.admit(host_name)
 
     def leave(self, group_name: str, host_name: str) -> None:
         """Remove a host mid-stream.  The leaver stays obligated for
         every sequence originated while it was a member — including
         in-flight sends, which deliver against frozen membership."""
         self.service.leave_group(group_name, host_name)
-        self._ledgers[group_name].retire(host_name)
+        self._live(group_name).ledger.retire(host_name)
 
     def drop_group(self, group_name: str) -> None:
         """Tear a group down.  In-flight sends finish (frozen trees);
         the ledger and stats stay readable for the final audit."""
         self.service.drop_group(group_name)
-        self._ledgers[group_name].retire_all()
-        self._stats[group_name].closed = True
-        self._active[group_name] = False
-        context = self._contexts.pop(group_name, None)
-        if context is not None:
+        group = self._live(group_name)
+        group.ledger.retire_all()
+        group.stats.closed = True
+        if group.context is not None:
             perf.COUNTERS.schedule_cache_invalidations += len(
-                context.templates
+                group.context.templates
             )
+            group.context = None
 
     # -- sending --------------------------------------------------------
 
@@ -627,93 +588,58 @@ class ServicePlane:
     ) -> SendReceipt:
         """Originate one message *now*: freeze membership and tree,
         stamp the next sequence number, and schedule the hops."""
-        started = perf_counter()
-        self._wall_depth += 1
-        try:
-            if not self._active.get(group_name, False):
-                raise KeyError(f"no group named {group_name!r}")
-            if message_kbits <= 0:
-                raise ValueError(
-                    f"message size must be positive, got {message_kbits}"
-                )
-            if self._schedule_cache:
-                return self._send_cached(
-                    group_name, source_host, message_kbits
-                )
-            return self._send_uncached(group_name, source_host, message_kbits)
-        finally:
-            self._wall_depth -= 1
-            if self._wall_depth == 0:
-                self._wall_s += perf_counter() - started
-
-    def _send_uncached(
-        self, group_name: str, source_host: str, message_kbits: float
-    ) -> SendReceipt:
-        """The reference path: extract the tree and schedule one engine
-        event per hop.  Byte-for-byte the behavior the epoch cache must
-        reproduce — keep the two in lockstep."""
-        group = self.service.group(group_name)
-        source_ident = self.service.member_ident(group_name, source_host)
-        result = group.multicast_from(group.snapshot.node_at(source_ident))
-        self.service.charge_tree(group_name, result, message_kbits)
-
-        # freeze: children adjacency in delivery order, ident -> host
-        members = {
-            name: self.service.member_ident(group_name, name)
-            for name in self.service.members_of(group_name)
-        }
-        host_of = {ident: name for name, ident in members.items()}
-        children: dict[int, list[int]] = {}
-        for child, parent in result.parent.items():
-            if parent is not None:
-                children.setdefault(parent, []).append(child)
-
-        ledger = self._ledgers[group_name]
-        seq = ledger.issue()
-        mid = self._next_mid
-        self._next_mid += 1
-        stats = self._stats[group_name]
-        stats.sends += 1
-        if stats.first_origin is None:
-            stats.first_origin = self.now
-        receipt = SendReceipt(
-            group=group_name,
-            seq=seq,
-            mid=mid,
-            source=source_host,
-            message_kbits=message_kbits,
-            origin_time=self.now,
-            members=tuple(members),
-        )
-        self._receipts.append(receipt)
-        state = _SendState(receipt, children, host_of, dict(result.depth))
-        if TRACER.enabled:
-            idents = sorted(host_of)
-            TRACER.emit(
-                self.now, "mc", "origin",
-                mid=mid, source=source_ident,
-                system=group.system.name,
-                bits=group.snapshot.space.bits,
-                members=idents,
-                capacities=[
-                    [ident, group.snapshot.node_at(ident).capacity]
-                    for ident in idents
-                ],
-                group=group_name, seq=seq,
+        with self._wall:
+            group, context, template = self._template(
+                group_name, source_host, message_kbits
             )
-            # the origin's own copy, parent=None — same convention as
-            # the protocol peers' local delivery record
-            TRACER.emit(
-                self.now, "mc", "deliver",
-                mid=mid, ident=source_ident, depth=0, parent=None,
-                group=group_name, seq=seq,
+            self.service.charge(template.charges, message_kbits)
+            ledger = group.ledger
+            seq = ledger.issue()
+            mid = self._next_mid
+            self._next_mid += 1
+            stats = group.stats
+            stats.sends += 1
+            if stats.first_origin is None:
+                stats.first_origin = self.now
+            receipt = SendReceipt(
+                group=group_name,
+                seq=seq,
+                mid=mid,
+                source=source_host,
+                message_kbits=message_kbits,
+                origin_time=self.now,
+                members=context.member_names,
             )
-        ledger.record(source_host, seq)
-        if state.remaining == 0:
-            receipt.completion.resolve(receipt)
-        else:
-            self._forward(state, source_ident)
-        return receipt
+            self._receipts.append(receipt)
+            state = _SendState(
+                receipt, template, context.host_of, ledger, stats,
+                remaining=len(context.member_names) - 1,  # not the source
+            )
+            source_ident = template.tree.source_ident
+            if TRACER.enabled:
+                TRACER.emit(
+                    self.now, "mc", "origin",
+                    mid=mid, source=source_ident,
+                    system=context.system_name,
+                    bits=context.space_bits,
+                    members=context.trace_members,
+                    capacities=context.trace_capacities,
+                    group=group_name, seq=seq,
+                )
+                # the origin's own copy, parent=None — same convention
+                # as the protocol peers' local delivery record
+                TRACER.emit(
+                    self.now, "mc", "deliver",
+                    mid=mid, ident=source_ident, depth=0, parent=None,
+                    group=group_name, seq=seq,
+                )
+            ledger.record(source_host, seq)
+            if state.remaining == 0:
+                receipt.completion.resolve(receipt)
+            else:
+                self._reserve_children(state, source_ident, self.now)
+                self._arm_wavefront()
+            return receipt
 
     def send_later(
         self,
@@ -734,77 +660,20 @@ class ServicePlane:
         )
         return placed
 
-    def _forward(self, state: _SendState, ident: int) -> None:
-        """Node ``ident`` holds the full message: queue one uplink slot
-        per child on its host's shared budget."""
-        kids = state.children.get(ident)
-        if not kids:
-            return
-        host = state.host_of[ident]
-        bandwidth = self.service.hosts[host]
-        serialize = state.receipt.message_kbits / bandwidth
-        stats = self._stats[state.receipt.group]
-        now = self.now
-        for child in kids:
-            start, done = self.budget.reserve(host, now, serialize)
-            if start > now:
-                stats.deferrals += 1
-            stats.queue_depth += 1
-            stats.max_queue_depth = max(
-                stats.max_queue_depth, stats.queue_depth
-            )
-            arrival = done + self._latency(host, state.host_of[child])
-            self.simulator.call_at(
-                arrival, lambda c=child, i=ident: self._deliver(state, c, i)
-            )
-
-    def _deliver(self, state: _SendState, ident: int, parent: int) -> None:
-        """The message fully arrived at ``ident``: account and fan on."""
-        receipt = state.receipt
-        host = state.host_of[ident]
-        stats = self._stats[receipt.group]
-        stats.queue_depth -= 1
-        verdict = self._ledgers[receipt.group].record(host, receipt.seq)
-        now = self.now
-        if verdict == "dup":
-            stats.dups += 1
-            if TRACER.enabled:
-                TRACER.emit(
-                    now, "mc", "dup",
-                    mid=receipt.mid, ident=ident, sender=parent,
-                    group=receipt.group, seq=receipt.seq,
-                )
-            return
-        stats.deliveries += 1
-        stats.delivered_kbits += receipt.message_kbits
-        stats.last_delivery = now
-        receipt.delivered[host] = now
-        if TRACER.enabled:
-            TRACER.emit(
-                now, "mc", "deliver",
-                mid=receipt.mid, ident=ident,
-                depth=state.depth.get(ident, 0), parent=parent,
-                group=receipt.group, seq=receipt.seq,
-            )
-        state.remaining -= 1
-        if state.remaining == 0:
-            receipt.completion.resolve(receipt)
-        self._forward(state, ident)
-
     # -- epoch-cached schedules -----------------------------------------
 
-    def _send_cached(
+    def _template(
         self, group_name: str, source_host: str, message_kbits: float
-    ) -> SendReceipt:
-        """Originate from a cached (epoch, source) schedule template.
-
-        Mirrors :meth:`_send_uncached` exactly — same accounting order,
-        same trace events, same float expressions — except the tree,
-        adjacency and trace scaffolding come from the cache and the
-        hops go to the plane's pending heap instead of one engine
-        event each.
-        """
-        context = self._epoch_context(group_name)
+    ) -> tuple[_Group, _EpochSchedule, _SendTemplate]:
+        """Validate a send request and look up what it plays from: the
+        group's live incarnation, its current-epoch schedule context
+        and the source's template, built on first use in the epoch."""
+        group = self._live(group_name)
+        if message_kbits <= 0:
+            raise ValueError(
+                f"message size must be positive, got {message_kbits}"
+            )
+        context = self._epoch_context(group_name, group)
         source_ident = context.name_to_ident.get(source_host)
         if source_ident is None:
             raise KeyError(
@@ -818,110 +687,60 @@ class ServicePlane:
         else:
             perf.COUNTERS.schedule_cache_hits += 1
             if TRACER.enabled:
-                # the uncached path extracts (and trace-summarizes) a
-                # tree on every send; replay the frozen tree's summary
-                # so the traced stream is independent of caching
+                # building a template extracts (and trace-summarizes)
+                # the tree; a hit replays the frozen tree's summary so
+                # the traced stream does not depend on what was cached
                 TRACER.emit(
                     0.0, "mc", "tree",
-                    source=source_ident, edges=template.messages_sent,
+                    source=source_ident, edges=template.tree.messages_sent,
                 )
-        forwarded = self.service._forwarded_kbits
-        for name, count in template.charges:
-            forwarded[name] += count * message_kbits
+        return group, context, template
 
-        ledger = self._ledgers[group_name]
-        seq = ledger.issue()
-        mid = self._next_mid
-        self._next_mid += 1
-        stats = self._stats[group_name]
-        stats.sends += 1
-        if stats.first_origin is None:
-            stats.first_origin = self.now
-        receipt = SendReceipt(
-            group=group_name,
-            seq=seq,
-            mid=mid,
-            source=source_host,
-            message_kbits=message_kbits,
-            origin_time=self.now,
-            members=context.member_names,
-        )
-        self._receipts.append(receipt)
-        state = _CachedSend(receipt, context, template)
-        if TRACER.enabled:
-            TRACER.emit(
-                self.now, "mc", "origin",
-                mid=mid, source=source_ident,
-                system=context.system_name,
-                bits=context.space_bits,
-                members=context.trace_members,
-                capacities=context.trace_capacities,
-                group=group_name, seq=seq,
-            )
-            TRACER.emit(
-                self.now, "mc", "deliver",
-                mid=mid, ident=source_ident, depth=0, parent=None,
-                group=group_name, seq=seq,
-            )
-        ledger.record(source_host, seq)
-        if state.remaining == 0:
-            receipt.completion.resolve(receipt)
-        else:
-            self._reserve_children(state, source_ident, self.now)
-            self._arm_wavefront()
-        return receipt
-
-    def _epoch_context(self, group_name: str) -> _EpochSchedule:
+    def _epoch_context(self, group_name: str, group: _Group) -> _EpochSchedule:
         """The group's schedule context for its *current* epoch,
         rebuilding (and invalidating stale templates) after any
         membership change."""
         epoch = self.service.membership_epoch(group_name)
-        context = self._contexts.get(group_name)
+        context = group.context
         if context is not None:
             if context.epoch == epoch:
                 return context
             perf.COUNTERS.schedule_cache_invalidations += len(
                 context.templates
             )
-        group = self.service.group(group_name)
+        overlay = self.service.group(group_name)
         members = {
             name: self.service.member_ident(group_name, name)
             for name in self.service.members_of(group_name)
         }
         host_of = {ident: name for name, ident in members.items()}
         idents = sorted(host_of)
-        snapshot = group.snapshot
-        context = _EpochSchedule(
+        snapshot = overlay.snapshot
+        context = group.context = _EpochSchedule(
             epoch=epoch,
             member_names=tuple(members),
             name_to_ident=members,
             host_of=host_of,
-            system_name=group.system.name,
+            system_name=overlay.system.name,
             space_bits=snapshot.space.bits,
             trace_members=idents,
             trace_capacities=[
                 [ident, snapshot.node_at(ident).capacity] for ident in idents
             ],
         )
-        self._contexts[group_name] = context
         return context
 
     def _build_template(
         self, context: _EpochSchedule, group_name: str, source_ident: int
     ) -> _SendTemplate:
         """Extract the source's tree once and freeze its schedule."""
-        group = self.service.group(group_name)
-        tree = group.multicast_from(group.snapshot.node_at(source_ident))
+        overlay = self.service.group(group_name)
+        tree = overlay.multicast_from(overlay.snapshot.node_at(source_ident))
         host_of = context.host_of
-        bandwidths = self.service.hosts  # one dict copy per template
-        steps = (
-            tree.forward_steps()
-            if hasattr(tree, "forward_steps")
-            else _forward_steps_from_parent(tree)
-        )
+        bandwidths = self.service.hosts
         children_of: dict[int, tuple[tuple[int, float], ...]] = {}
         bandwidth_of: dict[int, float] = {}
-        for parent, kids in steps:
+        for parent, kids in tree.forward_steps():
             host = host_of[parent]
             bandwidth_of[parent] = bandwidths[host]
             children_of[parent] = tuple(
@@ -933,28 +752,26 @@ class ServicePlane:
             if count
         )
         return _SendTemplate(
-            source_ident=source_ident,
             tree=tree,
-            messages_sent=tree.messages_sent,
             children_of=children_of,
             bandwidth_of=bandwidth_of,
             depth=dict(tree.depth),
             charges=charges,
-            member_count=len(host_of),
         )
 
     def _reserve_children(
-        self, state: _CachedSend, ident: int, now: float
+        self, state: _SendState, ident: int, now: float
     ) -> None:
-        """Template twin of :meth:`_forward`: same reservations in the
-        same order, but arrivals go to the pending heap."""
+        """Node ``ident`` holds the full message at ``now``: reserve one
+        uplink slot per child on its host's shared budget, in template
+        order, and queue the arrivals on the pending heap."""
         template = state.template
         kids = template.children_of.get(ident)
         if not kids:
             return
-        host = state.context.host_of[ident]
+        host = state.host_of[ident]
         serialize = state.receipt.message_kbits / template.bandwidth_of[ident]
-        stats = self._stats[state.receipt.group]
+        stats = state.stats
         reserve = self.budget.reserve
         pending = self._pending
         for child, latency in kids:
@@ -994,9 +811,10 @@ class ServicePlane:
 
         Deliveries at the wavefront's own fire time always commit —
         any foreign event still queued at that instant was scheduled
-        after this wavefront was armed, hence after the deliveries'
-        uncached counterparts would have entered the queue, so the
-        uncached tie-break runs the deliveries first too.
+        after this wavefront was armed, hence after each of those
+        deliveries would have entered the queue as an event of its
+        own, so the insertion-order tie-break runs the deliveries
+        first.
         """
         self._wavefront = None
         self._wavefront_time = None
@@ -1014,7 +832,7 @@ class ServicePlane:
                 # the horizon is re-read every step: a commit can
                 # schedule a completion resolution, which becomes the
                 # next foreign event and caps the batch exactly where
-                # the uncached interleaving would put it
+                # it would interleave with per-delivery events
                 horizon = engine.next_event_time()
                 if horizon is not None and time >= horizon:
                     break
@@ -1026,14 +844,15 @@ class ServicePlane:
         self._arm_wavefront()
 
     def _commit(
-        self, state: _CachedSend, ident: int, parent: int, time: float
+        self, state: _SendState, ident: int, parent: int, time: float
     ) -> None:
-        """Template twin of :meth:`_deliver`, at an explicit time."""
+        """The message fully arrived at ``ident`` at ``time``: account
+        the delivery and fan on."""
         receipt = state.receipt
-        host = state.context.host_of[ident]
-        stats = self._stats[receipt.group]
+        host = state.host_of[ident]
+        stats = state.stats
         stats.queue_depth -= 1
-        verdict = self._ledgers[receipt.group].record(host, receipt.seq)
+        verdict = state.ledger.record(host, receipt.seq)
         if verdict == "dup":
             stats.dups += 1
             if TRACER.enabled:
@@ -1057,11 +876,12 @@ class ServicePlane:
         state.remaining -= 1
         if state.remaining == 0:
             # resolve through the engine (not inline) so the clock
-            # advances to the final delivery and waiters wake at the
-            # same instant the uncached event-per-delivery path wakes
-            # them
+            # advances to the final delivery before waiters wake; the
+            # clock may already sit an ulp past it, because the engine
+            # fires ``call_at(when)`` at ``now + (when - now)``
             self.simulator.call_at(
-                time, lambda r=receipt: r.completion.resolve(r)
+                max(time, self.simulator.now),
+                lambda r=receipt: r.completion.resolve(r),
             )
         self._reserve_children(state, ident, time)
 
@@ -1072,48 +892,20 @@ class ServicePlane:
         ``source_host`` would follow: host name -> seconds after
         origination (the source maps to 0.0).
 
-        Derived from the cached template's frozen tree via
+        Derived from the template's frozen tree via
         :func:`repro.sim.transfer.delivery_timeline` against a fresh
         uplink budget — the shared ledger is deliberately untouched, so
         previewing never perturbs the plane.  With live traffic the
         actual send defers behind whatever the shared uplinks are
         already serializing; the preview is the lower envelope.
         """
-        if not self._active.get(group_name, False):
-            raise KeyError(f"no group named {group_name!r}")
-        if message_kbits <= 0:
-            raise ValueError(
-                f"message size must be positive, got {message_kbits}"
-            )
-        group = self.service.group(group_name)
-        if self._schedule_cache:
-            context = self._epoch_context(group_name)
-            source_ident = context.name_to_ident.get(source_host)
-            if source_ident is None:
-                raise KeyError(
-                    f"host {source_host!r} is not a member of {group_name!r}"
-                )
-            template = context.templates.get(source_ident)
-            if template is None:
-                perf.COUNTERS.schedule_cache_misses += 1
-                template = self._build_template(
-                    context, group_name, source_ident
-                )
-                context.templates[source_ident] = template
-            else:
-                perf.COUNTERS.schedule_cache_hits += 1
-            tree = template.tree
-            host_of = context.host_of
-        else:
-            source_ident = self.service.member_ident(group_name, source_host)
-            tree = group.multicast_from(group.snapshot.node_at(source_ident))
-            host_of = {
-                self.service.member_ident(group_name, name): name
-                for name in self.service.members_of(group_name)
-            }
+        _, context, template = self._template(
+            group_name, source_host, message_kbits
+        )
+        host_of = context.host_of
         timeline = delivery_timeline(
-            tree,
-            group.snapshot,
+            template.tree,
+            self.service.group(group_name).snapshot,
             message_kbits,
             hop_latency=lambda a, b: self._latency(host_of[a], host_of[b]),
             budget=UplinkBudget(),
@@ -1159,42 +951,34 @@ class ServicePlane:
 
     def run(self, until: float) -> None:
         """Advance the clock to ``until``."""
-        started = perf_counter()
-        self._wall_depth += 1
-        try:
+        with self._wall:
             self.simulator.run(until)
-        finally:
-            self._wall_depth -= 1
-            if self._wall_depth == 0:
-                self._wall_s += perf_counter() - started
 
     def drain(self, max_events: int | None = None) -> None:
         """Run until every scheduled hop has landed."""
-        started = perf_counter()
-        self._wall_depth += 1
-        try:
+        with self._wall:
             self.simulator.run_until_idle(max_events)
-        finally:
-            self._wall_depth -= 1
-            if self._wall_depth == 0:
-                self._wall_s += perf_counter() - started
 
     def receipts(self) -> tuple[SendReceipt, ...]:
         """Every send originated so far, in origination order."""
         return tuple(self._receipts)
 
     def audit(self) -> SequenceAudit:
-        """Merge every group's cursor audit (run :meth:`drain` first —
-        in-flight sends legitimately show as gaps)."""
+        """Merge every group incarnation's cursor audit (run
+        :meth:`drain` first — in-flight sends legitimately show as
+        gaps).  Gaps are keyed ``group/member``; a recreated name's
+        later incarnations are told apart as ``group#2/member``, ..."""
         gaps: dict[str, tuple[int, ...]] = {}
         dups = 0
         unexpected = 0
-        for group_name in sorted(self._ledgers):
-            audit = self._ledgers[group_name].audit()
-            for member, missing in audit.gaps.items():
-                gaps[f"{group_name}/{member}"] = missing
-            dups += audit.dups
-            unexpected += audit.unexpected
+        for group_name in sorted(self._groups):
+            for nth, group in enumerate(self._groups[group_name], 1):
+                label = group_name if nth == 1 else f"{group_name}#{nth}"
+                audit = group.ledger.audit()
+                for member, missing in audit.gaps.items():
+                    gaps[f"{label}/{member}"] = missing
+                dups += audit.dups
+                unexpected += audit.unexpected
         return SequenceAudit(gaps=gaps, dups=dups, unexpected=unexpected)
 
     def verify_quiesced(self) -> None:
@@ -1216,37 +1000,40 @@ class ServicePlane:
             )
 
     def report(self) -> PlaneReport:
-        """Per-group goodput, queue depth and deferral counts."""
+        """Per-group goodput, queue depth and deferral counts: one row
+        per group incarnation, sorted by name then creation order (a
+        dropped-and-recreated name shows its earlier incarnations as
+        ``closed`` rows)."""
         rows = []
         total_deliveries = 0
         total_deferrals = 0
-        for group_name in sorted(self._stats):
-            stats = self._stats[group_name]
-            members = (
-                len(self.service.members_of(group_name))
-                if self._active.get(group_name, False)
-                else 0
-            )
-            rows.append(
-                {
-                    "group": group_name,
-                    "members": members,
-                    "closed": stats.closed,
-                    "sends": stats.sends,
-                    "deliveries": stats.deliveries,
-                    "goodput_dps": round(stats.goodput_dps(), 4),
-                    "goodput_kbps": round(stats.goodput_kbps(), 4),
-                    "deferrals": stats.deferrals,
-                    "dups": stats.dups,
-                    "max_queue_depth": stats.max_queue_depth,
-                }
-            )
-            total_deliveries += stats.deliveries
-            total_deferrals += stats.deferrals
+        for group_name in sorted(self._groups):
+            for group in self._groups[group_name]:
+                stats = group.stats
+                rows.append(
+                    {
+                        "group": group_name,
+                        "members": (
+                            0
+                            if stats.closed
+                            else len(self.service.members_of(group_name))
+                        ),
+                        "closed": stats.closed,
+                        "sends": stats.sends,
+                        "deliveries": stats.deliveries,
+                        "goodput_dps": round(stats.goodput_dps(), 4),
+                        "goodput_kbps": round(stats.goodput_kbps(), 4),
+                        "deferrals": stats.deferrals,
+                        "dups": stats.dups,
+                        "max_queue_depth": stats.max_queue_depth,
+                    }
+                )
+                total_deliveries += stats.deliveries
+                total_deferrals += stats.deferrals
         return PlaneReport(
             time=self.now,
             rows=tuple(rows),
             total_deliveries=total_deliveries,
             total_deferrals=total_deferrals,
-            wall_s=self._wall_s,
+            wall_s=self._wall.seconds,
         )

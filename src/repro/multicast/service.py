@@ -27,6 +27,7 @@ group-rebuild path defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from repro.capacity.model import CapacityModel
@@ -73,8 +74,9 @@ class MulticastService:
 
     @property
     def hosts(self) -> Mapping[str, float]:
-        """Registered hosts and their upload bandwidths."""
-        return dict(self._hosts)
+        """Registered hosts and their upload bandwidths (a live,
+        read-only view — no copy per access)."""
+        return MappingProxyType(self._hosts)
 
     # -- group management ------------------------------------------------------
 
@@ -264,27 +266,33 @@ class MulticastService:
         group = self.group(group_name)
         source_ident = self.member_ident(group_name, source_host)
         result = group.multicast_from(group.snapshot.node_at(source_ident))
-        self.charge_tree(group_name, result, message_kbits)
+        host_of = {
+            ident: name for name, ident in self._membership(group_name).items()
+        }
+        self.charge(
+            (
+                (host_of[ident], count)
+                for ident, count in result.children_counts().items()
+                if count
+            ),
+            message_kbits,
+        )
         return result
 
-    def charge_tree(
-        self, group_name: str, result: MulticastResult, message_kbits: float
+    def charge(
+        self, charges: Iterable[tuple[str, int]], message_kbits: float
     ) -> None:
-        """Charge one dissemination tree's forwarding to host uplinks.
+        """Charge one dissemination's forwarding to host uplinks.
 
-        Each internal node pays ``children × message_kbits`` — the
-        Section 5.1 forwarding-load accounting, attributed to the host
-        behind the ring identifier.  Exposed so the event-driven plane
-        (which times deliveries instead of completing them in one call)
-        charges the same ledger.
+        ``charges`` pairs each forwarding host with its child count in
+        the tree; each pays ``children × message_kbits`` — the Section
+        5.1 forwarding-load accounting.  The one writer of the ledger:
+        :meth:`multicast` charges a tree as it delivers it, the
+        event-driven plane replays a frozen tree's charges per send.
         """
-        members = self._membership(group_name)
-        ident_to_name = {ident: name for name, ident in members.items()}
-        for ident, count in result.children_counts().items():
-            if count:
-                self._forwarded_kbits[ident_to_name[ident]] += (
-                    count * message_kbits
-                )
+        forwarded = self._forwarded_kbits
+        for host_name, count in charges:
+            forwarded[host_name] += count * message_kbits
 
     def host_load_kbits(self) -> Mapping[str, float]:
         """Total forwarded traffic per host, across every group.

@@ -52,7 +52,7 @@ class PerfCounters:
     group's membership epoch moved on (join/leave/drop rebuilt the
     overlay), and ``wavefront_commits`` batched wavefront events
     executed — each one commits a contiguous run of deliveries that
-    the uncached plane would have run as individual engine events.
+    would otherwise each be an engine event of its own.
 
     The ``shm_*`` counters track shared-memory membership buffers
     (:mod:`repro.membership`): segments created/unlinked by the parent

@@ -280,7 +280,7 @@ def delivery_timeline(
     times are byte-identical to what the event-driven plane commits
     for an isolated send — which is what makes the timeline usable as
     a schedule preview (``ServicePlane.schedule_preview``) and as the
-    oracle the epoch-cache equivalence tests compare against.  With a
+    oracle the plane's isolated-send tests compare against.  With a
     shared, pre-loaded budget the timeline instead shows how the send
     would defer behind traffic already serialized on those uplinks.
     """

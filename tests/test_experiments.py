@@ -12,6 +12,7 @@ from repro.experiments import (
     fig11_avg_path_length,
     ext_balance,
     ext_load,
+    registry,
 )
 from repro.experiments.common import (
     ExperimentScale,
@@ -19,7 +20,7 @@ from repro.experiments.common import (
     Series,
     resolve_scale,
 )
-from repro.experiments.runner import EXPERIMENTS, main
+from repro.experiments.runner import main
 
 TINY = ExperimentScale("tiny", 400, 2, 20, space_bits=12)
 
@@ -122,11 +123,13 @@ class TestRunnerCli:
             main(["nope"])
 
     def test_registry_complete(self):
-        assert set(EXPERIMENTS) == {
+        assert set(registry.REGISTRY) == {
             "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
             "extA", "extB", "extC", "extD", "extE", "extF", "extG", "extH",
             "extI", "extJ", "extK", "extL", "extM", "extN", "extO",
         }
+        for name in registry.REGISTRY:
+            assert callable(registry.load(name).run), name
 
     def test_single_run_prints_and_writes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "quick")

@@ -225,6 +225,31 @@ class TestMidStreamMembership:
         assert inflight.complete
         inflight.verify_complete()
 
+    def test_recreated_name_does_not_steal_inflight_deliveries(self):
+        # a name dropped and recreated while its first incarnation's
+        # sends are in flight: those sends must keep landing in the
+        # ledger and stats they were originated under (they used to hit
+        # the new ledger, be classed dup and leave the receipts short)
+        plane = make_plane()
+        members = [f"h{i}" for i in range(8)]
+        plane.create_group("g", members)
+        first = [plane.send("g", "h0", 64.0) for _ in range(3)]
+        plane.run(0.6)
+        assert not all(receipt.complete for receipt in first)
+        plane.drop_group("g")
+        plane.create_group("g", members)
+        second = [plane.send("g", "h1", 64.0) for _ in range(3)]
+        assert [receipt.seq for receipt in second] == [1, 2, 3]
+        plane.drain()
+        plane.verify_quiesced()
+        assert all(receipt.complete for receipt in first + second)
+        rows = [row for row in plane.report().rows if row["group"] == "g"]
+        assert [row["closed"] for row in rows] == [True, False]
+        assert [row["sends"] for row in rows] == [3, 3]
+        assert [row["deliveries"] for row in rows] == [21, 21]
+        assert [row["dups"] for row in rows] == [0, 0]
+        assert [row["members"] for row in rows] == [0, 8]
+
     def test_rebuild_preserves_identifiers(self):
         plane = make_plane()
         plane.create_group("g", [f"h{i}" for i in range(8)])

@@ -1,13 +1,20 @@
-"""Epoch-cached dissemination schedules: byte-identity and invalidation.
+"""Epoch-cached dissemination schedules: golden outputs and invalidation.
 
-The service plane's schedule cache is pure mechanism — it must change
-*nothing* observable.  These tests pin that down three ways:
+The schedule template is the plane's only send path, and it must
+produce exactly what one engine event per delivery would.  These tests
+pin that down four ways:
 
-* **Equivalence.**  The full extN quick matrix runs twice, cache on
-  and cache off (``REPRO_NO_SCHED_CACHE=1``), and receipts, sequence
-  audits, ``mc.*`` trace JSONL and the plane report must be
-  byte-identical — including contended-uplink scenarios where the
-  wavefront's reservations interleave with backpressure.
+* **Golden outputs.**  The full extN quick matrix, a contended-uplink
+  scenario and a bounded-``run(until)`` scenario must reproduce the
+  digests in ``tests/golden/plane_observables.json`` — receipts with
+  their delivery order, sequence audits, ``mc.*`` trace JSONL, report
+  rows, host load and deferral count, recorded from the deleted
+  event-per-delivery walker (see :mod:`tests.golden.plane_observables`
+  for provenance and the one regeneration step).
+* **Invariants that need no twin.**  A Hypothesis op sequence (send,
+  ``send_later``, bounded runs, join, leave) checks causality along
+  every ``mc.deliver`` parent edge, uplink exclusivity per host, the
+  quiesce oracles, and that an isolated send lands on its preview.
 * **Invalidation.**  A Hypothesis-driven op sequence checks the
   membership-epoch contract: every join/leave/create bumps the epoch,
   no send ever delivers through a stale tree to a departed member,
@@ -19,167 +26,224 @@ The service plane's schedule cache is pure mechanism — it must change
 from __future__ import annotations
 
 import json
-from random import Random
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import perf
-from repro.experiments.common import SCALES, point_rng
-from repro.experiments.ext_service import _workload_spec, run_point
+from repro.experiments.common import SCALES
+from repro.experiments.ext_service import run_point
 from repro.multicast.plane import ServicePlane
 from repro.sim.transfer import UplinkBudget, delivery_timeline
 from repro.trace.tracer import TRACER
+from tests.golden import plane_observables as golden
+
+#: the subprocess test imports ``tests.golden`` from here
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_plane(
     hosts: int = 20,
     kbps: float = 400.0,
     space_bits: int = 14,
-    schedule_cache: bool | None = None,
     hop_latency: float = 0.0,
 ) -> ServicePlane:
-    plane = ServicePlane(
-        space_bits=space_bits,
-        schedule_cache=schedule_cache,
-        hop_latency=hop_latency,
-    )
+    plane = ServicePlane(space_bits=space_bits, hop_latency=hop_latency)
     for index in range(hosts):
         plane.register_host(f"h{index}", kbps)
     return plane
 
 
-def observe(plane: ServicePlane, trace: str | None = None):
-    """Everything the cache must not change, in comparison form.
-
-    ``delivered`` is compared as an ordered item tuple on purpose:
-    insertion order is commit order, so even the *sequence* in which
-    members received must match the uncached interleaving.
-    """
-    receipts = tuple(
-        (
-            r.group,
-            r.seq,
-            r.mid,
-            r.source,
-            r.message_kbits,
-            r.origin_time,
-            r.members,
-            tuple(r.delivered.items()),
-            r.complete,
-        )
-        for r in plane.receipts()
-    )
-    audit = plane.audit()
-    return (
-        receipts,
-        (audit.gaps, audit.dups, audit.unexpected),
-        trace,
-        plane.report(),
-        plane.service.host_load_kbits(),
-        plane.budget.deferrals(),
-    )
-
-
-def run_extn_cell(point, cache: bool, scale=SCALES["quick"], seed: int = 0):
-    """One extN cell end to end, returning the observable tuple."""
-    from repro.workloads import generate_service_workload
-
-    groups, churn = point
-    spec = _workload_spec(scale, groups, churn)
-    workload_seed = point_rng(seed, "extN", groups, churn).randrange(1 << 31)
-    workload = generate_service_workload(spec, seed=workload_seed)
-    plane = ServicePlane(space_bits=scale.space_bits, schedule_cache=cache)
-    for name, kbps in workload.hosts:
-        plane.register_host(name, kbps)
-    TRACER.enable()
-    try:
-        plane.replay(workload.events)
-        plane.drain()
-        trace = "\n".join(
-            json.dumps(event.to_json_dict()) for event in TRACER.events()
-        )
-    finally:
-        TRACER.disable()
-        TRACER.clear()
-    plane.verify_quiesced()
-    return observe(plane, trace)
-
-
 class TestCachedUncachedEquivalence:
+    """The three fixed inputs that once ran on both send paths, now
+    judged against the digests the event-per-delivery path left."""
+
     def test_extn_quick_matrix_is_byte_identical(self):
         # the full quick matrix: group counts x churn rates, including
         # churned cells where epochs move mid-dissemination
-        scale = SCALES["quick"]
-        from repro.experiments.ext_service import sweep
-
-        for point in sweep(scale):
-            cached = run_extn_cell(point, cache=True, scale=scale)
-            uncached = run_extn_cell(point, cache=False, scale=scale)
-            assert cached == uncached, f"divergence at extN cell {point}"
-
-    def test_env_escape_hatch_selects_uncached(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SCHED_CACHE", "1")
-        plane = ServicePlane(space_bits=14)
-        assert plane._schedule_cache is False
-        monkeypatch.delenv("REPRO_NO_SCHED_CACHE")
-        assert ServicePlane(space_bits=14)._schedule_cache is True
+        expected = golden.load()
+        cells = [
+            (key, thunk)
+            for key, thunk in golden.scenarios()
+            if key.startswith("extn_quick/")
+        ]
+        assert len(cells) == 4
+        for key, thunk in cells:
+            assert thunk() == expected[key], f"divergence at {key}"
 
     def test_contended_uplink_fallback_is_byte_identical(self):
         # one slow host shared by every group: the budget saturates,
         # deliveries defer, and the wavefront must interleave with the
-        # backpressure exactly as the event-per-delivery path does
-        def contended(cache: bool):
-            plane = ServicePlane(space_bits=14, schedule_cache=cache)
-            plane.register_host("slow", 10.0)  # 10 kbps uplink
-            for index in range(12):
-                plane.register_host(f"h{index}", 400.0)
-            rng = Random(7)
-            for g in range(4):
-                members = ["slow"] + [f"h{i}" for i in range(g, g + 6)]
-                plane.create_group(f"g{g}", members)
-            TRACER.enable()
-            try:
-                for step in range(25):
-                    group = f"g{rng.randrange(4)}"
-                    source = rng.choice(
-                        plane.service.members_of(group)
-                    )
-                    plane.send_later(step * 0.2, group, source, 16.0)
-                plane.drain()
-                trace = "\n".join(
-                    json.dumps(e.to_json_dict()) for e in TRACER.events()
-                )
-            finally:
-                TRACER.disable()
-                TRACER.clear()
-            plane.verify_quiesced()
-            return observe(plane, trace)
-
-        cached = contended(True)
-        uncached = contended(False)
-        assert cached == uncached
-        assert cached[5] > 0  # the scenario genuinely backpressured
+        # backpressure exactly as event-per-delivery execution does
+        observed = golden.contended_uplink()
+        assert observed == golden.load()["contended_uplink"]
+        assert observed["deferrals"] > 0  # it genuinely backpressured
 
     def test_bounded_run_interleaves_identically(self):
         # run(until) bounds the wavefront's look-ahead: mid-run state
-        # must match the event-per-delivery execution at every cut
-        def stepped(cache: bool):
-            plane = make_plane(hosts=16, schedule_cache=cache)
-            plane.create_group("g", [f"h{i}" for i in range(10)])
-            states = []
-            plane.send("g", "h0", 40.0)
-            for until in (0.02, 0.05, 0.011, 0.3, 2.0):
-                plane.run(plane.now + until)
-                states.append(observe(plane))
-                plane.send("g", "h1", 24.0)
-            plane.drain()
-            plane.verify_quiesced()
-            states.append(observe(plane))
-            return states
+        # must match event-per-delivery execution at every cut
+        observed = golden.bounded_run()
+        assert len(observed) == 6
+        assert observed == golden.load()["bounded_run"]
 
-        assert stepped(True) == stepped(False)
+    @pytest.mark.parametrize("hash_seed", ["1", "4242"])
+    def test_golden_digests_do_not_depend_on_hash_seed(self, hash_seed):
+        # set/dict iteration order must never leak into an observable
+        script = (
+            "import json; from tests.golden import plane_observables as g; "
+            "print(json.dumps([g.contended_uplink(), g.bounded_run()]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, check=True,
+        )
+        expected = golden.load()
+        assert json.loads(done.stdout) == [
+            expected["contended_uplink"], expected["bounded_run"],
+        ]
+
+
+class TestScheduleInvariants:
+    """What any interleaving must satisfy, judged from receipts and
+    ``mc.deliver`` parent edges alone — no second implementation."""
+
+    LATENCY = 0.003
+    EPS = 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=2**31 - 1),
+            min_size=1, max_size=30,
+        )
+    )
+    # found by this test: two back-to-back sends whose wavefront fires
+    # an ulp after the last delivery's own time — completing the send
+    # then tried to schedule its resolution in the past
+    @example([1_762_946_376, 2416, 2416])
+    def test_causality_and_uplink_exclusivity(self, codes):
+        plane = ServicePlane(space_bits=14, hop_latency=self.LATENCY)
+        pool = [f"h{i}" for i in range(8)]
+        for index, name in enumerate(pool):
+            plane.register_host(name, 100.0 * (1 + index % 4))
+        # two groups over overlapping hosts: uplinks are shared
+        members = {"a": pool[:5], "b": pool[3:7]}
+        for name, hosts in members.items():
+            plane.create_group(name, list(hosts))
+        service = plane.service
+        # sources of scheduled sends stay put: a send_later whose source
+        # has left by fire time is an error, not an interleaving
+        pinned: dict[str, set[str]] = {"a": set(), "b": set()}
+        host_of: dict[int, dict[int, str]] = {}  # mid -> ident -> host
+
+        def originated(receipt):
+            host_of[receipt.mid] = {
+                service.member_ident(receipt.group, name): name
+                for name in receipt.members
+            }
+
+        TRACER.enable()
+        try:
+            for code in codes:
+                op, pick = code % 6, code // 6
+                group = "ab"[pick % 2]
+                hosts = members[group]
+                if op == 0:  # join (sends instead when the pool is in)
+                    outside = [name for name in pool if name not in hosts]
+                    if outside:
+                        joiner = outside[pick // 2 % len(outside)]
+                        plane.join(group, joiner)
+                        hosts.append(joiner)
+                        continue
+                elif op == 1:  # leave (keeps at least one member)
+                    free = [h for h in hosts if h not in pinned[group]]
+                    if len(hosts) > 1 and free:
+                        leaver = free[pick // 2 % len(free)]
+                        plane.leave(group, leaver)
+                        hosts.remove(leaver)
+                        continue
+                elif op == 2:  # a bounded run cuts the wavefront
+                    plane.run(plane.now + (pick % 50) / 100.0)
+                    continue
+                source = hosts[pick // 2 % len(hosts)]
+                kbits = 4.0 * (1 + pick % 5)
+                if op == 3:  # freezes membership at fire time
+                    pinned[group].add(source)
+                    plane.send_later(
+                        (pick % 40) / 50.0, group, source, kbits
+                    ).add_callback(lambda placed: originated(placed.value))
+                else:
+                    originated(plane.send(group, source, kbits))
+            plane.drain()
+            events = TRACER.events()
+        finally:
+            TRACER.disable()
+            TRACER.clear()
+        plane.verify_quiesced()
+
+        receipts = {receipt.mid: receipt for receipt in plane.receipts()}
+        bandwidth = service.hosts
+        uplink: dict[str, list[tuple[float, float]]] = {}
+        for event in events:
+            if event.name != "mc.deliver" or event.data["parent"] is None:
+                continue
+            receipt = receipts[event.data["mid"]]
+            names = host_of[receipt.mid]
+            child = names[event.data["ident"]]
+            parent = names[event.data["parent"]]
+            arrived = receipt.delivered[child]
+            assert event.time == arrived
+            serialize = receipt.message_kbits / bandwidth[parent]
+            assert arrived >= (
+                receipt.delivered[parent] + serialize + self.LATENCY - self.EPS
+            ), f"{child} got mid {receipt.mid} before {parent} could send it"
+            sent = arrived - self.LATENCY
+            uplink.setdefault(parent, []).append((sent - serialize, sent))
+        for host, slots in uplink.items():
+            slots.sort()
+            for (_, busy_until), (start, _) in zip(slots, slots[1:]):
+                assert start >= busy_until - self.EPS, (
+                    f"{host} serialized two transmissions at once"
+                )
+
+        # quiesced, every uplink is idle: one more send is isolated and
+        # must land exactly on the analytic timeline (and the preview)
+        group, source = "a", members["a"][0]
+        preview = plane.schedule_preview(group, source, 8.0)
+        receipt = plane.send(group, source, 8.0)
+        plane.drain()
+        overlay = service.group(group)
+        names = {
+            service.member_ident(group, name): name
+            for name in receipt.members
+        }
+        timeline = delivery_timeline(
+            overlay.multicast_from(
+                overlay.snapshot.node_at(service.member_ident(group, source))
+            ),
+            overlay.snapshot,
+            8.0,
+            hop_latency=lambda a, b: self.LATENCY,
+            budget=UplinkBudget(),
+            start_time=receipt.origin_time,
+            host_key=lambda ident: names[ident],
+        )
+        assert receipt.delivered == {
+            names[ident]: when for ident, when in timeline.items()
+        }
+        assert receipt.delivered == pytest.approx(
+            {
+                host: receipt.origin_time + after
+                for host, after in preview.items()
+            }
+        )
 
 
 class TestEpochInvalidation:
@@ -234,14 +298,14 @@ class TestEpochInvalidation:
                 "deliveries must cover the frozen membership exactly: "
                 "no departed member may receive through a stale tree"
             )
-        ledger = plane._ledgers["g"]
+        ledger = plane._groups["g"][-1].ledger
         for name, stints in ledger._cursors.items():
             assert len(stints) == admissions[name], (
                 f"{name}: every leave-then-rejoin must open a fresh stint"
             )
 
     def test_drop_group_invalidates_cached_templates(self):
-        plane = make_plane(schedule_cache=True)
+        plane = make_plane()
         plane.create_group("g", ["h0", "h1", "h2", "h3"])
         with perf.scoped() as scope:
             plane.send("g", "h0")
@@ -254,7 +318,7 @@ class TestEpochInvalidation:
 
 class TestCounters:
     def test_hit_miss_accounting(self):
-        plane = make_plane(schedule_cache=True)
+        plane = make_plane()
         plane.create_group("g", ["h0", "h1", "h2", "h3"])
         with perf.scoped() as scope:
             plane.send("g", "h0")
@@ -267,7 +331,7 @@ class TestCounters:
         assert delta.wavefront_commits >= 1
 
     def test_membership_change_invalidates(self):
-        plane = make_plane(schedule_cache=True)
+        plane = make_plane()
         plane.create_group("g", ["h0", "h1", "h2", "h3"])
         plane.send("g", "h0")
         plane.drain()
@@ -278,17 +342,6 @@ class TestCounters:
         assert scope.delta.schedule_cache_invalidations == 1
         assert scope.delta.schedule_cache_misses == 1
         assert scope.delta.schedule_cache_hits == 0
-
-    def test_uncached_plane_touches_no_cache_counters(self):
-        plane = make_plane(schedule_cache=False)
-        plane.create_group("g", ["h0", "h1", "h2", "h3"])
-        with perf.scoped() as scope:
-            plane.send("g", "h0")
-            plane.drain()
-        delta = scope.delta
-        assert delta.schedule_cache_hits == 0
-        assert delta.schedule_cache_misses == 0
-        assert delta.wavefront_commits == 0
 
 
 class TestSchedulePreview:
