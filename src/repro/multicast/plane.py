@@ -876,12 +876,9 @@ class ServicePlane:
         state.remaining -= 1
         if state.remaining == 0:
             # resolve through the engine (not inline) so the clock
-            # advances to the final delivery before waiters wake; the
-            # clock may already sit an ulp past it, because the engine
-            # fires ``call_at(when)`` at ``now + (when - now)``
+            # advances to the final delivery before waiters wake
             self.simulator.call_at(
-                max(time, self.simulator.now),
-                lambda r=receipt: r.completion.resolve(r),
+                time, lambda r=receipt: r.completion.resolve(r)
             )
         self._reserve_children(state, ident, time)
 

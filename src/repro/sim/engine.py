@@ -225,16 +225,17 @@ class Simulator:
         """Schedule ``action()`` at ``now + delay``."""
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        event = _Event(self._now + delay, self._sequence, action)
+        return self.call_at(self._now + delay, action)
+
+    def call_at(self, when: float, action: Callable[[], None]) -> EventHandle:
+        """Schedule ``action()`` at exactly the absolute time ``when``
+        (>= now)."""
+        if when < self._now:
+            raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
+        event = _Event(when, self._sequence, action)
         self._sequence += 1
         heapq.heappush(self._queue, event)
         return EventHandle(event)
-
-    def call_at(self, when: float, action: Callable[[], None]) -> EventHandle:
-        """Schedule ``action()`` at absolute time ``when`` (>= now)."""
-        if when < self._now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
-        return self.call_later(when - self._now, action)
 
     # -- processes ------------------------------------------------------
 

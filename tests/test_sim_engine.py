@@ -54,6 +54,18 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.call_at(4.0, lambda: None)
 
+    def test_call_at_fires_at_exactly_when(self):
+        """``now + (when - now)`` lands an ulp past ``when`` for this
+        pair; the event must carry ``when`` itself."""
+        sim = Simulator()
+        sim.run(until=0.03)
+        when = 0.3
+        assert sim.now + (when - sim.now) == 0.30000000000000004
+        fired = []
+        sim.call_at(when, lambda: fired.append(sim.now))
+        sim.run_until_idle()
+        assert fired == [when]
+
     def test_run_until_idle(self):
         sim = Simulator()
         fired = []
