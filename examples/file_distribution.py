@@ -18,7 +18,8 @@ Run:  python examples/file_distribution.py
 from random import Random
 
 from repro import MulticastGroup, SystemKind
-from repro.sim.transfer import analytic_bottleneck_kbps, simulate_tree_transfer
+from repro.metrics.throughput import sustainable_throughput
+from repro.sim.transfer import simulate_tree_transfer
 
 SWARM = 2_000
 FILE_KBITS = 200_000.0  # 25 MB
@@ -36,7 +37,7 @@ def main() -> None:
         )
         source = group.random_member(Random(3))
         tree = group.multicast_from(source)
-        analytic = analytic_bottleneck_kbps(tree, group.snapshot)
+        analytic = sustainable_throughput(tree, group.snapshot)
         transfer = simulate_tree_transfer(
             tree, group.snapshot, FILE_KBITS, packet_count=64
         )

@@ -1,6 +1,6 @@
 """Extension L: scale sweep over decades of group size.
 
-Times the three hot stages of the structural pipeline — array-backed
+Times the three hot stages of the structural pipeline — columnar
 snapshot build, streaming tree construction, fused array metrics — for
 all four registered systems at n = 10^3, 10^4, 10^5 (and, opt-in,
 10^6), recording wall time and peak RSS per decade.  The paper
@@ -47,7 +47,7 @@ from repro.experiments.common import ExperimentScale, FigureResult, Series, run_
 from repro.idspace.ring import IdentifierSpace
 from repro.metrics.throughput import sustainable_throughput
 from repro.multicast.session import SystemKind
-from repro.overlay.base import build_array_snapshot
+from repro.overlay.base import build_snapshot
 from repro.systems import all_descriptors, resolve
 
 #: decade ladder per scale (figure mode); CI uses bench, the paper
@@ -96,9 +96,8 @@ def decades_for(scale: ExperimentScale) -> tuple[int, ...]:
 def measure_system(kind: SystemKind, count: int, seed: int) -> dict:
     """Build + multicast + fused metrics for one system at one n.
 
-    Uses the array-backed snapshot constructor throughout, so peak
-    memory is the flat columns plus the kernel's CSR state — no Node
-    tuple, no ident->Node dict.
+    Nothing here asks the snapshot for its node tuple, so peak memory
+    is the flat columns plus the kernel's CSR state.
     """
     system = resolve(kind)
     rng = Random(f"extL:{seed}:{count}")
@@ -108,7 +107,7 @@ def measure_system(kind: SystemKind, count: int, seed: int) -> dict:
 
     watch = perf.StopWatch()
     with watch:
-        snapshot = build_array_snapshot(
+        snapshot = build_snapshot(
             IdentifierSpace(space_bits_for(count)),
             capacities,
             bandwidths=bandwidths,

@@ -23,8 +23,9 @@ from repro.experiments.common import (
     Series,
     bandwidth_group,
 )
+from repro.metrics.throughput import sustainable_throughput
 from repro.multicast.session import SystemKind
-from repro.sim.transfer import analytic_bottleneck_kbps, simulate_tree_transfer
+from repro.sim.transfer import simulate_tree_transfer
 
 PER_LINK_SWEEP = (25.0, 50.0, 100.0)
 LONG_MESSAGE_KBITS = 100_000.0  # ~12 MB video segment
@@ -60,7 +61,7 @@ def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
         for _ in range(sub_scale.sources):
             source = group.random_member(rng)
             tree = group.multicast_from(source)
-            analytic_values.append(analytic_bottleneck_kbps(tree, group.snapshot))
+            analytic_values.append(sustainable_throughput(tree, group.snapshot))
             long = simulate_tree_transfer(
                 tree, group.snapshot, LONG_MESSAGE_KBITS, packet_count=64
             )

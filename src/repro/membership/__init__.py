@@ -6,7 +6,6 @@ through (:mod:`repro.membership.exchange`).
 """
 
 from repro.membership.buffer import (
-    DISABLE_ENV,
     BufferHandle,
     InlineHandle,
     MemberBuffer,
@@ -14,7 +13,6 @@ from repro.membership.buffer import (
 )
 
 __all__ = [
-    "DISABLE_ENV",
     "BufferHandle",
     "InlineHandle",
     "MemberBuffer",

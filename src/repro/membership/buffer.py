@@ -6,8 +6,9 @@ and upload bandwidths (``d``) — packed back to back in a single
 ``multiprocessing.shared_memory`` segment.  The parent creates the
 segment once per distinct member request; every ``--jobs`` worker then
 *attaches* it (an mmap of the same physical pages, no copy, no pickle)
-and reads the columns through zero-copy ``memoryview`` casts wrapped
-in an array-backed :class:`~repro.overlay.base.RingSnapshot`.
+and reads the columns through zero-copy ``memoryview`` casts, which
+:meth:`RingSnapshot.from_columns <repro.overlay.base.RingSnapshot.from_columns>`
+stores as they are.
 
 Lifecycle: the creating process owns the segment and must
 :meth:`destroy` it (close + unlink) — the parallel engine does so in a
@@ -17,10 +18,10 @@ the OS reclaims the mapping when the pool shuts down, and the segment
 itself disappears with the parent's unlink.
 
 When shared memory is unavailable (platform, permissions, exhausted
-``/dev/shm``) — or explicitly disabled via ``REPRO_NO_SHM=1`` — the
-buffer falls back to carrying its columns *by value*: the handle then
-holds the raw column bytes and travels through the ordinary pickling
-path.  Results are identical either way; only the copy count differs.
+``/dev/shm``) the buffer falls back to carrying its columns *by
+value*: the handle then holds the raw column bytes and travels through
+the ordinary pickling path.  Results are identical either way; only
+the copy count differs.
 
 Python < 3.13 registers every ``SharedMemory`` — attached segments
 included — with the ``resource_tracker``, which would unlink the
@@ -31,7 +32,6 @@ owner unlinks.
 
 from __future__ import annotations
 
-import os
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,9 +39,6 @@ from typing import Sequence
 from repro import perf
 from repro.idspace.ring import IdentifierSpace
 from repro.overlay.base import RingSnapshot
-
-#: Set to "1" to force the by-value fallback even where shm works.
-DISABLE_ENV = "REPRO_NO_SHM"
 
 #: Every column uses 8-byte elements: Q (idents), q (capacities), d (bw).
 _WORD = 8
@@ -70,10 +67,6 @@ class InlineHandle:
 BufferHandle = ShmHandle | InlineHandle
 
 
-def _shared_memory_enabled() -> bool:
-    return os.environ.get(DISABLE_ENV, "") != "1"
-
-
 def _attach_untracked(name: str):
     """Attach an existing segment without resource-tracker ownership."""
     from multiprocessing.shared_memory import SharedMemory
@@ -96,8 +89,8 @@ class MemberBuffer:
 
     Construct through :meth:`from_snapshot` (owner side) or
     :meth:`attach` (worker side); never directly.  :meth:`snapshot`
-    wraps the columns in an array-backed ring snapshot — one snapshot
-    object per buffer, so every consumer in a worker shares it.
+    serves the columns as a ring snapshot — one snapshot object per
+    buffer, so every consumer in a worker shares it.
     """
 
     __slots__ = (
@@ -143,13 +136,12 @@ class MemberBuffer:
         idents = array("Q", snapshot.identifiers)
         capacities = array("q", snapshot.capacities)
         bandwidths = array("d", snapshot.bandwidths)
-        if _shared_memory_enabled():
-            try:
-                return cls._create_shared(
-                    count, space_bits, idents, capacities, bandwidths
-                )
-            except (ImportError, OSError):
-                pass
+        try:
+            return cls._create_shared(
+                count, space_bits, idents, capacities, bandwidths
+            )
+        except (ImportError, OSError):
+            pass
         perf.COUNTERS.shm_fallbacks += 1
         return cls(count, space_bits, idents, capacities, bandwidths)
 
@@ -233,14 +225,14 @@ class MemberBuffer:
         )
 
     def snapshot(self) -> RingSnapshot:
-        """The array-backed ring snapshot over this buffer's columns.
+        """The ring snapshot over this buffer's columns.
 
         Cached: one snapshot object per buffer, so groups built for
         different systems over the same members share it (preserving
         the snapshot-identity property of the keyed caches).
         """
         if self._snapshot is None:
-            self._snapshot = RingSnapshot._from_arrays(
+            self._snapshot = RingSnapshot.from_columns(
                 IdentifierSpace(self.space_bits),
                 self.idents,
                 self.capacities,

@@ -30,8 +30,8 @@ def allocated_link_bandwidths(
     allocations: dict[int, float] = {}
     if isinstance(result, FlatTree):
         # Fused: one sweep over the kernel arrays, bandwidths read from
-        # the snapshot's flat column (no ident->Node dict hop, no node
-        # tuple materialization on array-backed snapshots).
+        # the snapshot's flat column (no per-member Node construction,
+        # no node tuple materialization).
         perf.COUNTERS.array_passes += 1
         counts = result.child_count
         idents = result.snapshot.identifiers

@@ -264,7 +264,7 @@ class _FloodState:
     Construction streams over the snapshot's identifier/capacity
     columns in chunks — no node tuple, no per-member dict — so peak
     memory stays the O(n) output arrays even on a million-member
-    array-backed snapshot.
+    snapshot.
     """
 
     __slots__ = ("offsets", "targets")

@@ -714,8 +714,8 @@ class ServicePlane:
             for name in self.service.members_of(group_name)
         }
         host_of = {ident: name for name, ident in members.items()}
-        idents = sorted(host_of)
         snapshot = overlay.snapshot
+        idents = list(snapshot.identifiers)
         context = group.context = _EpochSchedule(
             epoch=epoch,
             member_names=tuple(members),
@@ -725,7 +725,7 @@ class ServicePlane:
             space_bits=snapshot.space.bits,
             trace_members=idents,
             trace_capacities=[
-                [ident, snapshot.node_at(ident).capacity] for ident in idents
+                list(row) for row in zip(idents, snapshot.capacities)
             ],
         )
         return context

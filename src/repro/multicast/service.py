@@ -35,7 +35,7 @@ from repro.idspace.hashing import assign_identifiers
 from repro.idspace.ring import IdentifierSpace
 from repro.multicast.delivery import MulticastResult
 from repro.multicast.session import MulticastGroup, SystemKind
-from repro.overlay.base import Node, RingSnapshot
+from repro.overlay.base import RingSnapshot
 from repro.systems import DEFAULT_UNIFORM_FANOUT, SystemDescriptor, resolve
 
 
@@ -94,25 +94,16 @@ class MulticastService:
         model = CapacityModel(
             config.per_link_kbps, minimum=config.system.min_capacity
         )
-        nodes = []
-        by_name: dict[str, int] = {}
-        for name in names:
-            ident = mapping[f"{group_name}/{name}"]
-            by_name[name] = ident
-            nodes.append(
-                Node(
-                    ident=ident,
-                    capacity=model.capacity(self._hosts[name]),
-                    bandwidth_kbps=self._hosts[name],
-                    name=name,
-                )
-            )
-        snapshot = RingSnapshot(self._space, nodes)
+        idents = list(mapping.values())  # keyed in ``names`` order
+        bandwidths = [self._hosts[name] for name in names]
+        snapshot = RingSnapshot.from_columns(
+            self._space, idents, model.capacities(bandwidths), bandwidths, names
+        )
         group = MulticastGroup.from_snapshot(
             config.system, snapshot, config.uniform_fanout
         )
         self._groups[group_name] = group
-        self._members[group_name] = by_name
+        self._members[group_name] = dict(zip(names, idents))
         # every overlay (re)build opens a new membership epoch; the
         # serial is service-global so a dropped-and-recreated group
         # name can never alias a stale epoch

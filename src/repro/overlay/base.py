@@ -1,10 +1,12 @@
 """Membership snapshot and the common overlay interface.
 
-A :class:`RingSnapshot` is an immutable, sorted view of the group at
-one instant.  Identifier resolution (``x-hat`` in the paper: the node
-responsible for an identifier) is a binary search, so extracting a full
-implicit multicast tree over 100,000 members costs O(n log n) — this is
-what makes the paper's scale tractable in pure Python.
+A :class:`RingSnapshot` is an immutable view of the group at one
+instant, stored as parallel columns in ring order.  Identifier
+resolution (``x-hat`` in the paper: the node responsible for an
+identifier) is a binary search over the identifier column, so
+extracting a full implicit multicast tree over 100,000 members costs
+O(n log n) — this is what makes the paper's scale tractable in pure
+Python.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import ge
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -47,97 +51,110 @@ class Node:
         return f"Node({self.ident}, c={self.capacity})"
 
 
+def _node_columns(nodes: Iterable[Node]) -> tuple[list, list, list, list]:
+    """Split nodes into the snapshot's four columns, order unchanged."""
+    members = list(nodes)
+    return (
+        [node.ident for node in members],
+        [node.capacity for node in members],
+        [node.bandwidth_kbps for node in members],
+        [node.name for node in members],
+    )
+
+
+def _compact(typecode: str, column: Sequence) -> Sequence:
+    """A column as the snapshot stores it: a ``memoryview`` is a window
+    onto memory its owner manages (a shared-memory member buffer) and is
+    kept as it is; anything else is copied into a flat ``array``."""
+    return column if isinstance(column, memoryview) else array(typecode, column)
+
+
 class RingSnapshot:
     """An immutable membership view with O(log n) identifier resolution.
 
-    Identifiers are kept in a compact ``array('Q')`` alongside the node
-    tuple: the bisect in :meth:`resolve_index` then scans a contiguous
-    machine-word buffer instead of chasing ``PyObject`` pointers, which
-    is what keeps tree extraction cache-friendly at n = 100,000.
-
-    A snapshot exists in one of two representations:
-
-    * **eager** (the constructor, :meth:`_from_sorted`) — built from
-      :class:`Node` objects; the node tuple and the ident->node dict
-      exist up front, capacity/bandwidth arrays derive lazily;
-    * **array-backed** (:meth:`_from_arrays`) — built from flat
-      identifier/capacity/bandwidth arrays (possibly zero-copy views
-      over a shared-memory :class:`~repro.membership.MemberBuffer`);
-      no per-member objects exist until a consumer actually asks for
-      them, which is what keeps peak memory O(n) machine words at
-      n = 10^6.  ``node_at`` / ``resolve`` / ``successor`` etc. answer
-      by bisect + on-demand :class:`Node` construction.
+    The members are four parallel columns in ring order — identifiers
+    (``Q``), capacities (``q``), upload bandwidths (``d``) and host
+    names — and nothing else.  The bisect in :meth:`resolve_index`
+    scans a contiguous machine-word buffer, tree extraction and the
+    fused metric passes read the columns directly, and peak memory is
+    O(n) machine words, which is what carries the same code from the
+    paper's n = 100,000 to the n = 10^6 tier.  :class:`Node` is a view
+    of one row, built when a caller asks for it (``node_at``,
+    ``resolve``, ``successor`` ...) and equal by value every time;
+    :attr:`nodes` caches the full tuple the first time it is read.
     """
 
     def __init__(self, space: IdentifierSpace, nodes: Iterable[Node]) -> None:
-        ordered = sorted(nodes, key=lambda node: node.ident)
-        for node in ordered:
-            if not space.contains(node.ident):
-                raise ValueError(
-                    f"identifier {node.ident} outside space of {space.size}"
-                )
-        for prev, here in zip(ordered, ordered[1:]):
-            if prev.ident == here.ident:
-                raise ValueError(f"duplicate identifier on the ring: {here.ident}")
-        if not ordered:
-            raise ValueError("a ring snapshot needs at least one node")
-        self._init_from_sorted(space, ordered)
-
-    def _init_from_sorted(self, space: IdentifierSpace, ordered: list[Node]) -> None:
-        self._space = space
-        self._nodes: Sequence[Node] | None = tuple(ordered)
-        self._idents: Sequence[int] = array("Q", [node.ident for node in ordered])
-        self._by_ident: dict[int, Node] | None = {
-            node.ident: node for node in ordered
-        }
-        self._capacities: Sequence[int] | None = None
-        self._bandwidths: Sequence[float] | None = None
+        self._set_columns(space, *_node_columns(nodes))
 
     @classmethod
-    def _from_sorted(cls, space: IdentifierSpace, ordered: list[Node]) -> "RingSnapshot":
-        """Fast constructor for members already sorted and validated.
-
-        Used by :meth:`without` / :meth:`with_nodes`, which derive new
-        views from an existing (already checked) snapshot — the churn
-        runner calls these once per membership event, so skipping the
-        O(n log n) re-sort matters.
-        """
-        if not ordered:
-            raise ValueError("a ring snapshot needs at least one node")
-        snapshot = cls.__new__(cls)
-        snapshot._init_from_sorted(space, ordered)
-        return snapshot
-
-    @classmethod
-    def _from_arrays(
+    def from_columns(
         cls,
         space: IdentifierSpace,
         idents: Sequence[int],
         capacities: Sequence[int],
         bandwidths: Sequence[float] | None = None,
+        names: Sequence[str] | None = None,
     ) -> "RingSnapshot":
-        """Array-backed constructor: flat columns, no per-member objects.
+        """A snapshot of members given as parallel columns, in any order.
 
-        ``idents`` must be strictly increasing and inside ``space``
-        (callers — the membership buffer and the streaming builder —
-        produce exactly that); capacities/bandwidths are parallel
-        columns.  The sequences may be ``array`` instances or zero-copy
-        ``memoryview`` casts over shared memory.
+        Rejects exactly what the :class:`Node` path rejects.  Omitted
+        ``bandwidths`` are 0.0 and omitted ``names`` are ``""``, like
+        the :class:`Node` defaults.  ``memoryview`` columns already in
+        ring order (a :class:`~repro.membership.MemberBuffer` over
+        shared memory) are kept zero-copy.
         """
-        if len(idents) == 0:
-            raise ValueError("a ring snapshot needs at least one node")
-        if len(capacities) != len(idents):
-            raise ValueError("idents and capacities must have equal length")
-        if bandwidths is not None and len(bandwidths) != len(idents):
-            raise ValueError("idents and bandwidths must have equal length")
         snapshot = cls.__new__(cls)
-        snapshot._space = space
-        snapshot._nodes = None
-        snapshot._idents = idents
-        snapshot._by_ident = None
-        snapshot._capacities = capacities
-        snapshot._bandwidths = bandwidths
+        snapshot._set_columns(space, idents, capacities, bandwidths, names)
         return snapshot
+
+    def _set_columns(
+        self,
+        space: IdentifierSpace,
+        idents: Sequence[int],
+        capacities: Sequence[int],
+        bandwidths: Sequence[float] | None,
+        names: Sequence[str] | None,
+    ) -> None:
+        """Validate the columns, put them in ring order and store them."""
+        count = len(idents)
+        if count == 0:
+            raise ValueError("a ring snapshot needs at least one node")
+        if bandwidths is None:
+            bandwidths = array("d", bytes(8 * count))
+        if names is None:
+            names = ("",) * count
+        if not len(capacities) == len(bandwidths) == len(names) == count:
+            raise ValueError("member columns must have equal length")
+        if any(map(ge, idents, islice(idents, 1, None))):
+            # not in ring order yet: one argsort, applied to every column
+            order = sorted(range(count), key=idents.__getitem__)
+            idents, capacities, bandwidths, names = (
+                [column[index] for index in order]
+                for column in (idents, capacities, bandwidths, names)
+            )
+            for prev, here in zip(idents, idents[1:]):
+                if prev == here:
+                    raise ValueError(f"duplicate identifier on the ring: {here}")
+        for ident in (idents[0], idents[-1]):
+            if not space.contains(ident):
+                raise ValueError(
+                    f"identifier {ident} outside space of {space.size}"
+                )
+        if min(capacities) < 1:
+            raise ValueError(f"capacity must be >= 1, got {min(capacities)}")
+        if min(bandwidths) < 0:
+            raise ValueError(f"bandwidth must be >= 0, got {min(bandwidths)}")
+        self._space = space
+        self._idents = _compact("Q", idents)
+        self._capacities = _compact("q", capacities)
+        self._bandwidths = _compact("d", bandwidths)
+        self._names = tuple(names)
+        self._nodes: tuple[Node, ...] | None = None
+
+    def _columns(self) -> tuple[Sequence, Sequence, Sequence, Sequence]:
+        """The stored columns, in :meth:`from_columns` argument order."""
+        return self._idents, self._capacities, self._bandwidths, self._names
 
     @property
     def space(self) -> IdentifierSpace:
@@ -148,30 +165,23 @@ class RingSnapshot:
         return len(self._idents)
 
     def __iter__(self) -> Iterator[Node]:
-        if self._nodes is not None:
-            return iter(self._nodes)
-        # Array-backed: yield transient nodes without materializing the
-        # tuple (O(1) extra memory per step, not O(n)).
-        return (self.node_for_index(index) for index in range(len(self._idents)))
+        # transient nodes: iterating does not materialize the tuple
+        return map(self.node_for_index, range(len(self._idents)))
 
     def __contains__(self, ident: int) -> bool:
-        if self._by_ident is not None:
-            return ident in self._by_ident
         return self._exact_index(ident) is not None
 
     @property
     def nodes(self) -> Sequence[Node]:
         """All members in identifier order.
 
-        On an array-backed snapshot this materializes the full node
-        tuple on first access — hot paths (kernel, fused metrics) read
-        :attr:`identifiers` / :attr:`capacities` / :attr:`bandwidths`
-        instead and never pay for it.
+        The tuple is built on first access and cached — O(n) objects,
+        which hot paths (kernel, fused metrics) never pay for because
+        they read :attr:`identifiers` / :attr:`capacities` /
+        :attr:`bandwidths` instead.
         """
         if self._nodes is None:
-            self._nodes = tuple(
-                self.node_for_index(index) for index in range(len(self._idents))
-            )
+            self._nodes = tuple(self)
         return self._nodes
 
     @property
@@ -182,35 +192,21 @@ class RingSnapshot:
     @property
     def capacities(self) -> Sequence[int]:
         """All member capacities in ring order (compact, read-only)."""
-        if self._capacities is None:
-            self._capacities = array("q", [node.capacity for node in self.nodes])
         return self._capacities
 
     @property
     def bandwidths(self) -> Sequence[float]:
-        """All member upload bandwidths (kbps) in ring order.
-
-        Members built without bandwidths report 0.0, exactly like
-        ``Node.bandwidth_kbps`` defaults to 0.0.
-        """
-        if self._bandwidths is None:
-            self._bandwidths = array("d", [node.bandwidth_kbps for node in self.nodes])
+        """All member upload bandwidths (kbps) in ring order (compact,
+        read-only); 0.0 for members built without one."""
         return self._bandwidths
 
     def node_for_index(self, index: int) -> Node:
-        """The member at one position of the sorted identifier array.
-
-        Array-backed snapshots construct the :class:`Node` on demand
-        (equal by value to what an eager snapshot holds at the same
-        position); eager snapshots return the existing object.
-        """
-        if self._nodes is not None:
-            return self._nodes[index]
-        bandwidths = self._bandwidths
+        """The member at one position of the ring-ordered columns."""
         return Node(
-            ident=self._idents[index],
-            capacity=self._capacities[index],
-            bandwidth_kbps=bandwidths[index] if bandwidths is not None else 0.0,
+            self._idents[index],
+            self._capacities[index],
+            self._bandwidths[index],
+            self._names[index],
         )
 
     def _exact_index(self, ident: int) -> int | None:
@@ -223,11 +219,6 @@ class RingSnapshot:
 
     def node_at(self, ident: int) -> Node:
         """Return the member with exactly this identifier."""
-        if self._by_ident is not None:
-            try:
-                return self._by_ident[ident]
-            except KeyError:
-                raise KeyError(f"no node with identifier {ident}") from None
         position = self._exact_index(ident)
         if position is None:
             raise KeyError(f"no node with identifier {ident}")
@@ -302,48 +293,27 @@ class RingSnapshot:
         return out
 
     def without(self, idents: Iterable[int]) -> "RingSnapshot":
-        """A new snapshot with the given members removed (churn support).
-
-        Filtering preserves identifier order, so the derived snapshot
-        skips the constructor's re-sort and re-validation.
-        """
+        """A new snapshot with the given members removed (churn support)."""
         gone = set(idents)
-        survivors = [node for node in self.nodes if node.ident not in gone]
-        return RingSnapshot._from_sorted(self._space, survivors)
+        keep = [i for i, ident in enumerate(self._idents) if ident not in gone]
+        return RingSnapshot.from_columns(
+            self._space, *([column[i] for i in keep] for column in self._columns())
+        )
 
     def with_nodes(self, nodes: Iterable[Node]) -> "RingSnapshot":
         """A new snapshot with the given members added (churn support).
 
-        The existing members are already sorted, so only the (typically
-        few) additions are sorted and the two runs are merged — O(n + m
-        log m) instead of re-sorting the whole ring.
+        The additions are appended to the existing columns and the
+        constructor's argsort merges the two runs (and rejects an
+        identifier that is already on the ring).
         """
-        additions = sorted(nodes, key=lambda node: node.ident)
-        for node in additions:
-            if not self._space.contains(node.ident):
-                raise ValueError(
-                    f"identifier {node.ident} outside space of {self._space.size}"
-                )
-        for prev, here in zip(additions, additions[1:]):
-            if prev.ident == here.ident:
-                raise ValueError(f"duplicate identifier on the ring: {here.ident}")
-        merged: list[Node] = []
-        existing = self.nodes
-        i = j = 0
-        while i < len(existing) and j < len(additions):
-            if existing[i].ident == additions[j].ident:
-                raise ValueError(
-                    f"duplicate identifier on the ring: {additions[j].ident}"
-                )
-            if existing[i].ident < additions[j].ident:
-                merged.append(existing[i])
-                i += 1
-            else:
-                merged.append(additions[j])
-                j += 1
-        merged.extend(existing[i:])
-        merged.extend(additions[j:])
-        return RingSnapshot._from_sorted(self._space, merged)
+        return RingSnapshot.from_columns(
+            self._space,
+            *(
+                [*mine, *added]
+                for mine, added in zip(self._columns(), _node_columns(nodes))
+            ),
+        )
 
 
 @dataclass
@@ -449,57 +419,12 @@ def build_snapshot(
     """
     rng = rng if rng is not None else Random(0)
     count = len(capacities)
-    if bandwidths is not None and len(bandwidths) != count:
-        raise ValueError("capacities and bandwidths must have equal length")
     if count > space.size:
         raise ValueError(
             f"cannot place {count} nodes in a space of {space.size} identifiers"
         )
     idents = sample_identifiers(count, space.size, rng)
-    nodes = [
-        Node(
-            ident=ident,
-            capacity=capacities[index],
-            bandwidth_kbps=bandwidths[index] if bandwidths is not None else 0.0,
-        )
-        for index, ident in enumerate(idents)
-    ]
-    return RingSnapshot(space, nodes)
-
-
-def build_array_snapshot(
-    space: IdentifierSpace,
-    capacities: Sequence[int],
-    bandwidths: Sequence[float] | None = None,
-    rng: Random | None = None,
-) -> RingSnapshot:
-    """:func:`build_snapshot` without ever materializing ``Node`` objects.
-
-    Draws the same identifiers from ``rng`` (identical stream
-    consumption, identical member set), but stores the membership as
-    three flat columns — the representation the million-member tier
-    needs, where 10^6 frozen dataclass instances plus an ident dict
-    would dwarf the 24 MB the arrays take.
-    """
-    rng = rng if rng is not None else Random(0)
-    count = len(capacities)
-    if bandwidths is not None and len(bandwidths) != count:
-        raise ValueError("capacities and bandwidths must have equal length")
-    if count > space.size:
-        raise ValueError(
-            f"cannot place {count} nodes in a space of {space.size} identifiers"
-        )
-    drawn = sample_identifiers(count, space.size, rng)
-    order = sorted(range(count), key=drawn.__getitem__)
-    idents = array("Q", [drawn[i] for i in order])
-    capacity_column = array("q", [capacities[i] for i in order])
-    bandwidth_column = (
-        array("d", [bandwidths[i] for i in order]) if bandwidths is not None else None
-    )
-    lowest = min(capacity_column)
-    if lowest < 1:
-        raise ValueError(f"capacity must be >= 1, got {lowest}")
-    return RingSnapshot._from_arrays(space, idents, capacity_column, bandwidth_column)
+    return RingSnapshot.from_columns(space, idents, capacities, bandwidths)
 
 
 def sample_identifiers(count: int, size: int, rng: Random) -> list[int]:

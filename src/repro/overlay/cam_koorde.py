@@ -96,7 +96,7 @@ class CamKoordeOverlay(Overlay):
     def __init__(self, snapshot: RingSnapshot) -> None:
         super().__init__(snapshot)
         # Validate over the flat capacity column: O(n) machine words,
-        # no node materialization on array-backed snapshots.
+        # no node materialization.
         capacities = snapshot.capacities
         if min(capacities) < self.MIN_CAPACITY:
             index = next(

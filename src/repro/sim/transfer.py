@@ -197,24 +197,6 @@ def simulate_tree_transfer(
                 "per-node bandwidths"
             )
         parent_arrivals = arrival[parent]
-        if budget is not None and packet_count == 1:
-            # single-packet fast path: message-granularity store-and-
-            # forward (the service plane's model) needs no per-packet
-            # lists — one reservation per child, same float expressions
-            # as the general loop below (packet_kbits == message_kbits
-            # exactly when packet_count is 1), so the two paths are
-            # byte-identical
-            serialize = packet_kbits / node.bandwidth_kbps
-            host = key(parent)
-            when = parent_arrivals[0]
-            for child in kids:
-                _, done = budget.reserve(host, when, serialize)
-                landed = done + latency(parent, child)
-                arrival[child] = [landed]
-                completion[child] = landed
-                first[child] = landed
-                queue.append(child)
-            continue
         if budget is not None:
             # shared-uplink model: whole uplink per transmission, FIFO
             # through the host's cross-group ledger, packet-major so
@@ -296,16 +278,3 @@ def delivery_timeline(
         host_key=host_key,
     )
     return dict(result.completion_time)
-
-
-def analytic_bottleneck_kbps(tree: MulticastResult, snapshot: RingSnapshot) -> float:
-    """The Section 6.1 model: ``min over internal x of B_x / d_x``."""
-    best: float | None = None
-    for ident, count in tree.children_counts().items():
-        if count == 0:
-            continue
-        allocation = snapshot.node_at(ident).bandwidth_kbps / count
-        best = allocation if best is None else min(best, allocation)
-    if best is None:
-        return snapshot.node_at(tree.source_ident).bandwidth_kbps
-    return best

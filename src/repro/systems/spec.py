@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from repro.idspace.ring import IdentifierSpace
-    from repro.overlay.base import Node, RingSnapshot
+    from repro.overlay.base import RingSnapshot
 
 
 @dataclass(frozen=True)
@@ -63,26 +63,17 @@ class MemberSpec:
 
         return IdentifierSpace(self.space_bits)
 
-    def nodes(self, min_capacity: int = 1) -> list["Node"]:
-        """Snapshot nodes, capacities clamped to a system's floor."""
-        from repro.overlay.base import Node
-
-        return [
-            Node(
-                ident=ident,
-                capacity=max(min_capacity, capacity),
-                bandwidth_kbps=bandwidth,
-            )
-            for ident, capacity, bandwidth in zip(
-                self.identifiers, self.capacities, self.bandwidths
-            )
-        ]
-
     def snapshot(self, min_capacity: int = 1) -> "RingSnapshot":
-        """A structural membership snapshot of this spec."""
+        """A structural membership snapshot of this spec, capacities
+        clamped to a system's floor."""
         from repro.overlay.base import RingSnapshot
 
-        return RingSnapshot(self.space, self.nodes(min_capacity))
+        return RingSnapshot.from_columns(
+            self.space,
+            self.identifiers,
+            [max(min_capacity, capacity) for capacity in self.capacities],
+            self.bandwidths,
+        )
 
     @classmethod
     def generate(

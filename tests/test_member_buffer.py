@@ -6,7 +6,8 @@ The headline guarantees:
   identifiers, capacities, bandwidths, same nodes — through both the
   shared-memory path and the by-value fallback;
 * ``--jobs N`` output stays byte-identical to serial with shared
-  buffers enabled AND with the fallback forced (``REPRO_NO_SHM=1``);
+  buffers AND with the by-value fallback (segment creation failing
+  with ``OSError``, as on a host without usable ``/dev/shm``);
 * the shm counters attribute cleanly: the parent balances creates
   against detaches, workers count each physical attach exactly once
   inside a task delta, so pool-summed deltas never double-count.
@@ -14,7 +15,6 @@ The headline guarantees:
 
 from __future__ import annotations
 
-import os
 from random import Random
 
 import pytest
@@ -34,19 +34,21 @@ from repro.experiments.common import (
 )
 from repro.experiments.parallel import run_experiments
 from repro.idspace.ring import IdentifierSpace
-from repro.membership import DISABLE_ENV, InlineHandle, MemberBuffer, ShmHandle
+from repro.membership import InlineHandle, MemberBuffer, ShmHandle
 from repro.membership import exchange
 from repro.multicast import kernel
 from repro.overlay.base import build_snapshot
 from repro.overlay.cam_chord import CamChordOverlay
 from repro.workloads.groups import GroupSpec
+from tests.conftest import no_shared_memory
 
 TINY = ExperimentScale("tiny", 400, 2, 20, space_bits=12)
 
 
 @pytest.fixture
 def force_fallback(monkeypatch):
-    monkeypatch.setenv(DISABLE_ENV, "1")
+    """Segment creation fails the way it does without ``/dev/shm``."""
+    monkeypatch.setattr(MemberBuffer, "_create_shared", no_shared_memory)
 
 
 def _build_snapshot(capacities, bandwidths, seed=0):
@@ -81,26 +83,21 @@ class TestMemberBufferRoundTrip:
             [100.0 * c for c in capacities] if with_bandwidths else None
         )
         original = _build_snapshot(capacities, bandwidths, seed)
-        previous = os.environ.get(DISABLE_ENV)
-        try:
-            for disable in ("", "1"):
-                os.environ[DISABLE_ENV] = disable
+        for fallback in (False, True):
+            with pytest.MonkeyPatch.context() as patch:
+                if fallback:
+                    patch.setattr(MemberBuffer, "_create_shared", no_shared_memory)
                 owner = MemberBuffer.from_snapshot(original)
+            try:
+                assert owner.shared == (not fallback)
+                _assert_round_trip(original, owner.snapshot())
+                attached = MemberBuffer.attach(owner.handle())
                 try:
-                    assert owner.shared == (disable != "1")
-                    _assert_round_trip(original, owner.snapshot())
-                    attached = MemberBuffer.attach(owner.handle())
-                    try:
-                        _assert_round_trip(original, attached.snapshot())
-                    finally:
-                        attached.destroy()
+                    _assert_round_trip(original, attached.snapshot())
                 finally:
-                    owner.destroy()
-        finally:
-            if previous is None:
-                os.environ.pop(DISABLE_ENV, None)
-            else:
-                os.environ[DISABLE_ENV] = previous
+                    attached.destroy()
+            finally:
+                owner.destroy()
 
     def test_handle_kinds(self, force_fallback):
         snapshot = _build_snapshot([4, 5, 6], [400.0, 500.0, 600.0])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from random import Random
 
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.idspace.ring import IdentifierSpace
+from repro.membership import InlineHandle, MemberBuffer, ShmHandle
 from repro.overlay.base import Node, RingSnapshot, build_snapshot
-from tests.conftest import make_snapshot
+from tests.conftest import make_snapshot, no_shared_memory
 
 
 class TestNode:
@@ -137,3 +139,152 @@ def test_successor_predecessor_inverse(idents):
     for node in snap:
         assert snap.predecessor(snap.successor(node)).ident == node.ident
         assert snap.successor(snap.predecessor(node)).ident == node.ident
+
+
+# -- one representation: every way in answers every query the same ----------
+
+
+def _row(node: Node) -> tuple:
+    return (node.ident, node.capacity, node.bandwidth_kbps, node.name)
+
+
+def _answers(snap: RingSnapshot, segments, doomed, extra) -> dict:
+    """Everything a snapshot can be asked, as plain comparable values."""
+    size = snap.space.size
+    members = list(snap.identifiers)
+
+    def basics(view: RingSnapshot) -> dict:
+        return {
+            "len": len(view),
+            "iter": [_row(node) for node in view],
+            "nodes": [_row(node) for node in view.nodes],
+            "columns": (
+                list(view.identifiers), list(view.capacities), list(view.bandwidths)
+            ),
+        }
+
+    return {
+        **basics(snap),
+        "in": [ident in snap for ident in range(size)],
+        "node_at": [_row(snap.node_at(ident)) for ident in members],
+        "resolve": [_row(snap.resolve(probe)) for probe in range(-size, 2 * size)],
+        "resolve_index": [snap.resolve_index(p) for p in range(-size, 2 * size)],
+        "successor": [_row(snap.successor(node)) for node in snap],
+        "predecessor": [_row(snap.predecessor(node)) for node in snap],
+        "segments": [
+            [_row(node) for node in snap.nodes_in_segment(x, y, limit)]
+            for x, y, limit in segments
+        ],
+        "without": basics(snap.without(doomed)),
+        "with_nodes": basics(snap.with_nodes(extra)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.integers(3, 7),
+    with_bandwidths=st.booleans(),
+    with_names=st.booleans(),
+    data=st.data(),
+)
+def test_every_entry_point_answers_identically(
+    bits, with_bandwidths, with_names, data
+):
+    space = IdentifierSpace(bits)
+    point = st.integers(0, space.size - 1)
+    idents = data.draw(st.lists(point, unique=True, min_size=1, max_size=20))
+    count = len(idents)
+    fixed = {"min_size": count, "max_size": count}
+    capacities = data.draw(st.lists(st.integers(1, 9), **fixed))
+    bandwidths = (
+        data.draw(st.lists(st.floats(0.0, 1000.0), **fixed))
+        if with_bandwidths
+        else None
+    )
+    names = [f"host{i}" for i in range(count)] if with_names else None
+    segments = data.draw(
+        st.lists(
+            st.tuples(point, point, st.one_of(st.none(), st.integers(0, 5))),
+            max_size=6,
+        )
+    )
+    doomed = data.draw(st.sets(st.sampled_from(idents), max_size=count - 1))
+    extra = [
+        Node(ident, 3, 250.0, "late")
+        for ident in data.draw(st.sets(point.filter(lambda i: i not in idents)))
+    ]
+
+    def ask(snap: RingSnapshot) -> dict:
+        return _answers(snap, segments, doomed, extra)
+
+    from_nodes = RingSnapshot(
+        space,
+        [
+            Node(
+                idents[i],
+                capacities[i],
+                bandwidths[i] if bandwidths else 0.0,
+                names[i] if names else "",
+            )
+            for i in range(count)
+        ],
+    )
+    from_columns = RingSnapshot.from_columns(
+        space, idents, capacities, bandwidths, names
+    )
+    expected = ask(from_nodes)
+    assert ask(from_columns) == expected
+
+    # a member buffer carries the three numeric columns, not the names
+    unnamed = ask(RingSnapshot.from_columns(space, idents, capacities, bandwidths))
+    for handle_type in (ShmHandle, InlineHandle):
+        with pytest.MonkeyPatch.context() as patch:
+            if handle_type is InlineHandle:
+                patch.setattr(MemberBuffer, "_create_shared", no_shared_memory)
+            owner = MemberBuffer.from_snapshot(from_nodes)
+        try:
+            assert isinstance(owner.handle(), handle_type)
+            attached = MemberBuffer.attach(owner.handle())
+            try:
+                assert ask(attached.snapshot()) == unnamed
+            finally:
+                attached.destroy()
+        finally:
+            owner.destroy()
+
+
+#: (identifiers, capacities, bandwidths) that no constructor may accept
+REJECTED = {
+    "empty": ([], [], []),
+    "duplicate identifier": ([3, 9, 3], [2, 2, 2], [1.0, 1.0, 1.0]),
+    "identifier outside the space": ([3, 32], [2, 2], [1.0, 1.0]),
+    "negative identifier": ([-1, 3], [2, 2], [1.0, 1.0]),
+    "capacity below one": ([3, 9], [2, 0], [1.0, 1.0]),
+    "negative bandwidth": ([3, 9], [2, 2], [1.0, -0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_both_constructors_reject(case):
+    space = IdentifierSpace(5)
+    idents, capacities, bandwidths = REJECTED[case]
+    with pytest.raises(ValueError):
+        RingSnapshot(space, [Node(*row) for row in zip(idents, capacities, bandwidths)])
+    with pytest.raises(ValueError):
+        RingSnapshot.from_columns(space, idents, capacities, bandwidths)
+    for ordered in (sorted(idents), memoryview(array("q", sorted(idents)))):
+        with pytest.raises(ValueError):  # the in-ring-order path checks the same
+            RingSnapshot.from_columns(space, ordered, capacities, bandwidths)
+
+
+@pytest.mark.parametrize("column", ["capacities", "bandwidths", "names"])
+def test_from_columns_rejects_length_mismatch(column):
+    columns = {
+        "idents": [3, 9],
+        "capacities": [2, 2],
+        "bandwidths": [1.0, 1.0],
+        "names": ["a", "b"],
+    }
+    columns[column] = columns[column][:1]
+    with pytest.raises(ValueError, match="equal length"):
+        RingSnapshot.from_columns(IdentifierSpace(5), **columns)

@@ -59,8 +59,8 @@ class TestResolveIndex:
         size = 1 << bits
         probe = data.draw(st.integers(min_value=-size, max_value=2 * size))
         index = snap.resolve_index(probe)
-        assert snap.resolve(probe) is snap.nodes[index]
-        assert snap.nodes[index] is naive_resolve(snap, probe, size)
+        assert snap.resolve(probe) == snap.nodes[index]
+        assert snap.nodes[index] == naive_resolve(snap, probe, size)
 
     def test_identifiers_property_is_ring_order(self):
         snap = make_snapshot(5, [29, 4, 13, 0])
@@ -137,6 +137,6 @@ class TestDerivedSnapshots:
         with pytest.raises(ValueError, match="outside"):
             snap.with_nodes([Node(ident=99, capacity=3)])
 
-    def test_from_sorted_rejects_empty(self):
+    def test_from_columns_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one node"):
-            RingSnapshot._from_sorted(IdentifierSpace(5), [])
+            RingSnapshot.from_columns(IdentifierSpace(5), [], [])

@@ -6,11 +6,9 @@ from random import Random
 
 import pytest
 
+from repro.metrics.throughput import sustainable_throughput
 from repro.multicast.delivery import MulticastResult
-from repro.sim.transfer import (
-    analytic_bottleneck_kbps,
-    simulate_tree_transfer,
-)
+from repro.sim.transfer import simulate_tree_transfer
 from tests.conftest import make_snapshot
 
 
@@ -108,7 +106,7 @@ class TestAnalyticAgreement:
         overlay = CamChordOverlay(snap)
         tree = cam_chord_multicast(overlay, snap.nodes[0])
 
-        analytic = analytic_bottleneck_kbps(tree, snap)
+        analytic = sustainable_throughput(tree, snap)
         long_result = simulate_tree_transfer(
             tree, snap, message_kbits=50_000, packet_count=64
         )
@@ -138,7 +136,7 @@ class TestAnalyticAgreement:
             )
             assert (
                 result.measured_throughput_kbps
-                <= analytic_bottleneck_kbps(tree, snap) * 1.0001
+                <= sustainable_throughput(tree, snap) * 1.0001
             )
 
 
@@ -163,7 +161,7 @@ class TestValidation:
         tree = MulticastResult(source_ident=0)
         result = simulate_tree_transfer(tree, snap, message_kbits=10)
         assert result.session_completion == 0.0
-        assert analytic_bottleneck_kbps(tree, snap) == 500.0
+        assert sustainable_throughput(tree, snap) == 500.0
 
 
 class TestUplinkBudget:

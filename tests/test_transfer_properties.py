@@ -7,9 +7,10 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.metrics.throughput import sustainable_throughput
 from repro.multicast.cam_chord import cam_chord_multicast
 from repro.overlay.cam_chord import CamChordOverlay
-from repro.sim.transfer import analytic_bottleneck_kbps, simulate_tree_transfer
+from repro.sim.transfer import simulate_tree_transfer
 from tests.conftest import make_snapshot
 
 
@@ -63,7 +64,7 @@ def test_measured_rate_bounded_by_analytic(seed, count, kbits):
     tree, snap = random_tree(seed, count)
     result = simulate_tree_transfer(tree, snap, kbits, packet_count=16)
     assert result.measured_throughput_kbps <= (
-        analytic_bottleneck_kbps(tree, snap) * (1 + 1e-9)
+        sustainable_throughput(tree, snap) * (1 + 1e-9)
     )
 
 
