@@ -18,9 +18,15 @@ node) fails, ordered grandparent first, then siblings, then the rest of
 the tree in delivery order, then — strictly last, for pure edge
 failures — the primary parent itself; never the member or anything
 inside its own subtree (a graft there would cycle).
-Candidate admission respects the descriptor's capacity-derived
-``live_fanout_bound``: a graft parent must have spare fanout after its
-primary children and earlier grafts.
+
+A plan is linear in the membership.  One depth-first pass numbers the
+tree so that every subtree is one contiguous ``[enter, leave)``
+interval ("is ``u`` below ``v``" is two comparisons); the delivery
+order, the interval ends and the adjacency are stored once per plan.
+A route's ``candidates`` is a read-only sequence view over those tables
+that stores four identifiers and *generates* the ranking: ``len()`` and
+``[-1]`` are O(1), the switch pays O(rank of the feeder it picks), and
+nothing n-long is held per member.
 
 :func:`apply_failover` is the switch: given the causal record of a
 multicast that lost members (:class:`~repro.trace.causal.
@@ -40,13 +46,80 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from repro.multicast.kernel import UNREACHED, FlatTree, flood_tree, region_split_tree
+from repro.multicast.kernel import FlatTree, flood_tree, region_split_tree
+from repro.trace.tracer import TRACER
 
 if TYPE_CHECKING:
     from repro.systems import SystemDescriptor
     from repro.trace.causal import MulticastRecord
+
+
+class _RankingTables(NamedTuple):
+    """What every candidate view of one plan shares (O(n) in total)."""
+
+    delivered: tuple[int, ...]  #: reached members in delivery order
+    enter: dict[int, int]  #: Euler-tour entry number per reached member
+    leave: dict[int, int]  #: ``u`` is below ``v`` iff enter[v] <= enter[u] < leave[v]
+    children: dict[int, tuple[int, ...]]  #: the plan's adjacency
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class _CandidateView(Sequence):
+    """One member's ranked graft parents, generated instead of stored.
+
+    Value-equal (``==``, ``hash``, ``repr``) to the tuple of its own
+    iteration, so a route compares as if it held the list.
+    """
+
+    tables: _RankingTables
+    ident: int
+    parent: int
+    grandparent: int | None  #: None when the parent is the source
+    source: int
+
+    def __iter__(self) -> Iterator[int]:
+        delivered, enter, leave, children = self.tables
+        parent = self.parent
+        head = [] if self.grandparent is None else [self.grandparent]
+        head += [kid for kid in children[parent] if kid != self.ident]
+        if self.source != parent and self.source != self.grandparent:
+            head.append(self.source)
+        yield from head
+        skip = {parent, *head}
+        low, high = enter[self.ident], leave[self.ident]
+        for other in delivered:
+            if not low <= enter[other] < high and other not in skip:
+                yield other
+        # the primary parent strictly last: only an edge failure (the
+        # parent survives, holding the message) makes it admissible
+        yield parent
+
+    def __len__(self) -> int:
+        _delivered, enter, leave, _children = self.tables
+        return len(enter) - (leave[self.ident] - enter[self.ident])
+
+    def __contains__(self, ident: object) -> bool:
+        _delivered, enter, leave, _children = self.tables
+        tick = enter.get(ident)
+        return tick is not None and not enter[self.ident] <= tick < leave[self.ident]
+
+    def __getitem__(self, index):
+        if index == -1:
+            return self.parent  # O(1): the one rank read without a walk
+        return tuple(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _CandidateView)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -55,14 +128,14 @@ class BackupRoute:
 
     ``parent``/``depth`` freeze the member's place in the primary tree
     (the plan must stay self-describing after the epoch moves on);
-    ``candidates`` is the ranked graft-parent list consulted when the
-    member's subtree is orphaned.
+    ``candidates`` is the ranked graft-parent sequence consulted when
+    the member's subtree is orphaned (a lazy :class:`_CandidateView`).
     """
 
     ident: int
     parent: int
     depth: int
-    candidates: tuple[int, ...]
+    candidates: Sequence[int]
 
 
 @dataclass
@@ -131,74 +204,48 @@ def build_backup_plan(tree: FlatTree, descriptor: "SystemDescriptor") -> BackupP
     activation time (:func:`apply_failover` skips departed and
     undelivered feeders), so every earlier candidate is preferred.
 
-    The build touches only the tree's frozen arrays, so two builds over
-    the same tree are equal — the determinism the property tests pin.
+    The build touches only the tree's frozen arrays (``descriptor`` is
+    accepted for the callers' sake and unused), so two builds over the
+    same tree are equal — the determinism the property tests pin.
     """
-    snapshot = tree.snapshot
-    idents = snapshot.identifiers
-    capacities = snapshot.capacities
-    parent_index = tree.parent_index
+    idents = tree.snapshot.identifiers
+    capacities = tree.snapshot.capacities
     order = tree.order
+    delivered = tuple(idents[index] for index in order)
+    source = delivered[0]
+    parents = [idents[tree.parent_index[index]] for index in order]
 
-    children_ix: dict[int, list[int]] = {}
-    for index in order:
-        parent = parent_index[index]
-        if parent == index or parent == UNREACHED:
-            continue
-        children_ix.setdefault(parent, []).append(index)
+    kids: dict[int, list[int]] = {}
+    for ident, parent in zip(delivered[1:], parents[1:]):
+        kids.setdefault(parent, []).append(ident)
+    children = {parent: tuple(found) for parent, found in kids.items()}
 
-    # Subtree membership per member index (index -> set of member
-    # indices), computed leaf-up over the reversed delivery order.
-    subtree_ix: dict[int, set[int]] = {}
-    for index in reversed(order):
-        span = {index}
-        for child in children_ix.get(index, ()):
-            span |= subtree_ix[child]
-        subtree_ix[index] = span
+    # Euler tour: a member is entered before, and left after, its whole
+    # subtree, so the subtree is the tick interval [enter, leave).
+    enter: dict[int, int] = {}
+    leave: dict[int, int] = {}
+    stack = [source]
+    while stack:
+        node = stack[-1]
+        if node in enter:
+            leave[stack.pop()] = len(enter)
+        else:
+            enter[node] = len(enter)
+            stack.extend(children.get(node, ()))
 
-    plan = BackupPlan(
-        source=tree.source_ident,
-        epoch_members=tuple(idents[index] for index in sorted(order)),
+    tables = _RankingTables(delivered, enter, leave, children)
+    routes: dict[int, BackupRoute] = {}
+    for ident, parent, index in zip(delivered[1:], parents[1:], order[1:]):
+        grandparent = None if parent == source else routes[parent].parent
+        view = _CandidateView(tables, ident, parent, grandparent, source)
+        routes[ident] = BackupRoute(ident, parent, tree.depth_array[index], view)
+    return BackupPlan(
+        source=source,
+        epoch_members=tuple(sorted(delivered)),
         capacities={idents[index]: capacities[index] for index in order},
+        routes=routes,
+        children=children,
     )
-    plan.children = {
-        idents[parent]: tuple(idents[child] for child in kids)
-        for parent, kids in children_ix.items()
-    }
-
-    source_index = order[0]
-    for index in order:
-        parent = parent_index[index]
-        if parent == index:
-            continue  # the source needs no backup route
-        blocked = subtree_ix[index] | {parent}
-        ranked: list[int] = []
-        seen: set[int] = set()
-
-        def admit(candidate: int) -> None:
-            if candidate not in blocked and candidate not in seen:
-                seen.add(candidate)
-                ranked.append(candidate)
-
-        grandparent = parent_index[parent]
-        if grandparent != parent:
-            admit(grandparent)
-        for sibling in children_ix.get(parent, ()):
-            if sibling != index:
-                admit(sibling)
-        admit(source_index)
-        for other in order:
-            admit(other)
-        # the primary parent strictly last: only an edge failure (the
-        # parent survives, holding the message) makes it admissible
-        ranked.append(parent)
-        plan.routes[idents[index]] = BackupRoute(
-            ident=idents[index],
-            parent=idents[parent],
-            depth=tree.depth_array[index],
-            candidates=tuple(idents[candidate] for candidate in ranked),
-        )
-    return plan
 
 
 def backup_plan_for_record(
@@ -218,13 +265,15 @@ def backup_plan_for_record(
     covered".
     """
     from repro.idspace.ring import IdentifierSpace
-    from repro.overlay.base import Node, RingSnapshot
+    from repro.overlay.base import RingSnapshot
 
-    pairs = sorted(record.capacities.items() if membership is None else membership)
-    nodes = [Node(ident=ident, capacity=capacity) for ident, capacity in pairs]
-    if record.source not in {node.ident for node in nodes}:
+    pairs = list(record.capacities.items() if membership is None else membership)
+    idents = [ident for ident, _capacity in pairs]
+    if record.source not in idents:
         return None
-    snapshot = RingSnapshot(IdentifierSpace(record.bits), nodes)
+    snapshot = RingSnapshot.from_columns(
+        IdentifierSpace(record.bits), idents, [capacity for _ident, capacity in pairs]
+    )
     overlay = descriptor.build_overlay(snapshot, uniform_fanout)
     builder = region_split_tree if descriptor.builds_single_tree else flood_tree
     tree = builder(overlay, snapshot.node_at(record.source))
@@ -295,10 +344,6 @@ class FailoverRecovery:
         return load
 
 
-def _format_lost_hop(member: int, hop) -> str:
-    return hop.describe(member)
-
-
 def apply_failover(
     record: "MulticastRecord",
     plan: BackupPlan | None,
@@ -311,9 +356,12 @@ def apply_failover(
     parent is not itself waiting for recovery (the parent delivered,
     departed, or left the epoch) — each root is grafted onto the first
     candidate that holds the message (delivered primarily or already
-    recovered) and has spare fanout under the descriptor's
-    ``live_fanout_bound`` against the record's frozen capacities.  The
-    root's subtree then re-feeds along the plan's own primary edges.
+    recovered) and has spare fanout.  Admission respects the
+    descriptor's capacity-derived ``live_fanout_bound`` against the
+    record's frozen capacities: a graft parent must have room after its
+    primary children and earlier grafts.  The candidate view is read
+    only as far as that first admissible rank.  The root's subtree then
+    re-feeds along the plan's own primary edges.
     Members no admissible candidate can reach — and every orphan a
     stale plan does not know — end up in ``uncovered``: the
     delivery-gap oracle's violation set.
@@ -353,10 +401,10 @@ def apply_failover(
     ]
     for root in roots:
         hop = hops.get(root)
-        hop_line = _format_lost_hop(root, hop) if hop else f"member {root}: no hop"
+        hop_line = hop.describe(root) if hop else f"member {root}: no hop"
         detect_time = (hop.time if hop else record.origin_time) + timing.detect_delay
         feeder = None
-        for candidate in plan.routes[root].candidates:
+        for rank, candidate in enumerate(plan.routes[root].candidates):
             if candidate in record.departed:
                 continue  # a dead node cannot feed, delivered or not
             if candidate == record.source or candidate in delivered_at:
@@ -374,6 +422,7 @@ def apply_failover(
             continue  # stays uncovered
         load[feeder] = load.get(feeder, 0) + 1
         grafts.append(GraftEdge(parent=feeder, child=root))
+        already = len(recovered)
         recovered[root] = RecoveredDelivery(
             ident=root,
             feeder=feeder,
@@ -395,11 +444,15 @@ def apply_failover(
                     ident=child,
                     feeder=node,
                     time=node_time + timing.hop_latency,
-                    lost_hop=(
-                        _format_lost_hop(child, child_hop) if child_hop else hop_line
-                    ),
+                    lost_hop=child_hop.describe(child) if child_hop else hop_line,
                 )
                 queue.append(child)
+        if TRACER.enabled:
+            TRACER.emit(
+                feed_time, "mc", "failover.graft", mid=record.mid, root=root,
+                feeder=feeder, rank=rank, orphans=len(recovered) - already,
+                detect=detect_time, feed=feed_time
+            )
 
     uncovered = tuple(member for member in orphans if member not in recovered)
     return FailoverRecovery(

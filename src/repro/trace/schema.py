@@ -16,8 +16,8 @@ Layers:
   eviction, neighbor fixes, iterative lookup hops, peer lifecycle.
 * ``mc``    — the multicast data plane: origination (with the member
   set alive at send time), per-member deliveries carrying the tree
-  edge (``parent``), duplicate suppressions, repair handoffs and the
-  structural harness's implicit-tree summaries.
+  edge (``parent``), duplicate suppressions, repair handoffs, backup
+  graft activations and the structural harness's implicit-tree summaries.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ SCHEMA: dict[str, tuple[str, ...]] = {
     "mc.dup": ("mid", "ident", "sender"),
     "mc.repair": ("mid", "ident", "dead", "replacement"),
     "mc.tree": ("source", "edges"),
+    # one per activated backup graft: the feeder's 0-based rank in the
+    # root's candidate view, members re-fed under the root (root included)
+    "mc.failover.graft": ("mid", "root", "feeder", "rank", "orphans", "detect", "feed"),
 }
 
 #: event name -> allowed extra fields

@@ -12,10 +12,17 @@ both a region-splitting and a flood system:
   primary children, and recovered/uncovered partition the orphan set;
 * **determinism** — two from-scratch builds over the same membership
   are equal, value for value (what lets the campaign install plans in
-  worker processes and compare them across runs).
+  worker processes and compare them across runs);
+* **the lazy view is the eager list** — every route's generated
+  ``candidates`` equals, under every sequence operation, the ranking
+  the quadratic builder used to materialise (:func:`eager_ranking`,
+  the reference that now lives only here), and a plan stays linear in
+  the membership at n = 20,000.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +41,9 @@ from repro.multicast.backup import (
 from repro.multicast.kernel import flood_tree, region_split_tree
 from repro.systems import get_system
 from repro.trace.causal import MulticastRecord
-from tests.conftest import make_snapshot
+from repro.trace.schema import validate_events
+from repro.trace.tracer import TRACER
+from tests.conftest import make_snapshot, random_snapshot
 
 BITS = 10
 ORIGIN = 100.0
@@ -219,3 +228,124 @@ def test_plan_for_record_and_error_paths():
     broken = orphan_record(tree, descriptor, capacities, plan, victim)
     bare = apply_failover(broken, None, descriptor, FailoverTiming())
     assert set(bare.uncovered) == broken.undelivered
+
+
+# -- the lazy candidate view against the eager reference ----------------------
+
+
+def eager_ranking(plan: BackupPlan, ident: int) -> tuple[int, ...]:
+    """The ranking as the quadratic builder materialised it, from the
+    routes' frozen parents and the plan's delivery order alone (routes
+    are installed in delivery order, the source ahead of them)."""
+    parents = {member: route.parent for member, route in plan.routes.items()}
+    order = [plan.source, *plan.routes]
+    parent = parents[ident]
+    blocked = descendants(plan, ident) | {parent}
+    ranked: list[int] = []
+
+    def admit(candidate: int) -> None:
+        if candidate not in blocked and candidate not in ranked:
+            ranked.append(candidate)
+
+    if parent != plan.source:
+        admit(parents[parent])
+    for sibling in order:
+        if parents.get(sibling) == parent:
+            admit(sibling)
+    admit(plan.source)
+    for other in order:
+        admit(other)
+    ranked.append(parent)
+    return tuple(ranked)
+
+
+@settings(max_examples=30, deadline=None)
+@given(idents=memberships, caps=cap_pools, system=systems)
+def test_candidate_view_equals_the_eager_ranking(idents, caps, system):
+    descriptor, tree, _ = build_tree(system, idents, caps)
+    plan = build_backup_plan(tree, descriptor)
+    twin = build_backup_plan(build_tree(system, idents, caps)[1], descriptor)
+    assert plan == twin
+    for ident, route in plan.routes.items():
+        view = route.candidates
+        expected = eager_ranking(plan, ident)
+        size = len(expected)
+        assert tuple(view) == expected
+        assert len(view) == size
+        assert [view[i] for i in range(-size, size)] == list(expected + expected)
+        for beyond in (size, -size - 1):
+            with pytest.raises(IndexError):
+                view[beyond]
+        for cut in (slice(None, -1), slice(1, None), slice(None, None, -2), slice(2, 5)):
+            assert view[cut] == expected[cut]
+        for member in (*plan.epoch_members, -1):
+            assert (member in view) == (member in expected)
+        assert view == expected and expected == view
+        assert view != expected[:-1] and view != list(expected)
+        assert view == twin.routes[ident].candidates
+        assert hash(view) == hash(expected)
+        assert repr(view) == repr(expected)
+
+
+def test_plan_is_linear_at_20k():
+    """A plan holds O(n) entries: the 20,000 candidate *tuples* alone
+    would need > 3 GB; the views need four identifiers each."""
+    snap = random_snapshot(20, 20_000, seed=0)
+    for system in ("cam-chord", "cam-koorde"):
+        descriptor = get_system(system)
+        overlay = descriptor.build_overlay(snap, uniform_fanout=3)
+        builder = region_split_tree if descriptor.builds_single_tree else flood_tree
+        tree = builder(overlay, snap.nodes[0])
+        tracemalloc.start()
+        try:
+            plan = build_backup_plan(tree, descriptor)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"{system}: plan build peaked at {peak / 1e6:.1f} MB"
+
+        # subtree sizes leaf-up over the reversed delivery order
+        size = dict.fromkeys(plan.routes, 1)
+        size[plan.source] = 1
+        for ident in reversed(plan.routes):
+            size[plan.routes[ident].parent] += size[ident]
+        reached = size[plan.source]
+        assert reached == len(plan.routes) + 1
+        assert sum(len(route.candidates) for route in plan.routes.values()) == sum(
+            reached - size[ident] for ident in plan.routes
+        )
+
+
+def test_failover_traces_one_event_per_graft():
+    descriptor, tree, capacities = build_tree(
+        "cam-chord", {1, 64, 200, 333, 512, 640, 777, 900, 1000}, [3]
+    )
+    plan = build_backup_plan(tree, descriptor)
+    victim = max(plan.children, key=lambda ident: (ident != plan.source, ident))
+    record = orphan_record(tree, descriptor, capacities, plan, victim)
+    quiet = apply_failover(record, plan, descriptor, FailoverTiming())
+
+    mark = TRACER.mark()
+    TRACER.enable(reset=False)
+    try:
+        traced = apply_failover(record, plan, descriptor, FailoverTiming())
+        events = TRACER.events_since(mark)
+    finally:
+        TRACER.disable()
+        TRACER.truncate(mark)
+
+    assert traced == quiet and quiet.grafts
+    assert not validate_events(events)
+    assert [event.name for event in events] == ["mc.failover.graft"] * len(quiet.grafts)
+    times = quiet.recovered_times()
+    for event, graft in zip(events, quiet.grafts):
+        data = event.data
+        assert (data["mid"], data["root"], data["feeder"]) == (
+            record.mid,
+            graft.child,
+            graft.parent,
+        )
+        assert plan.routes[graft.child].candidates[data["rank"]] == graft.parent
+        assert data["detect"] <= data["feed"] == event.time
+        assert times[graft.child] == data["feed"] + FailoverTiming().hop_latency
+    assert sum(event.data["orphans"] for event in events) == len(quiet.recovered)
