@@ -150,9 +150,10 @@ def cam_chord_multicast(overlay, source: Node):
     Equivalent to the paper's ``x.MULTICAST(msg, x - 1)``: the initial
     region is the whole ring except the source.  Executed by the
     flat-array kernel (:mod:`repro.multicast.kernel`): breadth-first
-    over member indices with per-overlay memoized slot tables, edge-
-    for-edge identical to :func:`reference_multicast` (property-tested
-    in ``tests/test_kernel.py``).
+    over member indices, one successor-directory probe per slot and no
+    visit to a member whose region is empty, edge-for-edge identical to
+    :func:`reference_multicast` (property-tested in
+    ``tests/test_kernel.py``).
     """
     from repro.multicast.kernel import region_split_tree
 

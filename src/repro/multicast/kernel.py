@@ -13,11 +13,16 @@ arrays instead of millions of per-node object operations:
   ``array('l')`` buffers — ``parent_index``, ``depth`` and
   ``child_count`` — plus the breadth-first ``order`` the dissemination
   delivered in;
-* identifier resolution is memoized **per overlay** in neighbor
-  tables: floods get a CSR adjacency (one resolution per neighbor
-  identifier, ever), region splitters get lazy per-node slot tables
-  (one resolution per touched ``(level, sequence)`` slot, ever) — so a
-  second source over the same overlay performs *zero* bisects;
+* identifier resolution is one probe of the snapshot's **ring index**
+  (:class:`~repro.overlay.base.RingIndex`, built once per membership
+  and shared by every overlay over it): the successor directory turns
+  an identifier into a member index in one array read plus, on a
+  sparse ring, under one comparison step.  Floods probe each neighbor
+  identifier once per overlay, into a CSR adjacency a second source
+  reuses; region splitters probe each slot they evaluate and remember
+  nothing — the index's gap column tells them in one comparison that a
+  region holds no member, so a leaf (7 in 10 members at the paper's
+  fanouts) costs no probe at all and a tree costs ~3 n of them;
 * the result is a :class:`FlatTree`, a lazy view that speaks the full
   :class:`~repro.multicast.delivery.MulticastResult` vocabulary.  The
   hot metrics (:mod:`repro.metrics`) read the arrays directly in fused
@@ -47,7 +52,7 @@ from repro import perf
 from repro.multicast.delivery import DuplicateDeliveryError
 from repro.overlay.base import Node, Overlay, RingSnapshot
 from repro.overlay.cam_chord import CamChordOverlay
-from repro.overlay.cam_koorde import CamKoordeOverlay, cam_koorde_neighbor_groups
+from repro.overlay.cam_koorde import CamKoordeOverlay, cam_koorde_shift_offsets
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.koorde import KoordeOverlay
 from repro.trace.tracer import TRACER
@@ -248,7 +253,7 @@ class FlatTree:
             )
 
 
-# -- per-overlay memoized neighbor tables ------------------------------------
+# -- per-overlay kernel state ------------------------------------------------
 
 #: Members per chunk of the streaming CSR/fanout builders: identifier
 #: and capacity columns are prefetched chunk-wise into plain lists, so
@@ -259,7 +264,7 @@ _CHUNK = 8192
 
 class _FloodState:
     """CSR adjacency of one flood overlay: every neighbor identifier is
-    resolved to a member index exactly once per state lifetime.
+    probed to a member index exactly once per state lifetime.
 
     Construction streams over the snapshot's identifier/capacity
     columns in chunks — no node tuple, no per-member dict — so peak
@@ -272,94 +277,80 @@ class _FloodState:
     def __init__(self, overlay: Overlay) -> None:
         snapshot = overlay.snapshot
         idents = snapshot.identifiers
+        capacities = snapshot.capacities
         count = len(idents)
         size = snapshot.space.size
         bits = snapshot.space.bits
+        index = snapshot.ring_index
+        probe, shift, directory = index.probe, index.shift, index.directory
         offsets = array("l", [0]) * (count + 1)
         targets = array("l")
-        append = targets.append
-        resolves = 0
+        probes = 0
         koorde = isinstance(overlay, KoordeOverlay)
         cam_koorde = isinstance(overlay, CamKoordeOverlay)
-        ring_first = koorde or cam_koorde
         degree = overlay.degree if koorde else 0
-        capacities = snapshot.capacities if cam_koorde else None
         for start in range(0, count, _CHUNK):
             chunk = idents[start : start + _CHUNK].tolist()
-            chunk_capacities = (
-                capacities[start : start + _CHUNK].tolist() if cam_koorde else None
-            )
-            for offset, node_ident in enumerate(chunk):
-                i = start + offset
-                seen: set[int] = {i}
-                if ring_first:
+            chunk_capacities = capacities[start : start + _CHUNK].tolist()
+            for i, node_ident in enumerate(chunk, start):
+                # One insertion-ordered dict per row is the dedup; the
+                # node itself goes in first and comes out at the end.
+                row = {i: None}
+                if koorde or cam_koorde:
                     # predecessor and successor lead the neighbor list
-                    # (membership-relative, no resolution needed).
-                    for j in ((i - 1) % count, (i + 1) % count):
-                        if j not in seen:
-                            seen.add(j)
-                            append(j)
+                    # (membership-relative, nothing to probe).
+                    row[(i - 1) % count] = row[(i + 1) % count] = None
                 if koorde:
                     # Koorde's pointers are k *consecutive members*
                     # starting at the node responsible for k*x: one
-                    # resolution, then a successor walk.
-                    j = bisect_left(idents, (degree * node_ident) % size)
-                    if j == count:
-                        j = 0
-                    resolves += 1
-                    for _ in range(degree):
-                        if j not in seen:
-                            seen.add(j)
-                            append(j)
-                        j = (j + 1) % count
+                    # probe, then a successor walk.
+                    j = probe((degree * node_ident) % size)
+                    walk = range(j, j + degree)
+                    if walk.stop > count:  # the walk wraps past member n - 1
+                        walk = [k % count for k in walk]
+                    row.update(dict.fromkeys(walk))
+                    probes += 1
+                elif cam_koorde:
+                    pairs = cam_koorde_shift_offsets(chunk_capacities[i - start], bits)
+                    for by, offset in pairs:
+                        ident = offset + (node_ident >> by)
+                        j = directory[ident >> shift]
+                        while j < count and idents[j] < ident:
+                            j += 1
+                        row[j if j < count else 0] = None
+                    probes += len(pairs)
                 else:
-                    if cam_koorde:
-                        neighbor_idents = cam_koorde_neighbor_groups(
-                            node_ident, chunk_capacities[offset], bits
-                        ).all_identifiers()
-                    else:
-                        neighbor_idents = overlay.neighbor_identifiers(
-                            snapshot.node_for_index(i)
-                        )
-                    for ident in neighbor_idents:
-                        j = bisect_left(idents, ident % size)
-                        if j == count:
-                            j = 0
-                        resolves += 1
-                        if j not in seen:
-                            seen.add(j)
-                            append(j)
+                    wanted = overlay.neighbor_identifiers(snapshot.node_for_index(i))
+                    row.update(dict.fromkeys(probe(x % size) for x in wanted))
+                    probes += len(wanted)
+                del row[i]
+                targets.extend(row)
                 offsets[i + 1] = len(targets)
         self.offsets = offsets
         self.targets = targets
-        perf.COUNTERS.kernel_resolves += resolves
+        perf.COUNTERS.kernel_resolves += probes
 
 
 class _SplitState:
-    """Lazy slot tables of one region-splitting overlay.
-
-    ``tables[i]`` maps a node's flat slot index ``level * (c - 1) +
-    (sequence - 1)`` to the member index responsible for the slot's
-    identifier, filled on first touch (-1 = not yet resolved).  Power
-    ladders ``c**level`` are shared across nodes of equal fanout.
+    """What a region-splitting overlay adds to its snapshot's ring
+    index: the fanout column and the power ladders ``c**level``, one
+    per distinct fanout.
 
     The fanout column comes straight from the snapshot's capacity
     array for the capacity-aware splitter and is a constant fill for
     the uniform baseline — neither materializes nodes.
     """
 
-    __slots__ = ("fanouts", "tables", "_powers")
+    __slots__ = ("fanouts", "_powers")
 
     def __init__(self, overlay: Overlay) -> None:
         snapshot = overlay.snapshot
-        count = len(snapshot)
         if isinstance(overlay, CamChordOverlay):
             self.fanouts = array("l", snapshot.capacities)
         elif isinstance(overlay, ChordOverlay):
-            self.fanouts = array("l", [overlay.base]) * count
+            self.fanouts = array("l", [overlay.base]) * len(snapshot)
         else:
             self.fanouts = array("l", [overlay.fanout(node) for node in snapshot])
-        self.tables: list[array | None] = [None] * count
         self._powers: dict[int, tuple[int, ...]] = {}
 
     def powers(self, fanout: int, size: int) -> tuple[int, ...]:
@@ -495,17 +486,21 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
     Child selection per node replays
     :func:`repro.multicast.cam_chord.select_child_regions` exactly —
     same slot order, same spare-capacity ceiling, same resolved-child
-    guard — with every ``(level, sequence)`` slot resolution memoized in
-    the overlay's lazy slot tables.
+    guard — with every slot answered by one probe of the snapshot's
+    successor directory.  The gap column spares the rest: a child whose
+    region holds no member is delivered but never queued, and a node
+    stops scanning slots once what is left of its region is shorter
+    than the gap to its own successor (every further guard would fail).
     """
     snapshot = overlay.snapshot
     state = _split_state(overlay)
     idents = snapshot.identifiers
     count = len(idents)
     size = snapshot.space.size
+    index = snapshot.ring_index
+    shift, directory, gaps = index.shift, index.directory, index.gaps
     fanouts = state.fanouts
-    tables = state.tables
-    source_index = bisect_left(idents, source.ident)
+    source_index = bisect_left(snapshot.identifiers, source.ident)
 
     parent_index = array("l", [UNREACHED]) * count
     depths = array("l", [UNREACHED]) * count
@@ -514,25 +509,22 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
     parent_index[source_index] = source_index
     depths[source_index] = 0
 
-    fills = 0
-    hits = 0
-    queue = deque([(source_index, (source.ident - 1) % size)])
+    probes = 0
+    queue = deque()
+    if count > 1:  # else the source's region, the rest of the ring, is empty
+        queue.append((source_index, (source.ident - 1) % size))
     pop = queue.popleft
     push = queue.append
     deliver = order.append
     while queue:
         i, limit = pop()
         ident = idents[i]
+        gap = gaps[i]
         remaining = (limit - ident) % size
-        if remaining == 0:
-            continue
         fanout = fanouts[i]
         ladder = state.powers(fanout, size)
         level = bisect_right(ladder, remaining) - 1
         sequence = remaining // ladder[level]
-        table = tables[i]
-        if table is None:
-            table = tables[i] = array("l", [UNREACHED]) * (len(ladder) * (fanout - 1))
 
         # Candidate slots in the paper's order: level-i neighbors
         # preceding k (highest sequence first), spread-out level-(i-1)
@@ -552,35 +544,33 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
         sublimit = limit
         for slot_level, slot_sequence in slots:
             neighbor_ident = (ident + slot_sequence * ladder[slot_level]) % size
-            slot = slot_level * (fanout - 1) + slot_sequence - 1
-            child = table[slot]
-            if child < 0:
-                child = bisect_left(idents, neighbor_ident)
-                if child == count:
-                    child = 0
-                table[slot] = child
-                fills += 1
-            else:
-                hits += 1
-            offset = (idents[child] - ident) % size
+            child = directory[neighbor_ident >> shift]
+            while child < count and idents[child] < neighbor_ident:
+                child += 1
+            if child == count:
+                child = 0
+            probes += 1
+            child_ident = idents[child]
+            offset = (child_ident - ident) % size
             if 0 < offset <= remaining:
                 if parent_index[child] != UNREACHED:
                     raise DuplicateDeliveryError(
-                        f"node {idents[child]} received the message twice "
+                        f"node {child_ident} received the message twice "
                         f"(parents {idents[parent_index[child]]} and {ident})"
                     )
                 parent_index[child] = i
                 depths[child] = hop
                 deliver(child)
-                push((child, sublimit))
+                if (sublimit - child_ident) % size > gaps[child]:
+                    push((child, sublimit))
                 children += 1
                 sublimit = (neighbor_ident - 1) % size
                 remaining = (sublimit - ident) % size
-        if children:
-            child_count[i] = children
+                if remaining <= gap:
+                    break
+        child_count[i] = children
 
-    perf.COUNTERS.kernel_resolves += fills
-    perf.COUNTERS.kernel_resolves_saved += hits
+    perf.COUNTERS.kernel_resolves += probes
     return _finish(snapshot, source.ident, parent_index, depths, child_count, order)
 
 

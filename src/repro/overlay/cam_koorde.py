@@ -21,6 +21,7 @@ multicast produce balanced implicit trees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.overlay.base import LookupResult, Node, Overlay, RingSnapshot
 
@@ -44,41 +45,52 @@ class NeighborGroups:
         return [*self.basic_shift, *self.second, *self.third]
 
 
-def cam_koorde_neighbor_groups(ident: int, capacity: int, bits: int) -> NeighborGroups:
-    """Compute the Section 4.1 neighbor identifier groups of ``ident``.
+def _group_sizes(capacity: int) -> tuple[int, int, int]:
+    """``(s, t, t')`` of Section 4.1: the second group's shift and the
+    second and third groups' sizes (the third group shifts by s + 1)."""
+    extra = capacity - 4
+    shift = max(extra, 1).bit_length() - 1  # s = floor(log2(c - 4))
+    second_count = (1 << shift) if shift > 1 else 0  # t
+    return shift, second_count, extra - second_count
 
-    Requires ``capacity >= 4`` (the basic group is mandatory).  The
-    construction is validated against the paper's Figure 4 example
-    (node 36, capacity 10, ``b = 6``) in the test suite.
+
+@lru_cache(maxsize=512)
+def cam_koorde_shift_offsets(capacity: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """Section 4.1 for every node of one capacity: ``(shift, offset)``
+    pairs, each standing for the neighbor identifier ``offset + (x >>
+    shift)`` of node ``x`` — basic group first, then second, then third.
+
+    Requires ``capacity >= 4`` (the basic group is mandatory); checked
+    once per distinct ``(capacity, bits)``.  Shifts are capped at
+    ``bits`` and offsets reduced into the space, so a capacity beyond
+    the space's width still names identifiers on the ring.
     """
     if capacity < 4:
         raise ValueError(f"CAM-Koorde requires capacity >= 4, got {capacity}")
     if bits < 2:
         raise ValueError(f"CAM-Koorde needs an identifier space of >= 2 bits")
     size = 1 << bits
-    if not 0 <= ident < size:
-        raise ValueError(f"identifier {ident} outside space of {size}")
-    basic = (ident >> 1, (1 << (bits - 1)) + (ident >> 1))
 
-    remaining = capacity - 4
-    if remaining == 0:
-        return NeighborGroups(basic_shift=basic)
+    def group(shift: int, count: int) -> tuple[tuple[int, int], ...]:
+        shift = min(shift, bits)
+        return tuple((shift, (i << (bits - shift)) % size) for i in range(count))
 
-    shift = remaining.bit_length() - 1  # s = floor(log2(c - 4))
-    second_count = (1 << shift) if shift > 1 else 0  # t
-    second_shift = min(shift, bits)
-    second = tuple(
-        (i << (bits - second_shift)) + (ident >> second_shift)
-        for i in range(second_count)
-    )
+    shift, second_count, third_count = _group_sizes(capacity)
+    return group(1, 2) + group(shift, second_count) + group(shift + 1, third_count)
 
-    third_count = remaining - second_count  # t'
-    third_shift = min(shift + 1, bits)  # s'
-    third = tuple(
-        ((i << (bits - third_shift)) + (ident >> third_shift)) % size
-        for i in range(third_count)
-    )
-    return NeighborGroups(basic_shift=basic, second=second, third=third)
+
+def cam_koorde_neighbor_groups(ident: int, capacity: int, bits: int) -> NeighborGroups:
+    """Compute the Section 4.1 neighbor identifier groups of ``ident``.
+
+    The construction is validated against the paper's Figure 4 example
+    (node 36, capacity 10, ``b = 6``) in the test suite.
+    """
+    pairs = cam_koorde_shift_offsets(capacity, bits)
+    if not 0 <= ident < 1 << bits:
+        raise ValueError(f"identifier {ident} outside space of {1 << bits}")
+    idents = tuple(offset + (ident >> shift) for shift, offset in pairs)
+    third_start = 2 + _group_sizes(capacity)[1]
+    return NeighborGroups(idents[:2], idents[2:third_start], idents[third_start:])
 
 
 class CamKoordeOverlay(Overlay):
@@ -221,16 +233,12 @@ class CamKoordeOverlay(Overlay):
         """
         bits = self.space.bits
         remaining = bits - matched
-        extra = node.capacity - 4
-        if extra >= 1:
-            shift = extra.bit_length() - 1  # s = floor(log2(c - 4))
-            second_count = (1 << shift) if shift > 1 else 0  # t
-            third_width = min(shift + 1, bits)  # s'
-            third_count = extra - second_count  # t'
-            if third_count > 0 and third_width <= remaining:
-                value = (key >> matched) & ((1 << third_width) - 1)
-                if value < third_count:
-                    return third_width, value
-            if second_count > 0 and shift <= remaining:
-                return shift, (key >> matched) & ((1 << shift) - 1)
+        shift, second_count, third_count = _group_sizes(node.capacity)
+        third_width = min(shift + 1, bits)  # s'
+        if third_count > 0 and third_width <= remaining:
+            value = (key >> matched) & ((1 << third_width) - 1)
+            if value < third_count:
+                return third_width, value
+        if second_count > 0 and shift <= remaining:
+            return shift, (key >> matched) & ((1 << shift) - 1)
         return 1, (key >> matched) & 1

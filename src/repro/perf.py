@@ -1,16 +1,16 @@
 """Lightweight performance observability: wall timers + hot-path counters.
 
 The experiment harness spends nearly all of its time in two loops —
-identifier resolution (one bisect per neighbor identifier) and implicit
-tree extraction (one resolution sweep per member).  This module keeps a
+identifier resolution (one probe per neighbor identifier) and implicit
+tree extraction (one slot scan per forwarding member).  This module keeps a
 process-global :class:`PerfCounters` that those hot paths increment,
 so the experiment runner can print, per figure, how much resolution and
 multicast work actually happened and how often the snapshot/group
 caches saved a rebuild.
 
 Counters are plain integer attributes on one module-level instance:
-cheap enough to leave permanently enabled (an increment costs well
-under a tenth of the bisect it accompanies).  Parallel workers each
+cheap enough to leave permanently enabled (the kernel adds to them
+once per tree, not once per probe).  Parallel workers each
 own a fork of the counter state; the engine snapshots around every
 task and ships the *delta* back with the task result, so per-figure
 totals add up correctly across processes.
@@ -34,10 +34,12 @@ class PerfCounters:
 
     The ``kernel_*`` counters instrument the flat-array multicast
     kernel (:mod:`repro.multicast.kernel`): ``kernel_trees`` trees
-    built by it, ``kernel_resolves`` identifier resolutions spent
-    filling its per-overlay memoized neighbor/slot tables (one-time
-    cost per overlay), ``kernel_resolves_saved`` slot lookups answered
-    from a table that the legacy data plane would have re-resolved,
+    built by it, ``kernel_resolves`` probes of the snapshot's successor
+    directory — every slot a region splitter evaluates plus, once per
+    flood overlay, every neighbor identifier of its CSR adjacency,
+    ``kernel_resolves_saved`` always 0 (it counted hits in the per-node
+    slot memo tables, which are gone; the field stays because the
+    benchmark reports read it and the footer prints it),
     ``kernel_state_evictions`` memoized neighbor states dropped by the
     kernel's bounded LRU (long campaigns over many overlays re-fill
     instead of leaking), and ``array_passes`` fused single-pass metric

@@ -11,6 +11,9 @@ memberships, capacities and sources.
 
 from __future__ import annotations
 
+from random import Random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,8 +26,9 @@ from repro.overlay.cam_chord import CamChordOverlay
 from repro.overlay.cam_koorde import CamKoordeOverlay
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.koorde import KoordeOverlay
-from repro.systems import all_descriptors
+from repro.systems import all_descriptors, get_system
 from tests.conftest import make_snapshot
+from tests.golden import kernel_trees
 
 memberships = st.sets(st.integers(min_value=0, max_value=1023), min_size=1, max_size=80)
 
@@ -135,28 +139,40 @@ def test_all_sources_match_on_all_registry_systems():
             assert_same_tree(flat, reference)
 
 
-def test_slot_tables_memoize_across_sources():
-    """A second tree over the same overlay resolves (almost) nothing:
-    the flood CSR is complete after the first build, and the splitter's
-    slot tables answer every revisited (node, slot) from memory."""
-    idents = list(range(0, 1024, 9))
-    snap = make_snapshot(10, idents, capacity=4)
-
+def test_flood_csr_is_built_once_per_overlay():
+    """A second source over the same flood overlay probes nothing: the
+    CSR adjacency is complete after the first build."""
+    snap = make_snapshot(10, list(range(0, 1024, 9)), capacity=4)
     overlay = CamKoordeOverlay(snap)
     flood_tree(overlay, snap.nodes[0])
     before = perf.snapshot()
     flood_tree(overlay, snap.nodes[1])
-    delta = perf.since(before)
-    assert delta.kernel_resolves == 0  # CSR built once, ever
+    assert perf.since(before).kernel_resolves == 0
 
-    chord = CamChordOverlay(snap)
-    region_split_tree(chord, snap.nodes[0])
+
+@pytest.mark.parametrize("name", ["cam-chord", "chord"])
+def test_cold_split_tree_probes_at_most_4n(name):
+    """Work follows the tree, not slots x members: a leaf costs no
+    probe and a parent stops scanning once its region is spent.
+    Measured 2.9 n probes per tree here (6.5 n slot evaluations when
+    every member was popped and scanned); 6.2 n with leaves queued
+    again and 4.04 n without the early stop, so dropping either gap
+    test fails — by count, not by the clock."""
+    group = kernel_trees.quick_group(get_system(name))
     before = perf.snapshot()
-    repeat = region_split_tree(chord, snap.nodes[0])
-    delta = perf.since(before)
-    assert delta.kernel_resolves == 0  # identical tree: pure table hits
-    assert delta.kernel_resolves_saved > 0
-    assert repeat.receiver_count == len(idents)
+    tree = group.multicast_from(group.random_member(Random(0)))
+    assert tree.receiver_count == len(group) == 5_000
+    assert 0 < perf.since(before).kernel_resolves <= 4 * len(group)
+
+
+GOLDEN_SCENARIOS = dict(kernel_trees.scenarios())
+
+
+@pytest.mark.parametrize("key", GOLDEN_SCENARIOS)
+def test_kernel_trees_match_golden(key):
+    """Same arrays, same identifier draw as at the last commit that
+    resolved by bisect (see tests/golden/kernel_trees.py)."""
+    assert GOLDEN_SCENARIOS[key]() == kernel_trees.load()[key]
 
 
 def test_kernel_path_to_source_and_delivery_queries():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from array import array
 from random import Random
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,25 @@ def _row(node: Node) -> tuple:
     return (node.ident, node.capacity, node.bandwidth_kbps, node.name)
 
 
+def attached_copies(snap: RingSnapshot) -> Iterator[RingSnapshot]:
+    """The snapshot as a worker sees it: attached over shared memory,
+    then through the by-value fallback handle."""
+    for handle_type in (ShmHandle, InlineHandle):
+        with pytest.MonkeyPatch.context() as patch:
+            if handle_type is InlineHandle:
+                patch.setattr(MemberBuffer, "_create_shared", no_shared_memory)
+            owner = MemberBuffer.from_snapshot(snap)
+        try:
+            assert isinstance(owner.handle(), handle_type)
+            attached = MemberBuffer.attach(owner.handle())
+            try:
+                yield attached.snapshot()
+            finally:
+                attached.destroy()
+        finally:
+            owner.destroy()
+
+
 def _answers(snap: RingSnapshot, segments, doomed, extra) -> dict:
     """Everything a snapshot can be asked, as plain comparable values."""
     size = snap.space.size
@@ -237,20 +258,90 @@ def test_every_entry_point_answers_identically(
 
     # a member buffer carries the three numeric columns, not the names
     unnamed = ask(RingSnapshot.from_columns(space, idents, capacities, bandwidths))
-    for handle_type in (ShmHandle, InlineHandle):
-        with pytest.MonkeyPatch.context() as patch:
-            if handle_type is InlineHandle:
-                patch.setattr(MemberBuffer, "_create_shared", no_shared_memory)
-            owner = MemberBuffer.from_snapshot(from_nodes)
-        try:
-            assert isinstance(owner.handle(), handle_type)
-            attached = MemberBuffer.attach(owner.handle())
-            try:
-                assert ask(attached.snapshot()) == unnamed
-            finally:
-                attached.destroy()
-        finally:
-            owner.destroy()
+    for attached in attached_copies(from_nodes):
+        assert ask(attached) == unnamed
+
+
+# -- the ring index: one probe resolves, one comparison finds a leaf ----------
+
+
+@st.composite
+def rings(draw) -> tuple[int, list[int]]:
+    """(bits, member identifiers) over the shapes the index must get
+    right: a lone member, two, members on both sides of the wrap, a
+    ring too dense for 4 n buckets, the plane's 32-of-2**14, one
+    crowded bucket, and spaces up to the identifier column's 64 bits."""
+    bits = draw(st.sampled_from([3, 6, 14, 48, 64]))
+    shape = draw(st.sampled_from(["lone", "pair", "wrap", "dense", "plane", "crowd"]))
+    if shape == "dense":  # 4 n >= N: the directory is capped at the space
+        bits = min(bits, 6)
+    elif shape == "plane":
+        bits = 14
+    size = 1 << bits
+    point = st.integers(0, size - 1)
+
+    def members(low: int, high: int) -> list[int]:
+        return draw(st.lists(point, min_size=low, max_size=high, unique=True))
+
+    if shape == "lone":
+        return bits, members(1, 1)
+    if shape == "pair":
+        return bits, members(2, 2)
+    if shape == "wrap":
+        return bits, sorted({0, size - 1, *members(0, 6)})
+    if shape == "dense":
+        return bits, members(size // 4, size)
+    if shape == "plane":
+        return bits, members(32, 32)
+    # every member within 40 identifiers of one point: probes advance
+    base = draw(point)
+    steps = draw(st.sets(st.integers(0, 40), min_size=2, max_size=12))
+    return bits, sorted({(base + step) % size for step in steps})
+
+
+def check_ring_index(snap: RingSnapshot, extra_probes: list[int]) -> None:
+    size = snap.space.size
+    members = list(snap.identifiers)
+    index = snap.ring_index
+    assert index is snap.ring_index  # built once, cached like .nodes
+    probes = {0, size - 1, *extra_probes}
+    for ident in members:
+        probes.update((ident, (ident - 1) % size, (ident + 1) % size))
+    for probe in probes:
+        assert index.probe(probe) == snap.resolve_index(probe)
+    for i, here in enumerate(members):
+        for limit in probes:
+            reach = (limit - here) % size
+            holds_nobody = not any(
+                0 < (other - here) % size <= reach for other in members
+            )
+            assert (reach <= index.gaps[i]) == holds_nobody
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring=rings(), data=st.data())
+def test_ring_index_probe_and_gap_match_the_definitions(ring, data):
+    bits, idents = ring
+    space = IdentifierSpace(bits)
+    extra = data.draw(st.lists(st.integers(0, space.size - 1), max_size=8))
+    snap = RingSnapshot.from_columns(space, idents, [4] * len(idents))
+    check_ring_index(snap, extra)
+    for attached in attached_copies(snap):
+        check_ring_index(attached, extra)
+
+
+def test_ring_index_is_linear_in_members():
+    """32 members in a 2**48 space: 128 buckets, not 2**48 slots."""
+    snap = build_snapshot(IdentifierSpace(48), [4] * 32, rng=Random(3))
+    tracemalloc.start()
+    try:
+        index = snap.ring_index
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert len(index.directory) == 4 * 32 + 1 and index.shift == 48 - 7
+    assert len(index.gaps) == 32
 
 
 #: (identifiers, capacities, bandwidths) that no constructor may accept
