@@ -63,9 +63,9 @@ def main() -> None:
     # mid-meeting membership: a latecomer joins the all-hands and an
     # early leaver drops out of the standup while events are in flight
     joiner = next(h for h in host_names if h not in memberships["all-hands"])
-    plane.simulator.call_later(2.0, lambda: plane.join("all-hands", joiner))
+    plane.simulator.call_later(2.0, plane.join, "all-hands", joiner)
     leaver = memberships["team-standup"][0]
-    plane.simulator.call_later(1.5, lambda: plane.leave("team-standup", leaver))
+    plane.simulator.call_later(1.5, plane.leave, "team-standup", leaver)
 
     plane.drain()
     plane.verify_quiesced()  # every oracle, every room

@@ -59,8 +59,8 @@ def stream(system: str, per_link: float) -> None:
         plane.send_later(segment * 2.0, "stream", source, SEGMENT_KBITS)
     # churn mid-stream: one viewer tunes in, another tunes out, both
     # while earlier segments are still being forwarded
-    plane.simulator.call_later(3.0, lambda: plane.join("stream", names[-1]))
-    plane.simulator.call_later(5.0, lambda: plane.leave("stream", audience[1]))
+    plane.simulator.call_later(3.0, plane.join, "stream", names[-1])
+    plane.simulator.call_later(5.0, plane.leave, "stream", audience[1])
 
     plane.drain()
     plane.verify_quiesced()

@@ -100,33 +100,34 @@ class ChurnExperiment:
         # Schedule churn events on the simulated clock.
         for event in trace:
             cluster.simulator.call_at(
-                start + event.time,
-                lambda kind=event.kind: self._apply_churn_event(kind),
+                start + event.time, self._apply_churn_event, event.kind
             )
 
         # Interleave multicasts and measurements.
         when = multicast_interval
         while when + propagation_window < trace.duration:
-            send_at = start + when
-
-            def do_send() -> None:
-                try:
-                    source = cluster.random_live_peer(self._rng)
-                except RuntimeError:
-                    return
-                message_id = cluster.multicast_from(source.ident)
-                cluster.simulator.call_later(
-                    propagation_window,
-                    lambda: self._measure(report, message_id),
-                )
-
-            cluster.simulator.call_at(send_at, do_send)
+            cluster.simulator.call_at(
+                start + when, self._send_and_measure, report, propagation_window
+            )
             when += multicast_interval
 
         cluster.run(trace.duration + propagation_window)
         report.final_membership = len(cluster.live_members())
         report.network_summary = cluster.network.stats.by_kind_summary()
         return report
+
+    def _send_and_measure(
+        self, report: ResilienceReport, propagation_window: float
+    ) -> None:
+        cluster = self.cluster
+        try:
+            source = cluster.random_live_peer(self._rng)
+        except RuntimeError:
+            return
+        message_id = cluster.multicast_from(source.ident)
+        cluster.simulator.call_later(
+            propagation_window, self._measure, report, message_id
+        )
 
     def _apply_churn_event(self, kind: ChurnKind) -> None:
         cluster = self.cluster

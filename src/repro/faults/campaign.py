@@ -264,9 +264,7 @@ def run_plan(
             (peer.ident, peer.capacity) for peer in cluster.live_peers()
         ]
     for event in sorted(plan.events, key=lambda e: (e.time, e.action)):
-        cluster.simulator.call_at(
-            origin + event.time, lambda e=event: _apply_event(cluster, e)
-        )
+        cluster.simulator.call_at(origin + event.time, _apply_event, cluster, event)
     if mode == "failover" or settle is not None:
         last_event = max((event.time for event in plan.events), default=0.0)
         pause = settle if settle is not None else FAILOVER_SETTLE

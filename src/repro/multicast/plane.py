@@ -653,12 +653,14 @@ class ServicePlane:
         :class:`SendReceipt` once the send is originated."""
         placed = Future()
         self.simulator.call_later(
-            delay,
-            lambda: placed.resolve(
-                self.send(group_name, source_host, message_kbits)
-            ),
+            delay, self._send_placed, placed, group_name, source_host, message_kbits
         )
         return placed
+
+    def _send_placed(
+        self, placed: Future, group_name: str, source_host: str, message_kbits: float
+    ) -> None:
+        placed.resolve(self.send(group_name, source_host, message_kbits))
 
     # -- epoch-cached schedules -----------------------------------------
 
@@ -877,9 +879,7 @@ class ServicePlane:
         if state.remaining == 0:
             # resolve through the engine (not inline) so the clock
             # advances to the final delivery before waiters wake
-            self.simulator.call_at(
-                time, lambda r=receipt: r.completion.resolve(r)
-            )
+            self.simulator.call_at(time, receipt.completion.resolve, receipt)
         self._reserve_children(state, ident, time)
 
     def schedule_preview(
@@ -918,31 +918,26 @@ class ServicePlane:
         names (see :func:`repro.workloads.groups.generate_service_workload`);
         scheduling order equals event order, so replay is deterministic."""
         for event in events:
-            self.simulator.call_at(event.time, self._apply_event(event))
+            self.simulator.call_at(event.time, self._apply_event, event)
 
-    def _apply_event(self, event: "ServiceEvent") -> Callable[[], None]:
-        def apply() -> None:
-            if event.action == "create":
-                self.create_group(
-                    event.group,
-                    event.hosts,
-                    kind=event.kind,
-                    per_link_kbps=event.per_link_kbps,
-                )
-            elif event.action == "drop":
-                self.drop_group(event.group)
-            elif event.action == "join":
-                self.join(event.group, event.hosts[0])
-            elif event.action == "leave":
-                self.leave(event.group, event.hosts[0])
-            elif event.action == "send":
-                self.send(
-                    event.group, event.hosts[0], event.message_kbits
-                )
-            else:  # pragma: no cover - generator emits only these
-                raise ValueError(f"unknown workload action {event.action!r}")
-
-        return apply
+    def _apply_event(self, event: "ServiceEvent") -> None:
+        if event.action == "create":
+            self.create_group(
+                event.group,
+                event.hosts,
+                kind=event.kind,
+                per_link_kbps=event.per_link_kbps,
+            )
+        elif event.action == "drop":
+            self.drop_group(event.group)
+        elif event.action == "join":
+            self.join(event.group, event.hosts[0])
+        elif event.action == "leave":
+            self.leave(event.group, event.hosts[0])
+        elif event.action == "send":
+            self.send(event.group, event.hosts[0], event.message_kbits)
+        else:  # pragma: no cover - generator emits only these
+            raise ValueError(f"unknown workload action {event.action!r}")
 
     # -- running and reporting ------------------------------------------
 

@@ -440,14 +440,18 @@ class BasePeer:
         ``(True, ident)`` when the responsible node is known locally,
         ``(False, ident)`` with the best next hop otherwise.
         """
+        ident = self.ident
         succ = self.successor
-        if succ == self.ident:
-            return True, self.ident
-        if self.predecessor is not None and self.space.in_segment(
-            key, self.predecessor, self.ident
-        ):
-            return True, self.ident
-        if succ not in exclude and self.space.in_segment(key, self.ident, succ):
+        if succ == ident:
+            return True, ident
+        # ring arithmetic inline: the space is a power of two, so
+        # ``(y - x) & mask`` is ``segment_size(x, y)``
+        mask = self.space.size - 1
+        key_offset = (key - ident) & mask
+        pred = self.predecessor
+        if pred is not None and 0 < (key - pred) & mask <= (ident - pred) & mask:
+            return True, ident
+        if succ not in exclude and 0 < key_offset <= (succ - ident) & mask:
             return True, succ
         best: int | None = None
         best_offset = -1
@@ -455,12 +459,12 @@ class BasePeer:
             if link in exclude:
                 continue
             # strictly preceding the key: link in (self, key)
-            offset = self.space.segment_size(self.ident, link)
-            if offset < self.space.segment_size(self.ident, key) and offset > best_offset:
+            offset = (link - ident) & mask
+            if best_offset < offset < key_offset:
                 best = link
                 best_offset = offset
         if best is None:
-            return True, succ if succ not in exclude else self.ident
+            return True, succ if succ not in exclude else ident
         return False, best
 
     def _lookup_process(

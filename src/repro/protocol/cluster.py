@@ -155,11 +155,7 @@ class Cluster:
         for peer in rest:
             when += join_stagger
             bootstrap_peer = self._rng.choice(joined)
-
-            def do_join(p: BasePeer = peer, b: BasePeer = bootstrap_peer) -> None:
-                p.join(b.ident)
-
-            self.simulator.call_at(when, do_join)
+            self.simulator.call_at(when, peer.join, bootstrap_peer.ident)
             joined.append(peer)
         self.simulator.run(until=when + join_stagger)
 

@@ -373,13 +373,9 @@ def _run_plane_phase(cell: CompiledCell) -> dict[str, Any]:
         if free:
             joiner = rng.choice(free)
             plane.simulator.call_at(
-                rng.uniform(0.0, window),
-                lambda g=group, h=joiner: plane.join(g, h),
+                rng.uniform(0.0, window), plane.join, group, joiner
             )
-        plane.simulator.call_at(
-            rng.uniform(0.0, window),
-            lambda g=group, h=leaver: plane.leave(g, h),
-        )
+        plane.simulator.call_at(rng.uniform(0.0, window), plane.leave, group, leaver)
     plane.drain()
     plane.verify_quiesced()
     report = plane.report()

@@ -13,16 +13,31 @@ Protocol code is written as generator *processes*::
 
 Yielding a number sleeps; yielding a :class:`Future` suspends the
 process until the future resolves (its value is sent back into the
-generator, and a failed future raises inside it).  Event ordering is
-deterministic: ties break by insertion order, so a seeded simulation
-replays identically.
+generator, and a failed future raises inside it).
+
+**The event record.**  One flat record is all that moves through the
+core: a scheduled callback is the list ``[time, sequence, action,
+args]`` and firing it is ``action(*args)``.  Callers hand their
+arguments to :meth:`Simulator.call_at` / :meth:`Simulator.call_later`
+(``call_later(delay, peer.join, bootstrap)``) rather than wrapping them
+in a ``lambda``, which costs an allocation and a second frame for
+every datagram, sleep and timer.
+
+**Order.**  Events fire in ``(time, sequence)`` order and ``sequence``
+counts insertions, so ties break by insertion order and a seeded
+simulation replays identically.  Lists compare element-wise in C and
+``sequence`` is unique, so the heap never compares ``action``; the
+generated ``__lt__`` of an ordered dataclass did the same comparison in
+Python, seven million times per campaign.  It is a list rather than a
+tuple because cancelling is an assignment: ``action`` becomes ``None``
+and the entry is discarded when it surfaces.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Sequence
+from functools import partial
+from typing import Any, Callable, Generator
 
 from repro.trace.tracer import TRACER
 
@@ -95,60 +110,21 @@ class Future:
             self._callbacks.append(callback)
 
 
-def gather(futures: "Sequence[Future]") -> Future:
-    """A future that resolves with every input's value, in input order.
-
-    Resolves to a list once all inputs resolve; fails as soon as any
-    input fails (first failure wins, later settlements are ignored).
-    An empty sequence resolves immediately — so a caller can always
-    ``yield gather(batch)`` without special-casing idle batches.
-    """
-    combined = Future()
-    inputs = list(futures)
-    remaining = len(inputs)
-    if remaining == 0:
-        combined.resolve([])
-        return combined
-
-    def on_settle(settled: Future) -> None:
-        nonlocal remaining
-        if combined.done:
-            return
-        if settled.failed:
-            combined.fail(str(settled._value))
-            return
-        remaining -= 1
-        if remaining == 0:
-            combined.resolve([future._value for future in inputs])
-
-    for future in inputs:
-        future.add_callback(on_settle)
-    return combined
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    sequence: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
     """Cancellation handle for a scheduled callback."""
 
     __slots__ = ("_event",)
 
-    def __init__(self, event: _Event) -> None:
+    def __init__(self, event: list) -> None:
         self._event = event
 
     def cancel(self) -> None:
         """Prevent the callback from running (no-op if it already did)."""
-        self._event.cancelled = True
+        self._event[2] = None
 
     @property
     def cancelled(self) -> bool:
-        return self._event.cancelled
+        return self._event[2] is None
 
 
 class ProcessHandle:
@@ -183,7 +159,7 @@ class Simulator:
     """Deterministic discrete-event loop."""
 
     def __init__(self) -> None:
-        self._queue: list[_Event] = []
+        self._queue: list[list] = []
         self._sequence = 0
         self._now = 0.0
         self._processed = 0
@@ -217,25 +193,45 @@ class Simulator:
         accumulating dead entries.
         """
         queue = self._queue
-        while queue and queue[0].cancelled:
+        while queue and queue[0][2] is None:
             heapq.heappop(queue)
-        return queue[0].time if queue else None
+        return queue[0][0] if queue else None
 
-    def call_later(self, delay: float, action: Callable[[], None]) -> EventHandle:
-        """Schedule ``action()`` at ``now + delay``."""
-        if delay < 0:
+    def call_later(
+        self, delay: float, action: Callable[..., None], *args: Any
+    ) -> EventHandle:
+        """Schedule ``action(*args)`` at ``now + delay``."""
+        if not delay >= 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        return self.call_at(self._now + delay, action)
-
-    def call_at(self, when: float, action: Callable[[], None]) -> EventHandle:
-        """Schedule ``action()`` at exactly the absolute time ``when``
-        (>= now)."""
-        if when < self._now:
-            raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
-        event = _Event(when, self._sequence, action)
+        # pushes for itself: nearly every event arrives through here, and
+        # handing ``*args`` on to call_at would pack them a second time
+        event = [self._now + delay, self._sequence, action, args]
         self._sequence += 1
         heapq.heappush(self._queue, event)
         return EventHandle(event)
+
+    def call_at(
+        self, when: float, action: Callable[..., None], *args: Any,
+        slot: int | None = None,
+    ) -> EventHandle:
+        """Schedule ``action(*args)`` at exactly the absolute time
+        ``when`` (>= now; a NaN is rejected, it would unorder the heap).
+        With a ``slot`` from :meth:`reserve_slot` the event ties as if
+        it had been scheduled when the slot was taken."""
+        if not when >= self._now:
+            raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
+        event = [when, self.reserve_slot() if slot is None else slot, action, args]
+        heapq.heappush(self._queue, event)
+        return EventHandle(event)
+
+    def reserve_slot(self) -> int:
+        """Take the next insertion position without scheduling anything:
+        how one armed event stands in for a FIFO of deadlines and still
+        fires each where its own event would have (the network's RPC
+        timers)."""
+        slot = self._sequence
+        self._sequence += 1
+        return slot
 
     # -- processes ------------------------------------------------------
 
@@ -247,17 +243,21 @@ class Simulator:
             TRACER.emit(
                 self._now, "sim", "spawn", pid=handle.pid, name=handle.name, delay=delay
             )
-        self.call_later(delay, lambda: self._step(handle, None, None))
+        self.call_later(delay, self._step, handle)
         return handle
 
-    def _step(self, handle: ProcessHandle, value: Any, error: str | None) -> None:
-        if not handle.alive:
+    def _step(self, handle: ProcessHandle, settled: Future | None = None) -> None:
+        """Resume ``handle`` after a sleep (``settled`` is None) or with
+        the outcome of the future it waited on."""
+        if not handle._alive:
             return
         try:
-            if error is not None:
-                yielded = handle._generator.throw(FutureError(error))
+            if settled is None:
+                yielded = handle._generator.send(None)
+            elif settled._state == Future._FAILED:
+                yielded = handle._generator.throw(FutureError(str(settled._value)))
             else:
-                yielded = handle._generator.send(value)
+                yielded = handle._generator.send(settled._value)
         except StopIteration as stop:
             handle._alive = False
             if TRACER.enabled:
@@ -279,17 +279,11 @@ class Simulator:
                 TRACER.emit(
                     self._now, "sim", "sleep", pid=handle.pid, delay=float(yielded)
                 )
-            self.call_later(float(yielded), lambda: self._step(handle, None, None))
+            self.call_later(float(yielded), self._step, handle)
         elif isinstance(yielded, Future):
             if TRACER.enabled:
                 TRACER.emit(self._now, "sim", "wait", pid=handle.pid)
-            def on_settle(future: Future) -> None:
-                if future.failed:
-                    self._step(handle, None, str(future._value))
-                else:
-                    self._step(handle, future._value, None)
-
-            yielded.add_callback(on_settle)
+            yielded.add_callback(partial(self._step, handle))
         else:
             raise TypeError(
                 f"process yielded {type(yielded).__name__}; "
@@ -317,29 +311,33 @@ class Simulator:
         """Execute events up to and including time ``until``."""
         previous = self._run_bound
         self._run_bound = until
+        queue = self._queue
         try:
-            while self._queue and self._queue[0].time <= until:
-                self._pop_and_run()
+            while queue and queue[0][0] <= until:
+                time, _, action, args = heapq.heappop(queue)
+                if action is not None:
+                    self._now = time
+                    self._processed += 1
+                    action(*args)
             self._now = max(self._now, until)
         finally:
             self._run_bound = previous
 
     def run_until_idle(self, max_events: int | None = None) -> None:
-        """Execute events until the queue drains (or the budget is hit)."""
-        budget = max_events
-        while self._queue:
-            if budget is not None:
-                if budget == 0:
-                    raise RuntimeError(
-                        f"simulation did not go idle within {max_events} events"
-                    )
-                budget -= 1
-            self._pop_and_run()
-
-    def _pop_and_run(self) -> None:
-        event = heapq.heappop(self._queue)
-        if event.cancelled:
-            return
-        self._now = event.time
-        self._processed += 1
-        event.action()
+        """Execute events until the queue drains; more than
+        ``max_events`` callbacks (cancelled entries are free) is an
+        error."""
+        limit = None if max_events is None else self._processed + max_events
+        queue = self._queue
+        while queue:
+            if queue[0][2] is None:
+                heapq.heappop(queue)
+            elif self._processed == limit:
+                raise RuntimeError(
+                    f"simulation did not go idle within {max_events} events"
+                )
+            else:
+                time, _, action, args = heapq.heappop(queue)
+                self._now = time
+                self._processed += 1
+                action(*args)

@@ -7,21 +7,32 @@ datagram to a dead host behaves), when the loss model fires, or when
 the pair is partitioned.  A lightweight request/response facility with
 timeouts is layered on top — the building block for the Chord-style
 maintenance RPCs in :mod:`repro.protocol`.
+
+**RPC timers.**  Nearly every request is answered, so nearly every
+timeout would be an engine event that fires to do nothing.  Deadlines
+of one timeout value are FIFO (``now`` never decreases), so each value
+keeps a deque of ``(deadline, slot, request…)`` and *one* armed engine
+event stands in for it, as the service plane's wavefront does for
+deliveries: when it fires it expires the head, skips the requests
+answered meanwhile and re-arms at the first one still waiting.  The
+``slot`` is the insertion position ``request`` reserved from the
+engine, so a timeout that does fire ties with other events exactly as
+a per-request timer scheduled inside ``request`` would.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Protocol
+from typing import Any, NamedTuple, Protocol
 
 from repro.sim.engine import Future, Simulator
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.trace.tracer import TRACER
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One datagram on the simulated network."""
 
     sender: int
@@ -61,7 +72,10 @@ class NetworkStats:
     delivered_by_kind: dict[str, int] = field(default_factory=dict)
 
     def count_drop(self, kind: str, reason: str) -> None:
-        """Record one dropped datagram of ``kind`` for ``reason``."""
+        """Record one dropped datagram of ``kind`` for ``reason``
+        (``dead`` / ``loss`` / ``partition``), in total and per kind."""
+        total = f"dropped_{reason}"
+        setattr(self, total, getattr(self, total) + 1)
         per_kind = self.drops_by_kind.setdefault(kind, {})
         per_kind[reason] = per_kind.get(reason, 0) + 1
 
@@ -116,6 +130,8 @@ class Network:
         self._rng = Random(seed)
         self._endpoints: dict[int, Endpoint] = {}
         self._pending: dict[int, Future] = {}
+        # RPC deadlines, one FIFO per timeout value (see ``request``)
+        self._timers: defaultdict[float, deque] = defaultdict(deque)
         self._next_request_id = 1
         self._partitioned: set[frozenset[int]] = set()
         self._kind_loss: dict[str, float] = {}
@@ -221,38 +237,16 @@ class Network:
     ) -> None:
         """Fire-and-forget datagram."""
         self.stats.sent += 1
-        if frozenset((sender, recipient)) in self._partitioned:
-            self.stats.dropped_partition += 1
-            self.stats.count_drop(kind, "partition")
-            if TRACER.enabled:
-                TRACER.emit(
-                    self._sim.now, "net", "drop",
-                    src=sender, dst=recipient, kind=kind, reason="partition",
-                    **self._trace_fields(kind, payload),
-                )
-            return
-        kind_rate = self._kind_loss.get(kind, 0.0)
-        if kind_rate and self._rng.random() < kind_rate:
-            self.stats.dropped_loss += 1
-            self.stats.count_drop(kind, "loss")
-            if TRACER.enabled:
-                TRACER.emit(
-                    self._sim.now, "net", "drop",
-                    src=sender, dst=recipient, kind=kind, reason="loss",
-                    **self._trace_fields(kind, payload),
-                )
-            return
+        if self._partitioned and frozenset((sender, recipient)) in self._partitioned:
+            return self._drop(sender, recipient, kind, payload, "partition")
+        # the RNG is drawn in a fixed order — kind loss, loss, latency —
+        # and only by a model that is switched on
+        if self._kind_loss:
+            kind_rate = self._kind_loss.get(kind, 0.0)
+            if kind_rate and self._rng.random() < kind_rate:
+                return self._drop(sender, recipient, kind, payload, "loss")
         if self._loss_rate and self._rng.random() < self._loss_rate:
-            self.stats.dropped_loss += 1
-            self.stats.count_drop(kind, "loss")
-            if TRACER.enabled:
-                TRACER.emit(
-                    self._sim.now, "net", "drop",
-                    src=sender, dst=recipient, kind=kind, reason="loss",
-                    **self._trace_fields(kind, payload),
-                )
-            return
-        message = Message(sender, recipient, kind, payload, request_id, is_reply)
+            return self._drop(sender, recipient, kind, payload, "loss")
         delay = self._latency.delay(sender, recipient, self._rng)
         if TRACER.enabled:
             extra = self._trace_fields(kind, payload)
@@ -262,41 +256,49 @@ class Network:
                 self._sim.now, "net", "send",
                 src=sender, dst=recipient, kind=kind, delay=delay, **extra,
             )
-        self._sim.call_later(delay, lambda: self._deliver(message))
+        self._sim.call_later(
+            delay,
+            self._deliver,
+            Message(sender, recipient, kind, payload, request_id, is_reply),
+        )
+
+    def _drop(
+        self, sender: int, recipient: int, kind: str, payload: Any, reason: str
+    ) -> None:
+        """Account one datagram the network ate, for ``reason``."""
+        self.stats.count_drop(kind, reason)
+        if TRACER.enabled:
+            TRACER.emit(
+                self._sim.now, "net", "drop",
+                src=sender, dst=recipient, kind=kind, reason=reason,
+                **self._trace_fields(kind, payload),
+            )
 
     def _deliver(self, message: Message) -> None:
-        if message.is_reply and message.request_id is not None:
-            future = self._pending.pop(message.request_id, None)
+        sender, recipient, kind, payload, request_id, is_reply = message
+        stats = self.stats
+        if is_reply and request_id is not None:
+            future = self._pending.pop(request_id, None)
             if future is not None and not future.done:
-                self.stats.delivered += 1
-                self.stats.count_delivered(message.kind)
+                stats.delivered += 1
+                stats.count_delivered(kind)
                 if TRACER.enabled:
                     TRACER.emit(
                         self._sim.now, "net", "deliver",
-                        src=message.sender, dst=message.recipient,
-                        kind=message.kind, reply=True,
+                        src=sender, dst=recipient, kind=kind, reply=True,
                     )
-                future.resolve(message.payload)
+                future.resolve(payload)
             return
-        endpoint = self._endpoints.get(message.recipient)
+        endpoint = self._endpoints.get(recipient)
         if endpoint is None:
-            self.stats.dropped_dead += 1
-            self.stats.count_drop(message.kind, "dead")
-            if TRACER.enabled:
-                TRACER.emit(
-                    self._sim.now, "net", "drop",
-                    src=message.sender, dst=message.recipient,
-                    kind=message.kind, reason="dead",
-                    **self._trace_fields(message.kind, message.payload),
-                )
-            return
-        self.stats.delivered += 1
-        self.stats.count_delivered(message.kind)
+            return self._drop(sender, recipient, kind, payload, "dead")
+        stats.delivered += 1
+        stats.count_delivered(kind)
         if TRACER.enabled:
             TRACER.emit(
                 self._sim.now, "net", "deliver",
-                src=message.sender, dst=message.recipient, kind=message.kind,
-                **self._trace_fields(message.kind, message.payload),
+                src=sender, dst=recipient, kind=kind,
+                **self._trace_fields(kind, payload),
             )
         endpoint.handle_message(message)
 
@@ -312,26 +314,42 @@ class Network:
     ) -> Future:
         """Send a request datagram; the future resolves with the reply
         payload or fails after ``timeout`` simulated seconds."""
+        if not timeout >= 0:
+            raise ValueError(f"timeout must be >= 0, got {timeout}")
         request_id = self._next_request_id
         self._next_request_id += 1
         future = Future()
         self._pending[request_id] = future
-
-        def expire() -> None:
-            pending = self._pending.pop(request_id, None)
-            if pending is not None and not pending.done:
-                self.stats.timeouts += 1
-                self.stats.count_timeout(kind)
-                if TRACER.enabled:
-                    TRACER.emit(
-                        self._sim.now, "net", "timeout",
-                        src=sender, dst=recipient, kind=kind, rid=request_id,
-                    )
-                pending.fail(f"request {kind} to {recipient} timed out")
-
-        self._sim.call_later(timeout, expire)
+        sim = self._sim
+        deadline = sim.now + timeout
+        slot = sim.reserve_slot()
+        timers = self._timers[timeout]
+        timers.append((deadline, slot, request_id, sender, recipient, kind))
+        if len(timers) == 1:
+            sim.call_at(deadline, self._expire, timers, slot=slot)
         self.send(sender, recipient, kind, payload, request_id=request_id)
         return future
+
+    def _expire(self, timers: deque) -> None:
+        """The head timer of one FIFO is due: fail its request if still
+        unanswered, and re-arm at the next request still waiting."""
+        _, _, request_id, sender, recipient, kind = timers.popleft()
+        # answered requests have left ``_pending``; their timers would
+        # have been no-ops, so they never reach the engine
+        while timers and timers[0][2] not in self._pending:
+            timers.popleft()
+        if timers:
+            self._sim.call_at(timers[0][0], self._expire, timers, slot=timers[0][1])
+        pending = self._pending.pop(request_id, None)
+        if pending is not None and not pending.done:
+            self.stats.timeouts += 1
+            self.stats.count_timeout(kind)
+            if TRACER.enabled:
+                TRACER.emit(
+                    self._sim.now, "net", "timeout",
+                    src=sender, dst=recipient, kind=kind, rid=request_id,
+                )
+            pending.fail(f"request {kind} to {recipient} timed out")
 
     def respond(self, request: Message, payload: Any = None) -> None:
         """Reply to a request message (routes back to the waiter)."""

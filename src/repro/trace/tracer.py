@@ -26,12 +26,10 @@ re-sequences them deterministically (see :mod:`repro.trace.registry`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One structured trace record.
 
     ``time`` is simulated seconds for events emitted under a running
@@ -43,7 +41,7 @@ class TraceEvent:
     time: float
     layer: str
     kind: str
-    data: dict[str, Any] = field(default_factory=dict)
+    data: dict[str, Any]
 
     @property
     def name(self) -> str:
@@ -70,6 +68,11 @@ class TraceEvent:
             kind=str(raw["kind"]),
             data=dict(raw.get("data", {})),
         )
+
+
+#: The C constructor under ``TraceEvent(...)``: the generated ``__new__``
+#: is a Python-level wrapper around it, and ``emit`` runs per datagram.
+_record = tuple.__new__
 
 
 class Tracer:
@@ -110,7 +113,9 @@ class Tracer:
         The header arguments are positional-only so ``data`` keys may
         freely reuse the names (``kind=`` is a common payload field).
         """
-        self._events.append(TraceEvent(len(self._events), time, layer, kind, data))
+        self._events.append(
+            _record(TraceEvent, (len(self._events), time, layer, kind, data))
+        )
 
     def absorb(self, events: Iterable[TraceEvent]) -> None:
         """Fold events recorded elsewhere (a worker process) into this

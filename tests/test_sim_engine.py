@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Future, FutureError, Simulator
 
@@ -54,6 +56,24 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.call_at(4.0, lambda: None)
 
+    @pytest.mark.parametrize("entry", ["call_at", "call_later"])
+    def test_nan_time_rejected(self, entry):
+        """``nan < now`` is False: a NaN once slipped past both guards
+        and unordered the heap for every event after it."""
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            getattr(sim, entry)(float("nan"), lambda: None)
+        sim.run_until_idle()
+        assert sim.events_processed == 0
+
+    def test_arguments_ride_with_the_callback(self):
+        sim = Simulator()
+        fired = []
+        sim.call_later(1.0, fired.append, "later")
+        sim.call_at(0.5, lambda *args: fired.append(args), 1, 2)
+        sim.run_until_idle()
+        assert fired == [(1, 2), "later"]
+
     def test_call_at_fires_at_exactly_when(self):
         """``now + (when - now)`` lands an ulp past ``when`` for this
         pair; the event must carry ``when`` itself."""
@@ -89,6 +109,90 @@ class TestScheduling:
         sim.call_later(0.0, forever)
         with pytest.raises(RuntimeError, match="did not go idle"):
             sim.run_until_idle(max_events=100)
+
+
+    def test_run_until_idle_budget_charges_executed_callbacks_only(self):
+        """Cancelled entries once spent budget without counting as
+        processed, so a drain that cancels (the plane's wavefront
+        re-arm does) could fail with budget to spare."""
+        sim = Simulator()
+        fired = []
+        for index in range(6):
+            dead = sim.call_later(1.0 + index, fired.append, "dead")
+            sim.call_later(1.0 + index, fired.append, index)
+            dead.cancel()
+        sim.call_later(9.0, fired.append, "dead").cancel()
+        sim.run_until_idle(max_events=6)
+        assert fired == list(range(6))
+        assert sim.events_processed == 6
+        sim.call_later(1.0, fired.append, 6)
+        with pytest.raises(RuntimeError, match="did not go idle"):
+            sim.run_until_idle(max_events=0)
+        assert fired == list(range(6))  # the refused event was not lost
+        sim.run_until_idle(max_events=1)
+        assert fired == list(range(7))
+
+
+#: one scheduling instruction: (entry point, time or delay, id of an
+#: earlier instruction to cancel or None, nested instructions issued
+#: from inside the callback)
+_instruction = st.deferred(
+    lambda: st.tuples(
+        st.sampled_from(["call_at", "call_later"]),
+        st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 3.0]),
+        st.none() | st.integers(min_value=0, max_value=30),
+        st.lists(_instruction, max_size=3),
+    )
+)
+
+
+class TestOrderContract:
+    """Live events fire in ``(time, insertion)`` order — whatever the
+    heap holds them in."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_instruction, min_size=1, max_size=12))
+    def test_random_programs_fire_in_time_then_insertion_order(self, program):
+        sim = Simulator()
+        handles = []  # by insertion index
+        keys = []  # (time, insertion index) per insertion
+        fired = []  # insertion indices, in firing order
+        was_live = {}  # insertion index -> cancelled? just before cancel()
+
+        def issue(instructions):
+            for entry, amount, victim, nested in instructions:
+                if victim is not None and victim < len(handles):
+                    was_live.setdefault(victim, victim not in fired)
+                    handles[victim].cancel()
+                    assert handles[victim].cancelled
+                index = len(handles)
+                when = sim.now + amount
+                if entry == "call_at":
+                    handle = sim.call_at(when, run, index, nested)
+                else:
+                    handle = sim.call_later(amount, run, index, nested)
+                assert not handle.cancelled
+                handles.append(handle)
+                keys.append((when, index))
+
+        def run(index, nested):
+            assert sim.now == keys[index][0]
+            assert not handles[index].cancelled  # before and while firing
+            fired.append(index)
+            issue(nested)
+
+        issue(program)
+        sim.run_until_idle()
+        cancelled_live = {index for index, live in was_live.items() if live}
+        expected = sorted(
+            key for key in keys if key[1] not in cancelled_live
+        )
+        assert fired == [index for _, index in expected]
+        assert sim.events_processed == len(fired)
+        for index, handle in enumerate(handles):
+            # after firing a handle reads not-cancelled; cancel() sets
+            # it whenever it is called, even after the event fired
+            assert handle.cancelled == (index in was_live)
 
 
 class TestFuture:

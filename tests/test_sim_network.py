@@ -234,6 +234,89 @@ class TestRequestResponse:
         assert net.stats.timeouts == 1
 
 
+class TestTimerOrder:
+    """Where a request's timeout sits in the event order: at
+    ``(sent + timeout, insertion position of the request)``, exactly
+    where a per-request engine timer scheduled by ``request`` sits —
+    whether or not each timer is an engine event of its own."""
+
+    def test_timeout_fires_at_its_instant_in_insertion_position(self):
+        sim, net = make_net()
+        sim.run(until=0.75)
+        order = []
+        sim.call_at(2.75, order.append, "before")
+        future = net.request(1, 99, "ask", timeout=2.0)
+        future.add_callback(lambda settled: order.append(("timeout", sim.now)))
+        sim.call_at(2.75, order.append, "after")
+        sim.run_until_idle()
+        assert future.failed
+        assert order == ["before", ("timeout", 2.75), "after"]
+
+    def test_timeout_beats_its_own_reply_at_the_same_instant(self):
+        # the timer takes its position before the request datagram is
+        # sent, so it precedes anything the request causes
+        sim, net = make_net(latency=ConstantLatency(1.0))
+        net.register(2, Recorder(network=net))
+        future = net.request(1, 2, "ask", timeout=2.0)
+        sim.run_until_idle()
+        assert sim.now == 2.0
+        assert future.failed
+        assert (net.stats.timeouts, net.stats.delivered) == (1, 1)
+
+    def test_reply_one_tick_before_the_deadline_resolves(self):
+        sim, net = make_net(latency=ConstantLatency(1.0))
+        net.register(2, Recorder(network=net))
+        future = net.request(1, 2, "ask", timeout=2.000001)
+        sim.run_until_idle()
+        assert future.value == {"echo": None}
+        assert net.stats.timeouts == 0
+
+    def test_interleaved_timeout_values_each_expire_on_time(self):
+        sim, net = make_net()
+        expired = []
+        for index, timeout in enumerate([3.0, 1.0, 3.0, 1.0, 0.0]):
+            sim.run(until=0.25 * index)
+            net.request(1, 99, f"k{index}", timeout=timeout).add_callback(
+                lambda settled, index=index: expired.append((index, sim.now))
+            )
+        sim.run_until_idle()
+        assert expired == [(4, 1.0), (1, 1.25), (3, 1.75), (0, 3.0), (2, 3.5)]
+        assert net.stats.timeouts == 5
+
+    def test_answered_requests_do_not_delay_a_later_timeout(self):
+        sim, net = make_net(latency=ConstantLatency(0.01))
+        net.register(2, Recorder(network=net))
+        answered = [net.request(1, 2, "ask", timeout=2.0) for _ in range(5)]
+        sim.run(until=0.5)
+        lost = net.request(1, 99, "ask", timeout=2.0)
+        fired = []
+        lost.add_callback(lambda settled: fired.append(sim.now))
+        sim.run_until_idle()
+        assert all(not future.failed for future in answered)
+        assert fired == [2.5]
+        assert net.stats.timeouts == 1
+
+    def test_retry_issued_from_a_timeout_expires_too(self):
+        sim, net = make_net()
+        fired = []
+
+        def retry(settled):
+            fired.append(sim.now)
+            if len(fired) < 3:
+                net.request(1, 99, "ask", timeout=2.0).add_callback(retry)
+
+        net.request(1, 99, "ask", timeout=2.0).add_callback(retry)
+        sim.run_until_idle()
+        assert fired == [2.0, 4.0, 6.0]
+        assert sim.events_processed == 6  # three timers, three dead datagrams
+
+    @pytest.mark.parametrize("timeout", [-1.0, float("nan")])
+    def test_bad_timeout_rejected(self, timeout):
+        _, net = make_net()
+        with pytest.raises(ValueError):
+            net.request(1, 2, "ask", timeout=timeout)
+
+
 class TestLatencyModels:
     def test_constant(self):
         model = ConstantLatency(0.2)
