@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from random import Random
 from typing import Sequence
 
@@ -30,6 +31,7 @@ from repro.protocol.cluster import Cluster, SystemLike
 from repro.protocol.config import ProtocolConfig
 from repro.sim.latency import LatencyModel
 from repro.systems import DEFAULT_UNIFORM_FANOUT, MemberSpec
+from repro.trace.tracer import TRACER, resequence
 
 
 class ChurnExperiment:
@@ -186,11 +188,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.trace is not None:
-        from repro.trace.tracer import TRACER
-
-        TRACER.enable()
-
     from repro.churn.trace import poisson_trace
 
     # Named streams (same SHA-512 string-seeding scheme the parallel
@@ -204,23 +201,27 @@ def main(argv: list[str] | None = None) -> int:
         depart_rate=args.rate,
         rng=point_rng(args.seed, "churn", "trace"),
     )
-    experiment = ChurnExperiment(
-        args.system,
-        capacities,
-        space_bits=16,
-        seed=args.seed,
-        loss_rate=args.loss,
-        uniform_fanout=args.fanout,
-    )
-    report = experiment.run(trace, system_name=args.system)
+    # --trace records this run only and leaves the process-global
+    # tracer as it found it
+    with TRACER.capture() if args.trace is not None else nullcontext() as mark:
+        experiment = ChurnExperiment(
+            args.system,
+            capacities,
+            space_bits=16,
+            seed=args.seed,
+            loss_rate=args.loss,
+            uniform_fanout=args.fanout,
+        )
+        report = experiment.run(trace, system_name=args.system)
+        if args.trace is not None:
+            events = resequence(TRACER.events_since(mark))
     print(report.summary_row())
     print(f"# network {report.network_summary}")
 
     if args.trace is not None:
         from repro.trace.export import write_jsonl
-        from repro.trace.tracer import TRACER
 
-        count = write_jsonl(TRACER.events(), args.trace)
+        count = write_jsonl(events, args.trace)
         print(f"# trace: {count} events -> {args.trace}")
     return 0
 

@@ -11,7 +11,6 @@ one bandwidth draw per upper bound).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Sequence
@@ -24,7 +23,6 @@ from repro.capacity.distributions import (
 )
 from repro.capacity.model import CapacityModel
 from repro.idspace.ring import IdentifierSpace
-from repro.membership import exchange
 from repro.multicast.delivery import MulticastResult
 from repro.multicast.session import MulticastGroup, SystemKind
 from repro.overlay.base import RingSnapshot, build_snapshot
@@ -62,8 +60,8 @@ SCALES = {
 
 
 def resolve_scale(name: str | None = None) -> ExperimentScale:
-    """Pick a scale by name, CLI argument, or ``REPRO_SCALE`` env var."""
-    chosen = name or os.environ.get("REPRO_SCALE", "default")
+    """Pick a scale by name (the ``--scale`` argument); None is "default"."""
+    chosen = name or "default"
     try:
         return SCALES[chosen]
     except KeyError:
@@ -210,13 +208,13 @@ def bandwidth_draws(
 # -- member requests ---------------------------------------------------------
 #
 # A *member request* is a frozen, picklable value object that fully
-# determines one membership snapshot.  Requests are the currency of the
-# shared-memory exchange: the parent resolves each distinct request
-# once, publishes the snapshot as a flat buffer, and workers attach it
-# zero-copy instead of rebuilding (or unpickling) the members per task.
+# determines one membership snapshot.  Requests are the only way
+# members cross a process boundary: a task names its members by value
+# and the ``--jobs N`` worker that runs it builds them (0.12 s at
+# n = 100,000) — the same deterministic build the serial run does.
 # Two systems whose snapshots only differ by overlay parameters — e.g.
 # the Chord and Koorde baselines, which share ``min_capacity = 1`` —
-# map to the *same* request and therefore the same physical buffer.
+# map to the *same* request and therefore the same cached snapshot.
 
 
 @dataclass(frozen=True)
@@ -283,16 +281,9 @@ def bandwidth_members(
 
 
 def members_snapshot(request: MemberRequest) -> RingSnapshot:
-    """Resolve a member request to its snapshot.
-
-    Resolution order: a published shared-memory buffer (workers attach
-    zero-copy), then the process-local snapshot cache, then a fresh
-    deterministic build.  All three produce the same members, so the
-    path taken never changes a result — only how the bytes got here.
-    """
-    shared = exchange.acquire(request)
-    if shared is not None:
-        return shared
+    """Resolve a member request to its snapshot: the process-local
+    cache, else a fresh deterministic build (the same members either
+    way, in the parent and in every worker)."""
     cached = _SNAPSHOT_CACHE.get(request)
     if cached is not None:
         return cached
@@ -302,6 +293,29 @@ def members_snapshot(request: MemberRequest) -> RingSnapshot:
 
 
 # -- group construction -----------------------------------------------------
+
+
+def _cached_group(
+    system: SystemDescriptor,
+    request: MemberRequest,
+    uniform_fanout: int,
+) -> MulticastGroup:
+    """The memoized group of one system over one member request.
+
+    The ring itself only depends on the request: overlays with the
+    same capacity floor (e.g. Chord and Koorde baselines) share it.
+    """
+    key = (system.kind, request, uniform_fanout)
+    cached = _GROUP_CACHE.get(key)
+    if cached is not None:
+        perf.COUNTERS.group_cache_hits += 1
+        return cached
+    perf.COUNTERS.group_cache_misses += 1
+    group = MulticastGroup.from_snapshot(
+        system, members_snapshot(request), uniform_fanout=uniform_fanout
+    )
+    _cache_put(_GROUP_CACHE, key, group, _GROUP_CACHE_MAX)
+    return group
 
 
 def bandwidth_group(
@@ -314,33 +328,8 @@ def bandwidth_group(
 ) -> MulticastGroup:
     """A group in the Figures 6-8 setup: capacities from bandwidths."""
     system = resolve(kind)
-    bandwidth = bandwidth if bandwidth is not None else UniformBandwidth()
-    key = (
-        system.kind,
-        bandwidth,
-        per_link_kbps,
-        scale.group_size,
-        scale.space_bits,
-        uniform_fanout,
-        seed,
-    )
-    cached = _GROUP_CACHE.get(key)
-    if cached is not None:
-        perf.COUNTERS.group_cache_hits += 1
-        return cached
-    perf.COUNTERS.group_cache_misses += 1
-    request = BandwidthMembers(
-        bandwidth=bandwidth,
-        count=scale.group_size,
-        space_bits=scale.space_bits,
-        per_link_kbps=per_link_kbps,
-        min_capacity=system.min_capacity,
-        seed=seed,
-    )
-    snapshot = members_snapshot(request)
-    group = MulticastGroup.from_snapshot(system, snapshot, uniform_fanout=uniform_fanout)
-    _cache_put(_GROUP_CACHE, key, group, _GROUP_CACHE_MAX)
-    return group
+    request = bandwidth_members(system, scale, per_link_kbps, bandwidth, seed)
+    return _cached_group(system, request, uniform_fanout)
 
 
 def capacity_group(
@@ -358,18 +347,7 @@ def capacity_group(
         capacities=capacities,
         min_capacity=system.min_capacity,
     )
-    key = (system.kind, spec, uniform_fanout, seed)
-    cached = _GROUP_CACHE.get(key)
-    if cached is not None:
-        perf.COUNTERS.group_cache_hits += 1
-        return cached
-    perf.COUNTERS.group_cache_misses += 1
-    # The ring itself only depends on (spec, seed): overlays with the
-    # same capacity floor (e.g. Chord and Koorde baselines) share it.
-    snapshot = members_snapshot(CapacityMembers(spec=spec, seed=seed))
-    group = MulticastGroup.from_snapshot(system, snapshot, uniform_fanout=uniform_fanout)
-    _cache_put(_GROUP_CACHE, key, group, _GROUP_CACHE_MAX)
-    return group
+    return _cached_group(system, CapacityMembers(spec=spec, seed=seed), uniform_fanout)
 
 
 def averaged_over_sources(

@@ -20,9 +20,8 @@ Two execution modes:
   grows ~linearly across decades, and writes a JSON report for CI.
 
 The decade ladder tops out at 10^5 by default; the million-member tier
-is opt-in via ``--max-n 1000000`` (or the ``REPRO_EXTL_DECADES``
-environment variable, a comma list that overrides the ladder in both
-modes) because it needs a few GB of RSS and minutes of wall time.
+is opt-in via the CLI's ``--max-n 1000000`` because it needs a few GB
+of RSS and minutes of wall time.
 
 Identifier-space width grows with n to keep the member density n/N
 near the paper's 100,000 / 2**19 ~ 0.19 (see
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 from random import Random
@@ -58,9 +56,6 @@ DECADES_BY_SCALE = {
     "default": (1_000, 10_000, 100_000),
     "paper": (1_000, 10_000, 100_000),
 }
-
-#: environment override: comma-separated decades, e.g. "1000,1000000"
-DECADES_ENV = "REPRO_EXTL_DECADES"
 
 #: the full opt-in ladder the CLI selects from with --max-n
 FULL_LADDER = (1_000, 10_000, 100_000, 1_000_000)
@@ -86,10 +81,7 @@ def space_bits_for(count: int) -> int:
 
 
 def decades_for(scale: ExperimentScale) -> tuple[int, ...]:
-    """The decade ladder of a scale, or the env-var override."""
-    override = os.environ.get(DECADES_ENV)
-    if override:
-        return tuple(int(part) for part in override.split(",") if part.strip())
+    """The decade ladder of a scale (unnamed scales get the default's)."""
     return DECADES_BY_SCALE.get(scale.name, DECADES_BY_SCALE["default"])
 
 
@@ -306,11 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(measure_decade(args.measure_one, args.seed)))
         return 0
 
-    override = os.environ.get(DECADES_ENV)
-    if override:
-        decades = tuple(int(part) for part in override.split(",") if part.strip())
-    else:
-        decades = tuple(n for n in FULL_LADDER if n <= args.max_n)
+    decades = tuple(n for n in FULL_LADDER if n <= args.max_n)
     if not decades:
         parser.error(f"--max-n {args.max_n} leaves no decades to run")
 

@@ -26,13 +26,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.common import (
-    BandwidthMembers,
     ExperimentScale,
     FigureResult,
     Series,
     averaged_over_sources,
     bandwidth_group,
-    bandwidth_members,
     run_sweep,
 )
 from repro.metrics.throughput import sustainable_throughput
@@ -69,22 +67,6 @@ def sweep(scale: ExperimentScale) -> list[tuple[SystemKind, float]]:
         )
         points.extend((system.kind, float(knob)) for knob in knobs)
     return points
-
-
-def member_requests(
-    scale: ExperimentScale, seed: int
-) -> list[BandwidthMembers]:
-    """Every membership the sweep resolves — one request per distinct
-    (per-link rate, capacity floor); published before the pool starts
-    so workers attach the members instead of rebuilding them."""
-    requests: list[BandwidthMembers] = []
-    for kind, knob in sweep(scale):
-        policy = descriptor_for(kind).fanout
-        per_link, _ = policy.group_build_args(knob, BASELINE_PER_LINK)
-        request = bandwidth_members(kind, scale, per_link_kbps=per_link, seed=seed)
-        if request not in requests:
-            requests.append(request)
-    return requests
 
 
 def run_point(

@@ -17,13 +17,11 @@ from typing import Sequence
 
 from repro.capacity.distributions import UniformBandwidth
 from repro.experiments.common import (
-    BandwidthMembers,
     ExperimentScale,
     FigureResult,
     Series,
     averaged_over_sources,
     bandwidth_group,
-    bandwidth_members,
     run_sweep,
 )
 from repro.metrics.throughput import sustainable_throughput
@@ -53,24 +51,6 @@ def sweep(scale: ExperimentScale) -> list[tuple[float, int]]:
         for upper in UPPER_BOUNDS
         for pair_index in range(len(PAIRS))
     ]
-
-
-def member_requests(
-    scale: ExperimentScale, seed: int
-) -> list[BandwidthMembers]:
-    """Every membership the sweep resolves: per (upper bound, system)
-    — CAM and baseline of a pair share a request when their capacity
-    floors coincide."""
-    requests: list[BandwidthMembers] = []
-    for upper, pair_index in sweep(scale):
-        bandwidth = UniformBandwidth(LOWER_BOUND, upper)
-        for kind in PAIRS[pair_index][:2]:
-            request = bandwidth_members(
-                kind, scale, per_link_kbps=PER_LINK, bandwidth=bandwidth, seed=seed
-            )
-            if request not in requests:
-                requests.append(request)
-    return requests
 
 
 def run_point(

@@ -17,12 +17,18 @@ additionally runs the serial path (``jobs <= 1``) through the exact
 same task decomposition, making the equivalence testable byte for
 byte.
 
+Members never cross the process boundary as bytes: a task names them
+by a frozen request (:func:`~repro.experiments.common.members_snapshot`)
+and whichever process runs the task builds them, the same
+deterministic build the serial path does.
+
 Workers ship their observability delta — :mod:`repro.perf` counter
 increments *and* the trace events the task emitted (see
-:mod:`repro.trace.registry`) — back with each payload; the engine
-folds counters into per-figure totals for the runner's perf footer and
-reassembles trace buffers in deterministic task-plan order, which
-extends the byte-identical guarantee to ``--trace`` output.
+:mod:`repro.trace.registry`) — back with each payload, plus their
+peak RSS; the engine folds counters into per-figure totals for the
+runner's perf footer and reassembles trace buffers in deterministic
+task-plan order, which extends the byte-identical guarantee to
+``--trace`` output.
 """
 
 from __future__ import annotations
@@ -30,12 +36,11 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro import perf
 from repro.experiments import registry
-from repro.experiments.common import ExperimentScale, FigureResult, members_snapshot
-from repro.membership import exchange
+from repro.experiments.common import ExperimentScale, FigureResult
 from repro.trace import registry as obs
 from repro.trace.tracer import TRACER, TraceEvent
 
@@ -57,7 +62,9 @@ class FigureRun:
     ``--jobs N`` the figure's elapsed wall time can be up to N times
     smaller than its work time.  ``events`` holds the trace events the
     run's tasks emitted (empty unless tracing was enabled), in task
-    order.
+    order.  ``peak_rss_mb`` is the largest peak RSS among the processes
+    that ran the tasks, read as each task finished (None where
+    :func:`repro.perf.peak_rss` is unavailable).
     """
 
     name: str
@@ -66,6 +73,7 @@ class FigureRun:
     counters: perf.PerfCounters
     work_seconds: float
     events: tuple[TraceEvent, ...] = field(default_factory=tuple)
+    peak_rss_mb: float | None = None
 
 
 def plan_tasks(
@@ -84,10 +92,17 @@ def plan_tasks(
     return tasks
 
 
-def execute_task(
-    task: Task, scale: ExperimentScale
-) -> tuple[object, obs.ObsDelta, float]:
-    """Run one task, returning (payload, observability delta, wall s).
+class TaskOutcome(NamedTuple):
+    """What one executed task ships back to the engine."""
+
+    payload: object
+    delta: obs.ObsDelta
+    wall_seconds: float
+    peak_rss_mb: float | None  # of the executing process, after the task
+
+
+def execute_task(task: Task, scale: ExperimentScale) -> TaskOutcome:
+    """Run one task and measure it.
 
     Module-level so the process pool can pickle it by reference.
     """
@@ -99,50 +114,21 @@ def execute_task(
     else:
         point = module.sweep(scale)[task.point_index]
         payload = module.run_point(scale, task.seed, point)
-    return payload, obs.since(before), time.perf_counter() - started
+    wall = time.perf_counter() - started
+    return TaskOutcome(payload, obs.since(before), wall, perf.peak_rss_mb())
 
 
-def _collect_member_requests(
-    names: Sequence[str], scale: ExperimentScale, seeds: Sequence[int]
-) -> list[object]:
-    """Distinct member requests of a batch, in first-appearance order.
-
-    A figure module opts into shared-memory membership by exposing
-    ``member_requests(scale, seed)``; modules without the hook keep
-    building their members per task (nothing to publish, nothing to
-    attach — the fallback path by construction).
-    """
-    requests: list[object] = []
-    seen: set[object] = set()
-    for name in names:
-        module = registry.load(name)
-        hook = getattr(module, "member_requests", None)
-        if hook is None:
-            continue
-        for seed in seeds:
-            for request in hook(scale, seed):
-                if request not in seen:
-                    seen.add(request)
-                    requests.append(request)
-    return requests
-
-
-def _init_worker(tracing_enabled: bool, member_handles=None) -> None:
-    """Pool initializer: mirror the parent's tracing state and adopt the
-    published membership buffers.
+def _init_worker(tracing_enabled: bool) -> None:
+    """Pool initializer: mirror the parent's tracing state.
 
     With the fork start method workers inherit the flag anyway, but
     spawn/forkserver workers import a fresh (disabled) tracer — without
-    this they would ship empty event deltas.  ``member_handles`` is the
-    parent's :func:`~repro.membership.exchange.export_handles` map;
-    installing it never attaches — first touch happens inside a task,
-    so the attach lands in that task's observability delta.
+    this they would ship empty event deltas.
     """
     if tracing_enabled:
         TRACER.enable()
     else:
         TRACER.disable()
-    exchange.install(member_handles if member_handles is not None else {})
 
 
 def run_experiments(
@@ -161,18 +147,11 @@ def run_experiments(
         return []
     tasks = plan_tasks(names, scale, seeds)
     if jobs > 1:
-        try:
-            for request in _collect_member_requests(names, scale, seeds):
-                exchange.publish(request, members_snapshot(request))
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_init_worker,
-                initargs=(TRACER.enabled, exchange.export_handles()),
-            ) as pool:
-                futures = [pool.submit(execute_task, task, scale) for task in tasks]
-                outcomes = [future.result() for future in futures]
-        finally:
-            exchange.release_all()
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(TRACER.enabled,)
+        ) as pool:
+            futures = [pool.submit(execute_task, task, scale) for task in tasks]
+            outcomes = [future.result() for future in futures]
     else:
         outcomes = [execute_task(task, scale) for task in tasks]
 
@@ -184,15 +163,19 @@ def run_experiments(
             if registry.is_sweepable(module):
                 point_count = len(module.sweep(scale))
                 parts = [by_task[Task(name, seed, i)] for i in range(point_count)]
-                result = module.assemble(scale, seed, [p[0] for p in parts])
+                result = module.assemble(scale, seed, [p.payload for p in parts])
             else:
                 parts = [by_task[Task(name, seed, None)]]
-                result = parts[0][0]
+                result = parts[0].payload
             delta = obs.ObsDelta()
-            for _, part_delta, _ in parts:
-                delta = delta + part_delta
-            work = sum(duration for _, _, duration in parts)
+            for part in parts:
+                delta = delta + part.delta
+            work = sum(part.wall_seconds for part in parts)
+            rss = max(
+                (p.peak_rss_mb for p in parts if p.peak_rss_mb is not None),
+                default=None,
+            )
             runs.append(
-                FigureRun(name, seed, result, delta.counters, work, delta.events)
+                FigureRun(name, seed, result, delta.counters, work, delta.events, rss)
             )
     return runs

@@ -19,11 +19,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro.experiments import registry
 from repro.experiments.common import resolve_scale
 from repro.experiments.parallel import run_experiments
+from repro.trace.tracer import TRACER
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,11 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
 
-    if args.trace is not None:
-        from repro.trace.tracer import TRACER
-
-        TRACER.enable()
-
     # The perf counters are process-global: without this, a second
     # main() call in the same interpreter (tests, notebooks) would start
     # mid-count and any absolute reading would misattribute earlier
@@ -121,20 +118,23 @@ def main(argv: list[str] | None = None) -> int:
 
     total_started = time.time()
     seeds = [args.seed + offset for offset in range(args.replicate)]
-    if args.profile:
-        import cProfile
-        import pstats
+    # --trace records for the length of the runs only and leaves the
+    # process-global tracer as it found it (each run keeps its events)
+    with TRACER.capture() if args.trace is not None else nullcontext():
+        if args.profile:
+            import cProfile
+            import pstats
 
-        runs = []
-        for name in names:
-            profiler = cProfile.Profile()
-            profiler.enable()
-            runs.extend(run_experiments([name], scale, seeds=seeds, jobs=1))
-            profiler.disable()
-            print(f"# profile[{name}]: top 20 by cumulative time")
-            pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
-    else:
-        runs = run_experiments(names, scale, seeds=seeds, jobs=args.jobs)
+            runs = []
+            for name in names:
+                profiler = cProfile.Profile()
+                profiler.enable()
+                runs.extend(run_experiments([name], scale, seeds=seeds, jobs=1))
+                profiler.disable()
+                print(f"# profile[{name}]: top 20 by cumulative time")
+                pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
+        else:
+            runs = run_experiments(names, scale, seeds=seeds, jobs=args.jobs)
     by_name: dict[str, list] = {}
     for run in runs:
         by_name.setdefault(run.name, []).append(run)
@@ -164,10 +164,12 @@ def main(argv: list[str] | None = None) -> int:
 
     elapsed = time.time() - total_started
     # peak RSS is the process high-water mark (see repro.perf.peak_rss)
-    # — under --jobs N the workers' footprints are not included, only
-    # the parent that assembled the results.
+    # of this parent, which under --jobs N only assembles results: the
+    # members live in the workers, so their largest peak goes beside it.
     rss_mb = perf.peak_rss_mb()
     rss_suffix = f" peak_rss={rss_mb}MB" if rss_mb is not None else ""
+    if args.jobs > 1 and rss_mb is not None:
+        rss_suffix += f" worker_peak_rss={max(run.peak_rss_mb for run in runs)}MB"
     print(
         f"# total: {len(names)} experiment(s) x {args.replicate} seed(s) "
         f"in {elapsed:.1f}s (jobs={args.jobs}){rss_suffix}"

@@ -34,7 +34,7 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.churn.resilience import ResilienceReport, percentile
 from repro.faults.oracles import (
@@ -173,6 +173,26 @@ def _apply_event(cluster: "Cluster", event) -> None:
         cluster.set_kind_loss(event.kind, event.rate)
 
 
+def _await_repair(cluster: "Cluster", after: str) -> Violation | None:
+    """Grant the ring up to ``MAX_REPAIR_ROUNDS`` stabilization rounds
+    to turn consistent with exact neighbor tables; the ``convergence``
+    violation if it does not, else None."""
+    for _ in range(MAX_REPAIR_ROUNDS):
+        if cluster.ring_consistent() and cluster.neighbor_table_accuracy() == 1.0:
+            return None
+        cluster.run(cluster.config.stabilize_interval)
+    return Violation(
+        oracle="convergence",
+        detail=(
+            f"ring failed to repair within {MAX_REPAIR_ROUNDS} "
+            f"stabilization rounds after {after} "
+            f"({len(cluster.live_peers())} live peers, "
+            f"ring_consistent={cluster.ring_consistent()}, "
+            f"table_accuracy={cluster.neighbor_table_accuracy():.3f})"
+        ),
+    )
+
+
 def run_plan(
     plan: FaultPlan,
     peer_class: "type[BasePeer] | None" = None,
@@ -277,28 +297,11 @@ def run_plan(
     repair_wait = 0.0
     if mode == "repair":
         quiesce_time = cluster.simulator.now
-        converged = False
-        for _ in range(MAX_REPAIR_ROUNDS):
-            if cluster.ring_consistent() and cluster.neighbor_table_accuracy() == 1.0:
-                converged = True
-                break
-            cluster.run(cluster.config.stabilize_interval)
-        if not converged:
+        unrepaired = _await_repair(cluster, "quiesce")
+        if unrepaired is not None:
             return PlanOutcome(
                 plan=plan,
-                violations=(
-                    Violation(
-                        oracle="convergence",
-                        detail=(
-                            f"ring failed to repair within {MAX_REPAIR_ROUNDS} "
-                            f"stabilization rounds after quiesce "
-                            f"({len(cluster.live_peers())} live peers, "
-                            f"ring_consistent={cluster.ring_consistent()}, "
-                            f"table_accuracy="
-                            f"{cluster.neighbor_table_accuracy():.3f})"
-                        ),
-                    ),
-                ),
+                violations=(unrepaired,),
                 final_membership=len(cluster.live_peers()),
             )
         repair_wait = cluster.simulator.now - quiesce_time
@@ -311,10 +314,7 @@ def run_plan(
     gap_rows: list[tuple[tuple[int, float], ...]] = []
     recovered_rows: list[tuple[int, ...]] = []
     mc_rng = Random(f"faults-mc:{plan.seed}")
-    mark = TRACER.mark()
-    was_enabled = TRACER.enabled
-    TRACER.enable(reset=False)
-    try:
+    with TRACER.capture() as mark:
         floods_before = cluster.network.stats.delivered_by_kind.get("mc_flood", 0)
         for ordinal in range(plan.multicasts):
             source = cluster.random_live_peer(mc_rng).ident
@@ -357,10 +357,6 @@ def run_plan(
                 )
                 recovered_rows.append(())
         floods_after = cluster.network.stats.delivered_by_kind.get("mc_flood", 0)
-    finally:
-        if not was_enabled:
-            TRACER.disable()
-        TRACER.truncate(mark)
 
     violations.extend(
         check_flood_accounting(records, descriptor, floods_after - floods_before)
@@ -369,26 +365,9 @@ def run_plan(
         # Ring hygiene still holds on the failover path — it is checked
         # *after* the measurement instead of gating it: the ring must
         # eventually repair even though the multicast did not wait.
-        converged = False
-        for _ in range(MAX_REPAIR_ROUNDS):
-            if cluster.ring_consistent() and cluster.neighbor_table_accuracy() == 1.0:
-                converged = True
-                break
-            cluster.run(cluster.config.stabilize_interval)
-        if not converged:
-            violations.append(
-                Violation(
-                    oracle="convergence",
-                    detail=(
-                        f"ring failed to repair within {MAX_REPAIR_ROUNDS} "
-                        f"stabilization rounds after the failover "
-                        f"measurement ({len(cluster.live_peers())} live "
-                        f"peers, ring_consistent={cluster.ring_consistent()}, "
-                        f"table_accuracy="
-                        f"{cluster.neighbor_table_accuracy():.3f})"
-                    ),
-                )
-            )
+        unrepaired = _await_repair(cluster, "the failover measurement")
+        if unrepaired is not None:
+            violations.append(unrepaired)
     violations.extend(check_ring(cluster))
 
     return PlanOutcome(
@@ -464,6 +443,35 @@ class CampaignResult:
         )
 
 
+def ordered_map(
+    fn: Callable[[Any], Any],
+    tasks: Sequence[Any],
+    jobs: int = 1,
+    progress: Callable[[Any], None] | None = None,
+) -> list:
+    """``[fn(task) for task in tasks]``, over ``jobs`` worker processes
+    when there is more than one of each.
+
+    Results come back in task order regardless of worker scheduling —
+    that is what makes ``--jobs N`` aggregate byte-identically to the
+    serial run — and ``progress`` sees each one as it arrives.  ``fn``
+    must be module-level so the pool can pickle it by reference.
+    """
+
+    def drain(stream: Iterable[Any]) -> list:
+        results = []
+        for result in stream:
+            results.append(result)
+            if progress is not None:
+                progress(result)
+        return results
+
+    if jobs <= 1 or len(tasks) <= 1:
+        return drain(map(fn, tasks))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return drain(pool.map(fn, tasks, chunksize=1))
+
+
 def _run_task(task: tuple[FaultPlan, str | None]) -> PlanOutcome:
     """Worker entry point (module-level so the pool can pickle it)."""
     plan, peer_ref = task
@@ -479,27 +487,13 @@ def run_campaign(
 ) -> CampaignResult:
     """Run every plan, optionally across ``jobs`` worker processes.
 
-    Outcomes come back in plan order regardless of worker scheduling,
-    so serial and parallel campaigns aggregate byte-identically; the
+    Outcomes come back in plan order (:func:`ordered_map`); the
     mutant peer travels as a ``module:Class`` reference because classes
     resolve fine by name in a fresh worker but test-local subclasses do
     not always pickle by value.
     """
     tasks = [(plan, peer_ref) for plan in plans]
-    result = CampaignResult()
-    if jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            outcome = _run_task(task)
-            result.outcomes.append(outcome)
-            if progress is not None:
-                progress(outcome)
-        return result
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for outcome in pool.map(_run_task, tasks, chunksize=1):
-            result.outcomes.append(outcome)
-            if progress is not None:
-                progress(outcome)
-    return result
+    return CampaignResult(outcomes=ordered_map(_run_task, tasks, jobs, progress))
 
 
 # -- repair vs failover comparison --------------------------------------------
@@ -637,25 +631,12 @@ def run_comparison_campaign(
 ) -> ComparisonResult:
     """Run every plan down both paths, optionally across processes.
 
-    Same ordered-map pooling as :func:`run_campaign`: comparisons come
-    back in plan order, so serial and ``--jobs N`` aggregate
-    byte-identically.
+    Same :func:`ordered_map` pooling as :func:`run_campaign`.
     """
     tasks = [(plan, peer_ref, stale_backup) for plan in plans]
-    result = ComparisonResult()
-    if jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            comparison = _run_comparison_task(task)
-            result.comparisons.append(comparison)
-            if progress is not None:
-                progress(comparison)
-        return result
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for comparison in pool.map(_run_comparison_task, tasks, chunksize=1):
-            result.comparisons.append(comparison)
-            if progress is not None:
-                progress(comparison)
-    return result
+    return ComparisonResult(
+        comparisons=ordered_map(_run_comparison_task, tasks, jobs, progress)
+    )
 
 
 def generate_campaign(

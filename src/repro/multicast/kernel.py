@@ -255,10 +255,9 @@ class FlatTree:
 
 # -- per-overlay kernel state ------------------------------------------------
 
-#: Members per chunk of the streaming CSR/fanout builders: identifier
-#: and capacity columns are prefetched chunk-wise into plain lists, so
-#: the inner loops index native ints even when the snapshot's columns
-#: are memoryview casts over a shared-memory buffer.
+#: Members per chunk of the streaming CSR/fanout builders: the
+#: snapshot's identifier and capacity ``array`` columns are prefetched
+#: chunk-wise into plain lists, so the inner loops index native ints.
 _CHUNK = 8192
 
 

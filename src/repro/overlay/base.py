@@ -64,13 +64,6 @@ def _node_columns(nodes: Iterable[Node]) -> tuple[list, list, list, list]:
     )
 
 
-def _compact(typecode: str, column: Sequence) -> Sequence:
-    """A column as the snapshot stores it: a ``memoryview`` is a window
-    onto memory its owner manages (a shared-memory member buffer) and is
-    kept as it is; anything else is copied into a flat ``array``."""
-    return column if isinstance(column, memoryview) else array(typecode, column)
-
-
 class RingSnapshot:
     """An immutable membership view with O(log n) identifier resolution.
 
@@ -102,9 +95,8 @@ class RingSnapshot:
 
         Rejects exactly what the :class:`Node` path rejects.  Omitted
         ``bandwidths`` are 0.0 and omitted ``names`` are ``""``, like
-        the :class:`Node` defaults.  ``memoryview`` columns already in
-        ring order (a :class:`~repro.membership.MemberBuffer` over
-        shared memory) are kept zero-copy.
+        the :class:`Node` defaults.  Every column is copied into the
+        snapshot's own flat ``array``, whatever sequence type came in.
         """
         snapshot = cls.__new__(cls)
         snapshot._set_columns(space, idents, capacities, bandwidths, names)
@@ -148,9 +140,9 @@ class RingSnapshot:
         if min(bandwidths) < 0:
             raise ValueError(f"bandwidth must be >= 0, got {min(bandwidths)}")
         self._space = space
-        self._idents = _compact("Q", idents)
-        self._capacities = _compact("q", capacities)
-        self._bandwidths = _compact("d", bandwidths)
+        self._idents = array("Q", idents)
+        self._capacities = array("q", capacities)
+        self._bandwidths = array("d", bandwidths)
         self._names = tuple(names)
         self._nodes: tuple[Node, ...] | None = None
         self._ring_index: RingIndex | None = None

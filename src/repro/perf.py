@@ -13,7 +13,8 @@ cheap enough to leave permanently enabled (the kernel adds to them
 once per tree, not once per probe).  Parallel workers each
 own a fork of the counter state; the engine snapshots around every
 task and ships the *delta* back with the task result, so per-figure
-totals add up correctly across processes.
+totals add up correctly across processes; each worker's
+:func:`peak_rss` rides back beside it.
 """
 
 from __future__ import annotations
@@ -55,15 +56,6 @@ class PerfCounters:
     overlay), and ``wavefront_commits`` batched wavefront events
     executed — each one commits a contiguous run of deliveries that
     would otherwise each be an engine event of its own.
-
-    The ``shm_*`` counters track shared-memory membership buffers
-    (:mod:`repro.membership`): segments created/unlinked by the parent
-    (``shm_creates`` / ``shm_detaches``), zero-copy attaches performed
-    by workers (``shm_attaches`` — each worker attaches a published
-    buffer at most once, inside a task's delta window, so pool-summed
-    deltas count every attach exactly once), and ``shm_fallbacks``
-    buffers that fell back to carrying their arrays by value because
-    shared memory was unavailable or disabled.
     """
 
     resolves: int = 0
@@ -82,10 +74,6 @@ class PerfCounters:
     group_cache_misses: int = 0
     draw_cache_hits: int = 0
     draw_cache_misses: int = 0
-    shm_creates: int = 0
-    shm_attaches: int = 0
-    shm_detaches: int = 0
-    shm_fallbacks: int = 0
 
     def __add__(self, other: "PerfCounters") -> "PerfCounters":
         return PerfCounters(
@@ -115,9 +103,7 @@ class PerfCounters:
             f"draw {self.draw_cache_hits}h/{self.draw_cache_misses}m "
             f"sched {self.schedule_cache_hits}h/{self.schedule_cache_misses}m/"
             f"{self.schedule_cache_invalidations}i] "
-            f"wavefronts={self.wavefront_commits} "
-            f"shm[{self.shm_creates}c/{self.shm_attaches}a/"
-            f"{self.shm_detaches}d/{self.shm_fallbacks}f]"
+            f"wavefronts={self.wavefront_commits}"
         )
 
 

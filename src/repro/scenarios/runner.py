@@ -21,9 +21,9 @@ spread, verdict.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
+from repro.faults.campaign import ordered_map
 from repro.faults.plan import FaultPlan
 from repro.faults.shrink import shrink_plan
 from repro.scenarios.compile import (
@@ -54,20 +54,7 @@ def run_matrix(
     progress: Callable[[CellOutcome], None] | None = None,
 ) -> list[CellOutcome]:
     """Execute every cell, optionally across ``jobs`` workers."""
-    outcomes: list[CellOutcome] = []
-    if jobs <= 1 or len(cells) <= 1:
-        for cell in cells:
-            outcome = run_cell(cell)
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(outcome)
-        return outcomes
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for outcome in pool.map(run_cell, cells, chunksize=1):
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(outcome)
-    return outcomes
+    return ordered_map(run_cell, cells, jobs, progress)
 
 
 def shrink_cell(

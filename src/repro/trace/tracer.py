@@ -26,6 +26,7 @@ re-sequences them deterministically (see :mod:`repro.trace.registry`).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Any, Iterable, Iterator, NamedTuple
 
 
@@ -145,16 +146,23 @@ class Tracer:
         """Events appended after ``mark`` was taken."""
         return tuple(self._events[mark:])
 
-    def truncate(self, mark: int) -> None:
-        """Drop every event appended after ``mark`` was taken.
+    @contextmanager
+    def capture(self) -> Iterator[int]:
+        """Record for the length of a block, then leave the tracer as
+        it was found — flag and buffer — even when the block raises.
 
-        The scoped-capture pattern: a harness that enables the tracer
-        only for its own measurement (``mark`` → enable → capture via
-        :meth:`events_since` → disable → ``truncate(mark)``) leaves the
-        buffer exactly as it found it, so back-to-back captures in one
-        process do not accumulate events.
+        Yields the mark to read the block's events from
+        (:meth:`events_since`) before it ends; back-to-back captures in
+        one process neither accumulate events nor leave tracing on.
         """
-        del self._events[mark:]
+        mark = len(self._events)
+        was_enabled = self.enabled
+        self.enabled = True
+        try:
+            yield mark
+        finally:
+            self.enabled = was_enabled
+            del self._events[mark:]
 
 
 #: The one tracer every instrumentation point checks.

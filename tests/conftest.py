@@ -29,12 +29,6 @@ def make_snapshot(
     return RingSnapshot(IdentifierSpace(bits), nodes)
 
 
-def no_shared_memory(*args, **kwargs):
-    """Stand-in for ``MemberBuffer._create_shared`` on a host without a
-    usable ``/dev/shm``: the real trigger of the by-value fallback."""
-    raise OSError("no usable /dev/shm")
-
-
 def random_snapshot(
     bits: int,
     count: int,

@@ -325,14 +325,9 @@ def test_failover_traces_one_event_per_graft():
     record = orphan_record(tree, descriptor, capacities, plan, victim)
     quiet = apply_failover(record, plan, descriptor, FailoverTiming())
 
-    mark = TRACER.mark()
-    TRACER.enable(reset=False)
-    try:
+    with TRACER.capture() as mark:
         traced = apply_failover(record, plan, descriptor, FailoverTiming())
         events = TRACER.events_since(mark)
-    finally:
-        TRACER.disable()
-        TRACER.truncate(mark)
 
     assert traced == quiet and quiet.grafts
     assert not validate_events(events)

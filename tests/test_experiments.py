@@ -29,10 +29,7 @@ class TestCommon:
     def test_resolve_scale_by_name(self):
         assert resolve_scale("quick").name == "quick"
         assert resolve_scale("paper").group_size == 100_000
-
-    def test_resolve_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "quick")
-        assert resolve_scale().name == "quick"
+        assert resolve_scale().name == "default"  # no --scale given
 
     def test_resolve_scale_unknown(self):
         with pytest.raises(ValueError, match="unknown scale"):
@@ -131,8 +128,7 @@ class TestRunnerCli:
         for name in registry.REGISTRY:
             assert callable(registry.load(name).run), name
 
-    def test_single_run_prints_and_writes(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "quick")
+    def test_single_run_prints_and_writes(self, tmp_path, capsys):
         # run the cheapest experiment at quick scale via the CLI
         code = main(["extB", "--scale", "quick", "--out", str(tmp_path)])
         assert code == 0

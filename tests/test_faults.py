@@ -29,7 +29,7 @@ from repro.faults import (
     shrink_plan,
     timeout_storm,
 )
-from repro.faults.campaign import CampaignResult
+from repro.faults.campaign import CampaignResult, ordered_map
 from repro.faults.plan import ACTIONS, load_plan
 from repro.systems import get_system, system_names
 from tests.conftest import assert_plan_deterministic
@@ -154,6 +154,16 @@ def test_campaign_serial_matches_parallel():
         o.delivery_ratios for o in parallel.outcomes
     ]
     assert serial.summary() == parallel.summary()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ordered_map_keeps_task_order_and_reports_progress(jobs):
+    """The one pooled loop behind every campaign and matrix runner."""
+    tasks = [9, 4, 7, 1]
+    seen: list[int] = []
+    assert ordered_map(abs, [-task for task in tasks], jobs, seen.append) == tasks
+    assert seen == tasks
+    assert ordered_map(abs, [], jobs) == []
 
 
 # -- empty-run aggregation guards (NaN regression) ----------------------------

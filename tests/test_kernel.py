@@ -11,6 +11,7 @@ memberships, capacities and sources.
 
 from __future__ import annotations
 
+import gc
 from random import Random
 
 import pytest
@@ -18,10 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import perf
+from repro.idspace.ring import IdentifierSpace
 from repro.metrics.tree_stats import summarize_tree
+from repro.multicast import kernel
 from repro.multicast.cam_chord import reference_multicast
 from repro.multicast.cam_koorde import flood_multicast
 from repro.multicast.kernel import FlatTree, flood_tree, region_split_tree
+from repro.overlay.base import build_snapshot
 from repro.overlay.cam_chord import CamChordOverlay
 from repro.overlay.cam_koorde import CamKoordeOverlay
 from repro.overlay.chord import ChordOverlay
@@ -186,3 +190,39 @@ def test_kernel_path_to_source_and_delivery_queries():
         assert flat.path_to_source(ident) == reference.path_to_source(ident)
     assert not flat.was_delivered(7)  # never a member
     flat.verify_exactly_once(set(idents))
+
+
+class TestKernelStateCache:
+    """Per-overlay kernel state: memoized, bounded, dropped with its overlay."""
+
+    @staticmethod
+    def _overlay(count: int, seed: int) -> CamChordOverlay:
+        return CamChordOverlay(
+            build_snapshot(IdentifierSpace(12), [4] * count, rng=Random(seed))
+        )
+
+    def test_state_reused_for_same_overlay(self):
+        overlay = self._overlay(30, seed=0)
+        state = kernel._split_state(overlay)
+        assert kernel._split_state(overlay) is state
+
+    def test_capacity_eviction_counts(self):
+        overlays = [
+            self._overlay(20, seed) for seed in range(kernel._STATE_CAPACITY + 2)
+        ]
+        before = perf.snapshot()
+        for overlay in overlays:
+            kernel._split_state(overlay)
+        delta = perf.since(before)
+        assert delta.kernel_state_evictions >= 2
+        assert len(kernel._SPLIT_STATES) <= kernel._STATE_CAPACITY
+
+    def test_dead_overlay_entry_dropped_without_eviction(self):
+        overlay = self._overlay(20, seed=99)
+        kernel._split_state(overlay)
+        population = len(kernel._SPLIT_STATES)
+        before = perf.snapshot()
+        del overlay
+        gc.collect()
+        assert len(kernel._SPLIT_STATES) == population - 1
+        assert perf.since(before).kernel_state_evictions == 0

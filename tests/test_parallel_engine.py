@@ -3,11 +3,16 @@
 The headline guarantee is byte-for-byte equivalence: ``--jobs N`` must
 produce exactly the serial output, because a sweep-decomposed ``run()``
 *is* ``assemble(scale, seed, [run_point(...) for point in sweep])`` and
-every point draws from its own RNG stream.
+every point draws from its own RNG stream — and because members reach
+a worker as a frozen request it rebuilds, never as bytes.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -17,16 +22,35 @@ from repro.capacity.distributions import UniformBandwidth, UniformCapacity
 from repro.experiments import registry
 from repro.experiments.common import (
     SCALES,
+    BandwidthMembers,
+    CapacityMembers,
+    ExperimentScale,
     bandwidth_draws,
+    bandwidth_group,
+    bandwidth_members,
     capacity_group,
     clear_caches,
+    members_snapshot,
     point_rng,
 )
 from repro.experiments.parallel import Task, plan_tasks, run_experiments
 from repro.experiments.runner import main
 from repro.multicast.session import SystemKind
+from repro.workloads.groups import GroupSpec
+from tests.golden.sim_order import SRC
 
 QUICK = SCALES["quick"]
+TINY = ExperimentScale("tiny", 400, 2, 20, space_bits=12)
+
+
+def run_child(script: str, stdin: bytes = b"") -> bytes:
+    """Run ``script`` in a fresh interpreter; its raw stdout."""
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        input=stdin, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, check=True,
+    )
+    return done.stdout
 
 
 class TestPointRng:
@@ -90,11 +114,96 @@ class TestParallelEquivalence:
         for one, other in zip(serial, fanned):
             assert one.result.render() == other.result.render()
 
+    @pytest.mark.parametrize("figure", ["fig6", "fig7"])
+    def test_rebuilt_members_match_serial(self, figure):
+        clear_caches()
+        serial = run_experiments([figure], TINY, seeds=[0], jobs=1)
+        clear_caches()
+        fanned = run_experiments([figure], TINY, seeds=[0], jobs=2)
+        assert serial[0].result.render() == fanned[0].result.render()
+
     def test_run_matches_engine_serial_path(self):
         """module.run() and the task-decomposed path agree exactly."""
         direct = registry.load("extC").run(QUICK, 0)
         engine = run_experiments(["extC"], QUICK, seeds=[0], jobs=1)[0].result
         assert direct.render() == engine.render()
+
+
+class TestMemberRequests:
+    """Members cross a process boundary as a frozen request only."""
+
+    CAPACITY_SPEC = GroupSpec(
+        size=50, space_bits=12, capacities=UniformCapacity(4, 10), min_capacity=4
+    )
+
+    def test_bandwidth_request_matches_group_snapshot(self):
+        clear_caches()
+        request = bandwidth_members("cam-chord", TINY, per_link_kbps=100.0, seed=3)
+        built = members_snapshot(request)
+        group = bandwidth_group("cam-chord", TINY, per_link_kbps=100.0, seed=3)
+        assert group.snapshot is built  # same cache entry, not a rebuild
+
+    def test_snapshot_shared_across_kinds_with_same_floor(self):
+        clear_caches()
+        chord = bandwidth_group("chord", TINY, per_link_kbps=100.0, seed=0)
+        koorde = bandwidth_group("koorde", TINY, per_link_kbps=100.0, seed=0)
+        # both baselines have min_capacity == 1 -> identical request
+        assert chord.snapshot is koorde.snapshot
+
+    def test_capacity_request_reproduces_generate_group(self):
+        clear_caches()
+        request = CapacityMembers(spec=self.CAPACITY_SPEC, seed=1)
+        first = members_snapshot(request)
+        assert members_snapshot(request) is first
+        assert first.identifiers == request.build().identifiers
+
+    def test_requests_are_hashable_and_picklable(self):
+        request = bandwidth_members("cam-koorde", TINY, per_link_kbps=40.0, seed=2)
+        assert isinstance(request, BandwidthMembers)
+        assert pickle.loads(pickle.dumps(request)) == request
+        assert hash(request) == hash(pickle.loads(pickle.dumps(request)))
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            bandwidth_members("cam-koorde", TINY, per_link_kbps=40.0, seed=2),
+            CapacityMembers(spec=CAPACITY_SPEC, seed=1),
+        ],
+        ids=["bandwidth", "capacity"],
+    )
+    def test_fresh_process_builds_identical_columns(self, request_):
+        """What a ``--jobs N`` worker does with a task's members: the
+        pickled request, resolved in another interpreter, yields the
+        parent's columns byte for byte."""
+        script = (
+            "import pickle, sys\n"
+            "from repro.experiments.common import members_snapshot\n"
+            "snap = members_snapshot(pickle.load(sys.stdin.buffer))\n"
+            "for column in (snap.identifiers, snap.capacities, snap.bandwidths):\n"
+            "    sys.stdout.buffer.write(column.tobytes())\n"
+        )
+        clear_caches()
+        mine = members_snapshot(request_)
+        expected = b"".join(
+            column.tobytes()
+            for column in (mine.identifiers, mine.capacities, mine.bandwidths)
+        )
+        assert len(expected) == 3 * 8 * len(mine)
+        assert run_child(script, pickle.dumps(request_)) == expected
+
+    def test_jobs_run_never_imports_shared_memory(self):
+        """No second way to move members: a fanned figure run leaves
+        ``multiprocessing.shared_memory`` unimported."""
+        script = (
+            "import sys\n"
+            "from repro.experiments.common import ExperimentScale\n"
+            "from repro.experiments.parallel import run_experiments\n"
+            "tiny = ExperimentScale('tiny', 400, 2, 20, space_bits=12)\n"
+            "runs = run_experiments(['fig6'], tiny, jobs=2)\n"
+            "assert runs[0].result.series and runs[0].peak_rss_mb\n"
+            "print('multiprocessing.shared_memory' in sys.modules)\n"
+        )
+        assert run_child(script).strip() == b"False"
 
 
 class TestCaches:
@@ -167,6 +276,15 @@ class TestPerfCounters:
         assert "trees=1" in delta.summary()
 
 
+class TestPeakRss:
+    def test_peak_rss_positive_or_absent(self):
+        rss = perf.peak_rss()
+        if rss is None:
+            pytest.skip("resource module unavailable")
+        assert rss > 0
+        assert perf.peak_rss_mb() == pytest.approx(rss / (1024 * 1024), abs=0.06)
+
+
 class TestRunnerCli:
     def test_list_flag(self, capsys):
         assert main(["--list"]) == 0
@@ -182,6 +300,22 @@ class TestRunnerCli:
         assert "# extC done: work=" in out
         assert "# total: 1 experiment(s) x 1 seed(s)" in out
         assert "(jobs=1)" in out
+
+    def test_footer_adds_worker_peak_rss_under_jobs(self, capsys):
+        """The parent of a fanned run holds no members, so the largest
+        worker peak goes beside its own; serial output is unchanged."""
+        if perf.peak_rss() is None:
+            pytest.skip("resource module unavailable")
+        assert main(["extC", "--scale", "quick"]) == 0
+        serial_out = capsys.readouterr().out
+        serial = serial_out.splitlines()[-1]
+        assert serial.startswith("# total:") and "worker_peak_rss" not in serial
+        assert "shm[" not in serial_out
+        assert main(["extC", "--scale", "quick", "--jobs", "2"]) == 0
+        fanned = capsys.readouterr().out.splitlines()[-1]
+        parent, worker = fanned.split(" peak_rss=")[1].split(" worker_peak_rss=")
+        assert parent.endswith("MB") and float(parent[:-2]) > 0
+        assert worker.endswith("MB") and float(worker[:-2]) > 0
 
     def test_jobs_rejects_zero(self, capsys):
         with pytest.raises(SystemExit):

@@ -5,16 +5,14 @@ from __future__ import annotations
 import tracemalloc
 from array import array
 from random import Random
-from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.idspace.ring import IdentifierSpace
-from repro.membership import InlineHandle, MemberBuffer, ShmHandle
 from repro.overlay.base import Node, RingSnapshot, build_snapshot
-from tests.conftest import make_snapshot, no_shared_memory
+from tests.conftest import make_snapshot
 
 
 class TestNode:
@@ -150,25 +148,6 @@ def _row(node: Node) -> tuple:
     return (node.ident, node.capacity, node.bandwidth_kbps, node.name)
 
 
-def attached_copies(snap: RingSnapshot) -> Iterator[RingSnapshot]:
-    """The snapshot as a worker sees it: attached over shared memory,
-    then through the by-value fallback handle."""
-    for handle_type in (ShmHandle, InlineHandle):
-        with pytest.MonkeyPatch.context() as patch:
-            if handle_type is InlineHandle:
-                patch.setattr(MemberBuffer, "_create_shared", no_shared_memory)
-            owner = MemberBuffer.from_snapshot(snap)
-        try:
-            assert isinstance(owner.handle(), handle_type)
-            attached = MemberBuffer.attach(owner.handle())
-            try:
-                yield attached.snapshot()
-            finally:
-                attached.destroy()
-        finally:
-            owner.destroy()
-
-
 def _answers(snap: RingSnapshot, segments, doomed, extra) -> dict:
     """Everything a snapshot can be asked, as plain comparable values."""
     size = snap.space.size
@@ -256,11 +235,6 @@ def test_every_entry_point_answers_identically(
     expected = ask(from_nodes)
     assert ask(from_columns) == expected
 
-    # a member buffer carries the three numeric columns, not the names
-    unnamed = ask(RingSnapshot.from_columns(space, idents, capacities, bandwidths))
-    for attached in attached_copies(from_nodes):
-        assert ask(attached) == unnamed
-
 
 # -- the ring index: one probe resolves, one comparison finds a leaf ----------
 
@@ -326,8 +300,6 @@ def test_ring_index_probe_and_gap_match_the_definitions(ring, data):
     extra = data.draw(st.lists(st.integers(0, space.size - 1), max_size=8))
     snap = RingSnapshot.from_columns(space, idents, [4] * len(idents))
     check_ring_index(snap, extra)
-    for attached in attached_copies(snap):
-        check_ring_index(attached, extra)
 
 
 def test_ring_index_is_linear_in_members():
@@ -366,6 +338,28 @@ def test_both_constructors_reject(case):
     for ordered in (sorted(idents), memoryview(array("q", sorted(idents)))):
         with pytest.raises(ValueError):  # the in-ring-order path checks the same
             RingSnapshot.from_columns(space, ordered, capacities, bandwidths)
+
+
+def test_from_columns_copies_a_memoryview_into_its_own_array():
+    """One column type: a window onto somebody else's memory comes out
+    as the snapshot's own flat ``array``, so the owner may change or
+    release the buffer afterwards."""
+    backing = array("Q", [3, 9, 20])
+    window = memoryview(backing)
+    snap = RingSnapshot.from_columns(
+        IdentifierSpace(5),
+        window,
+        memoryview(array("q", [2, 4, 6])),
+        memoryview(array("d", [1.0, 2.0, 3.0])),
+    )
+    for column, typecode in zip(
+        (snap.identifiers, snap.capacities, snap.bandwidths), "Qqd"
+    ):
+        assert type(column) is array and column.typecode == typecode
+    backing[0] = 4
+    window.release()
+    assert list(snap.identifiers) == [3, 9, 20]
+    assert snap.ring_index.probe(4) == 1
 
 
 @pytest.mark.parametrize("column", ["capacities", "bandwidths", "names"])

@@ -84,6 +84,20 @@ class TestTracer:
         delta = tracer.events_since(mark)
         assert [event.name for event in delta] == ["sim.exit"]
 
+    def test_capture_leaves_the_tracer_as_found(self):
+        tracer = Tracer()
+        tracer.enable()
+        tracer.emit(0.0, "sim", "spawn", pid=1)
+        for was_enabled in (True, False):
+            tracer.enabled = was_enabled
+            with pytest.raises(RuntimeError), tracer.capture() as mark:
+                assert tracer.enabled and mark == 1
+                tracer.emit(1.0, "sim", "exit", pid=1)
+                assert [e.name for e in tracer.events_since(mark)] == ["sim.exit"]
+                raise RuntimeError("the block failing must not leak state")
+            assert tracer.enabled is was_enabled
+            assert [event.name for event in tracer.events()] == ["sim.spawn"]
+
     def test_absorb_resequences(self):
         tracer = Tracer()
         tracer.enable()
@@ -273,14 +287,40 @@ class TestSerialParallelEquivalence:
         fanned_path = tmp_path / "fanned.jsonl"
         base = ["fig9", "--scale", "bench", "--trace"]
         assert experiments_main(base + [str(serial_path)]) == 0
-        TRACER.disable()
-        TRACER.clear()
         assert experiments_main(base + [str(fanned_path), "--jobs", "4"]) == 0
         serial_events = export.read_jsonl(serial_path)
         fanned_events = export.read_jsonl(fanned_path)
         assert serial_events == fanned_events
         assert serial_events, "expected the figure run to emit trace events"
         assert serial_path.read_bytes() == fanned_path.read_bytes()
+
+
+class TestTraceFlagIsScoped:
+    """Regression: ``--trace`` used to switch the process-global tracer
+    on and leave it on, so a later untraced ``main()`` in the same
+    interpreter kept recording into a buffer nobody read."""
+
+    CHURN = ["--system", "cam-chord", "--duration", "10", "--size", "12"]
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (experiments_main, ["fig9", "--scale", "bench"]),
+            (churn_main, CHURN),
+        ],
+        ids=["experiments", "churn"],
+    )
+    def test_traced_then_untraced_run(self, main, argv, tmp_path):
+        TRACER.enable()
+        TRACER.emit(0.0, "sim", "spawn", pid=7)  # somebody else's event
+        TRACER.disable()
+        path = tmp_path / "run.jsonl"
+        assert main([*argv, "--trace", str(path)]) == 0
+        written = export.read_jsonl(path)
+        assert written and [event.seq for event in written] == list(range(len(written)))
+        assert main(argv) == 0
+        assert not TRACER.enabled
+        assert [event.name for event in TRACER.events()] == ["sim.spawn"]
 
 
 class TestCli:
