@@ -162,32 +162,6 @@ class FlatTree:
         counts = self.child_count
         return Counter({idents[index]: counts[index] for index in self.order})
 
-    def forward_steps(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The tree's forwarding schedule as ``(parent ident, child
-        idents)`` pairs — the template the service plane's epoch cache
-        freezes once per (membership epoch, source).
-
-        Parents appear in the order their first child is delivered and
-        each child tuple is in delivery order, which is exactly the
-        adjacency (and its iteration order) a consumer would get by
-        grouping the materialized :attr:`parent` dict — so a schedule
-        replayed from these steps issues its per-edge work in the same
-        sequence a per-edge walk of the object view would.
-        """
-        perf.COUNTERS.array_passes += 1
-        idents = self.snapshot.identifiers
-        parent_index = self.parent_index
-        kids: dict[int, list[int]] = {}
-        for index in self.order:
-            parent = parent_index[index]
-            if parent == index or parent == UNREACHED:
-                continue
-            kids.setdefault(parent, []).append(index)
-        return tuple(
-            (idents[parent], tuple(idents[child] for child in children))
-            for parent, children in kids.items()
-        )
-
     def internal_nodes(self) -> list[int]:
         """Identifiers of nodes with at least one child."""
         perf.COUNTERS.array_passes += 1

@@ -38,28 +38,31 @@ workload produces byte-identical reports.
 
 **One send path: the epoch-cached schedule template.**  Between two
 membership events a group's overlay is frozen, so every send from one
-source walks the *same* tree with the *same* per-hop serialize/latency
-terms.  Per (group, membership epoch) the plane keeps a schedule
-context, and per source inside it a :class:`_SendTemplate` — the frozen
-adjacency with latencies and uplink bandwidths precomputed; a first
-send from a source is simply the send that builds its template.  Every
-send is played from its template: deliveries sit in a plane-level
-pending heap that a single *wavefront* event drains in batches
-(:meth:`ServicePlane._pump`), falling back to one delivery per engine
-event exactly where a foreign event — a membership change, a scheduled
-send, a bounded ``run(until)`` — interleaves.  The specification of
-that order is "one engine event per delivery, ties by insertion": the
-walker that implemented it literally was deleted once the template
-path had been proven byte-identical to it, and its receipts, audits,
-``mc.*`` traces and reports live on as the golden digests in
-``tests/golden/plane_observables.json`` (see that package's module
-docstring for where they came from and how to regenerate them).
+source walks the *same* tree with the *same* per-hop terms, and every
+member keeps its *row* — its position on the ring, the index
+:class:`~repro.multicast.kernel.FlatTree` speaks.  The row is the only
+key on the delivery path.  Per (group, membership epoch) the plane
+keeps three columns (host name, uplink bandwidth, open ledger cursor)
+and per source inside it a :class:`_SendTemplate`: the tree and, per
+row, its children with their hop latencies; a first send from a source
+is simply the send that builds its template.  Deliveries sit in a
+plane-level pending heap that a single *wavefront* event commits in
+one loop (:meth:`ServicePlane._pump`), a forwarding node taking all its
+children's uplink slots in one run reservation; the loop stops exactly
+where a foreign event — a membership change, a scheduled send, a
+completion it scheduled itself, a bounded ``run(until)`` —
+interleaves.  The specification of that order is "one engine event per
+delivery, ties by insertion": the walker that implemented it literally
+is gone, and its receipts, audits, ``mc.*`` traces and reports live on
+as the golden digests in ``tests/golden/plane_observables.json`` (that
+module's docstring says where each came from and how to regenerate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from math import inf
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
@@ -78,12 +81,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
 
 #: per-hop one-way latency in seconds: (parent_host, child_host) -> s
 HostLatency = Callable[[str, str], float]
+#: one node's children, in delivery order: (child row, hop latency)
+_Kids = tuple[tuple[int, float], ...]
 
 
 # -- sequencing -------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _Cursor:
     """One member's delivery obligations and progress in one group."""
 
@@ -92,9 +97,32 @@ class _Cursor:
     contiguous: int = 0  # highest n with first..n all delivered
     ahead: set[int] = field(default_factory=set)  # delivered out of order
     dups: int = 0
+    unexpected: int = 0  # deliveries outside first..last
 
     def __post_init__(self) -> None:
         self.contiguous = self.first - 1
+
+    def record(self, seq: int) -> str:
+        """Account one delivery; returns ``"ok"``, ``"dup"`` or
+        ``"unexpected"`` (outside this stint's obligations)."""
+        last = self.last
+        if seq < self.first or (last is not None and seq > last):
+            self.unexpected += 1
+            return "unexpected"
+        contiguous = self.contiguous
+        if seq <= contiguous or seq in self.ahead:
+            self.dups += 1
+            return "dup"
+        if seq != contiguous + 1:
+            self.ahead.add(seq)
+            return "ok"
+        # the next one in line: advance through whatever ran ahead
+        ahead = self.ahead
+        while seq + 1 in ahead:
+            seq += 1
+            ahead.remove(seq)
+        self.contiguous = seq
+        return "ok"
 
 
 @dataclass(frozen=True)
@@ -169,29 +197,19 @@ class SequenceLedger:
     def record(self, member: str, seq: int) -> str:
         """Account one delivery; returns ``"ok"``, ``"dup"`` or
         ``"unexpected"`` (delivery outside the member's obligations).
-        Stint ranges never overlap, so at most one cursor matches."""
-        cursor = None
+        Stint ranges never overlap and start in increasing order, so
+        only the latest stint begun by ``seq`` can be obligated."""
         for stint in reversed(self._cursors.get(member, ())):
-            if seq >= stint.first and (
-                stint.last is None or seq <= stint.last
-            ):
-                cursor = stint
-                break
-        if cursor is None:
-            self._unexpected += 1
-            return "unexpected"
-        if seq <= cursor.contiguous or seq in cursor.ahead:
-            cursor.dups += 1
-            return "dup"
-        cursor.ahead.add(seq)
-        while cursor.contiguous + 1 in cursor.ahead:
-            cursor.contiguous += 1
-            cursor.ahead.remove(cursor.contiguous)
-        return "ok"
+            if seq >= stint.first:
+                return stint.record(seq)
+        self._unexpected += 1
+        return "unexpected"
 
-    def members(self) -> list[str]:
-        """Every tracked member, active and retired."""
-        return list(self._cursors)
+    def active_cursors(self, members: Iterable[str]) -> list[_Cursor]:
+        """Each member's open stint, in ``members`` order — the same
+        objects until the member's next leave and rejoin."""
+        cursors = self._cursors
+        return [cursors[member][-1] for member in members]
 
     def retire_all(self) -> None:
         """Freeze every still-active cursor (group teardown)."""
@@ -203,6 +221,7 @@ class SequenceLedger:
         """Gaps/dups across all cursors against their obligations."""
         gaps: dict[str, tuple[int, ...]] = {}
         dups = 0
+        unexpected = self._unexpected  # deliveries before any stint
         for member, stints in sorted(self._cursors.items()):
             missing: list[int] = []
             for cursor in stints:
@@ -213,9 +232,10 @@ class SequenceLedger:
                     if seq not in cursor.ahead
                 )
                 dups += cursor.dups
+                unexpected += cursor.unexpected
             if missing:
                 gaps[member] = tuple(missing)
-        return SequenceAudit(gaps=gaps, dups=dups, unexpected=self._unexpected)
+        return SequenceAudit(gaps=gaps, dups=dups, unexpected=unexpected)
 
 
 # -- send bookkeeping -------------------------------------------------------
@@ -285,39 +305,42 @@ class _EpochSchedule:
     Valid exactly while :meth:`MulticastService.membership_epoch` still
     returns ``epoch`` — join/leave/drop bump the epoch and the plane
     discards the context (counted as schedule-cache invalidations).
-    The trace lists are shared across the epoch's sends: every
-    ``mc.origin`` carries the same frozen membership, so one object
-    serves them all.
+    The columns are indexed by snapshot row (a member's position on the
+    ring, the index :class:`FlatTree` uses): ``hosts`` beside
+    ``trace_members`` is the epoch's one identifier <-> host mapping,
+    and ``cursors`` holds each member's open ledger stint, which only
+    a leave or a drop — an epoch bump — can close.  The trace lists are
+    shared across the epoch's sends: every ``mc.origin`` carries the
+    same frozen membership, so one object serves them all.
     """
 
     epoch: int
-    member_names: tuple[str, ...]
-    name_to_ident: dict[str, int]
-    host_of: dict[int, str]
+    member_names: tuple[str, ...]  # join order: what a receipt freezes
+    hosts: Sequence[str]
+    bandwidths: Sequence[float]
+    cursors: list[_Cursor]
     system_name: str
     space_bits: int
     trace_members: list[int]
     trace_capacities: list[list[float]]
-    templates: dict[int, _SendTemplate] = field(default_factory=dict)
+    templates: dict[str, _SendTemplate] = field(default_factory=dict)
 
 
 @dataclass(slots=True, eq=False)
 class _SendTemplate:
     """One source's frozen dissemination schedule within an epoch.
 
-    ``children_of`` pairs each child with its precomputed hop latency;
-    ``bandwidth_of`` holds the internal nodes' uplink rates, read once
-    from ``service.hosts`` so a forward costs no registry lookup.  The
-    charges tuple preserves :meth:`children_counts` iteration order so
+    ``kids[row]`` pairs each child row of ``row`` with its precomputed
+    hop latency, in delivery order (empty for a leaf).  ``charges``
+    lists the forwarding hosts in delivery order, the order
+    :meth:`FlatTree.children_counts` iterates in, so
     :meth:`MulticastService.charge` accumulates the forwarding ledger
     in the same float order the synchronous
     :meth:`MulticastService.multicast` does.
     """
 
     tree: FlatTree
-    children_of: dict[int, tuple[tuple[int, float], ...]]
-    bandwidth_of: dict[int, float]
-    depth: dict[int, int]
+    kids: list[_Kids]
     charges: tuple[tuple[str, int], ...]
 
 
@@ -325,21 +348,24 @@ class _SendTemplate:
 class _SendState:
     """Per-send progress of one template-driven dissemination.
 
-    Holds the ledger and stats of the group *incarnation* the send was
-    originated under: a name dropped and recreated mid-flight gets a
-    fresh ledger, and this send's deliveries must keep landing in the
-    old one.
+    Holds the row columns of the epoch and the stats of the group
+    *incarnation* the send was originated under: a member that leaves
+    and rejoins, or a name dropped and recreated mid-flight, gets fresh
+    cursors, and this send's deliveries must keep landing in the old.
     """
 
     receipt: SendReceipt
-    template: _SendTemplate
-    host_of: dict[int, str]
-    ledger: SequenceLedger
+    kids: list[_Kids]
+    hosts: Sequence[str]
+    bandwidths: Sequence[float]
+    cursors: list[_Cursor]
+    idents: list[int]  # read only when tracing, like ``depths``
+    depths: Sequence[int]
     stats: GroupStats
     remaining: int  # frozen members still to deliver to
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupStats:
     """Per-group counters the plane reports."""
 
@@ -593,8 +619,7 @@ class ServicePlane:
                 group_name, source_host, message_kbits
             )
             self.service.charge(template.charges, message_kbits)
-            ledger = group.ledger
-            seq = ledger.issue()
+            seq = group.ledger.issue()
             mid = self._next_mid
             self._next_mid += 1
             stats = group.stats
@@ -611,11 +636,14 @@ class ServicePlane:
                 members=context.member_names,
             )
             self._receipts.append(receipt)
+            tree = template.tree
             state = _SendState(
-                receipt, template, context.host_of, ledger, stats,
+                receipt, template.kids,
+                context.hosts, context.bandwidths, context.cursors,
+                context.trace_members, tree.depth_array, stats,
                 remaining=len(context.member_names) - 1,  # not the source
             )
-            source_ident = template.tree.source_ident
+            source_ident = tree.source_ident
             if TRACER.enabled:
                 TRACER.emit(
                     self.now, "mc", "origin",
@@ -633,11 +661,14 @@ class ServicePlane:
                     mid=mid, ident=source_ident, depth=0, parent=None,
                     group=group_name, seq=seq,
                 )
-            ledger.record(source_host, seq)
+            source_row = tree.order[0]
+            context.cursors[source_row].record(seq)
             if state.remaining == 0:
                 receipt.completion.resolve(receipt)
             else:
-                self._reserve_children(state, source_ident, self.now)
+                self._forward(
+                    state, source_row, template.kids[source_row], self.now
+                )
                 self._arm_wavefront()
             return receipt
 
@@ -671,21 +702,17 @@ class ServicePlane:
         group's live incarnation, its current-epoch schedule context
         and the source's template, built on first use in the epoch."""
         group = self._live(group_name)
-        if message_kbits <= 0:
-            raise ValueError(
-                f"message size must be positive, got {message_kbits}"
-            )
+        if not 0 < message_kbits < inf:
+            raise ValueError(f"message size must be finite and > 0, got {message_kbits}")
         context = self._epoch_context(group_name, group)
-        source_ident = context.name_to_ident.get(source_host)
-        if source_ident is None:
-            raise KeyError(
-                f"host {source_host!r} is not a member of {group_name!r}"
-            )
-        template = context.templates.get(source_ident)
+        template = context.templates.get(source_host)
         if template is None:
+            # raises for a host outside the group, before anything counts
+            source_ident = self.service.member_ident(group_name, source_host)
             perf.COUNTERS.schedule_cache_misses += 1
-            template = self._build_template(context, group_name, source_ident)
-            context.templates[source_ident] = template
+            template = context.templates[source_host] = self._build_template(
+                context, group_name, source_ident
+            )
         else:
             perf.COUNTERS.schedule_cache_hits += 1
             if TRACER.enabled:
@@ -694,7 +721,8 @@ class ServicePlane:
                 # the traced stream does not depend on what was cached
                 TRACER.emit(
                     0.0, "mc", "tree",
-                    source=source_ident, edges=template.tree.messages_sent,
+                    source=template.tree.source_ident,
+                    edges=template.tree.messages_sent,
                 )
         return group, context, template
 
@@ -711,18 +739,15 @@ class ServicePlane:
                 context.templates
             )
         overlay = self.service.group(group_name)
-        members = {
-            name: self.service.member_ident(group_name, name)
-            for name in self.service.members_of(group_name)
-        }
-        host_of = {ident: name for name, ident in members.items()}
         snapshot = overlay.snapshot
+        hosts = snapshot.names
         idents = list(snapshot.identifiers)
         context = group.context = _EpochSchedule(
             epoch=epoch,
-            member_names=tuple(members),
-            name_to_ident=members,
-            host_of=host_of,
+            member_names=tuple(self.service.members_of(group_name)),
+            hosts=hosts,
+            bandwidths=snapshot.bandwidths,
+            cursors=group.ledger.active_cursors(hosts),
             system_name=overlay.system.name,
             space_bits=snapshot.space.bits,
             trace_members=idents,
@@ -738,55 +763,45 @@ class ServicePlane:
         """Extract the source's tree once and freeze its schedule."""
         overlay = self.service.group(group_name)
         tree = overlay.multicast_from(overlay.snapshot.node_at(source_ident))
-        host_of = context.host_of
-        bandwidths = self.service.hosts
-        children_of: dict[int, tuple[tuple[int, float], ...]] = {}
-        bandwidth_of: dict[int, float] = {}
-        for parent, kids in tree.forward_steps():
-            host = host_of[parent]
-            bandwidth_of[parent] = bandwidths[host]
-            children_of[parent] = tuple(
-                (child, self._latency(host, host_of[child])) for child in kids
-            )
+        hosts = context.hosts
+        latency = self._latency
+        parent_index = tree.parent_index
+        kids: list[_Kids] = [()] * len(hosts)
+        for row in tree.order:
+            parent = parent_index[row]
+            if parent != row:  # the source is its own parent
+                hop = (row, latency(hosts[parent], hosts[row]))
+                kids[parent] = (*kids[parent], hop)
+        child_count = tree.child_count
         charges = tuple(
-            (host_of[ident], count)
-            for ident, count in tree.children_counts().items()
-            if count
+            (hosts[row], child_count[row])
+            for row in tree.order
+            if child_count[row]
         )
-        return _SendTemplate(
-            tree=tree,
-            children_of=children_of,
-            bandwidth_of=bandwidth_of,
-            depth=dict(tree.depth),
-            charges=charges,
-        )
+        return _SendTemplate(tree=tree, kids=kids, charges=charges)
 
-    def _reserve_children(
-        self, state: _SendState, ident: int, now: float
+    def _forward(
+        self, state: _SendState, row: int, kids: _Kids, now: float
     ) -> None:
-        """Node ``ident`` holds the full message at ``now``: reserve one
-        uplink slot per child on its host's shared budget, in template
-        order, and queue the arrivals on the pending heap."""
-        template = state.template
-        kids = template.children_of.get(ident)
-        if not kids:
-            return
-        host = state.host_of[ident]
-        serialize = state.receipt.message_kbits / template.bandwidth_of[ident]
+        """The node at ``row`` holds the full message at ``now``: take
+        one run of uplink slots on its host's shared budget, a slot per
+        child in template order, and queue the arrivals."""
+        count = len(kids)
+        serialize = state.receipt.message_kbits / state.bandwidths[row]
+        _, dones, deferred = self.budget.reserve_run(
+            state.hosts[row], now, serialize, count
+        )
         stats = state.stats
-        reserve = self.budget.reserve
+        stats.deferrals += deferred
+        stats.queue_depth += count
+        if stats.queue_depth > stats.max_queue_depth:
+            stats.max_queue_depth = stats.queue_depth
         pending = self._pending
-        for child, latency in kids:
-            start, done = reserve(host, now, serialize)
-            if start > now:
-                stats.deferrals += 1
-            stats.queue_depth += 1
-            if stats.queue_depth > stats.max_queue_depth:
-                stats.max_queue_depth = stats.queue_depth
-            heappush(
-                pending, (done + latency, self._pending_seq, state, child, ident)
-            )
-            self._pending_seq += 1
+        seq = self._pending_seq
+        self._pending_seq = seq + count
+        for (child, latency), done in zip(kids, dones):
+            heappush(pending, (done + latency, seq, state, child, row))
+            seq += 1
 
     def _arm_wavefront(self) -> None:
         """Keep exactly one engine event — at the earliest pending
@@ -824,63 +839,64 @@ class ServicePlane:
         engine = self.simulator
         bound = engine.run_bound
         now = engine.now
+        # the earliest foreign event, read once: only a completion this
+        # loop schedules can put one in front of it
+        horizon = engine.next_event_time()
+        if horizon is None:
+            horizon = inf
+        tracing = TRACER.enabled
+        forward = self._forward
         committed = False
         while pending:
             head = pending[0]
             time = head[0]
-            if time > bound:
+            if time > bound or (time > now and time >= horizon):
                 break
-            if time > now:
-                # the horizon is re-read every step: a commit can
-                # schedule a completion resolution, which becomes the
-                # next foreign event and caps the batch exactly where
-                # it would interleave with per-delivery events
-                horizon = engine.next_event_time()
-                if horizon is not None and time >= horizon:
-                    break
             heappop(pending)
             committed = True
-            self._commit(head[2], head[3], head[4], time)
+            _, _, state, row, parent = head
+            receipt = state.receipt
+            stats = state.stats
+            stats.queue_depth -= 1
+            verdict = state.cursors[row].record(receipt.seq)
+            if verdict == "dup":
+                stats.dups += 1
+                if tracing:
+                    idents = state.idents
+                    TRACER.emit(
+                        time, "mc", "dup",
+                        mid=receipt.mid, ident=idents[row],
+                        sender=idents[parent],
+                        group=receipt.group, seq=receipt.seq,
+                    )
+                continue
+            stats.deliveries += 1
+            stats.delivered_kbits += receipt.message_kbits
+            stats.last_delivery = time
+            receipt.delivered[state.hosts[row]] = time
+            if tracing:
+                idents = state.idents
+                TRACER.emit(
+                    time, "mc", "deliver",
+                    mid=receipt.mid, ident=idents[row],
+                    depth=state.depths[row], parent=idents[parent],
+                    group=receipt.group, seq=receipt.seq,
+                )
+            state.remaining -= 1
+            if state.remaining == 0:
+                # resolve through the engine (not inline) so the clock
+                # advances to the final delivery before waiters wake;
+                # the resolution is a foreign event that caps the batch
+                # where it would interleave with per-delivery events
+                engine.call_at(time, receipt.completion.resolve, receipt)
+                if time < horizon:
+                    horizon = time
+            kids = state.kids[row]
+            if kids:
+                forward(state, row, kids, time)
         if committed:
             perf.COUNTERS.wavefront_commits += 1
         self._arm_wavefront()
-
-    def _commit(
-        self, state: _SendState, ident: int, parent: int, time: float
-    ) -> None:
-        """The message fully arrived at ``ident`` at ``time``: account
-        the delivery and fan on."""
-        receipt = state.receipt
-        host = state.host_of[ident]
-        stats = state.stats
-        stats.queue_depth -= 1
-        verdict = state.ledger.record(host, receipt.seq)
-        if verdict == "dup":
-            stats.dups += 1
-            if TRACER.enabled:
-                TRACER.emit(
-                    time, "mc", "dup",
-                    mid=receipt.mid, ident=ident, sender=parent,
-                    group=receipt.group, seq=receipt.seq,
-                )
-            return
-        stats.deliveries += 1
-        stats.delivered_kbits += receipt.message_kbits
-        stats.last_delivery = time
-        receipt.delivered[host] = time
-        if TRACER.enabled:
-            TRACER.emit(
-                time, "mc", "deliver",
-                mid=receipt.mid, ident=ident,
-                depth=state.template.depth.get(ident, 0), parent=parent,
-                group=receipt.group, seq=receipt.seq,
-            )
-        state.remaining -= 1
-        if state.remaining == 0:
-            # resolve through the engine (not inline) so the clock
-            # advances to the final delivery before waiters wake
-            self.simulator.call_at(time, receipt.completion.resolve, receipt)
-        self._reserve_children(state, ident, time)
 
     def schedule_preview(
         self, group_name: str, source_host: str, message_kbits: float = 1.0
@@ -899,14 +915,14 @@ class ServicePlane:
         _, context, template = self._template(
             group_name, source_host, message_kbits
         )
-        host_of = context.host_of
+        host_of = dict(zip(context.trace_members, context.hosts))
         timeline = delivery_timeline(
             template.tree,
             self.service.group(group_name).snapshot,
             message_kbits,
             hop_latency=lambda a, b: self._latency(host_of[a], host_of[b]),
             budget=UplinkBudget(),
-            host_key=lambda ident: host_of[ident],
+            host_key=host_of.__getitem__,
         )
         return {host_of[ident]: when for ident, when in timeline.items()}
 

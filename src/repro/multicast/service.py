@@ -27,6 +27,7 @@ group-rebuild path defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -67,8 +68,8 @@ class MulticastService:
         """Add a host to the population."""
         if name in self._hosts:
             raise ValueError(f"host {name!r} already registered")
-        if bandwidth_kbps <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth_kbps}")
+        if not 0 < bandwidth_kbps < inf:
+            raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth_kbps}")
         self._hosts[name] = bandwidth_kbps
         self._forwarded_kbits[name] = 0.0
 

@@ -196,6 +196,12 @@ class RingSnapshot:
         return self._bandwidths
 
     @property
+    def names(self) -> Sequence[str]:
+        """All member host names in ring order (``""`` where a member
+        was built without one)."""
+        return self._names
+
+    @property
     def ring_index(self) -> "RingIndex":
         """The successor directory and gap column of this membership,
         built on first access and cached like :attr:`nodes` — overlays

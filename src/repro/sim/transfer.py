@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Hashable, Mapping
 
 from repro.multicast.delivery import MulticastResult
@@ -70,15 +71,44 @@ class UplinkBudget:
         ``start > now`` means the slot was deferred behind traffic the
         host is already serializing (for this group or any other).
         """
-        if duration < 0:
-            raise ValueError(f"duration must be >= 0, got {duration}")
-        start = max(now, self._free_at.get(host, 0.0))
+        start, dones, _ = self.reserve_run(host, now, duration, 1)
+        return start, dones[0]
+
+    def reserve_run(
+        self, host: Hashable, now: float, duration: float, count: int
+    ) -> tuple[float, list[float], int]:
+        """Claim ``count`` back-to-back slots of ``duration`` seconds
+        from the earliest instant ``>= now`` — what ``count`` single
+        :meth:`reserve` calls at the same ``now`` would claim, float
+        for float, since each of those would start where the previous
+        one ended.  Returns ``(start, dones, deferred)``: when the
+        first slot starts, when each slot ends, and how many of the
+        slots start after ``now``.  The one writer of the ledger.
+        """
+        if count < 1:
+            raise ValueError(f"a run needs at least one slot, got {count}")
+        start = self._free_at.get(host, 0.0)
         if start > now:
-            self._deferrals[host] += 1
-        done = start + duration
+            deferred = count
+        else:
+            start = now
+            # the later slots start at the previous slot's end, which
+            # is past ``now`` unless the duration vanishes next to it
+            deferred = count - 1 if now + duration > now else 0
+        dones = []
+        done = start
+        for _ in range(count):
+            done += duration
+            dones.append(done)
+        # a NaN or infinite argument shows in the last end; nothing is
+        # written yet
+        if not (duration >= 0 and done < inf):
+            raise ValueError(f"need finite now={now} and duration={duration} >= 0")
         self._free_at[host] = done
-        self._reservations[host] += 1
-        return start, done
+        if deferred:
+            self._deferrals[host] += deferred
+        self._reservations[host] += count
+        return start, dones, deferred
 
     def deferrals(self, host: Hashable | None = None) -> int:
         """Deferred reservations for one host (or the whole ledger)."""
@@ -165,8 +195,8 @@ def simulate_tree_transfer(
     service plane (:mod:`repro.multicast.plane`) interleaves at true
     event granularity instead.
     """
-    if message_kbits <= 0:
-        raise ValueError(f"message size must be positive, got {message_kbits}")
+    if not 0 < message_kbits < inf:
+        raise ValueError(f"message size must be finite and > 0, got {message_kbits}")
     if packet_count < 1:
         raise ValueError(f"packet count must be >= 1, got {packet_count}")
     latency = hop_latency if hop_latency is not None else (lambda a, b: 0.0)

@@ -8,7 +8,12 @@ rows, per-host forwarding load — plus the raw deferral count, for:
 * the full extN ``quick`` matrix (4 cells, churned ones included),
 * a contended-uplink scenario (one 10 kbps host in every group, so
   reservations defer and the wavefront interleaves with backpressure),
-* a bounded-run scenario observed at every ``run(until)`` cut.
+* a bounded-run scenario observed at every ``run(until)`` cut,
+* a completion-follow-up scenario: a send's completion callback
+  originates the next send at the very instant another group still has
+  deliveries tied at that time, so the wavefront must stop exactly at
+  each completion it schedules (recorded at ``38c8d5f``, the last
+  commit that re-read the engine's horizon before every delivery).
 
 **Where the digests came from.**  They were recorded at commit
 ``e71930c`` — the last one carrying the event-per-delivery walker —
@@ -155,6 +160,47 @@ def bounded_run() -> list[dict[str, Any]]:
     return states
 
 
+def completion_followup() -> dict[str, Any]:
+    """Equal uplinks and sizes make delivery times tie across groups;
+    each completion in the small groups originates the next send at
+    that instant, in the middle of the wide group's tied deliveries."""
+    plane = ServicePlane(space_bits=14)
+    for index in range(24):
+        plane.register_host(f"h{index}", 512.0)  # 8 kbits = 1/64 s, exact
+    plane.create_group("small", [f"h{i}" for i in range(3)])
+    plane.create_group("wide", [f"h{i}" for i in range(4, 20)])
+    plane.create_group("other", [f"h{i}" for i in range(20, 24)])
+    tied: list[int] = []
+
+    def follow_up(left: int) -> Callable[[Any], None]:
+        def fired(_settled: Any) -> None:
+            now = plane.now
+            tied.append(
+                sum(1 for entry in plane._pending if entry[0] == now)
+            )
+            if left:
+                group, source = (
+                    ("other", "h20") if left % 2 else ("small", "h1")
+                )
+                plane.send(group, source, 8.0).completion.add_callback(
+                    follow_up(left - 1)
+                )
+
+        return fired
+
+    def drive() -> None:
+        for source in ("h4", "h9", "h13", "h17"):
+            plane.send("wide", source, 8.0)
+        plane.send("small", "h0", 8.0).completion.add_callback(follow_up(6))
+        plane.drain()
+
+    trace = _traced(drive)
+    plane.verify_quiesced()
+    # the scenario is only worth its digest while the ties really occur
+    assert sum(1 for count in tied if count) >= 4, tied
+    return observe(plane, trace)
+
+
 def scenarios() -> Iterator[tuple[str, Callable[[], Any]]]:
     """(golden key, thunk computing its observables), in file order."""
     for groups, churn in sweep(SCALES["quick"]):
@@ -164,6 +210,7 @@ def scenarios() -> Iterator[tuple[str, Callable[[], Any]]]:
         )
     yield "contended_uplink", contended_uplink
     yield "bounded_run", bounded_run
+    yield "completion_followup", completion_followup
 
 
 def load() -> dict[str, Any]:

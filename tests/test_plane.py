@@ -100,6 +100,25 @@ class TestSequenceLedger:
         with pytest.raises(ValueError, match="already tracked"):
             ledger.admit("a")
 
+    def test_delivery_between_stints_is_unexpected(self):
+        # seq 2 was issued while "a" was away: it falls after the first
+        # stint's last obligation and before the second stint's first
+        ledger = SequenceLedger()
+        ledger.admit("a")
+        ledger.issue()
+        ledger.retire("a")
+        ledger.issue()
+        ledger.admit("a")
+        ledger.issue()
+        assert ledger.record("a", 2) == "unexpected"
+        assert ledger.record("a", 0) == "unexpected"  # before any stint
+        assert ledger.record("nobody", 1) == "unexpected"
+        assert [ledger.record("a", seq) for seq in (3, 1, 1)] == [
+            "ok", "ok", "dup",
+        ]
+        audit = ledger.audit()
+        assert (audit.gaps, audit.dups, audit.unexpected) == ({}, 1, 3)
+
     def test_double_retire_rejected(self):
         ledger = SequenceLedger()
         ledger.admit("a")
@@ -157,6 +176,35 @@ class TestPlaneSends:
         plane.drop_group("g")
         with pytest.raises(KeyError):
             plane.send("g", "h0")
+
+    @pytest.mark.parametrize(
+        "size", [float("nan"), float("inf"), 0.0, -4.0]
+    )
+    def test_bad_message_size_rejected_before_anything_moves(self, size):
+        # a NaN size used to pass the guard, charge the forwarding
+        # ledger, take a sequence number, leave a receipt that can
+        # never complete and poison the source's uplink, and only then
+        # die scheduling the first hop; inf was accepted outright
+        plane = make_plane()
+        plane.create_group("g", [f"h{i}" for i in range(6)])
+        plane.send("g", "h0", 8.0)
+        plane.drain()
+        receipts = plane.receipts()
+        load = plane.service.host_load_kbits()
+        free_at = {f"h{i}": plane.budget.free_at(f"h{i}") for i in range(6)}
+        reservations = plane.budget.reservations()
+        for send in (plane.send, plane.schedule_preview):
+            with pytest.raises(ValueError, match="message size"):
+                send("g", "h0", size)
+        assert plane.receipts() == receipts
+        assert plane.service.host_load_kbits() == load
+        assert free_at == {
+            f"h{i}": plane.budget.free_at(f"h{i}") for i in range(6)
+        }
+        assert plane.budget.reservations() == reservations
+        assert plane.send("g", "h1", 8.0).seq == 2  # no number was burnt
+        plane.drain()
+        plane.verify_quiesced()
 
     def test_charges_the_service_ledger(self):
         # the plane's timed sends charge the same per-host ledger the
@@ -250,6 +298,52 @@ class TestMidStreamMembership:
         assert [row["dups"] for row in rows] == [0, 0]
         assert [row["members"] for row in rows] == [0, 8]
 
+    def test_rejoin_mid_flight_lands_in_the_old_stint(self):
+        # h3 leaves and rejoins while seq 1 is in flight: that delivery
+        # belongs to the stint the send was originated under, and the
+        # new stint owes nothing before the next sequence
+        plane = make_plane()
+        plane.create_group("g", [f"h{i}" for i in range(8)])
+        inflight = plane.send("g", "h0", 64.0)
+        plane.leave("g", "h3")
+        away = plane.send("g", "h0", 16.0)
+        plane.join("g", "h3")
+        back = plane.send("g", "h1", 16.0)
+        assert [r.seq for r in (inflight, away, back)] == [1, 2, 3]
+        assert ["h3" in r.members for r in (inflight, away, back)] == [
+            True, False, True,
+        ]
+        plane.drain()
+        plane.verify_quiesced()
+        old, new = plane._live("g").ledger._cursors["h3"]
+        assert (old.first, old.last, old.contiguous) == (1, 1, 1)
+        assert (new.first, new.last, new.contiguous) == (3, None, 3)
+        assert not old.ahead and not new.ahead
+        assert "h3" in inflight.delivered and "h3" in back.delivered
+        assert "h3" not in away.delivered
+        assert plane.audit().clean
+
+    def test_recreated_name_keeps_incarnations_cursors_apart(self):
+        plane = make_plane()
+        members = [f"h{i}" for i in range(8)]
+        plane.create_group("g", members)
+        first = [plane.send("g", "h0", 64.0) for _ in range(2)]
+        plane.run(0.3)
+        assert not all(receipt.complete for receipt in first)
+        plane.drop_group("g")
+        plane.create_group("g", members)
+        second = plane.send("g", "h1", 64.0)
+        assert second.seq == 1  # the new incarnation counts from 1
+        plane.drain()
+        plane.verify_quiesced()
+        closed, live = plane._groups["g"]
+        for name in members:
+            (was,) = closed.ledger._cursors[name]
+            (now,) = live.ledger._cursors[name]
+            assert (was.first, was.last, was.contiguous) == (1, 2, 2)
+            assert (now.first, now.last, now.contiguous) == (1, None, 1)
+        assert plane.audit().clean
+
     def test_rebuild_preserves_identifiers(self):
         plane = make_plane()
         plane.create_group("g", [f"h{i}" for i in range(8)])
@@ -262,6 +356,68 @@ class TestMidStreamMembership:
         for name in plane.service.members_of("g"):
             if name in before:
                 assert plane.service.member_ident("g", name) == before[name]
+
+
+class TestBranchesTrafficNeverTakes:
+    """Duplicate and out-of-obligation deliveries cannot come out of a
+    frozen tree; they are forced here so the verdicts, the counters
+    and the ``mc.dup`` event stay what they were."""
+
+    def test_second_pending_entry_for_one_delivery_is_a_dup(self):
+        from heapq import heappush
+
+        from repro.trace.tracer import TRACER
+
+        plane = make_plane()
+        plane.create_group("g", [f"h{i}" for i in range(8)])
+        with TRACER.capture() as mark:
+            receipt = plane.send("g", "h0", 16.0)
+            when, _, *delivery = min(plane._pending)
+            heappush(plane._pending, (when, plane._pending_seq, *delivery))
+            plane._pending_seq += 1
+            plane.drain()
+            events = [e for e in TRACER.events_since(mark) if e.layer == "mc"]
+        source = plane.service.member_ident("g", "h0")
+        delivered = [
+            e for e in events
+            if e.kind == "deliver" and e.data["parent"] is not None
+        ]
+        (dup,) = [e for e in events if e.kind == "dup"]
+        assert dup.time == delivered[0].time == when
+        assert dup.data == {
+            "mid": receipt.mid,
+            "ident": delivered[0].data["ident"],
+            "sender": source,
+            "group": "g",
+            "seq": 1,
+        }
+        assert delivered[0].data["parent"] == source
+        # the copy is counted and dropped: nothing is delivered twice
+        # and the subtree below it is not forwarded a second time
+        assert len(delivered) == 7
+        assert receipt.complete and len(receipt.delivered) == 8
+        (row,) = plane.report().rows
+        assert (row["deliveries"], row["dups"]) == (7, 1)
+        audit = plane.audit()
+        assert (audit.gaps, audit.dups, audit.unexpected) == ({}, 1, 0)
+        with pytest.raises(AssertionError, match="1 dups"):
+            plane.verify_quiesced()
+
+    def test_delivery_outside_the_cursor_range_is_unexpected(self):
+        plane = make_plane()
+        plane.create_group("g", [f"h{i}" for i in range(8)])
+        receipt = plane.send("g", "h0", 16.0)
+        # close h3's obligations *before* the send in flight
+        plane._live("g").ledger.retire("h3", last_seq=0)
+        plane.drain()
+        # counted, but still delivered and forwarded like any other
+        assert receipt.complete and len(receipt.delivered) == 8
+        (row,) = plane.report().rows
+        assert (row["deliveries"], row["dups"]) == (7, 0)
+        audit = plane.audit()
+        assert (audit.gaps, audit.dups, audit.unexpected) == ({}, 0, 1)
+        with pytest.raises(AssertionError, match="1 unexpected"):
+            plane.verify_quiesced()
 
 
 class TestBackpressure:

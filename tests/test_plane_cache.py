@@ -91,6 +91,14 @@ class TestCachedUncachedEquivalence:
         assert len(observed) == 6
         assert observed == golden.load()["bounded_run"]
 
+    def test_completion_followup_stops_at_each_completion(self):
+        # a completion callback originates the next send while another
+        # group has deliveries tied at that instant: the wavefront's
+        # cached horizon must stop exactly where a per-delivery re-read
+        # of the engine's next event time did
+        observed = golden.completion_followup()
+        assert observed == golden.load()["completion_followup"]
+
     @pytest.mark.parametrize("hash_seed", ["1", "4242"])
     def test_golden_digests_do_not_depend_on_hash_seed(self, hash_seed):
         # set/dict iteration order must never leak into an observable

@@ -34,6 +34,15 @@ class TestHostManagement:
         with pytest.raises(ValueError):
             MulticastService().register_host("a", 0)
 
+    @pytest.mark.parametrize("bandwidth", [-5.0, float("nan"), float("inf")])
+    def test_bandwidth_outside_the_positive_reals_rejected(self, bandwidth):
+        # NaN used to slip past ``bandwidth <= 0`` into every serialize time
+        service = MulticastService()
+        with pytest.raises(ValueError, match="bandwidth"):
+            service.register_host("a", bandwidth)
+        assert service.hosts == {}
+        assert service.host_load_kbits() == {}
+
 
 class TestGroups:
     def test_create_and_multicast(self):

@@ -144,8 +144,9 @@ class TestValidation:
     def test_bad_inputs(self):
         snap = make_snapshot(8, [0], capacity=4, bandwidth=100.0)
         tree = MulticastResult(source_ident=0)
-        with pytest.raises(ValueError):
-            simulate_tree_transfer(tree, snap, message_kbits=0)
+        for size in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="message size"):
+                simulate_tree_transfer(tree, snap, message_kbits=size)
         with pytest.raises(ValueError):
             simulate_tree_transfer(tree, snap, message_kbits=10, packet_count=0)
 
@@ -200,6 +201,40 @@ class TestUplinkBudget:
         budget = UplinkBudget()
         with pytest.raises(ValueError, match=">= 0"):
             budget.reserve("h", now=0.0, duration=-1.0)
+
+    @pytest.mark.parametrize(
+        ("now", "duration"),
+        [
+            (0.0, float("nan")),
+            (0.0, float("inf")),
+            (float("nan"), 1.0),
+            (float("inf"), 1.0),
+        ],
+    )
+    def test_non_finite_reservation_leaves_the_ledger_untouched(
+        self, now, duration
+    ):
+        # a NaN duration used to come back as (0.0, nan) and poison the
+        # host's free_at for every later reservation
+        from repro.sim.transfer import UplinkBudget
+
+        budget = UplinkBudget()
+        budget.reserve("h", now=0.0, duration=2.0)
+        with pytest.raises(ValueError, match="finite"):
+            budget.reserve("h", now, duration)
+        with pytest.raises(ValueError, match="finite"):
+            budget.reserve_run("h", now, duration, 3)
+        assert budget.free_at("h") == 2.0
+        assert budget.reservations("h") == 1
+        assert budget.deferrals("h") == 0
+
+    def test_empty_run_rejected(self):
+        from repro.sim.transfer import UplinkBudget
+
+        budget = UplinkBudget()
+        with pytest.raises(ValueError, match="at least one slot"):
+            budget.reserve_run("h", 0.0, 1.0, 0)
+        assert budget.reservations() == 0
 
     def test_gap_after_idle_does_not_defer(self):
         from repro.sim.transfer import UplinkBudget

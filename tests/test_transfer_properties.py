@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from random import Random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.throughput import sustainable_throughput
 from repro.multicast.cam_chord import cam_chord_multicast
 from repro.overlay.cam_chord import CamChordOverlay
-from repro.sim.transfer import simulate_tree_transfer
+from repro.sim.transfer import UplinkBudget, simulate_tree_transfer
 from tests.conftest import make_snapshot
 
 
@@ -84,3 +84,61 @@ def test_completion_scales_linearly_in_message_size(seed, count):
             continue
         assert small.completion_time[ident] < large.completion_time[ident]
         assert large.completion_time[ident] <= 2 * small.completion_time[ident] + 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),  # host
+            # how far the clock moves before the run: 0 keeps ``now``
+            st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=0.0, max_value=3.0),
+                st.floats(min_value=1e-18, max_value=1e-15),  # vanishes
+            ),
+            st.integers(min_value=1, max_value=7),  # slots in the run
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+# a duration that vanishes next to ``now``: no slot of the run defers
+@example([(0, 1.0, 1e-17, 3)])
+# busy uplink, then idle again, then a zero-length run
+@example([(1, 0.0, 2.0, 2), (1, 1.0, 0.5, 3), (1, 4.5, 0.0, 2)])
+def test_run_reservation_equals_single_reservations(steps):
+    """``reserve_run(host, now, d, k)`` is k ``reserve(host, now, d)``
+    calls: every start and end the same float, and the same ledger —
+    judged against the one-slot ledger as it was before runs existed."""
+    free_at: dict[int, float] = {}
+    deferrals = [0] * 4
+    reservations = [0] * 4
+
+    def reference_reserve(host, now, duration):
+        start = max(now, free_at.get(host, 0.0))
+        deferrals[host] += start > now
+        free_at[host] = done = start + duration
+        reservations[host] += 1
+        return start, done
+
+    runs, singles = UplinkBudget(), UplinkBudget()
+    now = 0.0
+    for host, advance, duration, count in steps:
+        now += advance
+        slots = [reference_reserve(host, now, duration) for _ in range(count)]
+        start, dones, deferred = runs.reserve_run(host, now, duration, count)
+        # a slot starts where the one before it ended
+        assert list(zip([start, *dones], dones)) == slots
+        assert deferred == sum(begin > now for begin, _ in slots)
+        assert slots == [
+            singles.reserve(host, now, duration) for _ in range(count)
+        ]
+        for budget in (runs, singles):
+            for key in range(4):
+                assert budget.free_at(key) == free_at.get(key, 0.0)
+                assert budget.deferrals(key) == deferrals[key]
+                assert budget.reservations(key) == reservations[key]
+            assert budget.deferrals() == sum(deferrals)
+            assert budget.reservations() == sum(reservations)
