@@ -150,10 +150,11 @@ def cam_chord_multicast(overlay, source: Node):
     Equivalent to the paper's ``x.MULTICAST(msg, x - 1)``: the initial
     region is the whole ring except the source.  Executed by the
     flat-array kernel (:mod:`repro.multicast.kernel`): breadth-first
-    over member indices, one successor-directory probe per slot and no
-    visit to a member whose region is empty, edge-for-edge identical to
-    :func:`reference_multicast` (property-tested in
-    ``tests/test_kernel.py``).
+    over member indices, each region a run of rows, so only a slot that
+    holds a child is looked at (at most n - 1 directory probes a tree)
+    and no member with an empty region is visited; edge-for-edge
+    identical to :func:`reference_multicast` (``tests/test_kernel.py``).
+    Raises ``KeyError`` when ``source`` is not a member.
     """
     from repro.multicast.kernel import region_split_tree
 

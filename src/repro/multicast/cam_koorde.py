@@ -74,8 +74,9 @@ def cam_koorde_multicast(overlay: CamKoordeOverlay, source: Node):
     The out-degree of every node in the implicit tree is bounded by its
     capacity automatically: a node has exactly ``c_x`` neighbors and
     one of them (its parent) already holds the message.  Executed by
-    the flat-array kernel over the overlay's memoized CSR adjacency,
-    edge-for-edge identical to :func:`flood_multicast`.
+    the flat-array kernel over the overlay's memoized CSR adjacency
+    (each Section 4.1 group one strided run of the ring), edge-for-edge
+    identical to :func:`flood_multicast`.
     """
     from repro.multicast.kernel import flood_tree
 

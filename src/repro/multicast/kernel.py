@@ -13,16 +13,17 @@ arrays instead of millions of per-node object operations:
   ``array('l')`` buffers — ``parent_index``, ``depth`` and
   ``child_count`` — plus the breadth-first ``order`` the dissemination
   delivered in;
-* identifier resolution is one probe of the snapshot's **ring index**
-  (:class:`~repro.overlay.base.RingIndex`, built once per membership
-  and shared by every overlay over it): the successor directory turns
-  an identifier into a member index in one array read plus, on a
-  sparse ring, under one comparison step.  Floods probe each neighbor
-  identifier once per overlay, into a CSR adjacency a second source
-  reuses; region splitters probe each slot they evaluate and remember
-  nothing — the index's gap column tells them in one comparison that a
-  region holds no member, so a leaf (7 in 10 members at the paper's
-  fanouts) costs no probe at all and a tree costs ~3 n of them;
+* every neighbor question is asked of the sorted ring as a **run of
+  rows**, not a list of points; what is left over is one probe of the
+  snapshot's **ring index** (:class:`~repro.overlay.base.RingIndex`,
+  built once per membership, shared by every overlay over it).  A
+  CAM-Chord region ``(x, k]`` *is* the rows after ``x`` up to the last
+  member at or before ``k``, and since a node's slot offsets descend,
+  that last row's offset names the next slot holding a child: no slot
+  is tried in vain, a leaf costs nothing, a tree at most n - 1 probes.
+  Koorde's pointers are ``degree`` consecutive rows from one probed
+  start; a CAM-Koorde shift group is one strided slice of the directory
+  on a dense ring.  A flood overlay's second source probes nothing;
 * the result is a :class:`FlatTree`, a lazy view that speaks the full
   :class:`~repro.multicast.delivery.MulticastResult` vocabulary.  The
   hot metrics (:mod:`repro.metrics`) read the arrays directly in fused
@@ -46,14 +47,14 @@ import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, OrderedDict, deque
+from functools import lru_cache
 from math import ceil
 
 from repro import perf
 from repro.multicast.delivery import DuplicateDeliveryError
 from repro.overlay.base import Node, Overlay, RingSnapshot
 from repro.overlay.cam_chord import CamChordOverlay
-from repro.overlay.cam_koorde import CamKoordeOverlay, cam_koorde_shift_offsets
-from repro.overlay.chord import ChordOverlay
+from repro.overlay.cam_koorde import CamKoordeOverlay, cam_koorde_shift_groups
 from repro.overlay.koorde import KoordeOverlay
 from repro.trace.tracer import TRACER
 
@@ -111,11 +112,7 @@ class FlatTree:
 
     def member_index(self, ident: int) -> int | None:
         """Member index of ``ident``, or None when not a member."""
-        idents = self.snapshot.identifiers
-        position = bisect_left(idents, ident)
-        if position < len(idents) and idents[position] == ident:
-            return position
-        return None
+        return self.snapshot.index_of(ident)
 
     # -- lazy object views ----------------------------------------------
 
@@ -212,7 +209,10 @@ class FlatTree:
         arrays cannot record a second parent — so only coverage and
         membership are checked)."""
         idents = self.snapshot.identifiers
-        received = {idents[index] for index in self.order}
+        if len(self.order) == len(idents):  # every row, once each
+            received = set(idents)
+        else:
+            received = {idents[index] for index in self.order}
         missing = member_idents - received
         extra = received - member_idents
         if missing:
@@ -229,119 +229,105 @@ class FlatTree:
 
 # -- per-overlay kernel state ------------------------------------------------
 
-#: Members per chunk of the streaming CSR/fanout builders: the
-#: snapshot's identifier and capacity ``array`` columns are prefetched
-#: chunk-wise into plain lists, so the inner loops index native ints.
-_CHUNK = 8192
-
 
 class _FloodState:
-    """CSR adjacency of one flood overlay: every neighbor identifier is
-    probed to a member index exactly once per state lifetime.
-
-    Construction streams over the snapshot's identifier/capacity
-    columns in chunks — no node tuple, no per-member dict — so peak
-    memory stays the O(n) output arrays even on a million-member
-    snapshot.
+    """The neighbor rows of one flood overlay, resolved once per state
+    lifetime.  Koorde's pointers are ``degree`` consecutive members, so
+    a row is one entry of ``starts`` and there is no adjacency; every
+    other overlay gets a CSR (``offsets`` / ``targets``) streamed over
+    the snapshot's columns, O(n) words at any n.  A row is in
+    ``overlay.neighbors`` order but keeps the node itself and repeated
+    neighbors: the flood takes a member's first visit, the same tree.
     """
 
-    __slots__ = ("offsets", "targets")
+    __slots__ = ("degree", "starts", "offsets", "targets")
 
     def __init__(self, overlay: Overlay) -> None:
         snapshot = overlay.snapshot
         idents = snapshot.identifiers
-        capacities = snapshot.capacities
         count = len(idents)
         size = snapshot.space.size
-        bits = snapshot.space.bits
         index = snapshot.ring_index
-        probe, shift, directory = index.probe, index.shift, index.directory
-        offsets = array("l", [0]) * (count + 1)
-        targets = array("l")
+        probe = index.probe
+        self.degree = 0
+        self.starts = self.offsets = self.targets = None
+        if isinstance(overlay, KoordeOverlay):
+            self.degree = degree = overlay.degree
+            self.starts = array("I", [probe(degree * x % size) for x in idents])
+            perf.COUNTERS.kernel_resolves += count
+            return
+        self.offsets = offsets = array("l", [0]) * (count + 1)
+        self.targets = targets = array("I")
+        append, extend = targets.append, targets.extend
         probes = 0
-        koorde = isinstance(overlay, KoordeOverlay)
-        cam_koorde = isinstance(overlay, CamKoordeOverlay)
-        degree = overlay.degree if koorde else 0
-        for start in range(0, count, _CHUNK):
-            chunk = idents[start : start + _CHUNK].tolist()
-            chunk_capacities = capacities[start : start + _CHUNK].tolist()
-            for i, node_ident in enumerate(chunk, start):
-                # One insertion-ordered dict per row is the dedup; the
-                # node itself goes in first and comes out at the end.
-                row = {i: None}
-                if koorde or cam_koorde:
-                    # predecessor and successor lead the neighbor list
-                    # (membership-relative, nothing to probe).
-                    row[(i - 1) % count] = row[(i + 1) % count] = None
-                if koorde:
-                    # Koorde's pointers are k *consecutive members*
-                    # starting at the node responsible for k*x: one
-                    # probe, then a successor walk.
-                    j = probe((degree * node_ident) % size)
-                    walk = range(j, j + degree)
-                    if walk.stop > count:  # the walk wraps past member n - 1
-                        walk = [k % count for k in walk]
-                    row.update(dict.fromkeys(walk))
-                    probes += 1
-                elif cam_koorde:
-                    pairs = cam_koorde_shift_offsets(chunk_capacities[i - start], bits)
-                    for by, offset in pairs:
-                        ident = offset + (node_ident >> by)
-                        j = directory[ident >> shift]
-                        while j < count and idents[j] < ident:
-                            j += 1
-                        row[j if j < count else 0] = None
-                    probes += len(pairs)
-                else:
-                    wanted = overlay.neighbor_identifiers(snapshot.node_for_index(i))
-                    row.update(dict.fromkeys(probe(x % size) for x in wanted))
-                    probes += len(wanted)
-                del row[i]
-                targets.extend(row)
+        if isinstance(overlay, CamKoordeOverlay):
+            bits = snapshot.space.bits
+            shift, directory = index.shift, index.directory
+            if shift == 0:
+                # One bucket per identifier: the directory *is* the
+                # answer once its closing ``n`` entries wrap to member 0.
+                edge = bisect_left(directory, count)
+                directory = directory[:edge] + array("I", [0]) * (len(directory) - edge)
+            for i, (x, capacity) in enumerate(zip(idents, snapshot.capacities)):
+                # predecessor and successor lead the row, unprobed
+                append((i - 1) % count)
+                append((i + 1) % count)
+                for by, members in cam_koorde_shift_groups(capacity, bits):
+                    # one Section 4.1 group is an evenly strided run of
+                    # identifiers; past 2**by members it repeats.
+                    members = min(members, 1 << by)
+                    ident = x >> by
+                    stride = 1 << (bits - by)
+                    if shift == 0:
+                        extend(directory[ident : ident + members * stride : stride])
+                    else:
+                        for _ in range(members):
+                            j = directory[ident >> shift]
+                            while j < count and idents[j] < ident:
+                                j += 1
+                            append(j if j < count else 0)
+                            ident += stride
+                    probes += members
                 offsets[i + 1] = len(targets)
-        self.offsets = offsets
-        self.targets = targets
+        else:
+            # No run structure to exploit: probe every neighbor identifier.
+            for i in range(count):
+                wanted = overlay.neighbor_identifiers(snapshot.node_for_index(i))
+                extend(probe(x % size) for x in wanted)
+                probes += len(wanted)
+                offsets[i + 1] = len(targets)
         perf.COUNTERS.kernel_resolves += probes
 
 
-class _SplitState:
-    """What a region-splitting overlay adds to its snapshot's ring
-    index: the fanout column and the power ladders ``c**level``, one
-    per distinct fanout.
+@lru_cache(maxsize=256)
+def _ladder(fanout: int, size: int) -> tuple[int, ...]:
+    """The powers ``(1, c, c**2, ...)`` of one fanout below ``size``."""
+    out = []
+    power = 1
+    while power < size:
+        out.append(power)
+        power *= fanout
+    return tuple(out)
 
-    The fanout column comes straight from the snapshot's capacity
-    array for the capacity-aware splitter and is a constant fill for
-    the uniform baseline — neither materializes nodes.
-    """
 
-    __slots__ = ("fanouts", "_powers")
-
-    def __init__(self, overlay: Overlay) -> None:
-        snapshot = overlay.snapshot
-        if isinstance(overlay, CamChordOverlay):
-            self.fanouts = array("l", snapshot.capacities)
-        elif isinstance(overlay, ChordOverlay):
-            self.fanouts = array("l", [overlay.base]) * len(snapshot)
-        else:
-            self.fanouts = array("l", [overlay.fanout(node) for node in snapshot])
-        self._powers: dict[int, tuple[int, ...]] = {}
-
-    def powers(self, fanout: int, size: int) -> tuple[int, ...]:
-        """The ladder ``(1, c, c**2, ...)`` of powers below ``size``."""
-        ladder = self._powers.get(fanout)
-        if ladder is None:
-            out = []
-            power = 1
-            while power < size:
-                out.append(power)
-                power *= fanout
-            ladder = tuple(out)
-            self._powers[fanout] = ladder
-        return ladder
+@lru_cache(maxsize=4096)
+def _spread(fanout: int, sequence: int) -> tuple[int, ...]:
+    """Sequence numbers of the spare-capacity slots (Section 3.4 lines
+    10-14), ascending, from the same float loop as
+    :func:`~repro.multicast.cam_chord.select_child_regions`: the
+    ceilings are bit-identical and, the step exceeding 1, strictly
+    monotonic."""
+    position = float(fanout)
+    step = fanout / (fanout - sequence)
+    out = []
+    for _ in range(fanout - sequence - 1):
+        position -= step
+        out.append(ceil(position))
+    return tuple(reversed(out))
 
 
 class _StateCache:
-    """Bounded LRU of per-overlay memoized kernel state.
+    """Bounded LRU of per-overlay memoized flood state.
 
     Earlier revisions stashed the state as an attribute on the overlay
     itself, giving it the overlay's lifetime — a long campaign holding
@@ -360,12 +346,12 @@ class _StateCache:
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._entries: OrderedDict[int, tuple[weakref.ref, object]] = OrderedDict()
+        self._entries: OrderedDict[int, tuple[weakref.ref, _FloodState]] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, overlay: Overlay, factory):
+    def get(self, overlay: Overlay) -> _FloodState:
         key = id(overlay)
         entry = self._entries.get(key)
         if entry is not None:
@@ -374,7 +360,7 @@ class _StateCache:
                 self._entries.move_to_end(key)
                 return state
             del self._entries[key]  # recycled id of a collected overlay
-        state = factory(overlay)
+        state = _FloodState(overlay)
         entries = self._entries
 
         def _on_death(_ref, key=key, entries=entries):
@@ -386,60 +372,65 @@ class _StateCache:
             perf.COUNTERS.kernel_state_evictions += 1
         return state
 
-    def clear(self) -> None:
-        self._entries.clear()
 
-
-#: Most memoized states retained per tree family; sweeps touch their
-#: overlays consecutively, so 8 covers every observed reuse pattern.
+#: Most memoized flood states retained; sweeps touch their overlays
+#: consecutively, so 8 covers every observed reuse pattern.
 _STATE_CAPACITY = 8
 
 _FLOOD_STATES = _StateCache(_STATE_CAPACITY)
-_SPLIT_STATES = _StateCache(_STATE_CAPACITY)
-
-
-def _flood_state(overlay: Overlay) -> _FloodState:
-    return _FLOOD_STATES.get(overlay, _FloodState)
-
-
-def _split_state(overlay: Overlay) -> _SplitState:
-    return _SPLIT_STATES.get(overlay, _SplitState)
+_flood_state = _FLOOD_STATES.get
 
 
 # -- one-pass tree construction ----------------------------------------------
 
 
+def _rooted(snapshot: RingSnapshot, source: Node) -> tuple[int, array, array, array, array]:
+    """The row of ``source``, which must be a member, and the four
+    arrays of a tree that has reached only it."""
+    row = snapshot.index_of(source.ident)
+    if row is None:
+        raise KeyError(f"source {source.ident} is not a group member")
+    count = len(snapshot)
+    parent_index = array("l", [UNREACHED]) * count
+    depths = array("l", [UNREACHED]) * count
+    parent_index[row] = row
+    depths[row] = 0
+    return row, parent_index, depths, array("l", [0]) * count, array("l", [row])
+
+
 def flood_tree(overlay: Overlay, source: Node) -> FlatTree:
-    """Flood from ``source``: breadth-first over the CSR adjacency.
+    """Flood from ``source``: breadth-first over the overlay's rows.
 
     Forwarding decisions are identical to
     :func:`repro.multicast.cam_koorde.flood_multicast` with no fanout
-    cap — the CSR rows reproduce ``overlay.neighbors`` order exactly —
-    but each delivery is two array stores instead of two dict inserts.
+    cap — a row reproduces ``overlay.neighbors`` order exactly, and the
+    first visit wins as there — but each delivery is two array stores
+    instead of two dict inserts.
     """
     snapshot = overlay.snapshot
+    source_index, parent_index, depths, child_count, order = _rooted(snapshot, source)
     state = _flood_state(overlay)
     count = len(snapshot)
-    source_index = bisect_left(snapshot.identifiers, source.ident)
-
-    parent_index = array("l", [UNREACHED]) * count
-    depths = array("l", [UNREACHED]) * count
-    child_count = array("l", [0]) * count
-    order = array("l", [source_index])
-    parent_index[source_index] = source_index
-    depths[source_index] = 0
-
-    offsets = state.offsets
-    targets = state.targets
+    degree, starts = state.degree, state.starts
+    offsets, targets = state.offsets, state.targets
     queue = deque([source_index])
     pop = queue.popleft
     push = queue.append
     deliver = order.append
     while queue:
         i = pop()
+        if starts is None:
+            row = targets[offsets[i] : offsets[i + 1]]
+        else:
+            # Koorde: predecessor, successor, then the ``degree``
+            # consecutive members from the one responsible for k * x.
+            walk = range(starts[i], starts[i] + degree)
+            if walk.stop > count:  # the walk wraps past member n - 1
+                walk = [j % count for j in walk]
+            row = ((i - 1) % count, (i + 1) % count, *walk)
         hop = depths[i] + 1
         children = 0
-        for j in targets[offsets[i] : offsets[i + 1]]:
+        for j in row:
             if depths[j] >= 0:
                 continue
             depths[j] = hop
@@ -454,93 +445,89 @@ def flood_tree(overlay: Overlay, source: Node) -> FlatTree:
 
 
 def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
-    """The CAM-Chord MULTICAST (Section 3.4) as one flat pass.
+    """The CAM-Chord MULTICAST (Section 3.4) as one flat pass over runs
+    of rows.
 
-    Child selection per node replays
-    :func:`repro.multicast.cam_chord.select_child_regions` exactly —
-    same slot order, same spare-capacity ceiling, same resolved-child
-    guard — with every slot answered by one probe of the snapshot's
-    successor directory.  The gap column spares the rest: a child whose
-    region holds no member is delivered but never queued, and a node
-    stops scanning slots once what is left of its region is shorter
-    than the gap to its own successor (every further guard would fail).
+    A queued node ``(row, limit, last)`` owns the region ``(x, limit]``,
+    whose members are exactly the rows ``row + 1 .. last`` (mod n).
+    Child selection replays
+    :func:`repro.multicast.cam_chord.select_child_regions` — same slot
+    order, same spare-capacity ceiling, same resolved-child guard —
+    minus the slots that hold no child: offsets descend and a slot is
+    accepted iff a member lies in ``[x + offset, x + remaining]``, iff
+    ``offset <= reach``, the offset of row ``last``; so the next child
+    sits in the first slot at or below ``reach`` (DESIGN.md 5.10).  It
+    takes the rows after it, the parent keeps those before it, and a
+    child with none is never queued.  At most n - 1 probes per tree.
     """
     snapshot = overlay.snapshot
-    state = _split_state(overlay)
+    source_index, parent_index, depths, child_count, order = _rooted(snapshot, source)
     idents = snapshot.identifiers
     count = len(idents)
     size = snapshot.space.size
     index = snapshot.ring_index
-    shift, directory, gaps = index.shift, index.directory, index.gaps
-    fanouts = state.fanouts
-    source_index = bisect_left(snapshot.identifiers, source.ident)
-
-    parent_index = array("l", [UNREACHED]) * count
-    depths = array("l", [UNREACHED]) * count
-    child_count = array("l", [0]) * count
-    order = array("l", [source_index])
-    parent_index[source_index] = source_index
-    depths[source_index] = 0
+    shift, directory = index.shift, index.directory
+    if isinstance(overlay, CamChordOverlay):
+        fanouts = snapshot.capacities
+    else:  # plain Chord: the uniform finger base
+        fanouts = array("q", [overlay.base]) * count
 
     probes = 0
     queue = deque()
     if count > 1:  # else the source's region, the rest of the ring, is empty
-        queue.append((source_index, (source.ident - 1) % size))
+        queue.append(
+            (source_index, (source.ident - 1) % size, (source_index - 1) % count)
+        )
     pop = queue.popleft
     push = queue.append
     deliver = order.append
     while queue:
-        i, limit = pop()
+        i, limit, last = pop()
         ident = idents[i]
-        gap = gaps[i]
         remaining = (limit - ident) % size
         fanout = fanouts[i]
-        ladder = state.powers(fanout, size)
+        ladder = _ladder(fanout, size)
         level = bisect_right(ladder, remaining) - 1
-        sequence = remaining // ladder[level]
-
-        # Candidate slots in the paper's order: level-i neighbors
-        # preceding k (highest sequence first), spread-out level-(i-1)
-        # neighbors (ceiling; see cam_chord module docstring), then the
-        # successor slot (0, 1) picking up whatever remains.
-        slots = [(level, seq) for seq in range(sequence, 0, -1)]
-        if level >= 1:
-            position = float(fanout)
-            step = fanout / (fanout - sequence)
-            for _ in range(fanout - sequence - 1):
-                position -= step
-                slots.append((level - 1, ceil(position)))
-        slots.append((0, 1))
-
+        unit = ladder[level]
+        if level:  # at level 0 the unit is 1: every reach is on the rung
+            below = ladder[level - 1]
+            spread = _spread(fanout, remaining // unit)
         hop = depths[i] + 1
         children = 0
-        sublimit = limit
-        for slot_level, slot_sequence in slots:
-            neighbor_ident = (ident + slot_sequence * ladder[slot_level]) % size
-            child = directory[neighbor_ident >> shift]
-            while child < count and idents[child] < neighbor_ident:
-                child += 1
-            if child == count:
-                child = 0
-            probes += 1
-            child_ident = idents[child]
-            offset = (child_ident - ident) % size
-            if 0 < offset <= remaining:
-                if parent_index[child] != UNREACHED:
-                    raise DuplicateDeliveryError(
-                        f"node {child_ident} received the message twice "
-                        f"(parents {idents[parent_index[child]]} and {ident})"
-                    )
-                parent_index[child] = i
-                depths[child] = hop
-                deliver(child)
-                if (sublimit - child_ident) % size > gaps[child]:
-                    push((child, sublimit))
-                children += 1
-                sublimit = (neighbor_ident - 1) % size
-                remaining = (sublimit - ident) % size
-                if remaining <= gap:
-                    break
+        while last != i:
+            reach = (idents[last] - ident) % size
+            if reach >= unit:  # a level-i rung, highest sequence first
+                offset = reach // unit * unit
+            else:
+                # spare capacity spread over level i-1 (ceiling; see the
+                # cam_chord module docstring), else the successor slot
+                slot = bisect_right(spread, reach // below)
+                offset = spread[slot - 1] * below if slot else 1
+            if offset == reach:
+                child = last
+            elif offset == 1:
+                child = i + 1 if i + 1 < count else 0
+            else:
+                neighbor_ident = (ident + offset) % size
+                child = directory[neighbor_ident >> shift]
+                while child < count and idents[child] < neighbor_ident:
+                    child += 1
+                if child == count:
+                    child = 0
+                probes += 1
+            if parent_index[child] != UNREACHED:
+                raise DuplicateDeliveryError(
+                    f"node {idents[child]} received the message twice "
+                    f"(parents {idents[parent_index[child]]} and {ident})"
+                )
+            parent_index[child] = i
+            depths[child] = hop
+            deliver(child)
+            if child != last:
+                push((child, limit, last))
+            children += 1
+            limit = (ident + offset - 1) % size
+            last = (child or count) - 1
         child_count[i] = children
 
     perf.COUNTERS.kernel_resolves += probes

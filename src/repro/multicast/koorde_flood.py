@@ -23,8 +23,8 @@ def koorde_flood(overlay: KoordeOverlay, source: Node):
     predecessor and successor) keep the overlay connected, so the flood
     always reaches every member even when the de Bruijn pointers of a
     whole region collapse onto one node.  Executed by the flat-array
-    kernel (:mod:`repro.multicast.kernel`) over the overlay's memoized
-    CSR adjacency.
+    kernel (:mod:`repro.multicast.kernel`): a node's pointers are a run
+    of members, kept as one start per member.
     """
     from repro.multicast.kernel import flood_tree
 

@@ -6,9 +6,8 @@ resolution (``x-hat`` in the paper: the node responsible for an
 identifier) is a binary search over the identifier column; tree
 extraction, which resolves millions of identifiers per figure, goes
 through the snapshot's :class:`RingIndex` instead — one O(n) derived
-structure that answers a resolution in one probe and "is this region
-empty" in one comparison.  This is what makes the paper's scale
-tractable in pure Python.
+structure that answers a resolution in one probe.  This is what makes
+the paper's scale tractable in pure Python.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from operator import ge
 from random import Random
 from typing import Iterable, Iterator, Sequence
@@ -164,7 +163,7 @@ class RingSnapshot:
         return map(self.node_for_index, range(len(self._idents)))
 
     def __contains__(self, ident: int) -> bool:
-        return self._exact_index(ident) is not None
+        return self.index_of(ident) is not None
 
     @property
     def nodes(self) -> Sequence[Node]:
@@ -203,9 +202,9 @@ class RingSnapshot:
 
     @property
     def ring_index(self) -> "RingIndex":
-        """The successor directory and gap column of this membership,
-        built on first access and cached like :attr:`nodes` — overlays
-        over one snapshot (Chord and Koorde in Figure 6) share it."""
+        """The successor directory of this membership, built on first
+        access and cached like :attr:`nodes` — overlays over one
+        snapshot (Chord and Koorde in Figure 6) share it."""
         if self._ring_index is None:
             self._ring_index = RingIndex(self._space, self._idents)
         return self._ring_index
@@ -219,8 +218,8 @@ class RingSnapshot:
             self._names[index],
         )
 
-    def _exact_index(self, ident: int) -> int | None:
-        """Index of the member with exactly ``ident``, or None."""
+    def index_of(self, ident: int) -> int | None:
+        """Index (row) of the member with exactly ``ident``, or None."""
         idents = self._idents
         position = bisect_left(idents, ident)
         if position < len(idents) and idents[position] == ident:
@@ -229,7 +228,7 @@ class RingSnapshot:
 
     def node_at(self, ident: int) -> Node:
         """Return the member with exactly this identifier."""
-        position = self._exact_index(ident)
+        position = self.index_of(ident)
         if position is None:
             raise KeyError(f"no node with identifier {ident}")
         return self.node_for_index(position)
@@ -340,14 +339,9 @@ class RingIndex:
     the experiments' 0.19 (the directory is then one slot per
     identifier).  One closing entry makes ``directory[b]:
     directory[b + 1]`` the members of bucket ``b``.
-
-    ``gaps[i]`` counts the identifiers strictly between member ``i``
-    and its ring successor (``N - 1`` for a lone member, so the column
-    fits a 64-bit space): the region ``(x_i, k]`` holds no member iff
-    ``(k - x_i) mod N <= gaps[i]``.
     """
 
-    __slots__ = ("idents", "shift", "directory", "gaps")
+    __slots__ = ("idents", "shift", "directory")
 
     def __init__(self, space: IdentifierSpace, idents: Sequence[int]) -> None:
         buckets = min(space.size, 1 << (4 * len(idents) - 1).bit_length())
@@ -357,9 +351,6 @@ class RingIndex:
         for ident in idents:
             tally[ident >> shift] += 1
         self.directory = array("I", accumulate(tally, initial=0))
-        after = chain(islice(idents, 1, None), idents[:1])
-        size = space.size
-        self.gaps = array("Q", [(b - a - 1) % size for a, b in zip(idents, after)])
 
     def probe(self, ident: int) -> int:
         """Index of the member responsible for ``ident`` (in the space)."""

@@ -55,42 +55,46 @@ def _group_sizes(capacity: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=512)
-def cam_koorde_shift_offsets(capacity: int, bits: int) -> tuple[tuple[int, int], ...]:
-    """Section 4.1 for every node of one capacity: ``(shift, offset)``
-    pairs, each standing for the neighbor identifier ``offset + (x >>
-    shift)`` of node ``x`` — basic group first, then second, then third.
+def cam_koorde_shift_groups(capacity: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """Section 4.1 for every node of one capacity: one ``(shift,
+    count)`` pair per group — basic, second, third — standing for the
+    neighbor identifiers ``(i << (bits - shift)) + (x >> shift)`` of
+    node ``x``, ``i`` in ``[0..count-1]``: an evenly strided run.
 
     Requires ``capacity >= 4`` (the basic group is mandatory); checked
     once per distinct ``(capacity, bits)``.  Shifts are capped at
-    ``bits`` and offsets reduced into the space, so a capacity beyond
-    the space's width still names identifiers on the ring.
+    ``bits``, so a capacity beyond the space's width still names
+    identifiers on the ring (its run laps it every ``2**shift``).
     """
     if capacity < 4:
         raise ValueError(f"CAM-Koorde requires capacity >= 4, got {capacity}")
     if bits < 2:
         raise ValueError(f"CAM-Koorde needs an identifier space of >= 2 bits")
-    size = 1 << bits
-
-    def group(shift: int, count: int) -> tuple[tuple[int, int], ...]:
-        shift = min(shift, bits)
-        return tuple((shift, (i << (bits - shift)) % size) for i in range(count))
-
     shift, second_count, third_count = _group_sizes(capacity)
-    return group(1, 2) + group(shift, second_count) + group(shift + 1, third_count)
+    return (
+        (1, 2),
+        (min(shift, bits), second_count),
+        (min(shift + 1, bits), third_count),
+    )
 
 
 def cam_koorde_neighbor_groups(ident: int, capacity: int, bits: int) -> NeighborGroups:
-    """Compute the Section 4.1 neighbor identifier groups of ``ident``.
+    """Compute the Section 4.1 neighbor identifier groups of ``ident``,
+    each identifier reduced into the space.
 
     The construction is validated against the paper's Figure 4 example
     (node 36, capacity 10, ``b = 6``) in the test suite.
     """
-    pairs = cam_koorde_shift_offsets(capacity, bits)
-    if not 0 <= ident < 1 << bits:
-        raise ValueError(f"identifier {ident} outside space of {1 << bits}")
-    idents = tuple(offset + (ident >> shift) for shift, offset in pairs)
-    third_start = 2 + _group_sizes(capacity)[1]
-    return NeighborGroups(idents[:2], idents[2:third_start], idents[third_start:])
+    groups = cam_koorde_shift_groups(capacity, bits)
+    size = 1 << bits
+    if not 0 <= ident < size:
+        raise ValueError(f"identifier {ident} outside space of {size}")
+    return NeighborGroups(
+        *(
+            tuple((i << (bits - shift)) % size + (ident >> shift) for i in range(count))
+            for shift, count in groups
+        )
+    )
 
 
 class CamKoordeOverlay(Overlay):

@@ -36,8 +36,8 @@ class PerfCounters:
     The ``kernel_*`` counters instrument the flat-array multicast
     kernel (:mod:`repro.multicast.kernel`): ``kernel_trees`` trees
     built by it, ``kernel_resolves`` probes of the snapshot's successor
-    directory — every slot a region splitter evaluates plus, once per
-    flood overlay, every neighbor identifier of its CSR adjacency,
+    directory — at most n - 1 per region-split tree plus, once per flood
+    overlay, one per Koorde member or CAM-Koorde neighbor identifier,
     ``kernel_resolves_saved`` always 0 (it counted hits in the per-node
     slot memo tables, which are gone; the field stays because the
     benchmark reports read it and the footer prints it),

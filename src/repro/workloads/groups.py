@@ -19,6 +19,7 @@ keep at least two members, sends originate at members) and the same
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from random import Random
 from typing import Any
@@ -256,6 +257,9 @@ def generate_service_workload(
     """
     rng = Random(seed)
     host_names = [f"host{i:05d}" for i in range(spec.hosts)]
+    # a group's membership is a sorted list of ranks into this column
+    ranked = sorted(host_names)
+    rank_of = {name: rank for rank, name in enumerate(ranked)}
     if spec.bandwidths is not None:
         rates = spec.bandwidths.sample_many(spec.hosts, rng)
     else:
@@ -292,7 +296,7 @@ def generate_service_workload(
                 message_kbits=spec.message_kbits,
             )
         )
-        current = set(members)
+        current = sorted(rank_of[name] for name in members)
 
         # walk the group's life: merged poisson streams of sends and
         # churn, advancing membership as we go so every event is valid
@@ -304,7 +308,7 @@ def generate_service_workload(
         )
         while min(next_send, next_churn) < end:
             if next_send <= next_churn:
-                source = rng.choice(sorted(current))
+                source = ranked[rng.choice(current)]
                 push(
                     ServiceEvent(
                         time=next_send,
@@ -316,15 +320,21 @@ def generate_service_workload(
                 )
                 next_send += rng.expovariate(1.0 / spec.send_interval_s)
             else:
-                free = sorted(set(host_names) - current)
-                joinable = bool(free)
+                free = spec.hosts - len(current)
+                joinable = free > 0
                 # equal odds join/leave, degraded to whichever is legal
                 wants_join = rng.random() < 0.5
                 if (wants_join and joinable) or (
                     len(current) <= spec.min_group_size and joinable
                 ):
-                    host = free[rng.randrange(len(free))]
-                    current.add(host)
+                    # the k-th host in name order that is not a member
+                    rank = rng.randrange(free)
+                    for taken in current:
+                        if taken > rank:
+                            break
+                        rank += 1
+                    insort(current, rank)
+                    host = ranked[rank]
                     push(
                         ServiceEvent(
                             time=next_churn,
@@ -334,8 +344,9 @@ def generate_service_workload(
                         )
                     )
                 elif len(current) > spec.min_group_size:
-                    host = rng.choice(sorted(current))
-                    current.remove(host)
+                    rank = rng.choice(current)
+                    current.remove(rank)
+                    host = ranked[rank]
                     push(
                         ServiceEvent(
                             time=next_churn,

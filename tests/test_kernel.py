@@ -12,6 +12,8 @@ memberships, capacities and sources.
 from __future__ import annotations
 
 import gc
+import math
+import re
 from random import Random
 
 import pytest
@@ -22,10 +24,11 @@ from repro import perf
 from repro.idspace.ring import IdentifierSpace
 from repro.metrics.tree_stats import summarize_tree
 from repro.multicast import kernel
-from repro.multicast.cam_chord import reference_multicast
-from repro.multicast.cam_koorde import flood_multicast
+from repro.multicast.cam_chord import cam_chord_multicast, reference_multicast
+from repro.multicast.cam_koorde import cam_koorde_multicast, flood_multicast
 from repro.multicast.kernel import FlatTree, flood_tree, region_split_tree
-from repro.overlay.base import build_snapshot
+from repro.multicast.koorde_flood import koorde_flood
+from repro.overlay.base import Node, build_snapshot
 from repro.overlay.cam_chord import CamChordOverlay
 from repro.overlay.cam_koorde import CamKoordeOverlay
 from repro.overlay.chord import ChordOverlay
@@ -155,18 +158,25 @@ def test_flood_csr_is_built_once_per_overlay():
 
 
 @pytest.mark.parametrize("name", ["cam-chord", "chord"])
-def test_cold_split_tree_probes_at_most_4n(name):
-    """Work follows the tree, not slots x members: a leaf costs no
-    probe and a parent stops scanning once its region is spent.
-    Measured 2.9 n probes per tree here (6.5 n slot evaluations when
-    every member was popped and scanned); 6.2 n with leaves queued
-    again and 4.04 n without the early stop, so dropping either gap
-    test fails — by count, not by the clock."""
+def test_cold_split_tree_probes_at_most_n_minus_1(name):
+    """Work follows the tree: a probe is only ever spent on a slot that
+    holds a child, and a child that is its region's last row or its
+    parent's successor costs none — so a tree of n members takes fewer
+    than n probes (2.9 n when every slot evaluated was probed).  Gated
+    by count, not by the clock."""
     group = kernel_trees.quick_group(get_system(name))
     before = perf.snapshot()
     tree = group.multicast_from(group.random_member(Random(0)))
     assert tree.receiver_count == len(group) == 5_000
-    assert 0 < perf.since(before).kernel_resolves <= 4 * len(group)
+    assert 0 < perf.since(before).kernel_resolves <= len(tree.order) - 1
+
+
+def test_koorde_state_probes_once_per_member():
+    """A Koorde row is a run of the ring: one probe finds its start."""
+    group = kernel_trees.quick_group(get_system("koorde"))
+    before = perf.snapshot()
+    group.multicast_from(group.random_member(Random(0)))
+    assert perf.since(before).kernel_resolves == len(group)
 
 
 GOLDEN_SCENARIOS = dict(kernel_trees.scenarios())
@@ -196,15 +206,15 @@ class TestKernelStateCache:
     """Per-overlay kernel state: memoized, bounded, dropped with its overlay."""
 
     @staticmethod
-    def _overlay(count: int, seed: int) -> CamChordOverlay:
-        return CamChordOverlay(
+    def _overlay(count: int, seed: int) -> CamKoordeOverlay:
+        return CamKoordeOverlay(
             build_snapshot(IdentifierSpace(12), [4] * count, rng=Random(seed))
         )
 
     def test_state_reused_for_same_overlay(self):
         overlay = self._overlay(30, seed=0)
-        state = kernel._split_state(overlay)
-        assert kernel._split_state(overlay) is state
+        state = kernel._flood_state(overlay)
+        assert kernel._flood_state(overlay) is state
 
     def test_capacity_eviction_counts(self):
         overlays = [
@@ -212,17 +222,148 @@ class TestKernelStateCache:
         ]
         before = perf.snapshot()
         for overlay in overlays:
-            kernel._split_state(overlay)
+            kernel._flood_state(overlay)
         delta = perf.since(before)
         assert delta.kernel_state_evictions >= 2
-        assert len(kernel._SPLIT_STATES) <= kernel._STATE_CAPACITY
+        assert len(kernel._FLOOD_STATES) <= kernel._STATE_CAPACITY
 
     def test_dead_overlay_entry_dropped_without_eviction(self):
         overlay = self._overlay(20, seed=99)
-        kernel._split_state(overlay)
-        population = len(kernel._SPLIT_STATES)
+        kernel._flood_state(overlay)
+        population = len(kernel._FLOOD_STATES)
         before = perf.snapshot()
         del overlay
         gc.collect()
-        assert len(kernel._SPLIT_STATES) == population - 1
+        assert len(kernel._FLOOD_STATES) == population - 1
         assert perf.since(before).kernel_state_evictions == 0
+
+
+# -- the run formulations, at their edges -------------------------------------
+
+
+def assert_every_source_matches(overlay, builder, reference) -> None:
+    for source in overlay.snapshot.nodes:
+        assert_same_tree(builder(overlay, source), reference(overlay, source))
+
+
+def all_four(snap, fanout: int):
+    """(overlay, kernel builder, legacy recorder) of each registry system;
+    Koorde's recorder is the uncapped flood over its ``neighbors``."""
+    yield CamChordOverlay(snap), region_split_tree, reference_multicast
+    yield ChordOverlay(snap, base=fanout), region_split_tree, reference_multicast
+    yield CamKoordeOverlay(snap), flood_tree, flood_multicast
+    yield KoordeOverlay(snap, degree=fanout), flood_tree, flood_multicast
+
+
+@pytest.mark.parametrize(
+    "bits, idents",
+    [
+        (10, [77]),
+        (10, [5, 600]),
+        (10, [0, 511, 1023]),
+        # members on both sides of the wrap: from every source but row 0
+        # the region straddles it, and the last row's starts at row 0
+        (10, [0, 1, 2, 300, 301, 640, 900, 1021, 1022, 1023]),
+        (4, list(range(16))),  # a full ring
+    ],
+    ids=["n=1", "n=2", "n=3", "wrap", "full"],
+)
+def test_runs_match_the_recorders_at_the_ring_edges(bits, idents):
+    capacities = cycle_capacities([4, 9, 5, 17, 6], len(idents), floor=4)
+    snap = make_snapshot(bits, idents, capacity=capacities)
+    for overlay, builder, reference in all_four(snap, fanout=3):
+        assert_every_source_matches(overlay, builder, reference)
+
+
+@pytest.mark.parametrize("degree", [7, 8, 19])
+def test_koorde_run_longer_than_the_ring(degree):
+    """``degree >= n``: the pointer run laps the ring."""
+    snap = make_snapshot(10, [3, 90, 200, 444, 600, 777, 1000], capacity=2)
+    overlay = KoordeOverlay(snap, degree=degree)
+    assert_every_source_matches(overlay, flood_tree, flood_multicast)
+
+
+@pytest.mark.parametrize(
+    "bits, count, capacity",
+    [
+        (6, 3, 40),  # 16 buckets of 4 identifiers, group strides of 2 and 1
+        (6, 8, 40),
+        (6, 40, 40),  # dense: one bucket per identifier
+        (6, 5, 300),  # capacity > 2 N: every group run laps the ring
+        (6, 64, 300),
+        (14, 32, 12),  # the plane's sparse ring
+        (14, 5_000, 12),  # the experiments' dense one
+    ],
+)
+def test_cam_koorde_strided_runs_match_the_recorder(bits, count, capacity):
+    capacities = [capacity - (index % 3) for index in range(count)]
+    snap = build_snapshot(IdentifierSpace(bits), capacities, rng=Random(count))
+    assert (snap.ring_index.shift == 0) == (4 * count >= 1 << bits)
+    overlay = CamKoordeOverlay(snap)
+    for index in {0, count // 2, count - 1}:
+        source = snap.node_for_index(index)
+        assert_same_tree(flood_tree(overlay, source), flood_multicast(overlay, source))
+
+
+def test_spread_equals_the_reference_float_loop():
+    """Every (fanout, sequence) the splitter can ask for: the cached
+    tuple is ``select_child_regions``' running position, reversed."""
+    for fanout in range(2, 65):
+        for sequence in range(1, fanout):
+            position = float(fanout)
+            step = fanout / (fanout - sequence)
+            expected = []
+            for _ in range(fanout - sequence - 1):
+                position -= step
+                expected.append(math.ceil(position))
+            spread = kernel._spread(fanout, sequence)
+            assert list(spread) == expected[::-1]
+            assert all(a < b for a, b in zip(spread, spread[1:]))
+            assert not spread or 1 <= spread[0] and spread[-1] < fanout
+
+
+@pytest.mark.parametrize("ident", [3503, 4000], ids=["between members", "past the last"])
+def test_a_source_outside_the_group_is_rejected(ident):
+    """The kernel used to take ``bisect_left`` on trust: the first case
+    built a full tree rooted at the next member and labelled with the
+    stranger's identifier, the second died with an ``IndexError``."""
+    idents = [17, 900, 1500, 2222, 3000, 3502, 3761]
+    snap = make_snapshot(12, idents, capacity=5)
+    stranger = Node(ident=ident, capacity=5)
+    routines = {
+        "cam-chord": cam_chord_multicast,
+        "chord": cam_chord_multicast,
+        "cam-koorde": cam_koorde_multicast,
+        "koorde": koorde_flood,
+    }
+    for descriptor in all_descriptors():
+        overlay = descriptor.build_overlay(snap, uniform_fanout=4)
+        before = perf.snapshot()
+        with pytest.raises(KeyError, match=f"source {ident} is not a group member"):
+            routines[descriptor.name](overlay, stranger)
+        delta = perf.since(before)
+        assert delta.kernel_resolves == delta.kernel_trees == 0
+
+
+def test_verify_exactly_once_names_missing_and_extra_members():
+    idents = [1, 50, 200, 400, 600, 800, 1000]
+    snap = make_snapshot(10, idents, capacity=3)
+    full = region_split_tree(CamChordOverlay(snap), snap.nodes[0])
+    partial = FlatTree(
+        snap,
+        full.source_ident,
+        full.parent_index,
+        full.depth_array,
+        full.child_count,
+        full.order[:-1],
+    )
+    lost = snap.identifiers[full.order[-1]]
+    for tree, members, message in (
+        (full, {*idents, 7}, "1 members never received the message, e.g. [7]"),
+        (full, set(idents[1:]), "1 non-members received the message, e.g. [1]"),
+        (partial, set(idents), f"1 members never received the message, e.g. [{lost}]"),
+        (partial, set(idents) - {lost, 50}, "1 non-members received the message, e.g. [50]"),
+    ):
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            tree.verify_exactly_once(members)
+    partial.verify_exactly_once(set(idents) - {lost})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -162,6 +163,41 @@ class TestGenerateServiceWorkload:
         assert generate_service_workload(spec, seed=5) != (
             generate_service_workload(spec, seed=6)
         )
+
+    #: SHA-256 of ``repr(events)``, recorded at ``b41db62`` — the last
+    #: commit that re-sorted the membership set (and, per churn event,
+    #: every free host) instead of keeping one sorted list.  The first
+    #: four are ``bench``'s plane_steady / plane_churn specs; the last
+    #: has 7 hosts for groups of 5, so joins meet a full group.
+    PINNED = {
+        ("steady", 0): "10b6404bf4fc1b135c3ca7f664c98c0a7f2807aaf2ddf8f38be60dd2705838fe",
+        ("steady", 1): "53dfe4180dc87164431c19563a8fdf72ca07d6c8ad6a68ab8b727947682ff45c",
+        ("churn", 0): "801acf62c261fa83de793d68374a6bdaab6cb4a85db5275baa1c6fcd79681c41",
+        ("churn", 1): "527a647cf44759a9b6afd7ca5733246ba1358915dfdb9b662a4c2e9405e0eebd",
+        ("crowded", 3): "74ccdb88d6e9a653f6de1a4bca2fbd5cf17109a2134b67e29aa8ebfe904738e5",
+    }
+
+    @pytest.mark.parametrize("name, seed", sorted(PINNED))
+    def test_events_are_byte_identical_to_the_pinned_draw(self, name, seed):
+        from repro.workloads import ServiceWorkloadSpec, generate_service_workload
+
+        plane = dict(
+            groups=60, hosts=2000, group_size=32, horizon_s=40.0,
+            send_interval_s=0.25, message_kbits=8.0, bandwidths=UniformBandwidth(),
+        )
+        spec = {
+            "steady": lambda: ServiceWorkloadSpec(**plane),
+            "churn": lambda: ServiceWorkloadSpec(
+                **plane, churn_rate=0.5, mean_hold_s=120.0
+            ),
+            "crowded": lambda: ServiceWorkloadSpec(
+                groups=6, hosts=7, group_size=5, horizon_s=40.0,
+                send_interval_s=3.0, churn_rate=2.0,
+            ),
+        }[name]()
+        events = generate_service_workload(spec, seed).events
+        digest = hashlib.sha256(repr(events).encode()).hexdigest()
+        assert digest == self.PINNED[name, seed]
 
     def test_events_sorted_and_legal(self):
         from repro.workloads import generate_service_workload
