@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import floordiv
 
 #: CAM-Chord needs ``c_x >= 2``: with capacity 2 the neighbor identifiers
 #: ``x + 1 * 2**i`` degenerate to exactly the classic Chord finger table,
@@ -60,5 +62,8 @@ class CapacityModel:
         )
 
     def capacities(self, bandwidths_kbps: list[float]) -> list[int]:
-        """Vectorized :meth:`capacity`."""
-        return [self.capacity(b) for b in bandwidths_kbps]
+        """Vectorized :meth:`capacity`: one C-level pass, same ints."""
+        if bandwidths_kbps and min(bandwidths_kbps) < 0:  # the scalar rule names it
+            self.capacity(next(b for b in bandwidths_kbps if b < 0))
+        ratios = map(floordiv, bandwidths_kbps, repeat(self.per_link_kbps))
+        return list(map(max, repeat(self.minimum), map(int, ratios)))

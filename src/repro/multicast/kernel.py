@@ -22,8 +22,10 @@ arrays instead of millions of per-node object operations:
   that last row's offset names the next slot holding a child: no slot
   is tried in vain, a leaf costs nothing, a tree at most n - 1 probes.
   Koorde's pointers are ``degree`` consecutive rows from one probed
-  start; a CAM-Koorde shift group is one strided slice of the directory
-  on a dense ring.  A flood overlay's second source probes nothing;
+  start; a CAM-Koorde shift group is a strided slice of the successor
+  table wherever that table is no larger than the reads (a slice reads
+  in C, a probe loops in Python; a table that small costs less to fill
+  than it saves).  A flood overlay's second source probes nothing;
 * the result is a :class:`FlatTree`, a lazy view that speaks the full
   :class:`~repro.multicast.delivery.MulticastResult` vocabulary.  The
   hot metrics (:mod:`repro.metrics`) read the arrays directly in fused
@@ -45,14 +47,16 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter, OrderedDict, deque
 from functools import lru_cache
+from itertools import chain, repeat
 from math import ceil
+from operator import sub
 
 from repro import perf
 from repro.multicast.delivery import DuplicateDeliveryError
-from repro.overlay.base import Node, Overlay, RingSnapshot
+from repro.overlay.base import Node, Overlay, RingIndex, RingSnapshot
 from repro.overlay.cam_chord import CamChordOverlay
 from repro.overlay.cam_koorde import CamKoordeOverlay, cam_koorde_shift_groups
 from repro.overlay.koorde import KoordeOverlay
@@ -235,7 +239,8 @@ class _FloodState:
     lifetime.  Koorde's pointers are ``degree`` consecutive members, so
     a row is one entry of ``starts`` and there is no adjacency; every
     other overlay gets a CSR (``offsets`` / ``targets``) streamed over
-    the snapshot's columns, O(n) words at any n.  A row is in
+    the snapshot's columns, O(n) words at any n (a transient successor
+    table is no larger than the directory or the CSR it fills).  A row is in
     ``overlay.neighbors`` order but keeps the node itself and repeated
     neighbors: the flood takes a member's first visit, the same tree.
     """
@@ -262,32 +267,27 @@ class _FloodState:
         probes = 0
         if isinstance(overlay, CamKoordeOverlay):
             bits = snapshot.space.bits
+            runs = {}
+            for capacity, holders in Counter(snapshot.capacities).items():
+                reads, runs[capacity] = _shift_runs(capacity, bits)
+                probes += holders * reads
+            table = _successor_table(index, size, probes)
             shift, directory = index.shift, index.directory
-            if shift == 0:
-                # One bucket per identifier: the directory *is* the
-                # answer once its closing ``n`` entries wrap to member 0.
-                edge = bisect_left(directory, count)
-                directory = directory[:edge] + array("I", [0]) * (len(directory) - edge)
             for i, (x, capacity) in enumerate(zip(idents, snapshot.capacities)):
                 # predecessor and successor lead the row, unprobed
                 append((i - 1) % count)
                 append((i + 1) % count)
-                for by, members in cam_koorde_shift_groups(capacity, bits):
-                    # one Section 4.1 group is an evenly strided run of
-                    # identifiers; past 2**by members it repeats.
-                    members = min(members, 1 << by)
+                for by, members, stride in runs[capacity]:
                     ident = x >> by
-                    stride = 1 << (bits - by)
-                    if shift == 0:
-                        extend(directory[ident : ident + members * stride : stride])
-                    else:
-                        for _ in range(members):
-                            j = directory[ident >> shift]
-                            while j < count and idents[j] < ident:
-                                j += 1
-                            append(j if j < count else 0)
-                            ident += stride
-                    probes += members
+                    if table is not None:
+                        extend(table[ident : ident + members * stride : stride])
+                        continue
+                    for _ in range(members):
+                        j = directory[ident >> shift]
+                        while j < count and idents[j] < ident:
+                            j += 1
+                        append(j if j < count else 0)
+                        ident += stride
                 offsets[i + 1] = len(targets)
         else:
             # No run structure to exploit: probe every neighbor identifier.
@@ -297,6 +297,34 @@ class _FloodState:
                 probes += len(wanted)
                 offsets[i + 1] = len(targets)
         perf.COUNTERS.kernel_resolves += probes
+
+
+@lru_cache(maxsize=512)
+def _shift_runs(capacity: int, bits: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The reads, and a ``(by, members, stride)`` run per non-empty §4.1
+    group, of one capacity: member ``x`` reads ``(x >> by) + k * stride``,
+    ``k < members``, cut at ``2**by``, past which the run repeats."""
+    groups = cam_koorde_shift_groups(capacity, bits)
+    runs = tuple((by, min(span, 1 << by), 1 << (bits - by)) for by, span in groups if span)
+    return sum(run[1] for run in runs), runs
+
+
+def _successor_table(index: RingIndex, size: int, reads: int) -> array | None:
+    """``table[x]``, for every identifier ``x``: the row responsible for
+    it, the ``n -> 0`` wrap already taken.  On a dense ring that is the
+    directory; else it is built, row ``j`` once per identifier in
+    ``(x[j - 1], x[j]]`` (n fills, no search), only when its ``size``
+    entries are no more than the ``reads`` it answers — None otherwise."""
+    idents = index.idents
+    last = idents[-1] + 1  # identifiers past the last member wrap to row 0
+    if index.shift == 0:
+        head = index.directory[:last]
+    elif size <= reads:
+        gaps = map(sub, idents, chain((-1,), idents))
+        head = array("I", chain.from_iterable(map(repeat, range(len(idents)), gaps)))
+    else:
+        return None
+    return head + array("I", [0]) * (size - last)
 
 
 @lru_cache(maxsize=256)

@@ -218,6 +218,10 @@ def test_plan_for_record_and_error_paths():
         plan.subtree(7777)  # not an epoch member
     with pytest.raises(KeyError):
         plan.orphans_of_edge(1, 1)  # not a primary edge
+    with pytest.raises(KeyError):
+        plan.orphans_of_node(7777)  # not an epoch member: not "nobody orphaned"
+    leaf = next(ident for ident in plan.routes if ident not in plan.children)
+    assert plan.orphans_of_node(leaf) == ()
 
     # nothing undelivered -> nothing to recover
     recovery = apply_failover(record, plan, descriptor, FailoverTiming())
@@ -266,12 +270,23 @@ def test_candidate_view_equals_the_eager_ranking(idents, caps, system):
     plan = build_backup_plan(tree, descriptor)
     twin = build_backup_plan(build_tree(system, idents, caps)[1], descriptor)
     assert plan == twin
+    delivered = [tree.snapshot.identifiers[index] for index in tree.order]
+    assert [plan.source, *plan.routes] == delivered
+    assert list(reversed(plan.routes)) == delivered[:0:-1]
     for ident, route in plan.routes.items():
         view = route.candidates
+        for name in ("ident", "parent", "depth", "candidates"):
+            with pytest.raises(AttributeError):
+                setattr(route, name, None)
+        assert repr(route) == (
+            f"BackupRoute(ident={ident}, parent={route.parent}, "
+            f"depth={tree.depth[ident]}, candidates={tuple(view)!r})"
+        )
         expected = eager_ranking(plan, ident)
         size = len(expected)
         assert tuple(view) == expected
-        assert len(view) == size
+        assert len(view) == size == sum(1 for _ in view)
+        assert view[-1] == route.parent
         assert [view[i] for i in range(-size, size)] == list(expected + expected)
         for beyond in (size, -size - 1):
             with pytest.raises(IndexError):
@@ -283,8 +298,8 @@ def test_candidate_view_equals_the_eager_ranking(idents, caps, system):
         assert view == expected and expected == view
         assert view != expected[:-1] and view != list(expected)
         assert view == twin.routes[ident].candidates
-        assert hash(view) == hash(expected)
-        assert repr(view) == repr(expected)
+        assert hash(view) == hash(expected) == hash(tuple(view))
+        assert repr(view) == repr(expected) == repr(tuple(view))
 
 
 def test_plan_is_linear_at_20k():

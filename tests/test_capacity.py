@@ -49,6 +49,24 @@ class TestCapacityModel:
         model = CapacityModel(per_link_kbps=100, minimum=4)
         assert model.capacities([400, 1000, 50]) == [4, 10, 4]
 
+    @pytest.mark.parametrize("per_link", [25.0, 100, 0.3])
+    def test_vectorized_equals_the_per_element_rule(self, per_link):
+        """Zero, exact multiples of p, values below the floor and far
+        above it: the one-pass column is the per-member rule, int for
+        int."""
+        model = CapacityModel(per_link_kbps=per_link, minimum=4)
+        bandwidths = [0.0, 0, per_link, 3 * per_link, 4 * per_link, 7 * per_link,
+                      per_link * 4 - 1e-9, 1.5, 399.999, 1e12, 10**15 + 0.5, 123456]
+        out = model.capacities(bandwidths)
+        assert out == [model.capacity(b) for b in bandwidths]
+        assert all(type(c) is int for c in out)
+        assert model.capacities([]) == []
+
+    def test_vectorized_names_the_first_negative_bandwidth(self):
+        model = CapacityModel(per_link_kbps=100, minimum=4)
+        with pytest.raises(ValueError, match=r"bandwidth must be >= 0, got -1\.5$"):
+            model.capacities([400, -1.5, 700, -9.0])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CapacityModel(per_link_kbps=0)

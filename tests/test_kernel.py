@@ -28,9 +28,9 @@ from repro.multicast.cam_chord import cam_chord_multicast, reference_multicast
 from repro.multicast.cam_koorde import cam_koorde_multicast, flood_multicast
 from repro.multicast.kernel import FlatTree, flood_tree, region_split_tree
 from repro.multicast.koorde_flood import koorde_flood
-from repro.overlay.base import Node, build_snapshot
+from repro.overlay.base import Node, RingSnapshot, build_snapshot
 from repro.overlay.cam_chord import CamChordOverlay
-from repro.overlay.cam_koorde import CamKoordeOverlay
+from repro.overlay.cam_koorde import CamKoordeOverlay, cam_koorde_shift_groups
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.koorde import KoordeOverlay
 from repro.systems import all_descriptors, get_system
@@ -303,6 +303,81 @@ def test_cam_koorde_strided_runs_match_the_recorder(bits, count, capacity):
     for index in {0, count // 2, count - 1}:
         source = snap.node_for_index(index)
         assert_same_tree(flood_tree(overlay, source), flood_multicast(overlay, source))
+
+
+def probed_csr(snap) -> tuple[list[int], list[int]]:
+    """The CAM-Koorde CSR from one ``RingIndex.probe`` per group element:
+    predecessor and successor, then every Section 4.1 run in order."""
+    bits, count, probe = snap.space.bits, len(snap), snap.ring_index.probe
+    offsets, targets = [0], []
+    for i, (x, capacity) in enumerate(zip(snap.identifiers, snap.capacities)):
+        targets += [(i - 1) % count, (i + 1) % count]
+        for by, members in cam_koorde_shift_groups(capacity, bits):
+            for k in range(min(members, 1 << by)):
+                targets.append(probe((k << (bits - by)) + (x >> by)))
+        offsets.append(len(targets))
+    return offsets, targets
+
+
+def table_rule_ring(bits: int, count: int, capacities: list[int], pinned=()):
+    """``count`` members of ``2**bits``: ``pinned`` plus a seeded draw,
+    capacities cycled over the ring."""
+    drawn = [x for x in Random(count).sample(range(1 << bits), count) if x not in pinned]
+    idents = [*pinned, *drawn[: count - len(pinned)]]
+    caps = [capacities[i % len(capacities)] for i in range(count)]
+    return RingSnapshot.from_columns(IdentifierSpace(bits), idents, caps)
+
+
+@pytest.mark.parametrize(
+    "bits, count, capacities, pinned, side",
+    [
+        (10, 300, [6, 9, 13], (), "directory"),  # dense: shift == 0
+        (10, 300, [4], (), "directory"),  # dense, 600 reads of 1,024 entries
+        (14, 2_000, list(range(16, 41)), (), "table"),  # backup_install's shape
+        (24, 2_000, list(range(16, 41)), (), "probe"),  # 2**24 entries, ~52k reads
+        (12, 20, [4, 7, 12, 20], (), "probe"),  # the campaign's clusters
+        (8, 32, [10], (), "table"),  # 8 reads a member: 256 == 2**8
+        (8, 32, [9] + [10] * 31, (), "probe"),  # one read short of the table
+        (8, 32, [10], (0, 255), "table"),  # members at both ends of the wrap
+        (12, 20, [10], (0, 4095), "probe"),
+        (6, 3, [40, 39, 38], (), "table"),  # strides narrower than a bucket
+        (6, 8, [40, 39, 38], (), "table"),
+        (6, 5, [300, 299, 298], (), "table"),  # every run laps the ring
+    ],
+    ids=[
+        "dense", "dense-few-reads", "backup_install", "sparse-2^24", "campaign",
+        "reads==size", "reads==size-1", "wrap-table", "wrap-probe",
+        "narrow-n3", "narrow-n8", "lapping-n5",
+    ],
+)
+def test_cam_koorde_successor_table_iff_no_larger_than_the_reads(
+    monkeypatch, bits, count, capacities, pinned, side
+):
+    """A shift group is a slice of the successor table when the ring is
+    dense or the table has no more entries than the reads; otherwise it
+    is probed.  Every side fills the same CSR as one probe per element
+    and books the same ``kernel_resolves`` (the reads, not the table's
+    entries)."""
+    snap = table_rule_ring(bits, count, capacities, pinned)
+    tables = []
+    real = kernel._successor_table
+    monkeypatch.setattr(
+        kernel, "_successor_table", lambda *args: tables.append(real(*args)) or tables[-1]
+    )
+    before = perf.snapshot()
+    state = kernel._FloodState(CamKoordeOverlay(snap))
+    resolves = perf.since(before).kernel_resolves
+    offsets, targets = probed_csr(snap)
+    assert list(state.offsets) == offsets
+    assert list(state.targets) == targets
+    assert resolves == len(targets) - 2 * count
+    (table,) = tables
+    taken = "probe" if table is None else "directory" if snap.ring_index.shift == 0 else "table"
+    assert taken == side
+    if table is not None:
+        assert len(table) == 1 << bits
+    if taken == "table":  # built: never more entries than the CSR it fills
+        assert len(table) <= len(targets)
 
 
 def test_spread_equals_the_reference_float_loop():
