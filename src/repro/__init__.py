@@ -39,8 +39,8 @@ from repro.metrics import (
     sustainable_throughput,
 )
 from repro.multicast import (
+    FlatTree,
     MulticastGroup,
-    MulticastResult,
     SystemKind,
     cam_chord_multicast,
     cam_koorde_multicast,
@@ -75,8 +75,8 @@ __all__ = [
     "summarize_tree",
     "sustainable_throughput",
     "MemberSpec",
+    "FlatTree",
     "MulticastGroup",
-    "MulticastResult",
     "SystemDescriptor",
     "SystemKind",
     "all_descriptors",

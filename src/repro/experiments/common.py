@@ -23,7 +23,7 @@ from repro.capacity.distributions import (
 )
 from repro.capacity.model import CapacityModel
 from repro.idspace.ring import IdentifierSpace
-from repro.multicast.delivery import MulticastResult
+from repro.multicast.kernel import FlatTree
 from repro.multicast.session import MulticastGroup, SystemKind
 from repro.overlay.base import RingSnapshot, build_snapshot
 from repro.systems import DEFAULT_UNIFORM_FANOUT, SystemDescriptor, resolve
@@ -353,7 +353,7 @@ def capacity_group(
 def averaged_over_sources(
     group: MulticastGroup,
     scale: ExperimentScale,
-    metric: Callable[[MulticastResult, RingSnapshot], float],
+    metric: Callable[[FlatTree, RingSnapshot], float],
     seed: int = 0,
 ) -> float:
     """Run one multicast per source and average a tree metric."""
@@ -366,7 +366,7 @@ def averaged_over_sources(
     return sum(values) / len(values)
 
 
-def merged_histogram(results: Sequence[MulticastResult]) -> dict[int, int]:
+def merged_histogram(results: Sequence[FlatTree]) -> dict[int, int]:
     """Sum of per-tree path-length histograms, averaged per tree."""
     total: dict[int, int] = {}
     for result in results:

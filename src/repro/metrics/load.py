@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro import perf
-from repro.multicast.delivery import MulticastResult
 from repro.multicast.kernel import FlatTree
 
 
@@ -79,7 +78,7 @@ class ForwardingLoad:
 
 
 def flooding_load(
-    results: Iterable[MulticastResult], message_kbits: float = 1.0
+    results: Iterable[FlatTree], message_kbits: float = 1.0
 ) -> ForwardingLoad:
     """Aggregate forwarding load when every source uses its own implicit
     tree (the CAM / flooding architecture).
@@ -87,29 +86,23 @@ def flooding_load(
     Each node forwards ``children * message_kbits`` per message it
     relays.  Nodes that appear in any tree are accounted even when they
     forwarded nothing, so :attr:`ForwardingLoad.idle_fraction` is
-    meaningful.
+    meaningful.  Accumulated straight off the kernel arrays, in
+    delivery order.
     """
     per_node: dict[int, float] = {}
     get = per_node.get
     for result in results:
-        if isinstance(result, FlatTree):
-            # Fused: accumulate straight off the kernel arrays, in
-            # delivery order (same dict insertion order as the
-            # children_counts() path).
-            perf.COUNTERS.array_passes += 1
-            idents = result.snapshot.identifiers
-            counts = result.child_count
-            for index in result.order:
-                ident = idents[index]
-                per_node[ident] = get(ident, 0.0) + counts[index] * message_kbits
-            continue
-        for ident, count in result.children_counts().items():
-            per_node[ident] = per_node.get(ident, 0.0) + count * message_kbits
+        perf.COUNTERS.array_passes += 1
+        idents = result.snapshot.identifiers
+        counts = result.child_count
+        for index in result.order:
+            ident = idents[index]
+            per_node[ident] = get(ident, 0.0) + counts[index] * message_kbits
     return ForwardingLoad(per_node=per_node)
 
 
 def single_tree_load(
-    shared_tree: MulticastResult,
+    shared_tree: FlatTree,
     message_count: int,
     message_kbits: float = 1.0,
 ) -> ForwardingLoad:

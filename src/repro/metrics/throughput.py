@@ -18,101 +18,69 @@ quantifies.
 from __future__ import annotations
 
 from repro import perf
-from repro.multicast.delivery import MulticastResult
 from repro.multicast.kernel import FlatTree
 from repro.overlay.base import RingSnapshot
 
 
-def allocated_link_bandwidths(
-    result: MulticastResult | FlatTree, snapshot: RingSnapshot
-) -> dict[int, float]:
+def allocated_link_bandwidths(result: FlatTree, snapshot: RingSnapshot) -> dict[int, float]:
     """Per-internal-node allocated bandwidth ``B_x / d_x`` in kbps."""
+    perf.COUNTERS.array_passes += 1
+    counts = result.child_count
+    idents = result.snapshot.identifiers
+    bandwidths = result.snapshot.bandwidths
     allocations: dict[int, float] = {}
-    if isinstance(result, FlatTree):
-        # Fused: one sweep over the kernel arrays, bandwidths read from
-        # the snapshot's flat column (no per-member Node construction,
-        # no node tuple materialization).
-        perf.COUNTERS.array_passes += 1
-        counts = result.child_count
-        idents = result.snapshot.identifiers
-        bandwidths = result.snapshot.bandwidths
-        for index in result.order:
-            count = counts[index]
-            if count == 0:
-                continue
-            bandwidth = bandwidths[index]
-            if bandwidth <= 0:
-                raise ValueError(
-                    f"node {idents[index]} has no bandwidth assigned; build the "
-                    "snapshot with per-node bandwidths to use the throughput "
-                    "model"
-                )
-            allocations[idents[index]] = bandwidth / count
-        return allocations
-    for ident, count in result.children_counts().items():
+    for index in result.order:
+        count = counts[index]
         if count == 0:
             continue
-        node = snapshot.node_at(ident)
-        if node.bandwidth_kbps <= 0:
-            raise ValueError(
-                f"node {ident} has no bandwidth assigned; build the snapshot "
-                "with per-node bandwidths to use the throughput model"
-            )
-        allocations[ident] = node.bandwidth_kbps / count
+        bandwidth = bandwidths[index]
+        if bandwidth <= 0:
+            raise _no_bandwidth(idents[index])
+        allocations[idents[index]] = bandwidth / count
     return allocations
 
 
-def sustainable_throughput(
-    result: MulticastResult | FlatTree, snapshot: RingSnapshot
-) -> float:
+def sustainable_throughput(result: FlatTree, snapshot: RingSnapshot) -> float:
     """The session's sustainable data rate in kbps (single-node groups
-    have nothing to forward, reported as the source's full bandwidth)."""
-    if isinstance(result, FlatTree):
-        # Fused: running min, no allocation dict at all.  ``min`` over
-        # the same set of quotients is order-insensitive, so this is
-        # bit-identical to the dict-building path.
-        perf.COUNTERS.array_passes += 1
-        counts = result.child_count
-        idents = result.snapshot.identifiers
-        bandwidths = result.snapshot.bandwidths
-        bottleneck = -1.0
-        for index in result.order:
-            count = counts[index]
-            if count == 0:
-                continue
-            bandwidth = bandwidths[index]
-            if bandwidth <= 0:
-                raise ValueError(
-                    f"node {idents[index]} has no bandwidth assigned; build the "
-                    "snapshot with per-node bandwidths to use the throughput "
-                    "model"
-                )
-            allocated = bandwidth / count
-            if bottleneck < 0 or allocated < bottleneck:
-                bottleneck = allocated
-        if bottleneck < 0:
-            return snapshot.node_at(result.source_ident).bandwidth_kbps
-        return bottleneck
-    allocations = allocated_link_bandwidths(result, snapshot)
-    if not allocations:
+    have nothing to forward, reported as the source's full bandwidth).
+
+    A running minimum over the same quotients as
+    :func:`allocated_link_bandwidths`, with no allocation dict."""
+    perf.COUNTERS.array_passes += 1
+    counts = result.child_count
+    bandwidths = result.snapshot.bandwidths
+    bottleneck = -1.0
+    for index in result.order:
+        count = counts[index]
+        if count == 0:
+            continue
+        bandwidth = bandwidths[index]
+        if bandwidth <= 0:
+            raise _no_bandwidth(result.snapshot.identifiers[index])
+        allocated = bandwidth / count
+        if bottleneck < 0 or allocated < bottleneck:
+            bottleneck = allocated
+    if bottleneck < 0:
         return snapshot.node_at(result.source_ident).bandwidth_kbps
-    return min(allocations.values())
+    return bottleneck
 
 
-def average_children_per_internal_node(result: MulticastResult | FlatTree) -> float:
+def _no_bandwidth(ident: int) -> ValueError:
+    return ValueError(
+        f"node {ident} has no bandwidth assigned; build the snapshot with "
+        "per-node bandwidths to use the throughput model"
+    )
+
+
+def average_children_per_internal_node(result: FlatTree) -> float:
     """The Figure 6 x-axis: mean out-degree over non-leaf tree nodes."""
-    if isinstance(result, FlatTree):
-        perf.COUNTERS.array_passes += 1
-        internal = 0
-        total = 0
-        for count in result.child_count:
-            if count > 0:
-                internal += 1
-                total += count
-        if internal == 0:
-            return 0.0
-        return total / internal
-    counts = [c for c in result.children_counts().values() if c > 0]
-    if not counts:
+    perf.COUNTERS.array_passes += 1
+    internal = 0
+    total = 0
+    for count in result.child_count:
+        if count > 0:
+            internal += 1
+            total += count
+    if internal == 0:
         return 0.0
-    return sum(counts) / len(counts)
+    return total / internal

@@ -1,9 +1,8 @@
 """Structural statistics of one implicit multicast tree.
 
-Kernel-built trees (:class:`~repro.multicast.kernel.FlatTree`) are
-summarized in one fused sweep over the flat arrays; object trees take
-the dict-walking path.  Both produce bit-identical statistics (the
-accumulations are integer until the final divisions)."""
+A tree (:class:`~repro.multicast.kernel.FlatTree`) is summarized in one
+fused sweep over its flat arrays; the accumulations are integer until
+the final divisions."""
 
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro import perf
-from repro.multicast.delivery import MulticastResult
 from repro.multicast.kernel import FlatTree
 
 
@@ -40,32 +38,11 @@ class TreeStats:
         return self.receivers == member_count
 
 
-def summarize_tree(result: MulticastResult | FlatTree) -> TreeStats:
-    """Compute :class:`TreeStats` from a delivery record."""
-    if isinstance(result, FlatTree):
-        return _summarize_flat(result)
-    children = result.children_counts()
-    internal = [count for count in children.values() if count > 0]
-    leaves = len(children) - len(internal)
-    histogram = Counter(result.depth.values())
-    total_children = sum(internal)
-    return TreeStats(
-        receivers=result.receiver_count,
-        average_path_length=result.average_path_length(),
-        max_path_length=result.max_path_length(),
-        histogram=dict(sorted(histogram.items())),
-        internal_count=len(internal),
-        leaf_count=leaves,
-        average_children=total_children / len(internal) if internal else 0.0,
-        max_children=max(internal) if internal else 0,
-    )
-
-
-def _summarize_flat(tree: FlatTree) -> TreeStats:
+def summarize_tree(result: FlatTree) -> TreeStats:
     """All eight statistics in one pass over the kernel arrays."""
     perf.COUNTERS.array_passes += 1
-    depths = tree.depth_array
-    counts = tree.child_count
+    depths = result.depth_array
+    counts = result.child_count
     histogram: Counter[int] = Counter()
     receivers = 0
     depth_total = 0
@@ -73,7 +50,7 @@ def _summarize_flat(tree: FlatTree) -> TreeStats:
     internal = 0
     children_total = 0
     children_max = 0
-    for index in tree.order:
+    for index in result.order:
         receivers += 1
         depth = depths[index]
         depth_total += depth

@@ -12,19 +12,17 @@ Four routines, matching the four systems of the paper's evaluation:
 * :func:`koorde_flood` — flooding over plain Koorde's clustered de
   Bruijn links (capacity-oblivious baseline).
 
-The snapshot-driven routines (:func:`cam_chord_multicast`,
-:func:`cam_koorde_multicast`, :func:`koorde_flood`) execute in the
-flat-array kernel (:mod:`repro.multicast.kernel`) and return a
-:class:`FlatTree` — a lazy view speaking the full
-:class:`MulticastResult` vocabulary.  The traced/live data plane
-(protocol peers, the reliable-multicast service) still records object
-trees via :class:`MulticastResult`.
+Every routine executes in the flat-array kernel
+(:mod:`repro.multicast.kernel`) and returns a :class:`FlatTree`, the
+one tree type: the source's tree over a frozen membership snapshot,
+with the metrics (:mod:`repro.metrics`) reading its arrays.  The live
+protocol peers build no tree object; their dissemination is read back
+from the trace.
 """
 
-from repro.multicast.delivery import MulticastResult
 from repro.multicast.kernel import FlatTree, flood_tree, region_split_tree
-from repro.multicast.cam_chord import cam_chord_multicast, reference_multicast
-from repro.multicast.cam_koorde import cam_koorde_multicast, flood_multicast
+from repro.multicast.cam_chord import cam_chord_multicast
+from repro.multicast.cam_koorde import cam_koorde_multicast
 from repro.multicast.chord_broadcast import chord_broadcast
 from repro.multicast.koorde_flood import koorde_flood
 from repro.multicast.session import MulticastGroup, SystemKind
@@ -47,14 +45,11 @@ __all__ = [
     "SequenceLedger",
     "SharedTree",
     "build_shared_tree",
-    "MulticastResult",
     "FlatTree",
     "flood_tree",
     "region_split_tree",
     "cam_chord_multicast",
-    "reference_multicast",
     "cam_koorde_multicast",
-    "flood_multicast",
     "chord_broadcast",
     "koorde_flood",
     "MulticastGroup",

@@ -23,24 +23,20 @@ Two engineering notes beyond the paper's pseudo code:
   Figure 3) requires the ceiling: floor would pick ``x_{2,1}``.  We
   follow the worked example.
 
-The child-selection core is a pure function over a *resolver* so that
-the structural simulation (global membership snapshot) and the live
-protocol peers (local, possibly stale neighbor tables) execute the
-identical algorithm.
+The child-selection core is a pure function over a *resolver*, which
+the live protocol peers (local, possibly stale neighbor tables) run hop
+by hop.  The structural simulation runs the same selection as runs of
+rows in the flat-array kernel; both take the spare-capacity slots from
+:func:`~repro.overlay.cam_chord.spare_sequences`.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from typing import Callable
 
-from repro import perf
 from repro.idspace.ring import segment_contains, segment_size
-from repro.trace.tracer import TRACER
-from repro.multicast.delivery import MulticastResult
 from repro.overlay.base import Node
-from repro.overlay.cam_chord import level_and_sequence
+from repro.overlay.cam_chord import level_and_sequence, spare_sequences
 
 #: Maps a neighbor identifier (with its level and sequence number) to
 #: the identifier of the node believed responsible for it, or None when
@@ -101,43 +97,12 @@ def select_child_regions(
     # Lines 10-14: spread the spare capacity over level-(i-1) neighbors,
     # as evenly separated as possible (ceiling; see module docstring).
     if level >= 1:
-        position = float(capacity)
-        step = capacity / (capacity - sequence)
-        for _ in range(capacity - sequence - 1):
-            position -= step
-            consider(level - 1, math.ceil(position))
+        for seq in reversed(spare_sequences(capacity, sequence)):
+            consider(level - 1, seq)
 
     # Line 15: the successor x_{0,1} picks up whatever remains.
     consider(0, 1)
     return selected
-
-
-def select_children(overlay, node: Node, limit: int) -> list[tuple[Node, int]]:
-    """Child selection against the global membership snapshot.
-
-    ``overlay`` is a :class:`CamChordOverlay` or a plain
-    :class:`~repro.overlay.chord.ChordOverlay`: the arithmetic is
-    identical with ``capacity`` replaced by the uniform finger base, so
-    the same routine doubles as the *capacity-oblivious* balanced
-    multicast the paper's Figure 6 evaluates under the name "Chord".
-    """
-    snapshot = overlay.snapshot
-    members = snapshot.nodes
-    resolve_index = snapshot.resolve_index
-    resolved: dict[int, Node] = {}
-
-    def resolver(level: int, sequence: int, identifier: int) -> int:
-        # resolve_index avoids the ident->Node dict hop on the way out:
-        # the node is remembered here, keyed by the ident the region
-        # arithmetic works with.
-        member = members[resolve_index(identifier)]
-        resolved[member.ident] = member
-        return member.ident
-
-    regions = select_child_regions(
-        node.ident, overlay.fanout(node), overlay.space.bits, limit, resolver
-    )
-    return [(resolved[child], sublimit) for child, sublimit in regions]
 
 
 def cam_chord_multicast(overlay, source: Node):
@@ -153,36 +118,10 @@ def cam_chord_multicast(overlay, source: Node):
     over member indices, each region a run of rows, so only a slot that
     holds a child is looked at (at most n - 1 directory probes a tree)
     and no member with an empty region is visited; edge-for-edge
-    identical to :func:`reference_multicast` (``tests/test_kernel.py``).
-    Raises ``KeyError`` when ``source`` is not a member.
+    identical to a breadth-first dict recorder over
+    :func:`select_child_regions` (``tests/test_kernel.py``).  Raises
+    ``KeyError`` when ``source`` is not a member.
     """
     from repro.multicast.kernel import region_split_tree
 
     return region_split_tree(overlay, source)
-
-
-def reference_multicast(overlay, source: Node) -> MulticastResult:
-    """The ``record_delivery``-built object tree of one multicast.
-
-    This is the legacy data plane — one dict insert per delivery, one
-    scalar ``resolve`` per considered slot — kept as the executable
-    specification the kernel is property-tested against; the live
-    protocol peers run the same child selection hop by hop.
-    """
-    result = MulticastResult(source_ident=source.ident)
-    initial_limit = overlay.space.sub(source.ident, 1)
-    queue: deque[tuple[Node, int]] = deque([(source, initial_limit)])
-    while queue:
-        node, limit = queue.popleft()
-        for child, sublimit in select_children(overlay, node, limit):
-            result.record_delivery(child.ident, node.ident)
-            queue.append((child, sublimit))
-    perf.COUNTERS.multicast_trees += 1
-    perf.COUNTERS.deliveries += result.messages_sent
-    if TRACER.enabled:
-        # Structural trees have no clock and up to 100k edges — one
-        # summary event per tree keeps tracing affordable at scale.
-        TRACER.emit(
-            0.0, "mc", "tree", source=source.ident, edges=result.messages_sent
-        )
-    return result

@@ -15,9 +15,9 @@ can quantify the difference.
 
 from __future__ import annotations
 
-from collections import deque
+from functools import partial
 
-from repro.multicast.delivery import MulticastResult
+from repro.multicast.kernel import FlatTree, select_tree
 from repro.overlay.base import Node
 from repro.overlay.chord import ChordOverlay
 
@@ -56,14 +56,10 @@ def select_broadcast_children(
     return children
 
 
-def chord_broadcast(overlay: ChordOverlay, source: Node) -> MulticastResult:
-    """Run a full broadcast from ``source`` and return the implicit tree."""
-    result = MulticastResult(source_ident=source.ident)
-    initial_limit = overlay.space.sub(source.ident, 1)
-    queue: deque[tuple[Node, int]] = deque([(source, initial_limit)])
-    while queue:
-        node, limit = queue.popleft()
-        for child, sublimit in select_broadcast_children(overlay, node, limit):
-            result.record_delivery(child.ident, node.ident)
-            queue.append((child, sublimit))
-    return result
+def chord_broadcast(overlay: ChordOverlay, source: Node) -> FlatTree:
+    """Run a full broadcast from ``source`` and return the implicit tree.
+
+    Raises ``KeyError`` when ``source`` is not a member."""
+    return select_tree(
+        overlay.snapshot, source, partial(select_broadcast_children, overlay)
+    )

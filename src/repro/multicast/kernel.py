@@ -26,21 +26,22 @@ arrays instead of millions of per-node object operations:
   table wherever that table is no larger than the reads (a slice reads
   in C, a probe loops in Python; a table that small costs less to fill
   than it saves).  A flood overlay's second source probes nothing;
-* the result is a :class:`FlatTree`, a lazy view that speaks the full
-  :class:`~repro.multicast.delivery.MulticastResult` vocabulary.  The
-  hot metrics (:mod:`repro.metrics`) read the arrays directly in fused
-  single passes; the ``parent`` / ``depth`` dicts materialize only when
-  a consumer actually subscripts them (parity diffing, causal
-  forensics, the transfer scheduler) and in exact delivery order, so
-  the object view is byte-for-byte the tree the legacy recorder built.
+* a child rule with no run formulation (El-Ansary's broadcast,
+  proximity neighbor selection) is handed to :func:`select_tree`,
+  which asks it for each node's children and stores them the same way;
+* the result is a :class:`FlatTree`, the one tree type of the
+  structural world, and every tree is booked and traced by one
+  :func:`_finish`.  The metrics (:mod:`repro.metrics`) read the arrays
+  directly in fused single passes; the ``parent`` / ``depth`` dicts
+  materialize only when a consumer actually subscripts them (parity
+  diffing, delay sums, the transfer scheduler), in delivery order.
 
-The ``record_delivery``-built object trees remain the data plane of
-the *traced/live* path (protocol peers, the reliable-multicast service,
-proximity ablations): there the tree emerges from simulated message
-exchanges, not from a snapshot, and cannot be precomputed.
+Live protocol peers build no tree object: their trees emerge from
+simulated message exchanges and are read back from the trace
+(:mod:`repro.trace.causal`) or counted by the delivery monitor.
 
-Equivalence with the legacy recorders is property-tested edge-for-edge
-for all four registry systems in ``tests/test_kernel.py``.
+Every builder is property-tested edge-for-edge, in delivery order,
+against plain dict recorders in ``tests/test_kernel.py``.
 """
 
 from __future__ import annotations
@@ -51,19 +52,27 @@ from bisect import bisect_right
 from collections import Counter, OrderedDict, deque
 from functools import lru_cache
 from itertools import chain, repeat
-from math import ceil
 from operator import sub
+from typing import Callable
 
 from repro import perf
-from repro.multicast.delivery import DuplicateDeliveryError
 from repro.overlay.base import Node, Overlay, RingIndex, RingSnapshot
-from repro.overlay.cam_chord import CamChordOverlay
+from repro.overlay.cam_chord import CamChordOverlay, spare_sequences
 from repro.overlay.cam_koorde import CamKoordeOverlay, cam_koorde_shift_groups
 from repro.overlay.koorde import KoordeOverlay
 from repro.trace.tracer import TRACER
 
 #: sentinel in the parent/depth arrays: this member never received.
 UNREACHED = -1
+
+
+class DuplicateDeliveryError(AssertionError):
+    """A node received the same multicast message twice.
+
+    For the region-splitting systems this is an algorithm-invariant
+    violation (the split is supposed to partition ``(x, k]``); the
+    builder raises rather than silently double-counting.
+    """
 
 
 class FlatTree:
@@ -143,7 +152,7 @@ class FlatTree:
             self._depth_map = {idents[index]: depths[index] for index in self.order}
         return self._depth_map
 
-    # -- MulticastResult vocabulary (fused array passes) ----------------
+    # -- tree vocabulary (fused array passes) ----------------------------
 
     def was_delivered(self, ident: int) -> bool:
         """True when the node received the message."""
@@ -338,22 +347,6 @@ def _ladder(fanout: int, size: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
-def _spread(fanout: int, sequence: int) -> tuple[int, ...]:
-    """Sequence numbers of the spare-capacity slots (Section 3.4 lines
-    10-14), ascending, from the same float loop as
-    :func:`~repro.multicast.cam_chord.select_child_regions`: the
-    ceilings are bit-identical and, the step exceeding 1, strictly
-    monotonic."""
-    position = float(fanout)
-    step = fanout / (fanout - sequence)
-    out = []
-    for _ in range(fanout - sequence - 1):
-        position -= step
-        out.append(ceil(position))
-    return tuple(reversed(out))
-
-
 class _StateCache:
     """Bounded LRU of per-overlay memoized flood state.
 
@@ -429,11 +422,9 @@ def _rooted(snapshot: RingSnapshot, source: Node) -> tuple[int, array, array, ar
 def flood_tree(overlay: Overlay, source: Node) -> FlatTree:
     """Flood from ``source``: breadth-first over the overlay's rows.
 
-    Forwarding decisions are identical to
-    :func:`repro.multicast.cam_koorde.flood_multicast` with no fanout
-    cap — a row reproduces ``overlay.neighbors`` order exactly, and the
-    first visit wins as there — but each delivery is two array stores
-    instead of two dict inserts.
+    Forwarding decisions are those of a breadth-first flood over
+    ``overlay.neighbors`` — a row reproduces that order exactly, and
+    the first visit wins — with each delivery two array stores.
     """
     snapshot = overlay.snapshot
     source_index, parent_index, depths, child_count, order = _rooted(snapshot, source)
@@ -519,7 +510,7 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
         unit = ladder[level]
         if level:  # at level 0 the unit is 1: every reach is on the rung
             below = ladder[level - 1]
-            spread = _spread(fanout, remaining // unit)
+            spread = spare_sequences(fanout, remaining // unit)
         hop = depths[i] + 1
         children = 0
         while last != i:
@@ -544,10 +535,7 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
                     child = 0
                 probes += 1
             if parent_index[child] != UNREACHED:
-                raise DuplicateDeliveryError(
-                    f"node {idents[child]} received the message twice "
-                    f"(parents {idents[parent_index[child]]} and {ident})"
-                )
+                raise _duplicate(idents, child, parent_index[child], i)
             parent_index[child] = i
             depths[child] = hop
             deliver(child)
@@ -560,6 +548,46 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
 
     perf.COUNTERS.kernel_resolves += probes
     return _finish(snapshot, source.ident, parent_index, depths, child_count, order)
+
+
+def select_tree(
+    snapshot: RingSnapshot,
+    source: Node,
+    select: Callable[[Node, int], list[tuple[Node, int]]],
+) -> FlatTree:
+    """The tree of a region-splitting child rule, breadth-first.
+
+    The source owns ``(x, x - 1]``, the rest of the ring, and
+    ``select(node, limit)`` names the children of a node that owns
+    ``(node, limit]``, each with the subregion it takes over.  This is
+    the builder for rules with no run formulation (El-Ansary's
+    broadcast, proximity neighbor selection); a member handed a second
+    parent raises :class:`DuplicateDeliveryError`.
+    """
+    row, parent_index, depths, child_count, order = _rooted(snapshot, source)
+    index_of = snapshot.index_of
+    queue = deque([(row, source, (source.ident - 1) % snapshot.space.size)])
+    while queue:
+        i, node, limit = queue.popleft()
+        hop = depths[i] + 1
+        for child, sublimit in select(node, limit):
+            j = index_of(child.ident)
+            if parent_index[j] != UNREACHED:
+                raise _duplicate(snapshot.identifiers, j, parent_index[j], i)
+            parent_index[j] = i
+            depths[j] = hop
+            child_count[i] += 1
+            order.append(j)
+            queue.append((j, child, sublimit))
+    return _finish(snapshot, source.ident, parent_index, depths, child_count, order)
+
+
+def _duplicate(idents, child: int, first: int, second: int) -> DuplicateDeliveryError:
+    """Row ``child`` handed the message by rows ``first`` and ``second``."""
+    return DuplicateDeliveryError(
+        f"node {idents[child]} received the message twice "
+        f"(parents {idents[first]} and {idents[second]})"
+    )
 
 
 def _finish(

@@ -20,13 +20,12 @@ lowest-delay one.
 
 from __future__ import annotations
 
-import math
-from collections import deque
+from functools import partial
 from typing import Callable
 
-from repro.multicast.delivery import MulticastResult
+from repro.multicast.kernel import FlatTree, select_tree
 from repro.overlay.base import Node
-from repro.overlay.cam_chord import CamChordOverlay, level_and_sequence
+from repro.overlay.cam_chord import CamChordOverlay, level_and_sequence, spare_sequences
 
 #: delay(parent, candidate) -> cost used to rank window candidates
 DelayFunction = Callable[[int, int], float]
@@ -75,11 +74,8 @@ def select_children_pns(
     for seq in range(sequence, 0, -1):
         consider(level, seq)
     if level >= 1:
-        position = float(capacity)
-        step = capacity / (capacity - sequence)
-        for _ in range(capacity - sequence - 1):
-            position -= step
-            consider(level - 1, math.ceil(position))
+        for seq in reversed(spare_sequences(capacity, sequence)):
+            consider(level - 1, seq)
     # Line 15: the successor picks up whatever remains.  Its window
     # [x+1, x+2) offers no selection freedom, so it is the one child
     # that must be the true ring successor — otherwise the members no
@@ -95,45 +91,24 @@ def pns_cam_chord_multicast(
     source: Node,
     delay: DelayFunction,
     probe_limit: int = 16,
-) -> MulticastResult:
-    """Full multicast with proximity neighbor selection at every hop."""
-    result = MulticastResult(source_ident=source.ident)
-    initial_limit = overlay.space.sub(source.ident, 1)
-    queue: deque[tuple[Node, int]] = deque([(source, initial_limit)])
-    while queue:
-        node, node_limit = queue.popleft()
-        for child, sublimit in select_children_pns(
-            overlay, node, node_limit, delay, probe_limit=probe_limit
-        ):
-            result.record_delivery(child.ident, node.ident)
-            queue.append((child, sublimit))
-    return result
+) -> FlatTree:
+    """Full multicast with proximity neighbor selection at every hop.
+
+    Raises ``KeyError`` when ``source`` is not a member."""
+    select = partial(select_children_pns, overlay, delay=delay, probe_limit=probe_limit)
+    return select_tree(overlay.snapshot, source, select)
 
 
-def tree_delay_statistics(
-    result: MulticastResult, delay: DelayFunction
-) -> tuple[float, float]:
+def tree_delay_statistics(result: FlatTree, delay: DelayFunction) -> tuple[float, float]:
     """(mean, max) end-to-end delay from the source over all receivers.
 
     A receiver's delay is the sum of per-hop delays along its delivery
-    path — the latency a pipelined transfer would see.
+    path — the latency a pipelined transfer would see.  ``parent`` is in
+    delivery order, so a parent's delay is known before its children's.
     """
-    total: dict[int, float] = {result.source_ident: 0.0}
-    worst = 0.0
-    # parents always precede children in a BFS-recorded delivery map,
-    # but be defensive: resolve recursively.
-
-    def delay_of(ident: int) -> float:
-        if ident in total:
-            return total[ident]
-        parent = result.parent[ident]
-        assert parent is not None
-        value = delay_of(parent) + delay(parent, ident)
-        total[ident] = value
-        return value
-
-    for ident in result.parent:
-        worst = max(worst, delay_of(ident))
+    total: dict[int, float] = {}
+    for ident, parent in result.parent.items():
+        total[ident] = 0.0 if parent is None else total[parent] + delay(parent, ident)
     others = [value for ident, value in total.items() if ident != result.source_ident]
     mean = sum(others) / len(others) if others else 0.0
-    return mean, worst
+    return mean, max(total.values())

@@ -34,7 +34,7 @@ from typing import Iterable, Mapping
 from repro.capacity.model import CapacityModel
 from repro.idspace.hashing import assign_identifiers
 from repro.idspace.ring import IdentifierSpace
-from repro.multicast.delivery import MulticastResult
+from repro.multicast.kernel import FlatTree
 from repro.multicast.session import MulticastGroup, SystemKind
 from repro.overlay.base import RingSnapshot
 from repro.systems import DEFAULT_UNIFORM_FANOUT, SystemDescriptor, resolve
@@ -253,7 +253,7 @@ class MulticastService:
 
     def multicast(
         self, group_name: str, source_host: str, message_kbits: float = 1.0
-    ) -> MulticastResult:
+    ) -> FlatTree:
         """Deliver one message in one group, charging host uplinks."""
         group = self.group(group_name)
         source_ident = self.member_ident(group_name, source_host)

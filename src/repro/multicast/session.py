@@ -30,7 +30,7 @@ from typing import Sequence
 
 from repro.capacity.model import CapacityModel
 from repro.idspace.ring import IdentifierSpace
-from repro.multicast.delivery import MulticastResult
+from repro.multicast.kernel import FlatTree
 from repro.overlay.base import Node, Overlay, RingSnapshot, build_snapshot
 from repro.systems import (
     DEFAULT_UNIFORM_FANOUT,
@@ -166,7 +166,7 @@ class MulticastGroup:
 
     # -- the service ------------------------------------------------------
 
-    def multicast_from(self, source: Node) -> MulticastResult:
+    def multicast_from(self, source: Node) -> FlatTree:
         """Deliver one message from ``source`` to every other member.
 
         Returns the implicit tree the dissemination traced.  Raises if

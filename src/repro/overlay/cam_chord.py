@@ -10,6 +10,9 @@ shares this module's arithmetic.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import ceil
+
 from repro.overlay.base import LookupResult, Node, Overlay, RingSnapshot
 
 
@@ -36,6 +39,28 @@ def level_and_sequence(distance: int, capacity: int) -> tuple[int, int]:
         power *= capacity
         level += 1
     return level, distance // power
+
+
+@lru_cache(maxsize=4096)
+def spare_sequences(capacity: int, sequence: int) -> tuple[int, ...]:
+    """Section 3.4 lines 10-14: the level-``(i-1)`` sequence numbers
+    over which a node at level ``i``, sequence ``sequence`` spreads its
+    spare capacity, ascending.
+
+    The running position steps down from ``capacity`` by ``capacity /
+    (capacity - sequence)`` and each slot takes its ceiling (the
+    paper's pseudo code floors, but its Figure 3 worked example needs
+    the ceiling).  The step exceeds 1, so the slots are strictly
+    increasing; a caller that walks them highest first iterates the
+    tuple reversed.
+    """
+    position = float(capacity)
+    step = capacity / (capacity - sequence)
+    out = []
+    for _ in range(capacity - sequence - 1):
+        position -= step
+        out.append(ceil(position))
+    return tuple(reversed(out))
 
 
 def slot_identifiers(ident: int, capacity: int, bits: int) -> list[tuple[int, int, int]]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Hashable, Mapping
 
-from repro.multicast.delivery import MulticastResult
+from repro.multicast.kernel import FlatTree
 from repro.overlay.base import RingSnapshot
 
 #: per-hop one-way latency in seconds: (parent_ident, child_ident) -> s
@@ -163,7 +163,7 @@ class TransferResult:
 
 
 def simulate_tree_transfer(
-    tree: MulticastResult,
+    tree: FlatTree,
     snapshot: RingSnapshot,
     message_kbits: float,
     packet_count: int = 32,
@@ -270,7 +270,7 @@ def simulate_tree_transfer(
 
 
 def delivery_timeline(
-    tree: MulticastResult,
+    tree: FlatTree,
     snapshot: RingSnapshot,
     message_kbits: float,
     hop_latency: HopLatency | None = None,

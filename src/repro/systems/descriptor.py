@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, ClassVar
 from repro.systems.kinds import SystemKind
 
 if TYPE_CHECKING:
-    from repro.multicast.delivery import MulticastResult
+    from repro.multicast.kernel import FlatTree
     from repro.overlay.base import Node, Overlay, RingSnapshot
     from repro.protocol.base_peer import BasePeer
 
@@ -147,7 +147,7 @@ class SystemDescriptor:
     min_capacity: int
     fanout: FanoutPolicy
     overlay_factory: Callable[["RingSnapshot", int], "Overlay"]
-    multicast_routine: Callable[["Overlay", "Node"], "MulticastResult"]
+    multicast_routine: Callable[["Overlay", "Node"], "FlatTree"]
     peer_loader: Callable[[], type["BasePeer"]]
     builds_single_tree: bool
     baseline: SystemKind | None = None
@@ -176,7 +176,7 @@ class SystemDescriptor:
         """The structural overlay over one membership snapshot."""
         return self.overlay_factory(snapshot, uniform_fanout)
 
-    def run_multicast(self, overlay: "Overlay", source: "Node") -> "MulticastResult":
+    def run_multicast(self, overlay: "Overlay", source: "Node") -> "FlatTree":
         """Disseminate one message; returns the implicit tree."""
         return self.multicast_routine(overlay, source)
 

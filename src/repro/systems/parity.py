@@ -36,7 +36,7 @@ from repro.systems.registry import resolve
 from repro.systems.spec import MemberSpec
 
 if TYPE_CHECKING:
-    from repro.multicast.delivery import MulticastResult
+    from repro.multicast.kernel import FlatTree
     from repro.trace.causal import MulticastRecord
 
 
@@ -73,7 +73,7 @@ def _compare(
     descriptor: SystemDescriptor,
     source: int,
     members: frozenset[int],
-    static: "MulticastResult",
+    static: "FlatTree",
     record: "MulticastRecord",
 ) -> ParityReport:
     static_depths = dict(static.depth)
@@ -148,8 +148,9 @@ def check_parity(
     The live cluster bootstraps, converges without churn (extra
     ``settle`` time until every neighbor-table slot is accurate), then
     multicasts from ``source`` (default: the spec's first member) under
-    the structured tracer.  The harness owns the global ``TRACER`` for
-    the duration of the live run and restores its enabled state after.
+    the structured tracer.  The live run is read inside a
+    ``TRACER.capture()``, which leaves the tracer's flag and buffer as
+    it found them: earlier events survive, the run's own are dropped.
     """
     descriptor = resolve(system)
     members = frozenset(spec.identifiers)
@@ -186,15 +187,10 @@ def check_parity(
             f"(accuracy {cluster.neighbor_table_accuracy():.3f})"
         )
 
-    was_enabled = TRACER.enabled
-    TRACER.enable(reset=True)
-    try:
+    with TRACER.capture() as mark:
         mid = cluster.multicast_from(source_ident)
         cluster.run(window)
-        record = reconstruct(list(TRACER.events()), mid)
-    finally:
-        if not was_enabled:
-            TRACER.disable()
+        record = reconstruct(TRACER.events_since(mark), mid)
 
     return _compare(descriptor, source_ident, members, static, record)
 

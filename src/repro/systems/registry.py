@@ -27,7 +27,7 @@ from repro.systems.descriptor import (
 from repro.systems.kinds import SystemKind
 
 if TYPE_CHECKING:
-    from repro.multicast.delivery import MulticastResult
+    from repro.multicast.kernel import FlatTree
     from repro.overlay.base import Node, Overlay, RingSnapshot
     from repro.protocol.base_peer import BasePeer
 
@@ -134,19 +134,19 @@ def _koorde_overlay(snapshot: "RingSnapshot", uniform_fanout: int) -> "Overlay":
     return KoordeOverlay(snapshot, degree=uniform_fanout)
 
 
-def _cam_chord_cast(overlay: "Overlay", source: "Node") -> "MulticastResult":
+def _cam_chord_cast(overlay: "Overlay", source: "Node") -> "FlatTree":
     from repro.multicast.cam_chord import cam_chord_multicast
 
     return cam_chord_multicast(overlay, source)
 
 
-def _cam_koorde_cast(overlay: "Overlay", source: "Node") -> "MulticastResult":
+def _cam_koorde_cast(overlay: "Overlay", source: "Node") -> "FlatTree":
     from repro.multicast.cam_koorde import cam_koorde_multicast
 
     return cam_koorde_multicast(overlay, source)
 
 
-def _koorde_cast(overlay: "Overlay", source: "Node") -> "MulticastResult":
+def _koorde_cast(overlay: "Overlay", source: "Node") -> "FlatTree":
     from repro.multicast.koorde_flood import koorde_flood
 
     return koorde_flood(overlay, source)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 from repro.multicast.chord_broadcast import (
     chord_broadcast,
     select_broadcast_children,
 )
+from repro.overlay.base import Node
 from repro.overlay.chord import ChordOverlay
 from tests.conftest import make_snapshot, random_snapshot
 
@@ -79,6 +82,14 @@ class TestChordBroadcast:
         overlay = ChordOverlay(snap, base=2)
         tree = chord_broadcast(overlay, snap.node_at(5))
         tree.verify_exactly_once({0, 5, 20, 40})
+
+    def test_source_outside_the_group_is_rejected(self):
+        """A non-member source used to come back as a 21-receiver tree
+        that included it; now it is refused like every other routine's."""
+        snap = random_snapshot(10, 20, seed=8)
+        ghost = Node(ident=next(x for x in range(1024) if x not in snap), capacity=4)
+        with pytest.raises(KeyError, match=f"source {ghost.ident} is not a group member"):
+            chord_broadcast(ChordOverlay(snap, base=2), ghost)
 
     def test_every_source_covers(self):
         snap = random_snapshot(10, 50, seed=6)

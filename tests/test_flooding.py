@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from random import Random
 
-from repro.multicast.cam_koorde import cam_koorde_multicast, flood_multicast
+from repro.multicast.cam_koorde import cam_koorde_multicast
 from repro.multicast.koorde_flood import koorde_flood
 from repro.overlay.cam_koorde import CamKoordeOverlay
 from repro.overlay.koorde import KoordeOverlay
@@ -32,12 +32,6 @@ class TestFloodMulticast:
                     dist[neighbor.ident] = dist[node.ident] + 1
                     queue.append(neighbor)
         assert tree.depth == dist
-
-    def test_fanout_limit_caps_children(self):
-        snap = random_snapshot(10, 80, seed=2)
-        overlay = CamKoordeOverlay(snap)
-        tree = flood_multicast(overlay, snap.nodes[0], fanout_limit=lambda n: 2)
-        assert max(tree.children_counts().values()) <= 2
 
     def test_parent_is_a_neighbor(self):
         """Every delivery edge is an actual overlay link."""

@@ -1,12 +1,13 @@
-"""Kernel/legacy equivalence: the flat-array trees ARE the object trees.
+"""Kernel/oracle equivalence: the flat-array trees ARE the dict trees.
 
 The flat-array kernel (:mod:`repro.multicast.kernel`) must reproduce
-the ``record_delivery``-built reference recorders *edge for edge* —
-same parents, same depths, same children counts, and the same delivery
-order (the reference dicts' insertion order), because downstream
-consumers iterate the views and their output depends on that order.
-Property-tested here for all four registry systems over random
-memberships, capacities and sources.
+the dict recorders of :mod:`tests.dict_trees` *edge for edge* — same
+parents, same depths, same children counts, and the same delivery
+order (the dicts' insertion order), because downstream consumers
+iterate the views and their output depends on that order.
+Property-tested here for all four registry systems, El-Ansary's
+broadcast and proximity neighbor selection over random memberships,
+capacities and sources.
 """
 
 from __future__ import annotations
@@ -24,16 +25,20 @@ from repro import perf
 from repro.idspace.ring import IdentifierSpace
 from repro.metrics.tree_stats import summarize_tree
 from repro.multicast import kernel
-from repro.multicast.cam_chord import cam_chord_multicast, reference_multicast
-from repro.multicast.cam_koorde import cam_koorde_multicast, flood_multicast
+from repro.multicast.cam_chord import cam_chord_multicast
+from repro.multicast.cam_koorde import cam_koorde_multicast
+from repro.multicast.chord_broadcast import chord_broadcast, select_broadcast_children
 from repro.multicast.kernel import FlatTree, flood_tree, region_split_tree
 from repro.multicast.koorde_flood import koorde_flood
+from repro.multicast.proximity import pns_cam_chord_multicast, select_children_pns
 from repro.overlay.base import Node, RingSnapshot, build_snapshot
-from repro.overlay.cam_chord import CamChordOverlay
+from repro.overlay.cam_chord import CamChordOverlay, spare_sequences
 from repro.overlay.cam_koorde import CamKoordeOverlay, cam_koorde_shift_groups
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.koorde import KoordeOverlay
+from repro.sim.latency import GeographicLatency
 from repro.systems import all_descriptors, get_system
+from tests import dict_trees
 from tests.conftest import make_snapshot
 from tests.golden import kernel_trees
 
@@ -44,27 +49,28 @@ def cycle_capacities(caps: list[int], count: int, floor: int) -> list[int]:
     return [max(floor, caps[i % len(caps)]) for i in range(count)]
 
 
-def assert_same_tree(flat: FlatTree, reference) -> None:
-    """Edge-for-edge, order-for-order equality of the two data planes."""
+def assert_same_tree(flat: FlatTree, oracle: tuple[dict, dict]) -> None:
+    """Edge-for-edge, order-for-order equality with the dict oracle."""
+    parent, depth = oracle
+    expected = dict_trees.derived(parent, depth)
     assert isinstance(flat, FlatTree)
-    assert flat.source_ident == reference.source_ident
-    assert flat.messages_sent == reference.messages_sent
-    assert flat.receiver_count == reference.receiver_count
+    assert flat.source_ident == next(iter(parent))
+    assert flat.messages_sent == len(parent) - 1
+    assert flat.receiver_count == len(parent)
     # dict equality AND insertion (delivery) order
-    assert flat.parent == reference.parent
-    assert list(flat.parent) == list(reference.parent)
-    assert flat.depth == reference.depth
-    assert list(flat.depth) == list(reference.depth)
+    assert flat.parent == parent
+    assert list(flat.parent) == list(parent)
+    assert flat.depth == depth
+    assert list(flat.depth) == list(depth)
     flat_children = flat.children_counts()
-    ref_children = reference.children_counts()
-    assert flat_children == ref_children
-    assert list(flat_children) == list(ref_children)
-    assert flat.path_length_histogram() == reference.path_length_histogram()
-    assert flat.average_path_length() == reference.average_path_length()
-    assert flat.max_path_length() == reference.max_path_length()
-    assert sorted(flat.internal_nodes()) == sorted(reference.internal_nodes())
+    assert flat_children == expected["children"]
+    assert list(flat_children) == list(expected["children"])
+    assert flat.path_length_histogram() == expected["histogram"]
+    assert flat.average_path_length() == expected["mean"]
+    assert flat.max_path_length() == expected["max"]
+    assert sorted(flat.internal_nodes()) == sorted(expected["internal"])
     # the fused one-pass summary equals the dict-walking one exactly
-    assert summarize_tree(flat) == summarize_tree(reference)
+    assert summarize_tree(flat) == expected["stats"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,7 +86,7 @@ def test_cam_chord_kernel_matches_reference(idents, caps, source_index):
     overlay = CamChordOverlay(snap)
     source = snap.nodes[source_index % len(snap.nodes)]
     assert_same_tree(
-        region_split_tree(overlay, source), reference_multicast(overlay, source)
+        region_split_tree(overlay, source), dict_trees.region_split(overlay, source)
     )
 
 
@@ -97,7 +103,7 @@ def test_chord_kernel_matches_reference(idents, base, source_index):
     overlay = ChordOverlay(snap, base=base)
     source = snap.nodes[source_index % len(snap.nodes)]
     assert_same_tree(
-        region_split_tree(overlay, source), reference_multicast(overlay, source)
+        region_split_tree(overlay, source), dict_trees.region_split(overlay, source)
     )
 
 
@@ -113,7 +119,7 @@ def test_cam_koorde_kernel_matches_reference(idents, caps, source_index):
     snap = make_snapshot(10, ordered, capacity=capacities)
     overlay = CamKoordeOverlay(snap)
     source = snap.nodes[source_index % len(snap.nodes)]
-    assert_same_tree(flood_tree(overlay, source), flood_multicast(overlay, source))
+    assert_same_tree(flood_tree(overlay, source), dict_trees.flood(overlay, source))
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,7 +133,7 @@ def test_koorde_kernel_matches_reference(idents, degree, source_index):
     snap = make_snapshot(10, ordered, capacity=2)
     overlay = KoordeOverlay(snap, degree=degree)
     source = snap.nodes[source_index % len(snap.nodes)]
-    assert_same_tree(flood_tree(overlay, source), flood_multicast(overlay, source))
+    assert_same_tree(flood_tree(overlay, source), dict_trees.flood(overlay, source))
 
 
 def test_all_sources_match_on_all_registry_systems():
@@ -140,9 +146,9 @@ def test_all_sources_match_on_all_registry_systems():
             flat = descriptor.run_multicast(overlay, source)
             assert isinstance(flat, FlatTree), descriptor.name
             if isinstance(overlay, (CamKoordeOverlay, KoordeOverlay)):
-                reference = flood_multicast(overlay, source)
+                reference = dict_trees.flood(overlay, source)
             else:
-                reference = reference_multicast(overlay, source)
+                reference = dict_trees.region_split(overlay, source)
             assert_same_tree(flat, reference)
 
 
@@ -194,10 +200,10 @@ def test_kernel_path_to_source_and_delivery_queries():
     snap = make_snapshot(10, idents, capacity=3)
     overlay = CamChordOverlay(snap)
     flat = region_split_tree(overlay, snap.nodes[0])
-    reference = reference_multicast(overlay, snap.nodes[0])
+    parent, _ = dict_trees.region_split(overlay, snap.nodes[0])
     for ident in idents:
         assert flat.was_delivered(ident)
-        assert flat.path_to_source(ident) == reference.path_to_source(ident)
+        assert flat.path_to_source(ident) == dict_trees.path_to_source(parent, ident)
     assert not flat.was_delivered(7)  # never a member
     flat.verify_exactly_once(set(idents))
 
@@ -247,12 +253,11 @@ def assert_every_source_matches(overlay, builder, reference) -> None:
 
 
 def all_four(snap, fanout: int):
-    """(overlay, kernel builder, legacy recorder) of each registry system;
-    Koorde's recorder is the uncapped flood over its ``neighbors``."""
-    yield CamChordOverlay(snap), region_split_tree, reference_multicast
-    yield ChordOverlay(snap, base=fanout), region_split_tree, reference_multicast
-    yield CamKoordeOverlay(snap), flood_tree, flood_multicast
-    yield KoordeOverlay(snap, degree=fanout), flood_tree, flood_multicast
+    """(overlay, kernel builder, dict recorder) of each registry system."""
+    yield CamChordOverlay(snap), region_split_tree, dict_trees.region_split
+    yield ChordOverlay(snap, base=fanout), region_split_tree, dict_trees.region_split
+    yield CamKoordeOverlay(snap), flood_tree, dict_trees.flood
+    yield KoordeOverlay(snap, degree=fanout), flood_tree, dict_trees.flood
 
 
 @pytest.mark.parametrize(
@@ -275,12 +280,63 @@ def test_runs_match_the_recorders_at_the_ring_edges(bits, idents):
         assert_every_source_matches(overlay, builder, reference)
 
 
+def rule_systems(snap, base: int, placement: int):
+    """(overlay, kernel routine, dict child rule) of El-Ansary's broadcast
+    and of proximity neighbor selection, the two rules ``select_tree``
+    builds."""
+    geo = GeographicLatency(jitter=0.0, placement_seed=placement)
+
+    def delay(a: int, b: int) -> float:
+        return geo.delay(a, b, Random(0))
+
+    yield ChordOverlay(snap, base=base), chord_broadcast, select_broadcast_children
+    yield (
+        CamChordOverlay(snap),
+        lambda overlay, source: pns_cam_chord_multicast(overlay, source, delay),
+        lambda overlay, node, limit: select_children_pns(overlay, node, limit, delay),
+    )
+
+
+def assert_rules_match(snap, base: int, placement: int) -> None:
+    for overlay, routine, rule in rule_systems(snap, base, placement):
+        for source in snap.nodes:
+            assert_same_tree(
+                routine(overlay, source), dict_trees.region_split(overlay, source, rule)
+            )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    idents=st.sets(st.integers(min_value=0, max_value=1023), min_size=1, max_size=40),
+    caps=st.lists(st.integers(min_value=2, max_value=16), min_size=1, max_size=6),
+    base=st.integers(min_value=2, max_value=8),
+    placement=st.integers(min_value=0, max_value=5),
+)
+def test_select_tree_matches_the_dict_split_from_every_source(
+    idents, caps, base, placement
+):
+    ordered = sorted(idents)
+    capacities = cycle_capacities(caps, len(ordered), floor=2)
+    snap = make_snapshot(10, ordered, capacity=capacities)
+    assert_rules_match(snap, base, placement)
+
+
+@pytest.mark.parametrize(
+    "idents",
+    [[77], [5, 600], [0, 1, 2, 300, 301, 640, 900, 1021, 1022, 1023]],
+    ids=["n=1", "n=2", "wrap"],
+)
+def test_select_tree_matches_the_dict_split_at_the_ring_edges(idents):
+    capacities = cycle_capacities([4, 9, 5, 17, 6], len(idents), floor=2)
+    assert_rules_match(make_snapshot(10, idents, capacity=capacities), base=3, placement=1)
+
+
 @pytest.mark.parametrize("degree", [7, 8, 19])
 def test_koorde_run_longer_than_the_ring(degree):
     """``degree >= n``: the pointer run laps the ring."""
     snap = make_snapshot(10, [3, 90, 200, 444, 600, 777, 1000], capacity=2)
     overlay = KoordeOverlay(snap, degree=degree)
-    assert_every_source_matches(overlay, flood_tree, flood_multicast)
+    assert_every_source_matches(overlay, flood_tree, dict_trees.flood)
 
 
 @pytest.mark.parametrize(
@@ -302,7 +358,7 @@ def test_cam_koorde_strided_runs_match_the_recorder(bits, count, capacity):
     overlay = CamKoordeOverlay(snap)
     for index in {0, count // 2, count - 1}:
         source = snap.node_for_index(index)
-        assert_same_tree(flood_tree(overlay, source), flood_multicast(overlay, source))
+        assert_same_tree(flood_tree(overlay, source), dict_trees.flood(overlay, source))
 
 
 def probed_csr(snap) -> tuple[list[int], list[int]]:
@@ -382,7 +438,7 @@ def test_cam_koorde_successor_table_iff_no_larger_than_the_reads(
 
 def test_spread_equals_the_reference_float_loop():
     """Every (fanout, sequence) the splitter can ask for: the cached
-    tuple is ``select_child_regions``' running position, reversed."""
+    tuple is the Section 3.4 running position, reversed."""
     for fanout in range(2, 65):
         for sequence in range(1, fanout):
             position = float(fanout)
@@ -391,7 +447,7 @@ def test_spread_equals_the_reference_float_loop():
             for _ in range(fanout - sequence - 1):
                 position -= step
                 expected.append(math.ceil(position))
-            spread = kernel._spread(fanout, sequence)
+            spread = spare_sequences(fanout, sequence)
             assert list(spread) == expected[::-1]
             assert all(a < b for a, b in zip(spread, spread[1:]))
             assert not spread or 1 <= spread[0] and spread[-1] < fanout

@@ -11,40 +11,41 @@ from repro.metrics.throughput import (
     sustainable_throughput,
 )
 from repro.metrics.tree_stats import summarize_tree
-from repro.multicast.delivery import DuplicateDeliveryError, MulticastResult
+from repro.multicast.kernel import DuplicateDeliveryError
 from tests.conftest import make_snapshot
+from tests.dict_trees import hand_tree
 
 
-def star_tree(center: int, leaves: list[int]) -> MulticastResult:
-    result = MulticastResult(source_ident=center)
-    for leaf in leaves:
-        result.record_delivery(leaf, center)
-    return result
+def ring(*idents: int, bandwidth: float | list[float] = 0.0):
+    return make_snapshot(8, sorted(idents), capacity=4, bandwidth=bandwidth)
 
 
-def chain_tree(idents: list[int]) -> MulticastResult:
-    result = MulticastResult(source_ident=idents[0])
-    for parent, child in zip(idents, idents[1:]):
-        result.record_delivery(child, parent)
-    return result
+def star_tree(center: int, leaves: list[int], snap=None):
+    snap = snap if snap is not None else ring(center, *leaves)
+    return hand_tree(snap, center, [(center, leaf) for leaf in leaves])
+
+
+def chain_tree(idents: list[int]):
+    return hand_tree(ring(*idents), idents[0], list(zip(idents, idents[1:])))
+
+
+def single_node(ident: int, bandwidth: float = 0.0):
+    return hand_tree(ring(ident, bandwidth=bandwidth), ident)
 
 
 class TestMulticastResult:
+    """The tree a multicast returns: the FlatTree vocabulary on small
+    hand-drawn trees."""
+
     def test_source_recorded_at_depth_zero(self):
-        result = MulticastResult(source_ident=5)
+        result = single_node(5)
         assert result.depth[5] == 0
         assert result.parent[5] is None
         assert result.receiver_count == 1
 
     def test_duplicate_delivery_raises(self):
-        result = star_tree(0, [1, 2])
-        with pytest.raises(DuplicateDeliveryError):
-            result.record_delivery(1, 2)
-
-    def test_forward_before_receive_rejected(self):
-        result = MulticastResult(source_ident=0)
-        with pytest.raises(ValueError, match="before receiving"):
-            result.record_delivery(5, 99)
+        with pytest.raises(DuplicateDeliveryError, match="node 1 received the message"):
+            hand_tree(ring(0, 1, 2), 0, [(0, 1), (0, 2), (2, 1)])
 
     def test_path_to_source(self):
         result = chain_tree([1, 2, 3, 4])
@@ -60,8 +61,7 @@ class TestMulticastResult:
         assert result.max_path_length() == 2
 
     def test_average_path_single_node(self):
-        result = MulticastResult(source_ident=3)
-        assert result.average_path_length() == 0.0
+        assert single_node(3).average_path_length() == 0.0
 
     def test_verify_exactly_once_missing(self):
         result = star_tree(0, [1])
@@ -94,7 +94,7 @@ class TestTreeStats:
         assert stats.average_path_length == 2.0
 
     def test_single_node(self):
-        stats = summarize_tree(MulticastResult(source_ident=0))
+        stats = summarize_tree(single_node(0))
         assert stats.internal_count == 0
         assert stats.average_children == 0.0
         assert stats.max_children == 0
@@ -102,38 +102,32 @@ class TestTreeStats:
 
 class TestThroughput:
     def test_allocations(self):
-        snap = make_snapshot(8, [0, 10, 20, 30], capacity=4,
-                             bandwidth=[800.0, 600.0, 500.0, 400.0])
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
-        tree.record_delivery(20, 0)
-        tree.record_delivery(30, 10)
+        snap = ring(0, 10, 20, 30, bandwidth=[800.0, 600.0, 500.0, 400.0])
+        tree = hand_tree(snap, 0, [(0, 10), (0, 20), (10, 30)])
         allocations = allocated_link_bandwidths(tree, snap)
         assert allocations == {0: 400.0, 10: 600.0}
         assert sustainable_throughput(tree, snap) == 400.0
 
     def test_missing_bandwidth_rejected(self):
-        snap = make_snapshot(8, [0, 10], capacity=4)
-        tree = star_tree(0, [10])
+        snap = ring(0, 10)
+        tree = star_tree(0, [10], snap)
         with pytest.raises(ValueError, match="no bandwidth"):
             sustainable_throughput(tree, snap)
 
     def test_single_node_session(self):
-        snap = make_snapshot(8, [0], capacity=4, bandwidth=750.0)
-        tree = MulticastResult(source_ident=0)
-        assert sustainable_throughput(tree, snap) == 750.0
+        tree = single_node(0, bandwidth=750.0)
+        assert sustainable_throughput(tree, tree.snapshot) == 750.0
 
     def test_average_children(self):
         assert average_children_per_internal_node(star_tree(0, [1, 2])) == 2
         assert average_children_per_internal_node(chain_tree([0, 1, 2])) == 1
-        assert (
-            average_children_per_internal_node(MulticastResult(source_ident=0)) == 0.0
-        )
+        assert average_children_per_internal_node(single_node(0)) == 0.0
 
 
 class TestForwardingLoad:
     def test_flooding_aggregates_across_sources(self):
-        trees = [star_tree(0, [1, 2]), star_tree(1, [0, 2])]
+        snap = ring(0, 1, 2)
+        trees = [star_tree(0, [1, 2], snap), star_tree(1, [0, 2], snap)]
         load = flooding_load(trees, message_kbits=2.0)
         assert load.per_node[0] == 4.0  # 2 children in tree 1
         assert load.per_node[1] == 4.0

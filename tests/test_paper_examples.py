@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.multicast.cam_chord import cam_chord_multicast, select_children
+from repro.multicast.cam_chord import cam_chord_multicast
 from repro.multicast.cam_koorde import cam_koorde_multicast
 from repro.overlay.cam_chord import CamChordOverlay, level_and_sequence
 from repro.overlay.cam_koorde import CamKoordeOverlay, cam_koorde_neighbor_groups
+from tests.dict_trees import select_children
 
 
 class TestFigure2Neighbors:

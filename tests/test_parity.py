@@ -6,6 +6,7 @@ import pytest
 
 from repro.systems import MemberSpec, SystemKind, all_descriptors, descriptor_for
 from repro.systems.parity import check_parity
+from repro.trace.tracer import TRACER
 
 RING_SIZE = 64
 SPACE_BITS = 12
@@ -52,6 +53,24 @@ class TestParityAllSystems:
     def test_source_at_depth_zero(self, report):
         assert report.static_depths[report.source] == 0
         assert report.live_depths[report.source] == 0
+
+
+def test_parity_leaves_the_global_tracer_as_it_found_it():
+    """The live run is read inside a capture of its own: an outer
+    ``--trace`` keeps the events recorded before it (the harness used to
+    reset the buffer: 1 -> 0), and with tracing off nothing is left
+    behind (it used to leave the live run's events in the buffer)."""
+    spec = MemberSpec.generate(8, space_bits=SPACE_BITS, seed=11)
+    with TRACER.capture() as mark:
+        TRACER.emit(0.0, "test", "before")
+        assert check_parity("cam-chord", spec, seed=11).ok
+        assert TRACER.events_since(mark)[0].kind == "before"
+        assert TRACER.enabled
+    assert not TRACER.enabled
+    before = TRACER.mark()
+    assert check_parity("cam-chord", spec, seed=11).ok
+    assert TRACER.mark() == before
+    assert not TRACER.enabled
 
 
 class TestMemberSpec:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +14,11 @@ from repro.multicast.proximity import (
     select_children_pns,
     tree_delay_statistics,
 )
+from repro.overlay.base import Node
 from repro.overlay.cam_chord import CamChordOverlay
 from repro.sim.latency import GeographicLatency
 from tests.conftest import make_snapshot, random_snapshot
+from tests.dict_trees import hand_tree
 
 
 def geo_delay(seed: int = 0):
@@ -63,6 +66,14 @@ class TestPnsMulticast:
         for ident, count in tree.children_counts().items():
             assert count <= caps[ident]
 
+    def test_source_outside_the_group_is_rejected(self):
+        """A non-member source used to root a 20-receiver tree; now it is
+        refused like every other routine's."""
+        snap = random_snapshot(12, 20, seed=8)
+        ghost = Node(ident=next(x for x in range(4096) if x not in snap), capacity=4)
+        with pytest.raises(KeyError, match=f"source {ghost.ident} is not a group member"):
+            pns_cam_chord_multicast(CamChordOverlay(snap), ghost, geo_delay())
+
     def test_pns_not_slower_than_default(self):
         """On a geographic topology, least-delay choice should not lose
         to the default (averaged over several sources)."""
@@ -87,19 +98,13 @@ class TestPnsMulticast:
 
 class TestTreeDelayStatistics:
     def test_chain_sums(self):
-        from repro.multicast.delivery import MulticastResult
-
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(1, 0)
-        tree.record_delivery(2, 1)
+        tree = hand_tree(make_snapshot(4, [0, 1, 2]), 0, [(0, 1), (1, 2)])
         mean, worst = tree_delay_statistics(tree, lambda a, b: 1.5)
         assert worst == 3.0
         assert mean == (1.5 + 3.0) / 2
 
     def test_source_only(self):
-        from repro.multicast.delivery import MulticastResult
-
-        tree = MulticastResult(source_ident=0)
+        tree = hand_tree(make_snapshot(4, [0]), 0)
         mean, worst = tree_delay_statistics(tree, lambda a, b: 1.0)
         assert mean == 0.0
         assert worst == 0.0

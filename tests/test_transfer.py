@@ -7,25 +7,15 @@ from random import Random
 import pytest
 
 from repro.metrics.throughput import sustainable_throughput
-from repro.multicast.delivery import MulticastResult
 from repro.sim.transfer import simulate_tree_transfer
 from tests.conftest import make_snapshot
-
-
-def two_level_tree() -> MulticastResult:
-    # 0 -> {10, 20}; 10 -> {30}
-    tree = MulticastResult(source_ident=0)
-    tree.record_delivery(10, 0)
-    tree.record_delivery(20, 0)
-    tree.record_delivery(30, 10)
-    return tree
+from tests.dict_trees import hand_tree
 
 
 class TestSingleHop:
     def test_one_child_times(self):
         snap = make_snapshot(8, [0, 10], capacity=4, bandwidth=[100.0, 100.0])
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
+        tree = hand_tree(snap, 0, [(0, 10)])
         result = simulate_tree_transfer(tree, snap, message_kbits=100, packet_count=4)
         # full uplink to one child: 100 kbits at 100 kbps = 1 s total
         assert result.completion_time[10] == pytest.approx(1.0)
@@ -37,9 +27,7 @@ class TestSingleHop:
         snap = make_snapshot(
             8, [0, 10, 20], capacity=4, bandwidth=[100.0, 100.0, 100.0]
         )
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
-        tree.record_delivery(20, 0)
+        tree = hand_tree(snap, 0, [(0, 10), (0, 20)])
         result = simulate_tree_transfer(tree, snap, message_kbits=100, packet_count=4)
         # each child gets a 50-kbps share: 2 s for 100 kbits
         assert result.completion_time[10] == pytest.approx(2.0)
@@ -54,9 +42,7 @@ class TestPipelining:
         snap = make_snapshot(
             8, [0, 10, 30], capacity=4, bandwidth=[100.0, 100.0, 100.0]
         )
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
-        tree.record_delivery(30, 10)
+        tree = hand_tree(snap, 0, [(0, 10), (10, 30)])
         many = simulate_tree_transfer(tree, snap, message_kbits=100, packet_count=100)
         # store-and-forward of the full message would take 2.0 s; with
         # 100-packet pipelining the second hop trails by one packet slot
@@ -68,17 +54,14 @@ class TestPipelining:
         snap = make_snapshot(
             8, [0, 10, 30], capacity=4, bandwidth=[1000.0, 50.0, 1000.0]
         )
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
-        tree.record_delivery(30, 10)
+        tree = hand_tree(snap, 0, [(0, 10), (10, 30)])
         result = simulate_tree_transfer(tree, snap, message_kbits=100, packet_count=50)
         # node 30 receives at node 10's 50 kbps, not the source's 1000
         assert result.member_throughput_kbps(30) == pytest.approx(50.0, rel=0.05)
 
     def test_latency_adds_to_startup_not_rate(self):
         snap = make_snapshot(8, [0, 10], capacity=4, bandwidth=[100.0, 100.0])
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
+        tree = hand_tree(snap, 0, [(0, 10)])
         with_lat = simulate_tree_transfer(
             tree, snap, message_kbits=100, packet_count=10,
             hop_latency=lambda a, b: 0.5,
@@ -143,7 +126,7 @@ class TestAnalyticAgreement:
 class TestValidation:
     def test_bad_inputs(self):
         snap = make_snapshot(8, [0], capacity=4, bandwidth=100.0)
-        tree = MulticastResult(source_ident=0)
+        tree = hand_tree(snap, 0)
         for size in (0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="message size"):
                 simulate_tree_transfer(tree, snap, message_kbits=size)
@@ -151,15 +134,14 @@ class TestValidation:
             simulate_tree_transfer(tree, snap, message_kbits=10, packet_count=0)
 
     def test_missing_bandwidth_rejected(self):
-        snap = make_snapshot(8, [0, 10], capacity=4)  # no bandwidths
-        tree = two_level_tree()
-        snap2 = make_snapshot(8, [0, 10, 20, 30], capacity=4)
+        snap = make_snapshot(8, [0, 10, 20, 30], capacity=4)  # no bandwidths
+        tree = hand_tree(snap, 0, [(0, 10), (0, 20), (10, 30)])
         with pytest.raises(ValueError, match="bandwidth"):
-            simulate_tree_transfer(tree, snap2, message_kbits=10)
+            simulate_tree_transfer(tree, snap, message_kbits=10)
 
     def test_source_only(self):
         snap = make_snapshot(8, [0], capacity=4, bandwidth=500.0)
-        tree = MulticastResult(source_ident=0)
+        tree = hand_tree(snap, 0)
         result = simulate_tree_transfer(tree, snap, message_kbits=10)
         assert result.session_completion == 0.0
         assert sustainable_throughput(tree, snap) == 500.0
@@ -273,9 +255,7 @@ class TestBudgetHook:
         # two sends rooted at the same host against one shared budget:
         # the second must queue behind the first's serialization
         snap = make_snapshot(8, [0, 10, 20], capacity=4, bandwidth=100.0)
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
-        tree.record_delivery(20, 0)
+        tree = hand_tree(snap, 0, [(0, 10), (0, 20)])
         budget = UplinkBudget()
         first = simulate_tree_transfer(
             tree, snap, message_kbits=100, packet_count=2, budget=budget
@@ -294,8 +274,7 @@ class TestBudgetHook:
         from repro.sim.transfer import UplinkBudget
 
         snap = make_snapshot(8, [0, 10], capacity=4, bandwidth=100.0)
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
+        tree = hand_tree(snap, 0, [(0, 10)])
         budget = UplinkBudget()
         result = simulate_tree_transfer(
             tree, snap, message_kbits=100, packet_count=4,
@@ -309,8 +288,7 @@ class TestBudgetHook:
         from repro.sim.transfer import UplinkBudget
 
         snap = make_snapshot(8, [0, 10], capacity=4, bandwidth=100.0)
-        tree = MulticastResult(source_ident=0)
-        tree.record_delivery(10, 0)
+        tree = hand_tree(snap, 0, [(0, 10)])
         budget = UplinkBudget()
         simulate_tree_transfer(
             tree, snap, message_kbits=10, packet_count=1,
