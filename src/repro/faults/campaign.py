@@ -54,6 +54,7 @@ from repro.multicast.backup import (
 )
 from repro.systems import MemberSpec, get_system
 from repro.trace.causal import MulticastRecord, reconstruct
+from repro.trace.schema import READ_SET
 from repro.trace.tracer import TRACER
 
 if TYPE_CHECKING:
@@ -307,6 +308,8 @@ def run_plan(
         repair_wait = cluster.simulator.now - quiesce_time
 
     # -- multicast phase under the scoped tracer --------------------------
+    # The oracles read one causal record per multicast, so the window
+    # records only what ``reconstruct`` reads, not every maintenance RPC.
     violations: list[Violation] = []
     records: list[MulticastRecord] = []
     ratios: list[float] = []
@@ -314,7 +317,7 @@ def run_plan(
     gap_rows: list[tuple[tuple[int, float], ...]] = []
     recovered_rows: list[tuple[int, ...]] = []
     mc_rng = Random(f"faults-mc:{plan.seed}")
-    with TRACER.capture() as mark:
+    with TRACER.capture(only=READ_SET) as mark:
         floods_before = cluster.network.stats.delivered_by_kind.get("mc_flood", 0)
         for ordinal in range(plan.multicasts):
             source = cluster.random_live_peer(mc_rng).ident

@@ -454,7 +454,7 @@ def apply_failover(
                     lost_hop=child_hop.describe(child) if child_hop else hop_line,
                 )
                 queue.append(child)
-        if TRACER.enabled:
+        if TRACER.mc and "failover.graft" in TRACER.mc:
             TRACER.emit(
                 feed_time, "mc", "failover.graft", mid=record.mid, root=root,
                 feeder=feeder, rank=rank, orphans=len(recovered) - already,

@@ -603,7 +603,7 @@ def _finish(
     perf.COUNTERS.multicast_trees += 1
     perf.COUNTERS.kernel_trees += 1
     perf.COUNTERS.deliveries += tree.messages_sent
-    if TRACER.enabled:
+    if TRACER.mc and "tree" in TRACER.mc:
         # Structural trees have no clock and up to 100k edges — one
         # summary event per tree keeps tracing affordable at scale.
         TRACER.emit(0.0, "mc", "tree", source=source_ident, edges=tree.messages_sent)

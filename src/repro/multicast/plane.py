@@ -644,7 +644,7 @@ class ServicePlane:
                 remaining=len(context.member_names) - 1,  # not the source
             )
             source_ident = tree.source_ident
-            if TRACER.enabled:
+            if TRACER.mc and "origin" in TRACER.mc:
                 TRACER.emit(
                     self.now, "mc", "origin",
                     mid=mid, source=source_ident,
@@ -654,6 +654,7 @@ class ServicePlane:
                     capacities=context.trace_capacities,
                     group=group_name, seq=seq,
                 )
+            if TRACER.mc and "deliver" in TRACER.mc:
                 # the origin's own copy, parent=None — same convention
                 # as the protocol peers' local delivery record
                 TRACER.emit(
@@ -715,7 +716,7 @@ class ServicePlane:
             )
         else:
             perf.COUNTERS.schedule_cache_hits += 1
-            if TRACER.enabled:
+            if TRACER.mc and "tree" in TRACER.mc:
                 # building a template extracts (and trace-summarizes)
                 # the tree; a hit replays the frozen tree's summary so
                 # the traced stream does not depend on what was cached
@@ -844,7 +845,8 @@ class ServicePlane:
         horizon = engine.next_event_time()
         if horizon is None:
             horizon = inf
-        tracing = TRACER.enabled
+        trace_dup = TRACER.mc and "dup" in TRACER.mc
+        trace_deliver = TRACER.mc and "deliver" in TRACER.mc
         forward = self._forward
         committed = False
         while pending:
@@ -861,7 +863,7 @@ class ServicePlane:
             verdict = state.cursors[row].record(receipt.seq)
             if verdict == "dup":
                 stats.dups += 1
-                if tracing:
+                if trace_dup:
                     idents = state.idents
                     TRACER.emit(
                         time, "mc", "dup",
@@ -874,7 +876,7 @@ class ServicePlane:
             stats.delivered_kbits += receipt.message_kbits
             stats.last_delivery = time
             receipt.delivered[state.hosts[row]] = time
-            if tracing:
+            if trace_deliver:
                 idents = state.idents
                 TRACER.emit(
                     time, "mc", "deliver",

@@ -136,8 +136,9 @@ class BasePeer:
         # first stabilize has an empty neighbor table and no other way
         # back into the ring (fault-injection plans hit exactly this
         # join/crash race); the cache keeps the bootstrap node and the
-        # members recent stabilize rounds proved alive.
-        self._contact_cache: list[int] = []
+        # members recent stabilize rounds proved alive.  A dict used as
+        # an ordered set: re-remembering moves a key to the end.
+        self._contact_cache: dict[int, None] = {}
 
     #: Islanded-recovery contacts kept per peer (see ``_contact_cache``).
     CONTACT_CACHE_SIZE = 16
@@ -203,7 +204,7 @@ class BasePeer:
             outcome.resolve(self.alive)
             return outcome
         self._join_in_flight = True
-        self._remember_contact(bootstrap)
+        self.remember_contacts((bootstrap,))
 
         def process() -> Generator[Any, Any, None]:
             try:
@@ -215,9 +216,9 @@ class BasePeer:
             self._join_in_flight = False
             self.predecessor = None
             self.successors = [successor]
-            self._remember_contact(successor)
+            self.remember_contacts((successor,))
             self._go_live()
-            if TRACER.enabled:
+            if TRACER.proto and "join" in TRACER.proto:
                 TRACER.emit(
                     self.simulator.now, "proto", "join",
                     ident=self.ident, succ=successor,
@@ -256,7 +257,7 @@ class BasePeer:
         """Graceful departure: hand state to the ring neighbors, then go."""
         if not self.alive:
             return
-        if TRACER.enabled:
+        if TRACER.proto and "leave" in TRACER.proto:
             TRACER.emit(self.simulator.now, "proto", "leave", ident=self.ident)
         self._departing_gracefully = True
         if self.predecessor is not None and self.predecessor != self.ident:
@@ -279,7 +280,7 @@ class BasePeer:
         """Abrupt failure: vanish without telling anyone."""
         if not self.alive:
             return
-        if TRACER.enabled and not self._departing_gracefully:
+        if TRACER.proto and "crash" in TRACER.proto and not self._departing_gracefully:
             TRACER.emit(self.simulator.now, "proto", "crash", ident=self.ident)
         self.alive = False
         self.network.unregister(self.ident)
@@ -306,7 +307,7 @@ class BasePeer:
                 if self._successor_strikes >= self.SUCCESSOR_STRIKE_LIMIT:
                     self._successor_strikes = 0
                     dead = self.successors.pop(0)
-                    if TRACER.enabled:
+                    if TRACER.proto and "evict" in TRACER.proto:
                         TRACER.emit(
                             self.simulator.now, "proto", "evict",
                             ident=self.ident, dead=dead,
@@ -335,11 +336,10 @@ class BasePeer:
                 if ident != self.ident and ident not in merged:
                     merged.append(ident)
             self.successors = merged[: self.config.successor_list_size]
-            for ident in self.successors:
-                # get_info round-tripped, so these are fresh, live-ish
-                # contacts — exactly what islanded recovery needs later.
-                self._remember_contact(ident)
-            if TRACER.enabled:
+            # get_info round-tripped, so these are fresh, live-ish
+            # contacts — exactly what islanded recovery needs later.
+            self.remember_contacts(self.successors)
+            if TRACER.proto and "stabilize" in TRACER.proto:
                 TRACER.emit(
                     self.simulator.now, "proto", "stabilize",
                     ident=self.ident, succ=succ,
@@ -364,7 +364,7 @@ class BasePeer:
                 )
                 self.successors = [best]
             elif self._contact_cache:
-                self.successors = [self._contact_cache[-1]]
+                self.successors = [next(reversed(self._contact_cache))]
         return
 
     def _fix_one_neighbor(self) -> Generator[Any, Any, None]:
@@ -375,13 +375,13 @@ class BasePeer:
         try:
             resolved = yield from self._lookup_process(identifier)
         except LookupFailed:
-            if TRACER.enabled:
+            if TRACER.proto and "fix_failed" in TRACER.proto:
                 TRACER.emit(
                     self.simulator.now, "proto", "fix_failed",
                     ident=self.ident, slot=str(key),
                 )
             return
-        if TRACER.enabled:
+        if TRACER.proto and "fix_neighbor" in TRACER.proto:
             TRACER.emit(
                 self.simulator.now, "proto", "fix_neighbor",
                 ident=self.ident, slot=str(key), resolved=resolved,
@@ -392,25 +392,25 @@ class BasePeer:
             self.neighbor_table[key] = resolved
 
     def remember_contacts(self, idents: Iterable[int]) -> None:
-        """Seed the islanded-recovery cache before joining.
+        """Refresh ``idents``, in order, as the most recent contacts of
+        the islanded-recovery cache, which keeps the newest
+        :attr:`CONTACT_CACHE_SIZE`.
 
-        A real deployment's bootstrap handout is a *list* of members,
-        not one address; a joiner whose sole successor dies before the
-        first stabilize needs a second contact or it is lost to the
-        ring forever (no member knows it, it knows no member).
+        Seeding it before joining is what a real deployment's bootstrap
+        handout does: a *list* of members, not one address; a joiner
+        whose sole successor dies before the first stabilize needs a
+        second contact or it is lost to the ring forever (no member
+        knows it, it knows no member).
         """
+        cache = self._contact_cache
         for ident in idents:
-            self._remember_contact(ident)
-
-    def _remember_contact(self, ident: int) -> None:
-        """Refresh ``ident`` in the islanded-recovery contact cache."""
-        if ident == self.ident:
-            return
-        if ident in self._contact_cache:
-            self._contact_cache.remove(ident)
-        self._contact_cache.append(ident)
-        if len(self._contact_cache) > self.CONTACT_CACHE_SIZE:
-            self._contact_cache.pop(0)
+            if ident != self.ident:
+                cache.pop(ident, None)
+                cache[ident] = None
+        # trimming once at the end keeps the same newest entries as
+        # trimming after every insertion
+        while len(cache) > self.CONTACT_CACHE_SIZE:
+            del cache[next(iter(cache))]
 
     def _purge_link(self, ident: int) -> None:
         """Remove a node we believe dead from all local state."""
@@ -419,10 +419,9 @@ class BasePeer:
             del self.neighbor_table[key]
         if self.predecessor == ident:
             self.predecessor = None
-        if ident in self._contact_cache:
-            # The contact earned an eviction — do not keep re-adopting a
-            # node the strike counter has already proven dead.
-            self._contact_cache.remove(ident)
+        # The contact earned an eviction — do not keep re-adopting a
+        # node the strike counter has already proven dead.
+        self._contact_cache.pop(ident, None)
 
     def _check_predecessor_once(self) -> Generator[Any, Any, None]:
         if self.predecessor is None or self.predecessor == self.ident:
@@ -453,12 +452,19 @@ class BasePeer:
             return True, ident
         if succ not in exclude and 0 < key_offset <= (succ - ident) & mask:
             return True, succ
+        # the closest link strictly preceding the key: link in (self,
+        # key).  Distinct links have distinct offsets, so walking the
+        # tables with repeats finds what the deduplicated set would;
+        # starting at offset 0 skips this peer itself.
         best: int | None = None
-        best_offset = -1
-        for link in self.routing_links():
+        best_offset = 0
+        for link in itertools.chain(
+            self.neighbor_table.values(),
+            self.successors,
+            () if pred is None else (pred,),
+        ):
             if link in exclude:
                 continue
-            # strictly preceding the key: link in (self, key)
             offset = (link - ident) & mask
             if best_offset < offset < key_offset:
                 best = link
@@ -491,7 +497,7 @@ class BasePeer:
                     failed.add(current)
                     break
                 hops += 1
-                if TRACER.enabled:
+                if TRACER.proto and "lookup_hop" in TRACER.proto:
                     TRACER.emit(
                         self.simulator.now, "proto", "lookup_hop",
                         ident=self.ident, key=key, hop=reply["ident"],
@@ -503,7 +509,7 @@ class BasePeer:
                 if nxt == current:
                     return current
                 current = nxt
-        if TRACER.enabled:
+        if TRACER.proto and "lookup_failed" in TRACER.proto:
             TRACER.emit(
                 self.simulator.now, "proto", "lookup_failed",
                 ident=self.ident, key=key,
@@ -595,7 +601,7 @@ class BasePeer:
     ) -> None:
         """Record a first delivery; ``parent`` is the forwarding peer
         (``None`` at the origin) — the edge of the actual tree."""
-        if TRACER.enabled:
+        if TRACER.mc and "deliver" in TRACER.mc:
             TRACER.emit(
                 self.simulator.now, "mc", "deliver",
                 mid=message_id, ident=self.ident, depth=depth, parent=parent,
@@ -605,7 +611,7 @@ class BasePeer:
 
     def _duplicate_local(self, message_id: int, sender: int) -> None:
         """Record a suppressed duplicate copy from ``sender``."""
-        if TRACER.enabled:
+        if TRACER.mc and "dup" in TRACER.mc:
             TRACER.emit(
                 self.simulator.now, "mc", "dup",
                 mid=message_id, ident=self.ident, sender=sender,

@@ -137,7 +137,7 @@ class CamChordPeer(BasePeer):
                 # the next live node sits beyond the region: nobody is
                 # left inside the dead child's span, repair is complete
                 return
-            if TRACER.enabled:
+            if TRACER.mc and "repair" in TRACER.mc:
                 TRACER.emit(
                     self.simulator.now, "mc", "repair",
                     mid=payload["mid"], ident=self.ident,

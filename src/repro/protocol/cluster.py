@@ -20,6 +20,7 @@ one peer implementation directly, with capacities taken verbatim.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from random import Random
 from typing import Sequence, Type, Union
 
@@ -280,16 +281,21 @@ class Cluster:
 
     def neighbor_table_accuracy(self) -> float:
         """Fraction of neighbor-table entries matching true resolution."""
-        snapshot = self.live_snapshot()
+        live = self.live_peers()
+        idents = [peer.ident for peer in live]
+        mask = self.space.size - 1
         total = 0
         correct = 0
-        for peer in self.live_peers():
+        for peer in live:
             for key, identifier in peer.slot_specs():
                 believed = peer.neighbor_table.get(key)
                 if key == (0, 1):
                     believed = peer.successor
                 total += 1
-                truth = snapshot.resolve(identifier).ident
+                # the first live member at or clockwise after the slot,
+                # as ``RingSnapshot.resolve`` answers it
+                position = bisect_left(idents, identifier & mask)
+                truth = idents[position] if position < len(idents) else idents[0]
                 if believed is None:
                     # A peer keeps no entry for a slot it is itself
                     # responsible for — that is the correct answer.
@@ -322,7 +328,7 @@ class Cluster:
         message_id = peer.next_message_id()
         members = self.live_members()
         self.monitor.message_sent(message_id, ident, members)
-        if TRACER.enabled:
+        if TRACER.mc and "origin" in TRACER.mc:
             # The origin event freezes the send-time membership (with
             # capacities) so the causal reconstructor can rebuild the
             # implicit tree and name every lost member's last hop.

@@ -239,7 +239,7 @@ class Simulator:
         """Start a generator process after ``delay``."""
         handle = ProcessHandle(process, pid=self._next_pid)
         self._next_pid += 1
-        if TRACER.enabled:
+        if TRACER.sim and "spawn" in TRACER.sim:
             TRACER.emit(
                 self._now, "sim", "spawn", pid=handle.pid, name=handle.name, delay=delay
             )
@@ -260,14 +260,14 @@ class Simulator:
                 yielded = handle._generator.send(settled._value)
         except StopIteration as stop:
             handle._alive = False
-            if TRACER.enabled:
+            if TRACER.sim and "exit" in TRACER.sim:
                 TRACER.emit(self._now, "sim", "exit", pid=handle.pid, outcome="return")
             handle.completion.resolve(stop.value)
             return
         except FutureError as exc:
             # an unhandled RPC failure terminates the process
             handle._alive = False
-            if TRACER.enabled:
+            if TRACER.sim and "exit" in TRACER.sim:
                 TRACER.emit(self._now, "sim", "exit", pid=handle.pid, outcome="error")
             handle.completion.fail(str(exc))
             return
@@ -275,13 +275,13 @@ class Simulator:
 
     def _wait(self, handle: ProcessHandle, yielded: Any) -> None:
         if isinstance(yielded, (int, float)):
-            if TRACER.enabled:
+            if TRACER.sim and "sleep" in TRACER.sim:
                 TRACER.emit(
                     self._now, "sim", "sleep", pid=handle.pid, delay=float(yielded)
                 )
             self.call_later(float(yielded), self._step, handle)
         elif isinstance(yielded, Future):
-            if TRACER.enabled:
+            if TRACER.sim and "wait" in TRACER.sim:
                 TRACER.emit(self._now, "sim", "wait", pid=handle.pid)
             yielded.add_callback(partial(self._step, handle))
         else:

@@ -58,7 +58,10 @@ class NetworkStats:
     message *kind* — ``drops_by_kind[kind][reason]`` and
     ``timeouts_by_kind[kind]`` — so an experiment footer can say which
     traffic class (maintenance RPCs vs multicast data) the network
-    actually ate.
+    actually ate.  ``delivered_by_kind`` (counted inline on the delivery
+    path) gives the fault-injection oracles an exact accounting identity:
+    every delivered ``mc_flood`` datagram is either a first delivery or
+    a suppressed duplicate.
     """
 
     sent: int = 0
@@ -78,15 +81,6 @@ class NetworkStats:
         setattr(self, total, getattr(self, total) + 1)
         per_kind = self.drops_by_kind.setdefault(kind, {})
         per_kind[reason] = per_kind.get(reason, 0) + 1
-
-    def count_delivered(self, kind: str) -> None:
-        """Record one delivered datagram of ``kind``.
-
-        The per-kind delivery totals give the fault-injection oracles an
-        exact accounting identity to check: every delivered ``mc_flood``
-        datagram is either a first delivery or a suppressed duplicate.
-        """
-        self.delivered_by_kind[kind] = self.delivered_by_kind.get(kind, 0) + 1
 
     def count_timeout(self, kind: str) -> None:
         """Record one expired request of ``kind``."""
@@ -163,13 +157,13 @@ class Network:
     def partition(self, a: int, b: int) -> None:
         """Silently drop all traffic between two hosts (both ways)."""
         self._partitioned.add(frozenset((a, b)))
-        if TRACER.enabled:
+        if TRACER.net and "partition" in TRACER.net:
             TRACER.emit(self._sim.now, "net", "partition", a=a, b=b)
 
     def heal(self, a: int, b: int) -> None:
         """Undo :meth:`partition`."""
         self._partitioned.discard(frozenset((a, b)))
-        if TRACER.enabled:
+        if TRACER.net and "heal" in TRACER.net:
             TRACER.emit(self._sim.now, "net", "heal", a=a, b=b)
 
     def heal_all(self) -> None:
@@ -213,7 +207,7 @@ class Network:
     def _trace_fields(message_kind: str, payload: Any) -> dict[str, Any]:
         """Multicast routing fields worth lifting into trace events.
 
-        Only called on the tracing-enabled path: the causal
+        Only called when the tracer records ``message_kind``: the causal
         reconstructor needs the message id (and, for region handoffs,
         the covered span) without parsing opaque payloads.
         """
@@ -248,7 +242,7 @@ class Network:
         if self._loss_rate and self._rng.random() < self._loss_rate:
             return self._drop(sender, recipient, kind, payload, "loss")
         delay = self._latency.delay(sender, recipient, self._rng)
-        if TRACER.enabled:
+        if TRACER.net and kind in TRACER.net:
             extra = self._trace_fields(kind, payload)
             if is_reply:
                 extra["reply"] = True
@@ -267,7 +261,7 @@ class Network:
     ) -> None:
         """Account one datagram the network ate, for ``reason``."""
         self.stats.count_drop(kind, reason)
-        if TRACER.enabled:
+        if TRACER.net and kind in TRACER.net:
             TRACER.emit(
                 self._sim.now, "net", "drop",
                 src=sender, dst=recipient, kind=kind, reason=reason,
@@ -281,8 +275,9 @@ class Network:
             future = self._pending.pop(request_id, None)
             if future is not None and not future.done:
                 stats.delivered += 1
-                stats.count_delivered(kind)
-                if TRACER.enabled:
+                by_kind = stats.delivered_by_kind
+                by_kind[kind] = by_kind.get(kind, 0) + 1
+                if TRACER.net and kind in TRACER.net:
                     TRACER.emit(
                         self._sim.now, "net", "deliver",
                         src=sender, dst=recipient, kind=kind, reply=True,
@@ -293,8 +288,9 @@ class Network:
         if endpoint is None:
             return self._drop(sender, recipient, kind, payload, "dead")
         stats.delivered += 1
-        stats.count_delivered(kind)
-        if TRACER.enabled:
+        by_kind = stats.delivered_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        if TRACER.net and kind in TRACER.net:
             TRACER.emit(
                 self._sim.now, "net", "deliver",
                 src=sender, dst=recipient, kind=kind,
@@ -344,7 +340,7 @@ class Network:
         if pending is not None and not pending.done:
             self.stats.timeouts += 1
             self.stats.count_timeout(kind)
-            if TRACER.enabled:
+            if TRACER.net and kind in TRACER.net:
                 TRACER.emit(
                     self._sim.now, "net", "timeout",
                     src=sender, dst=recipient, kind=kind, rid=request_id,

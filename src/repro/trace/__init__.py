@@ -3,8 +3,10 @@
 The package has five parts:
 
 * :mod:`repro.trace.tracer` — the process-global event buffer every
-  instrumentation point checks (``if TRACER.enabled: TRACER.emit(...)``);
-* :mod:`repro.trace.schema` — the event vocabulary and validation;
+  instrumentation point checks (``if TRACER.net and kind in TRACER.net:
+  TRACER.emit(...)``);
+* :mod:`repro.trace.schema` — the event vocabulary, its validation and
+  the read set the causal reconstructor needs;
 * :mod:`repro.trace.registry` — perf counters and trace buffers folded
   behind one snapshot/delta API for the parallel experiment engine;
 * :mod:`repro.trace.causal` — dissemination-tree reconstruction and

@@ -55,11 +55,14 @@ def cmd_summarize(path: Path) -> int:
     mids = causal.multicast_ids(events)
     if mids:
         lost = causal.lost_multicasts(events)
-        print(f"multicasts: {len(mids)} originated, {len(lost)} lost members")
-        for mid in lost[:10]:
-            record = causal.reconstruct(events, mid)
+        undelivered = sum(len(record.undelivered) for record in lost)
+        print(
+            f"multicasts: {len(mids)} originated, {len(lost)} with a loss, "
+            f"{undelivered} undelivered members"
+        )
+        for record in lost[:10]:
             print(
-                f"  mid={mid} source={record.source} "
+                f"  mid={record.mid} source={record.source} "
                 f"delivery={record.delivery_ratio():.4f} "
                 f"undelivered={len(record.undelivered)}"
             )
@@ -111,11 +114,10 @@ def cmd_lost(path: Path) -> int:
     if not lost:
         print("no lost multicasts: every eligible member was reached")
         return 0
-    for mid in lost:
-        record = causal.reconstruct(events, mid)
+    for record in lost:
         hops = causal.lost_hops(record)
         print(
-            f"mid={mid} source={record.source} "
+            f"mid={record.mid} source={record.source} "
             f"delivery={record.delivery_ratio():.4f} "
             f"undelivered={sorted(record.undelivered)}"
         )

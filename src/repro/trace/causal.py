@@ -21,6 +21,12 @@ Members that crashed or left after origination are excluded from the
 loss accounting, mirroring
 :meth:`~repro.protocol.base_peer.DeliveryMonitor.delivery_ratio`
 (a node that departs mid-dissemination is not a multicast failure).
+
+The events read here — ``mc.*``, the ``net`` datagram events of
+:data:`~repro.trace.schema.MULTICAST_KINDS` messages, ``proto.crash``
+and ``proto.leave`` — are declared once, as
+:data:`repro.trace.schema.READ_SET`, the contract between this module
+and every capture that records only what it reads.
 """
 
 from __future__ import annotations
@@ -28,8 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.trace.schema import MULTICAST_KINDS
+from repro.trace.schema import READ_SET
 from repro.trace.tracer import TraceEvent
+
+# the fault campaign records nothing but the read set: a new read
+# belongs in ``schema.READ_SET`` first
+_MULTICAST_KINDS = READ_SET["net"]
+_DEPARTURES = READ_SET["proto"]
 
 
 @dataclass(frozen=True)
@@ -193,7 +204,7 @@ def _send_fates(
         if event.layer != "net":
             continue
         data = event.data
-        if data.get("mid") != mid or data.get("kind") not in MULTICAST_KINDS:
+        if data.get("mid") != mid or data.get("kind") not in _MULTICAST_KINDS:
             continue
         key = (data["src"], data["dst"], data["kind"])
         if event.kind == "send":
@@ -294,7 +305,7 @@ def reconstruct(events: Sequence[TraceEvent], mid: int) -> MulticastRecord:
                 )
         elif (
             event.layer == "proto"
-            and event.kind in ("crash", "leave")
+            and event.kind in _DEPARTURES
             and event.time >= origin.time
             and event.data["ident"] in record.members
         ):
@@ -351,10 +362,8 @@ def lost_hops(record: MulticastRecord) -> dict[int, Hop]:
     return hops
 
 
-def lost_multicasts(events: Sequence[TraceEvent]) -> tuple[int, ...]:
-    """Message ids whose delivery ratio fell short of 1.0."""
-    return tuple(
-        mid
-        for mid in multicast_ids(events)
-        if reconstruct(events, mid).undelivered
-    )
+def lost_multicasts(events: Sequence[TraceEvent]) -> tuple[MulticastRecord, ...]:
+    """The records of the multicasts whose delivery ratio fell short of
+    1.0, in send order (each reconstructed once)."""
+    records = (reconstruct(events, mid) for mid in multicast_ids(events))
+    return tuple(record for record in records if record.undelivered)

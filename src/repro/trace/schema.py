@@ -7,6 +7,13 @@ job) run :func:`validate_events` over exported files, so the schema
 here is the contract between the instrumentation points and the causal
 reconstructor.
 
+:data:`READ_SET` is the other half of that contract: the events
+:func:`repro.trace.causal.reconstruct` reads, as a tracer filter.
+``causal`` takes its multicast message kinds and departure events from
+it, and the fault campaign records only it (``TRACER.capture(only=
+READ_SET)``); ``tests/test_trace.py`` checks that reconstructing from
+the read set alone gives the same record as from a full trace.
+
 Layers:
 
 * ``sim``   — the discrete-event engine: process lifecycle.
@@ -79,6 +86,15 @@ DROP_REASONS = ("dead", "loss", "partition")
 
 #: the message kinds that carry multicast payloads
 MULTICAST_KINDS = ("mc_region", "mc_flood")
+
+#: What :func:`repro.trace.causal.reconstruct` reads, as a tracer
+#: filter (layer -> keys, ``None`` = every key): every ``mc.*`` event,
+#: the datagram events of multicast messages and member departures.
+READ_SET: dict[str, frozenset[str] | None] = {
+    "mc": None,
+    "net": frozenset(MULTICAST_KINDS),
+    "proto": frozenset(("crash", "leave")),
+}
 
 
 def validate_event(event: TraceEvent) -> list[str]:

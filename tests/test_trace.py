@@ -89,7 +89,8 @@ class TestTracer:
         tracer.enable()
         tracer.emit(0.0, "sim", "spawn", pid=1)
         for was_enabled in (True, False):
-            tracer.enabled = was_enabled
+            if not was_enabled:
+                tracer.disable()
             with pytest.raises(RuntimeError), tracer.capture() as mark:
                 assert tracer.enabled and mark == 1
                 tracer.emit(1.0, "sim", "exit", pid=1)
@@ -97,6 +98,86 @@ class TestTracer:
                 raise RuntimeError("the block failing must not leak state")
             assert tracer.enabled is was_enabled
             assert [event.name for event in tracer.events()] == ["sim.spawn"]
+
+    def test_filtered_capture_nested_in_unfiltered_restores_the_outer(self):
+        tracer = Tracer()
+        only = {"net": {"mc_region"}, "mc": None}
+
+        def emit_all():
+            # every site's guard, applied to one event of each kind
+            for layer, key, kind in (
+                ("sim", "sleep", "sleep"), ("net", "ping", "send"),
+                ("net", "mc_region", "send"), ("mc", "deliver", "deliver"),
+            ):
+                slot = getattr(tracer, layer)
+                if slot and key in slot:
+                    tracer.emit(0.0, layer, kind, key=key)
+
+        with tracer.capture() as outer:
+            emit_all()
+            with pytest.raises(RuntimeError), tracer.capture(only=only) as inner:
+                assert tracer.enabled and not tracer.sim and not tracer.proto
+                emit_all()
+                assert [(e.name, e.data["key"]) for e in tracer.events_since(inner)] == [
+                    ("net.send", "mc_region"), ("mc.deliver", "deliver"),
+                ]
+                raise RuntimeError("the block failing must not leak the filter")
+            assert tracer.enabled
+            emit_all()
+            assert [e.name for e in tracer.events_since(outer)] == [
+                "sim.sleep", "net.send", "net.send", "mc.deliver",
+            ] * 2
+        assert not tracer.enabled and len(tracer) == 0
+        assert not (tracer.sim or tracer.net or tracer.proto or tracer.mc)
+        # and the other way round: the outer filter comes back
+        with tracer.capture(only=only):
+            with tracer.capture():
+                assert "ping" in tracer.net and tracer.sim
+            assert "ping" not in tracer.net and "mc_region" in tracer.net
+            assert not tracer.sim
+
+    def test_enable_and_disable_leave_no_filter(self):
+        tracer = Tracer()
+
+        def slots():
+            return [getattr(tracer, layer) for layer in ("sim", "net", "proto", "mc")]
+
+        with tracer.capture(only={"proto": {"crash"}}):
+            assert "crash" in tracer.proto and "join" not in tracer.proto
+            assert not tracer.net
+            tracer.enable(reset=False)
+            assert all("anything" in slot for slot in slots())
+            with tracer.capture(only={"proto": {"crash"}}):
+                tracer.disable()
+                assert not any(slots())
+                tracer.enable()
+                assert tracer.enabled and all("anything" in slot for slot in slots())
+            assert all("anything" in slot for slot in slots())
+        assert not tracer.enabled and not any(slots())
+
+    def test_excluded_send_builds_no_trace_fields(self):
+        from repro.sim.engine import Simulator
+        from repro.sim.network import Network
+
+        class Untouchable(dict):
+            def get(self, key, default=None):
+                raise AssertionError(f"payload read for trace field {key!r}")
+
+        class Sink:
+            def handle_message(self, message):
+                pass
+
+        simulator = Simulator()
+        network = Network(simulator)
+        network.register(2, Sink())
+        with TRACER.capture(only=schema.READ_SET) as mark:
+            network.send(1, 2, "ping", Untouchable())
+            network.send(1, 3, "notify", Untouchable())  # dropped: dead host
+            simulator.run(until=1.0)
+            assert TRACER.events_since(mark) == ()
+            # the same payload on a recorded kind is read
+            with pytest.raises(AssertionError, match="trace field"):
+                network.send(1, 2, "mc_region", Untouchable())
 
     def test_absorb_resequences(self):
         tracer = Tracer()
@@ -253,8 +334,7 @@ class TestCausalLostHops:
         lost = causal.lost_multicasts(events)
         assert lost, "expected churn at this rate to lose at least one multicast"
         named_a_drop = False
-        for mid in lost:
-            record = causal.reconstruct(events, mid)
+        for record in lost:
             hops = causal.lost_hops(record)
             # the guarantee: one named hop per undelivered member
             assert set(hops) == record.undelivered
@@ -274,11 +354,108 @@ class TestCausalLostHops:
 
     def test_tree_diff_explains_reroutes(self):
         events = self._traced_churn_events()
-        lost = causal.lost_multicasts(events)
-        record = causal.reconstruct(events, lost[0])
+        record = causal.lost_multicasts(events)[0]
         missing, extra = record.tree_diff()
         # under churn the actual tree deviates from the implicit one
         assert missing or extra
+
+
+def in_read_set(event: TraceEvent) -> bool:
+    """Whether a ``capture(only=schema.READ_SET)`` records ``event``:
+    the site guards' test, applied after the fact (a ``net`` datagram
+    event keys on its message kind, every other event on its kind)."""
+    if event.layer not in schema.READ_SET:
+        return False
+    keys = schema.READ_SET[event.layer]
+    if keys is None:
+        return True
+    if event.layer == "net" and event.kind in ("send", "deliver", "drop", "timeout"):
+        return event.data["kind"] in keys
+    return event.kind in keys
+
+
+def assert_read_set_suffices(events) -> list[causal.MulticastRecord]:
+    """Every multicast reconstructs to the same record from the read set
+    alone; returns the records."""
+    kept = [event for event in events if in_read_set(event)]
+    assert len(kept) < len(events)
+    records = [causal.reconstruct(events, mid) for mid in causal.multicast_ids(events)]
+    for record in records:
+        assert causal.reconstruct(kept, record.mid) == record
+    return records
+
+
+class TestReadSetDriftGuard:
+    """``schema.READ_SET`` is everything ``causal.reconstruct`` reads.
+
+    The fault campaign records only the read set, so the day
+    ``reconstruct`` starts reading an event the set omits, its oracles
+    would judge a different record.  These fail that day: on full
+    traces, reconstructing from the read set alone must give the same
+    record field for field (filtering keeps each event's ``seq``)."""
+
+    @pytest.mark.parametrize(
+        "system, message_kind", [("cam-chord", "mc_region"), ("koorde", "mc_flood")]
+    )
+    def test_lossy_churn_trace(self, system, message_kind):
+        rng = Random(3)
+        trace = poisson_trace(40.0, join_rate=0.5, depart_rate=0.5, rng=Random(4))
+        experiment = ChurnExperiment(
+            system, [rng.randint(4, 10) for _ in range(24)],
+            space_bits=16, seed=3, loss_rate=0.05,
+        )
+        with TRACER.capture() as mark:
+            experiment.run(trace, system_name=system)
+            events = TRACER.events_since(mark)
+        assert {"proto.crash", "net.drop", "sim.sleep"} <= {e.name for e in events}
+        records = assert_read_set_suffices(events)
+        assert len(records) > 3
+        # the read set still carries the system's multicast datagrams
+        assert {a.kind for record in records for a in record.sends} == {message_kind}
+
+    @pytest.mark.parametrize("mode", ["repair", "failover"])
+    @pytest.mark.parametrize("departure", [None, "crash", "leave"])
+    def test_campaign_window(self, monkeypatch, mode, departure):
+        """Every system through ``run_plan`` with the window recorded in
+        full, checked at each ``reconstruct`` call the oracles make; a
+        member departs inside the first multicast's window when asked."""
+        from repro.faults import campaign
+        from repro.systems import system_names
+
+        records = []
+
+        def reconstruct_both_ways(events, mid):
+            record = causal.reconstruct(events, mid)
+            kept = [event for event in events if in_read_set(event)]
+            assert causal.reconstruct(kept, mid) == record
+            records.append(record)
+            return record
+
+        multicast_from = Cluster.multicast_from
+        first_of_plan = True
+
+        def multicast_then_depart(cluster, ident):
+            nonlocal first_of_plan
+            mid = multicast_from(cluster, ident)
+            if departure is not None and first_of_plan:
+                first_of_plan = False
+                others = sorted(cluster.live_members() - {ident})
+                cluster.simulator.call_later(
+                    0.01, cluster.remove_peer, others[len(others) // 2],
+                    departure == "crash",
+                )
+            return mid
+
+        monkeypatch.setattr(campaign, "READ_SET", None)  # record the window in full
+        monkeypatch.setattr(campaign, "reconstruct", reconstruct_both_ways)
+        monkeypatch.setattr(Cluster, "multicast_from", multicast_then_depart)
+        plans = campaign.generate_campaign(system_names(), 1, 2)
+        for plan in plans:
+            first_of_plan = True
+            campaign.run_plan(plan, mode=mode, settle=campaign.FAILOVER_SETTLE)
+        assert {record.system for record in records} == set(system_names())
+        departed = sum(len(record.departed) for record in records)
+        assert departed == (0 if departure is None else len(plans))
 
 
 class TestSerialParallelEquivalence:
@@ -361,6 +538,32 @@ class TestCli:
         assert trace_main(["export", str(path), "-o", str(out)]) == 0
         chrome = json.loads(out.read_text())
         assert any(e["ph"] == "i" for e in chrome["traceEvents"])
+
+    def test_summarize_counts_lossy_multicasts_and_lost_members_apart(
+        self, tmp_path, capsys
+    ):
+        # one multicast from 1 to members 1..4 that reaches only 2:
+        # one multicast with a loss, two undelivered members
+        events = [
+            TraceEvent(0, 0.0, "mc", "origin", {
+                "mid": 9, "source": 1, "system": "cam-chord", "bits": 4,
+                "members": [1, 2, 3, 4], "capacities": [[m, 2] for m in (1, 2, 3, 4)],
+            }),
+            TraceEvent(1, 0.0, "mc", "deliver",
+                       {"mid": 9, "ident": 1, "depth": 0, "parent": None}),
+            TraceEvent(2, 0.02, "mc", "deliver",
+                       {"mid": 9, "ident": 2, "depth": 1, "parent": 1}),
+        ]
+        path = tmp_path / "lossy.jsonl"
+        export.write_jsonl(events, path)
+        assert trace_main(["summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "multicasts: 1 originated, 1 with a loss, 2 undelivered members" in out
+        assert "mid=9 source=1 delivery=0.5000 undelivered=2" in out
+        assert trace_main(["lost", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "mid=9 source=1 delivery=0.5000 undelivered=[3, 4]" in out
+        assert out.count("propagation stopped") == 2
 
     def test_churn_cli_writes_trace_and_network_footer(self, tmp_path, capsys):
         path = tmp_path / "churn.jsonl"
