@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro import perf
 from repro.multicast.service import MulticastService
-from repro.sim.engine import EventHandle, Future, Simulator
+from repro.sim.engine import Future, Simulator
 from repro.sim.transfer import UplinkBudget, delivery_timeline
 from repro.systems import DEFAULT_UNIFORM_FANOUT
 from repro.trace.tracer import TRACER
@@ -533,7 +533,7 @@ class ServicePlane:
         # would apply were each delivery its own event
         self._pending: list[tuple[float, int, _SendState, int, int]] = []
         self._pending_seq = 0
-        self._wavefront: EventHandle | None = None
+        self._wavefront: list | None = None  # its engine event
         self._wavefront_time: float | None = None
         self._wall = _WallClock()
 
@@ -814,10 +814,10 @@ class ServicePlane:
             return
         head = pending[0][0]
         wavefront = self._wavefront
-        if wavefront is not None and not wavefront.cancelled:
+        if wavefront is not None and not Simulator.cancelled(wavefront):
             if self._wavefront_time is not None and self._wavefront_time <= head:
                 return
-            wavefront.cancel()
+            Simulator.cancel(wavefront)
         self._wavefront_time = head
         self._wavefront = self.simulator.call_at(head, self._pump)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Generator, Iterable
+from typing import Any, Callable, Generator, Iterable
 
 from repro.idspace.ring import IdentifierSpace
 from repro.protocol.config import ProtocolConfig
@@ -35,6 +35,17 @@ class LookupFailed(Exception):
 
 
 _message_ids = itertools.count(1)
+
+#: the exclude set of a routing request that names no failed hop
+_NO_EXCLUDE: frozenset[int] = frozenset()
+
+
+def _dispatch_table(cls: type) -> dict[str, Callable[..., None]]:
+    """``kind -> _on_<kind>`` for every handler ``cls`` has, its own or
+    inherited, overrides winning as attribute lookup would."""
+    return {
+        name[4:]: getattr(cls, name) for name in dir(cls) if name.startswith("_on_")
+    }
 
 
 @dataclass
@@ -116,6 +127,9 @@ class BasePeer:
         self.bandwidth_kbps = bandwidth_kbps
         self.network = network
         self.space = space
+        # the space is a power of two, so ``(y - x) & mask`` is
+        # ``segment_size(x, y)``
+        self._mask = space.size - 1
         self.config = config if config is not None else ProtocolConfig()
         self.monitor = monitor
 
@@ -179,7 +193,7 @@ class BasePeer:
     def rpc(self, target: int, kind: str, payload: Any = None) -> Future:
         """Request/response with the configured timeout."""
         return self.network.request(
-            self.ident, target, kind, payload, timeout=self.config.rpc_timeout
+            self.ident, target, kind, payload, self.config.rpc_timeout
         )
 
     # -- lifecycle ------------------------------------------------------------
@@ -296,8 +310,8 @@ class BasePeer:
             yield interval
 
     def _stabilize_once(self) -> Generator[Any, Any, None]:
-        while self.successors and self.successor != self.ident:
-            succ = self.successor
+        while self.successors and self.successors[0] != self.ident:
+            succ = self.successors[0]
             try:
                 info = yield self.rpc(succ, "get_info")
             except FutureError:
@@ -331,11 +345,12 @@ class BasePeer:
                 succ = candidate
                 self.network.send(self.ident, succ, "notify", {"ident": self.ident})
                 return
-            merged = [succ]
-            for ident in info.get("successors", []):
-                if ident != self.ident and ident not in merged:
-                    merged.append(ident)
-            self.successors = merged[: self.config.successor_list_size]
+            # the handed list, first occurrences in order, minus this
+            # peer and ``succ``, which leads
+            merged = dict.fromkeys(info.get("successors", ()))
+            merged.pop(self.ident, None)
+            merged.pop(succ, None)
+            self.successors = [succ, *merged][: self.config.successor_list_size]
             # get_info round-tripped, so these are fresh, live-ish
             # contacts — exactly what islanded recovery needs later.
             self.remember_contacts(self.successors)
@@ -433,19 +448,20 @@ class BasePeer:
 
     # -- iterative lookup ----------------------------------------------------
 
-    def local_next_hop(self, key: int, exclude: set[int]) -> tuple[bool, int]:
+    def local_next_hop(
+        self, key: int, exclude: set[int] | frozenset[int]
+    ) -> tuple[bool, int]:
         """This peer's routing answer for ``key``.
 
         ``(True, ident)`` when the responsible node is known locally,
         ``(False, ident)`` with the best next hop otherwise.
         """
         ident = self.ident
-        succ = self.successor
+        successors = self.successors
+        succ = successors[0] if successors else ident
         if succ == ident:
             return True, ident
-        # ring arithmetic inline: the space is a power of two, so
-        # ``(y - x) & mask`` is ``segment_size(x, y)``
-        mask = self.space.size - 1
+        mask = self._mask
         key_offset = (key - ident) & mask
         pred = self.predecessor
         if pred is not None and 0 < (key - pred) & mask <= (ident - pred) & mask:
@@ -460,7 +476,7 @@ class BasePeer:
         best_offset = 0
         for link in itertools.chain(
             self.neighbor_table.values(),
-            self.successors,
+            successors,
             () if pred is None else (pred,),
         ):
             if link in exclude:
@@ -547,16 +563,27 @@ class BasePeer:
 
     # -- message dispatch ------------------------------------------------------
 
+    #: message kind -> ``_on_<kind>`` function, one table per class
+    #: (see ``__init_subclass__``)
+    _handlers: dict[str, Callable[[BasePeer, Message], None]]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = _dispatch_table(cls)
+
     def handle_message(self, message: Message) -> None:
         """Network entry point: dispatch on message kind."""
-        handler = getattr(self, f"_on_{message.kind}", None)
+        handler = self._handlers.get(message.kind)
         if handler is None:
             raise ValueError(f"peer {self.ident} got unknown message {message.kind}")
-        handler(message)
+        handler(self, message)
 
     def _on_next_hop(self, message: Message) -> None:
         payload = message.payload
-        done, ident = self.local_next_hop(payload["key"], set(payload["exclude"]))
+        exclude = payload["exclude"]
+        done, ident = self.local_next_hop(
+            payload["key"], set(exclude) if exclude else _NO_EXCLUDE
+        )
         self.network.respond(message, {"done": done, "ident": ident})
 
     def _on_get_info(self, message: Message) -> None:
@@ -618,3 +645,6 @@ class BasePeer:
             )
         if self.monitor is not None:
             self.monitor.duplicate(message_id, self.ident)
+
+
+BasePeer._handlers = _dispatch_table(BasePeer)

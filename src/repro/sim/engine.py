@@ -11,9 +11,10 @@ Protocol code is written as generator *processes*::
 
     sim.spawn(stabilizer(sim))
 
-Yielding a number sleeps; yielding a :class:`Future` suspends the
-process until the future resolves (its value is sent back into the
-generator, and a failed future raises inside it).
+Yielding a number (``>= 0``, not a ``bool``) sleeps; yielding a
+:class:`Future` suspends the process until the future resolves (its
+value is sent back into the generator, and a failed future raises
+inside it; one already settled resumes the process at once).
 
 **The event record.**  One flat record is all that moves through the
 core: a scheduled callback is the list ``[time, sequence, action,
@@ -21,7 +22,13 @@ args]`` and firing it is ``action(*args)``.  Callers hand their
 arguments to :meth:`Simulator.call_at` / :meth:`Simulator.call_later`
 (``call_later(delay, peer.join, bootstrap)``) rather than wrapping them
 in a ``lambda``, which costs an allocation and a second frame for
-every datagram, sleep and timer.
+every datagram, sleep and timer.  The record is also its own handle:
+both return it, and :meth:`Simulator.cancel` /
+:meth:`Simulator.cancelled` are the only code that reads its layout
+from outside the loop.  A process is resumed by one callable built
+when it is spawned (``partial(sim._step, handle)``); every sleep
+schedules it and every wait registers it, so a wake-up allocates
+nothing but its record.
 
 **Order.**  Events fire in ``(time, sequence)`` order and ``sequence``
 counts insertions, so ties break by insertion order and a seeded
@@ -110,31 +117,17 @@ class Future:
             self._callbacks.append(callback)
 
 
-class EventHandle:
-    """Cancellation handle for a scheduled callback."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: list) -> None:
-        self._event = event
-
-    def cancel(self) -> None:
-        """Prevent the callback from running (no-op if it already did)."""
-        self._event[2] = None
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event[2] is None
-
-
 class ProcessHandle:
     """Handle to a spawned process: observe completion, or kill it."""
 
-    __slots__ = ("_generator", "_alive", "completion", "pid", "name")
+    __slots__ = ("_generator", "_alive", "_resume", "completion", "pid", "name")
 
     def __init__(self, generator: Process, pid: int = 0) -> None:
         self._generator = generator
         self._alive = True
+        #: ``partial(sim._step, self)``, set by :meth:`Simulator.spawn`:
+        #: the one callable every sleep schedules and every wait registers.
+        self._resume: Callable[..., None] | None = None
         #: Process identity for trace events (assigned by the simulator).
         self.pid = pid
         self.name = getattr(generator, "__name__", type(generator).__name__)
@@ -199,8 +192,9 @@ class Simulator:
 
     def call_later(
         self, delay: float, action: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Schedule ``action(*args)`` at ``now + delay``."""
+    ) -> list:
+        """Schedule ``action(*args)`` at ``now + delay``; the returned
+        event is what :meth:`cancel` takes."""
         if not delay >= 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
         # pushes for itself: nearly every event arrives through here, and
@@ -208,12 +202,12 @@ class Simulator:
         event = [self._now + delay, self._sequence, action, args]
         self._sequence += 1
         heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        return event
 
     def call_at(
         self, when: float, action: Callable[..., None], *args: Any,
         slot: int | None = None,
-    ) -> EventHandle:
+    ) -> list:
         """Schedule ``action(*args)`` at exactly the absolute time
         ``when`` (>= now; a NaN is rejected, it would unorder the heap).
         With a ``slot`` from :meth:`reserve_slot` the event ties as if
@@ -222,7 +216,17 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
         event = [when, self.reserve_slot() if slot is None else slot, action, args]
         heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        return event
+
+    @staticmethod
+    def cancel(event: list) -> None:
+        """Keep a scheduled event from running (no-op once it ran)."""
+        event[2] = None
+
+    @staticmethod
+    def cancelled(event: list) -> bool:
+        """True once :meth:`cancel` was called on ``event``."""
+        return event[2] is None
 
     def reserve_slot(self) -> int:
         """Take the next insertion position without scheduling anything:
@@ -243,67 +247,58 @@ class Simulator:
             TRACER.emit(
                 self._now, "sim", "spawn", pid=handle.pid, name=handle.name, delay=delay
             )
-        self.call_later(delay, self._step, handle)
+        handle._resume = resume = partial(self._step, handle)
+        self.call_later(delay, resume)
         return handle
 
     def _step(self, handle: ProcessHandle, settled: Future | None = None) -> None:
         """Resume ``handle`` after a sleep (``settled`` is None) or with
-        the outcome of the future it waited on."""
+        the outcome of the future it waited on, and run it to its next
+        sleep or wait.  A future that is already settled when yielded
+        resumes the process at once, within this event."""
         if not handle._alive:
             return
-        try:
-            if settled is None:
-                yielded = handle._generator.send(None)
-            elif settled._state == Future._FAILED:
-                yielded = handle._generator.throw(FutureError(str(settled._value)))
+        generator = handle._generator
+        while True:
+            try:
+                if settled is None:
+                    yielded = generator.send(None)
+                elif settled._state == Future._FAILED:
+                    yielded = generator.throw(FutureError(str(settled._value)))
+                else:
+                    yielded = generator.send(settled._value)
+            except StopIteration as stop:
+                handle._alive = False
+                if TRACER.sim and "exit" in TRACER.sim:
+                    TRACER.emit(self._now, "sim", "exit", pid=handle.pid, outcome="return")
+                handle.completion.resolve(stop.value)
+                return
+            except FutureError as exc:
+                # an unhandled RPC failure terminates the process
+                handle._alive = False
+                if TRACER.sim and "exit" in TRACER.sim:
+                    TRACER.emit(self._now, "sim", "exit", pid=handle.pid, outcome="error")
+                handle.completion.fail(str(exc))
+                return
+            if isinstance(yielded, Future):
+                if TRACER.sim and "wait" in TRACER.sim:
+                    TRACER.emit(self._now, "sim", "wait", pid=handle.pid)
+                if yielded._state == Future._PENDING:
+                    # add_callback minus its settled test, made just above
+                    yielded._callbacks.append(handle._resume)
+                    return
+                settled = yielded
+            elif isinstance(yielded, (int, float)) and yielded.__class__ is not bool:
+                delay = float(yielded)
+                if TRACER.sim and "sleep" in TRACER.sim:
+                    TRACER.emit(self._now, "sim", "sleep", pid=handle.pid, delay=delay)
+                self.call_later(delay, handle._resume)
+                return
             else:
-                yielded = handle._generator.send(settled._value)
-        except StopIteration as stop:
-            handle._alive = False
-            if TRACER.sim and "exit" in TRACER.sim:
-                TRACER.emit(self._now, "sim", "exit", pid=handle.pid, outcome="return")
-            handle.completion.resolve(stop.value)
-            return
-        except FutureError as exc:
-            # an unhandled RPC failure terminates the process
-            handle._alive = False
-            if TRACER.sim and "exit" in TRACER.sim:
-                TRACER.emit(self._now, "sim", "exit", pid=handle.pid, outcome="error")
-            handle.completion.fail(str(exc))
-            return
-        self._wait(handle, yielded)
-
-    def _wait(self, handle: ProcessHandle, yielded: Any) -> None:
-        if isinstance(yielded, (int, float)):
-            if TRACER.sim and "sleep" in TRACER.sim:
-                TRACER.emit(
-                    self._now, "sim", "sleep", pid=handle.pid, delay=float(yielded)
+                raise TypeError(
+                    f"process yielded {type(yielded).__name__}; "
+                    "yield a delay (number) or a Future"
                 )
-            self.call_later(float(yielded), self._step, handle)
-        elif isinstance(yielded, Future):
-            if TRACER.sim and "wait" in TRACER.sim:
-                TRACER.emit(self._now, "sim", "wait", pid=handle.pid)
-            yielded.add_callback(partial(self._step, handle))
-        else:
-            raise TypeError(
-                f"process yielded {type(yielded).__name__}; "
-                "yield a delay (number) or a Future"
-            )
-
-    def every(
-        self, interval: float, action: Callable[[], None], jitter_first: float = 0.0
-    ) -> ProcessHandle:
-        """Run ``action()`` every ``interval`` until the handle is killed."""
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval}")
-
-        def ticker() -> Process:
-            yield jitter_first
-            while True:
-                action()
-                yield interval
-
-        return self.spawn(ticker())
 
     # -- execution ------------------------------------------------------
 

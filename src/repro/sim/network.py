@@ -18,6 +18,17 @@ answered meanwhile and re-arms at the first one still waiting.  The
 ``slot`` is the insertion position ``request`` reserved from the
 engine, so a timeout that does fire ties with other events exactly as
 a per-request timer scheduled inside ``request`` would.
+
+**One record, one dispatch.**  A datagram in flight is its engine
+event and nothing else: ``_transmit`` — the one path ``send``,
+``request`` and ``respond`` share — schedules ``(sender, recipient,
+kind, payload, request_id)`` as the event's arguments.  An endpoint
+datagram lands in ``_deliver``, which builds the :class:`Message` only
+for a host that is still there; a reply lands in ``_answer``, which
+hands its payload to the waiting future and never becomes a
+``Message`` (no endpoint ever sees one).  A reply whose request
+already timed out is dropped as ``late``, so at idle ``sent`` equals
+``delivered`` plus every drop counter.
 """
 
 from __future__ import annotations
@@ -40,7 +51,12 @@ class Message(NamedTuple):
     kind: str
     payload: Any = None
     request_id: int | None = None
-    is_reply: bool = False
+
+
+#: The C constructor under a :class:`Message`: the generated ``__new__``
+#: is a Python-level wrapper around it, and a message is built per
+#: delivered datagram.
+_record = tuple.__new__
 
 
 class Endpoint(Protocol):
@@ -69,6 +85,7 @@ class NetworkStats:
     dropped_dead: int = 0
     dropped_loss: int = 0
     dropped_partition: int = 0
+    dropped_late: int = 0
     timeouts: int = 0
     drops_by_kind: dict[str, dict[str, int]] = field(default_factory=dict)
     timeouts_by_kind: dict[str, int] = field(default_factory=dict)
@@ -76,7 +93,8 @@ class NetworkStats:
 
     def count_drop(self, kind: str, reason: str) -> None:
         """Record one dropped datagram of ``kind`` for ``reason``
-        (``dead`` / ``loss`` / ``partition``), in total and per kind."""
+        (``dead`` / ``loss`` / ``partition`` / ``late``), in total and
+        per kind."""
         total = f"dropped_{reason}"
         setattr(self, total, getattr(self, total) + 1)
         per_kind = self.drops_by_kind.setdefault(kind, {})
@@ -220,16 +238,22 @@ class Network:
                 fields_out[key] = value
         return fields_out
 
-    def send(
+    def send(self, sender: int, recipient: int, kind: str, payload: Any = None) -> None:
+        """Fire-and-forget datagram."""
+        self._transmit(sender, recipient, kind, payload, None, False)
+
+    def _transmit(
         self,
         sender: int,
         recipient: int,
         kind: str,
-        payload: Any = None,
-        request_id: int | None = None,
-        is_reply: bool = False,
+        payload: Any,
+        request_id: int | None,
+        reply: bool,
     ) -> None:
-        """Fire-and-forget datagram."""
+        """The one way a datagram enters the network: a request, a
+        fire-and-forget datagram or (``reply``) the answer to a
+        request, which :meth:`_answer` hands to the waiting future."""
         self.stats.sent += 1
         if self._partitioned and frozenset((sender, recipient)) in self._partitioned:
             return self._drop(sender, recipient, kind, payload, "partition")
@@ -244,7 +268,7 @@ class Network:
         delay = self._latency.delay(sender, recipient, self._rng)
         if TRACER.net and kind in TRACER.net:
             extra = self._trace_fields(kind, payload)
-            if is_reply:
+            if reply:
                 extra["reply"] = True
             TRACER.emit(
                 self._sim.now, "net", "send",
@@ -252,8 +276,8 @@ class Network:
             )
         self._sim.call_later(
             delay,
-            self._deliver,
-            Message(sender, recipient, kind, payload, request_id, is_reply),
+            self._answer if reply else self._deliver,
+            sender, recipient, kind, payload, request_id,
         )
 
     def _drop(
@@ -268,25 +292,20 @@ class Network:
                 **self._trace_fields(kind, payload),
             )
 
-    def _deliver(self, message: Message) -> None:
-        sender, recipient, kind, payload, request_id, is_reply = message
-        stats = self.stats
-        if is_reply and request_id is not None:
-            future = self._pending.pop(request_id, None)
-            if future is not None and not future.done:
-                stats.delivered += 1
-                by_kind = stats.delivered_by_kind
-                by_kind[kind] = by_kind.get(kind, 0) + 1
-                if TRACER.net and kind in TRACER.net:
-                    TRACER.emit(
-                        self._sim.now, "net", "deliver",
-                        src=sender, dst=recipient, kind=kind, reply=True,
-                    )
-                future.resolve(payload)
-            return
+    def _deliver(
+        self,
+        sender: int,
+        recipient: int,
+        kind: str,
+        payload: Any,
+        request_id: int | None,
+    ) -> None:
+        """A datagram for an endpoint arrives: the one place a
+        :class:`Message` is built."""
         endpoint = self._endpoints.get(recipient)
         if endpoint is None:
             return self._drop(sender, recipient, kind, payload, "dead")
+        stats = self.stats
         stats.delivered += 1
         by_kind = stats.delivered_by_kind
         by_kind[kind] = by_kind.get(kind, 0) + 1
@@ -296,7 +315,28 @@ class Network:
                 src=sender, dst=recipient, kind=kind,
                 **self._trace_fields(kind, payload),
             )
-        endpoint.handle_message(message)
+        endpoint.handle_message(
+            _record(Message, (sender, recipient, kind, payload, request_id))
+        )
+
+    def _answer(
+        self, sender: int, recipient: int, kind: str, payload: Any, request_id: int
+    ) -> None:
+        """A reply arrives: resolve the future still waiting on it, or
+        count it ``late`` when its request already timed out."""
+        future = self._pending.pop(request_id, None)
+        if future is None or future.done:
+            return self._drop(sender, recipient, kind, payload, "late")
+        stats = self.stats
+        stats.delivered += 1
+        by_kind = stats.delivered_by_kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        if TRACER.net and kind in TRACER.net:
+            TRACER.emit(
+                self._sim.now, "net", "deliver",
+                src=sender, dst=recipient, kind=kind, reply=True,
+            )
+        future.resolve(payload)
 
     # -- request / response ------------------------------------------------
 
@@ -323,7 +363,7 @@ class Network:
         timers.append((deadline, slot, request_id, sender, recipient, kind))
         if len(timers) == 1:
             sim.call_at(deadline, self._expire, timers, slot=slot)
-        self.send(sender, recipient, kind, payload, request_id=request_id)
+        self._transmit(sender, recipient, kind, payload, request_id, False)
         return future
 
     def _expire(self, timers: deque) -> None:
@@ -349,13 +389,7 @@ class Network:
 
     def respond(self, request: Message, payload: Any = None) -> None:
         """Reply to a request message (routes back to the waiter)."""
-        if request.request_id is None:
+        sender, recipient, kind, _, request_id = request
+        if request_id is None:
             raise ValueError("cannot respond to a fire-and-forget message")
-        self.send(
-            request.recipient,
-            request.sender,
-            request.kind,
-            payload,
-            request_id=request.request_id,
-            is_reply=True,
-        )
+        self._transmit(recipient, sender, kind, payload, request_id, True)

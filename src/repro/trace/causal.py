@@ -192,7 +192,7 @@ def _send_fates(
 
     ``net.send`` is emitted only for datagrams that actually left (loss
     and partition drop at send time and emit ``net.drop`` instead);
-    ``net.deliver`` / ``net.drop(reason=dead)`` settle them later.
+    ``net.deliver`` / ``net.drop(reason=dead|late)`` settle them later.
     Matching is FIFO per (src, dst, kind) — the network delivers equal-
     latency datagrams in send order, and a mismatch only ever swaps
     identical attempts.
@@ -225,7 +225,7 @@ def _send_fates(
             open_by_key.setdefault(key, []).append(index)
         elif event.kind == "drop":
             reason = data["reason"]
-            if reason == "dead":
+            if reason == "dead" or reason == "late":
                 # settled at delivery time: resolve the oldest open send
                 pending = open_by_key.get(key)
                 if pending:

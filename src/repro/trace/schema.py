@@ -82,7 +82,7 @@ OPTIONAL: dict[str, tuple[str, ...]] = {
 }
 
 #: reasons a datagram can be dropped (mirrors NetworkStats counters)
-DROP_REASONS = ("dead", "loss", "partition")
+DROP_REASONS = ("dead", "loss", "partition", "late")
 
 #: the message kinds that carry multicast payloads
 MULTICAST_KINDS = ("mc_region", "mc_flood")

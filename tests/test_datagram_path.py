@@ -1,6 +1,6 @@
 """The maintenance path's bookkeeping answers exactly as the code it replaced.
 
-Three rewrites on the path every maintenance datagram or convergence
+The rewrites on the path every maintenance datagram or convergence
 round takes, each checked against the old code kept here as the
 oracle:
 
@@ -10,7 +10,11 @@ oracle:
 * the islanded-recovery contact cache is an insertion-ordered dict
   instead of a list (``in`` + ``remove`` + ``append`` + ``pop(0)``);
 * ``Cluster.neighbor_table_accuracy`` resolves slots by bisecting the
-  sorted live identifiers instead of building a ``RingSnapshot``.
+  sorted live identifiers instead of building a ``RingSnapshot``;
+* a stabilize round merges the successor's list in one
+  ``dict.fromkeys`` pass instead of a membership test per element;
+* ``BasePeer.handle_message`` looks the handler up in a per-class
+  ``_on_<kind>`` table instead of an f-string + ``getattr`` per datagram.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.idspace.ring import IdentifierSpace
+from repro.protocol.base_peer import BasePeer
 from repro.protocol.cam_chord_peer import CamChordPeer
 from repro.protocol.cluster import Cluster
 from repro.protocol.config import ProtocolConfig
 from repro.sim.engine import Simulator
-from repro.sim.network import Network
+from repro.sim.network import Message, Network
 from repro.systems import system_names
 
 BITS = 6  # a 64-ring: identifiers collide and segments wrap past 0
@@ -172,3 +177,80 @@ def test_neighbor_table_accuracy_matches_the_snapshot(system, size):
         accuracy = cluster.neighbor_table_accuracy()
         assert accuracy < 1.0
         assert accuracy == old_neighbor_table_accuracy(cluster)
+
+
+def old_merge(succ: int, handed: list[int], own: int, size: int) -> list[int]:
+    """The successor merge as it was: a list and an ``in`` test per
+    handed identifier."""
+    merged = [succ]
+    for ident in handed:
+        if ident != own and ident not in merged:
+            merged.append(ident)
+    return merged[:size]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    own=st.integers(0, 12),
+    succ=st.integers(0, 12),
+    handed=st.lists(st.integers(0, 12), max_size=12),
+    size=st.integers(1, 8),
+)
+def test_successor_merge_matches_the_list_loop(own, succ, handed, size):
+    # tiny identifiers: the handed list repeats, names this peer and
+    # names ``succ`` often
+    if succ == own:
+        return  # a peer never stabilizes against itself
+    config = ProtocolConfig(successor_list_size=size)
+    peer = CamChordPeer(own, 4, Network(Simulator()), SPACE, config=config)
+    peer.successors = [succ]
+    rounds = peer._stabilize_once()
+    next(rounds)  # the get_info request to ``succ``
+    with pytest.raises(StopIteration):
+        rounds.send({"predecessor": None, "successors": handed})
+    assert peer.successors == old_merge(succ, handed, own, size)
+
+
+def deliver(peer: BasePeer, kind: str, payload=None) -> None:
+    peer.handle_message(Message(99, peer.ident, kind, payload))
+
+
+class TestDispatchTable:
+    def test_an_override_gets_its_own_handler(self):
+        seen = []
+
+        class Pinged(CamChordPeer):
+            def _on_ping(self, message):
+                seen.append(("override", message.sender))
+
+        deliver(Pinged(5, 4, Network(Simulator()), SPACE), "ping")
+        deliver(make_peer(5), "notify", {"ident": 9})  # the base class is untouched
+        assert seen == [("override", 99)]
+        assert CamChordPeer._handlers["ping"] is BasePeer._on_ping
+
+    def test_a_new_kind_dispatches(self):
+        class Custom(CamChordPeer):
+            def _on_custom(self, message):
+                self.got = message.payload
+
+        peer = Custom(5, 4, Network(Simulator()), SPACE)
+        deliver(peer, "custom", 7)
+        assert peer.got == 7
+        deliver(peer, "notify", {"ident": 9})  # inherited handlers stay
+        assert peer.predecessor == 9
+
+    def test_a_class_defined_after_the_first_dispatch(self):
+        deliver(make_peer(5), "notify", {"ident": 9})
+
+        class Late(CamChordPeer):
+            def _on_late(self, message):
+                self.got = message.kind
+
+        peer = Late(5, 4, Network(Simulator()), SPACE)
+        deliver(peer, "late")
+        assert peer.got == "late"
+        assert "late" not in CamChordPeer._handlers
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="^peer 5 got unknown message bogus$"):
+            deliver(make_peer(5), "bogus")

@@ -39,9 +39,10 @@ class TestScheduling:
     def test_cancel(self):
         sim = Simulator()
         fired = []
-        handle = sim.call_later(1.0, lambda: fired.append(1))
-        handle.cancel()
-        assert handle.cancelled
+        event = sim.call_later(1.0, lambda: fired.append(1))
+        assert not sim.cancelled(event)
+        sim.cancel(event)
+        assert sim.cancelled(event)
         sim.run(until=2.0)
         assert fired == []
 
@@ -120,8 +121,8 @@ class TestScheduling:
         for index in range(6):
             dead = sim.call_later(1.0 + index, fired.append, "dead")
             sim.call_later(1.0 + index, fired.append, index)
-            dead.cancel()
-        sim.call_later(9.0, fired.append, "dead").cancel()
+            sim.cancel(dead)
+        sim.cancel(sim.call_later(9.0, fired.append, "dead"))
         sim.run_until_idle(max_events=6)
         assert fired == list(range(6))
         assert sim.events_processed == 6
@@ -163,21 +164,21 @@ class TestOrderContract:
             for entry, amount, victim, nested in instructions:
                 if victim is not None and victim < len(handles):
                     was_live.setdefault(victim, victim not in fired)
-                    handles[victim].cancel()
-                    assert handles[victim].cancelled
+                    sim.cancel(handles[victim])
+                    assert sim.cancelled(handles[victim])
                 index = len(handles)
                 when = sim.now + amount
                 if entry == "call_at":
                     handle = sim.call_at(when, run, index, nested)
                 else:
                     handle = sim.call_later(amount, run, index, nested)
-                assert not handle.cancelled
+                assert not sim.cancelled(handle)
                 handles.append(handle)
                 keys.append((when, index))
 
         def run(index, nested):
             assert sim.now == keys[index][0]
-            assert not handles[index].cancelled  # before and while firing
+            assert not sim.cancelled(handles[index])  # before and while firing
             fired.append(index)
             issue(nested)
 
@@ -192,7 +193,7 @@ class TestOrderContract:
         for index, handle in enumerate(handles):
             # after firing a handle reads not-cancelled; cancel() sets
             # it whenever it is called, even after the event fired
-            assert handle.cancelled == (index in was_live)
+            assert sim.cancelled(handle) == (index in was_live)
 
 
 class TestFuture:
@@ -322,18 +323,54 @@ class TestProcesses:
         with pytest.raises(TypeError, match="yield a delay"):
             sim.run_until_idle()
 
-    def test_every(self):
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_bad_sleep_rejected(self, delay):
+        """A sleep goes through the same guard as ``call_later``: a NaN
+        would unorder the heap, a negative delay schedule in the past."""
         sim = Simulator()
-        ticks = []
-        handle = sim.every(2.0, lambda: ticks.append(sim.now))
-        sim.run(until=7.0)
-        handle.kill()
-        sim.run(until=20.0)
-        assert ticks == [0.0, 2.0, 4.0, 6.0]
 
-    def test_every_validates_interval(self):
-        with pytest.raises(ValueError):
-            Simulator().every(0, lambda: None)
+        def proc():
+            yield delay
+
+        sim.spawn(proc())
+        with pytest.raises(ValueError, match="delay must be >= 0"):
+            sim.run_until_idle()
+        assert sim.now == 0.0
+
+    def test_bool_is_not_a_delay(self):
+        """``True`` is an ``int`` to ``isinstance``; yielding it once
+        slept a second instead of failing like any other non-delay."""
+        sim = Simulator()
+
+        def proc():
+            yield True
+
+        sim.spawn(proc())
+        with pytest.raises(TypeError, match="process yielded bool"):
+            sim.run_until_idle()
+
+    def test_settled_future_resumes_within_the_same_event(self):
+        sim = Simulator()
+        ready, broken = Future(), Future()
+        ready.resolve("value")
+        broken.fail("gone")
+        log = []
+
+        def proc():
+            yield 1.0
+            before = sim.events_processed
+            log.append((yield ready))
+            try:
+                yield broken
+            except FutureError as exc:
+                log.append(str(exc))
+            log.append((sim.now, sim.events_processed - before))
+
+        handle = sim.spawn(proc())
+        sim.run_until_idle()
+        assert log == ["value", "gone", (1.0, 0)]
+        assert sim.events_processed == 2  # the spawn and the one sleep
+        assert handle.completion.done and not handle.alive
 
     def test_determinism(self):
         def run_once() -> list[tuple[str, float]]:

@@ -5,10 +5,13 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.latency import ConstantLatency, GeographicLatency, UniformLatency
 from repro.sim.network import Message, Network
+from repro.trace.tracer import TRACER
 
 
 class Recorder:
@@ -228,10 +231,79 @@ class TestRequestResponse:
         sim, net = make_net(latency=ConstantLatency(3.0))
         server = Recorder(network=net)
         net.register(2, server)
-        future = net.request(1, 2, "slow", timeout=1.0)
-        sim.run_until_idle()
+        with TRACER.capture() as mark:
+            future = net.request(1, 2, "slow", timeout=1.0)
+            sim.run_until_idle()
+            drops = [e for e in TRACER.events_since(mark) if e.name == "net.drop"]
         assert future.failed  # reply arrived at t=6 > timeout
         assert net.stats.timeouts == 1
+        # the reply left and was eaten: it is a drop, not a delivery
+        assert (net.stats.sent, net.stats.delivered, net.stats.dropped_late) == (2, 1, 1)
+        assert net.stats.drops_by_kind == {"slow": {"late": 1}}
+        assert [(e.time, e.data) for e in drops] == [
+            (6.0, {"src": 2, "dst": 1, "kind": "slow", "reason": "late"})
+        ]
+
+
+#: one step of a network program (see TestAccounting)
+_net_step = st.one_of(
+    st.tuples(st.just("send"), st.integers(1, 5), st.integers(1, 5)),
+    st.tuples(st.just("request"), st.integers(1, 5), st.integers(1, 5)),
+    st.tuples(st.just("unregister"), st.integers(1, 5)),
+    st.tuples(st.just("partition"), st.integers(1, 5), st.integers(1, 5)),
+    st.tuples(st.just("heal"), st.integers(1, 5), st.integers(1, 5)),
+    st.tuples(st.just("loss"), st.sampled_from([0.0, 0.3])),
+    st.tuples(st.just("kind_loss"), st.sampled_from([0.0, 0.5])),
+    st.tuples(st.just("run"), st.sampled_from([0.1, 0.5, 1.5])),
+)
+
+
+class TestAccounting:
+    """Every datagram the network accepted ends delivered or dropped for
+    one named reason — a reply that outlives its request included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        latency=st.sampled_from(
+            [ConstantLatency(0.25), ConstantLatency(2.0), UniformLatency(0.1, 2.0)]
+        ),
+        program=st.lists(_net_step, max_size=30),
+        seed=st.integers(0, 3),
+    )
+    def test_sent_is_delivered_plus_drops(self, latency, program, seed):
+        sim, net = make_net(latency=latency, seed=seed)
+        for address in (1, 2, 3, 4):  # 5 never registers
+            net.register(address, Recorder(network=net, address=address))
+        for step in program:
+            op, *args = step
+            if op == "send":
+                net.send(args[0], args[1], "data")
+            elif op == "request":
+                net.request(args[0], args[1], "ask", timeout=1.0)
+            elif op == "unregister":
+                net.unregister(args[0])
+            elif op == "partition":
+                net.partition(*args)
+            elif op == "heal":
+                net.heal(*args)
+            elif op == "loss":
+                net.set_loss_rate(args[0])
+            elif op == "kind_loss":
+                net.set_kind_loss("ask", args[0])
+            else:
+                sim.run(until=sim.now + args[0])
+        sim.run_until_idle()
+        stats = net.stats
+        assert stats.sent == (
+            stats.delivered
+            + stats.dropped_dead
+            + stats.dropped_loss
+            + stats.dropped_partition
+            + stats.dropped_late
+        )
+        per_kind = sum(sum(reasons.values()) for reasons in stats.drops_by_kind.values())
+        assert stats.sent == stats.delivered + per_kind
+        assert sum(stats.delivered_by_kind.values()) == stats.delivered
 
 
 class TestTimerOrder:
