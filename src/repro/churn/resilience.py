@@ -23,10 +23,6 @@ class ResilienceReport:
     ring_consistency_samples: list[bool] = field(default_factory=list)
     final_membership: int = 0
     path_lengths: list[int] = field(default_factory=list)
-    #: Per-member gap durations from ``mc.origin`` to eventual delivery
-    #: (seconds), across every multicast of the run — filled by the
-    #: fault campaign's repair and failover paths.
-    delivery_gaps: list[float] = field(default_factory=list)
     #: Per-message-kind drop/timeout accounting from the network layer
     #: (:meth:`repro.sim.network.NetworkStats.by_kind_summary`).
     network_summary: str = ""
@@ -60,31 +56,6 @@ class ResilienceReport:
         if not self.delivery_ratios:
             return float("nan")
         return min(self.delivery_ratios)
-
-    @property
-    def has_gap_measurements(self) -> bool:
-        """True when at least one per-member delivery gap was recorded.
-
-        Same convention as :attr:`has_measurements`: aggregators over
-        many reports must skip gap-less runs, whose percentile
-        properties are deliberately NaN.
-        """
-        return bool(self.delivery_gaps)
-
-    @property
-    def gap_p50(self) -> float:
-        """Median delivery gap (NaN when no gaps were measured).
-
-        Percentiles instead of only means: the failover comparison is
-        about the *typical* and *tail* member experience, and a handful
-        of deep-subtree stragglers would dominate a mean.
-        """
-        return percentile(self.delivery_gaps, 0.50)
-
-    @property
-    def gap_p99(self) -> float:
-        """99th-percentile delivery gap (NaN when nothing was measured)."""
-        return percentile(self.delivery_gaps, 0.99)
 
     @property
     def mean_duplicates(self) -> float:

@@ -29,9 +29,12 @@ from repro.churn.resilience import ResilienceReport
 from repro.churn.trace import ChurnKind, ChurnTrace
 from repro.protocol.cluster import Cluster, SystemLike
 from repro.protocol.config import ProtocolConfig
-from repro.sim.latency import LatencyModel
 from repro.systems import DEFAULT_UNIFORM_FANOUT, MemberSpec
 from repro.trace.tracer import TRACER, resequence
+
+
+#: Smallest capacity a member joining mid-trace is given.
+JOIN_CAPACITY_FLOOR = 4
 
 
 class ChurnExperiment:
@@ -41,30 +44,22 @@ class ChurnExperiment:
         self,
         system: SystemLike,
         capacities: "MemberSpec | Sequence[int]",
-        bandwidths: Sequence[float] | None = None,
         space_bits: int = 16,
         config: ProtocolConfig | None = None,
-        latency: LatencyModel | None = None,
         loss_rate: float = 0.0,
         seed: int = 0,
-        capacity_floor: int = 4,
-        capacity_ceiling: int | None = None,
         uniform_fanout: int = DEFAULT_UNIFORM_FANOUT,
     ) -> None:
         self.cluster = Cluster(
             system,
             capacities,
-            bandwidths=bandwidths,
             space_bits=space_bits,
             config=config,
-            latency=latency,
             loss_rate=loss_rate,
             seed=seed,
             uniform_fanout=uniform_fanout,
         )
         self._rng = Random(seed ^ 0x5EED)
-        self._capacity_floor = capacity_floor
-        self._capacity_ceiling = capacity_ceiling
         self._base_capacities = list(
             capacities.capacities
             if isinstance(capacities, MemberSpec)
@@ -73,10 +68,7 @@ class ChurnExperiment:
 
     def _sample_capacity(self) -> int:
         """Capacity for a newly joining member (same law as the base)."""
-        capacity = self._rng.choice(self._base_capacities)
-        if self._capacity_ceiling is not None:
-            capacity = min(capacity, self._capacity_ceiling)
-        return max(self._capacity_floor, capacity)
+        return max(JOIN_CAPACITY_FLOOR, self._rng.choice(self._base_capacities))
 
     def run(
         self,
@@ -95,7 +87,7 @@ class ChurnExperiment:
         cluster.bootstrap()
         start = cluster.simulator.now
         report = ResilienceReport(
-            system=system_name or type(cluster._initial[0]).__name__,
+            system=system_name or cluster.system.name,
             churn_rate=trace.rate_per_second(),
         )
 

@@ -25,10 +25,7 @@
     # the backup from the pre-fault epoch (the oracle must catch it)
     python -m repro.faults replay plan.json --failover --stale-backup
 
-``--peer-class module:Class`` substitutes the live peer implementation
-(capacities verbatim) while keeping the named system's oracles — the
-hook the mutation tests use to prove a deliberately broken peer is
-caught and minimized.
+Every run builds its live peers from the plan's registry descriptor.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ import sys
 
 from repro.experiments.common import SEED_HELP
 from repro.faults.campaign import (
-    _resolve_peer_class,
     generate_campaign,
     run_campaign,
     run_comparison_campaign,
@@ -88,7 +84,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     result = run_campaign(
         plans,
         jobs=args.jobs,
-        peer_ref=args.peer_class,
         progress=None if args.quiet else _print_outcome,
     )
     print(result.summary())
@@ -96,13 +91,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     failures = result.failures
     if failures and args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        peer_class = (
-            _resolve_peer_class(args.peer_class) if args.peer_class else None
-        )
         for index, outcome in enumerate(failures):
             minimized, final = shrink_plan(
                 outcome.plan,
-                runner=lambda p: run_plan(p, peer_class=peer_class),
+                runner=run_plan,
                 log=None if args.quiet else print,
             )
             path = os.path.join(
@@ -131,7 +123,6 @@ def _run_failover_campaign(args: argparse.Namespace, plans) -> int:
     result = run_comparison_campaign(
         plans,
         jobs=args.jobs,
-        peer_ref=args.peer_class,
         stale_backup=args.stale_backup,
         progress=None if args.quiet else _print_comparison,
     )
@@ -140,21 +131,14 @@ def _run_failover_campaign(args: argparse.Namespace, plans) -> int:
     failures = result.failures
     if failures and args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        peer_class = (
-            _resolve_peer_class(args.peer_class) if args.peer_class else None
-        )
         for index, comparison in enumerate(failures):
             if not comparison.failover.passed:
                 def runner(p):
                     return run_plan(
-                        p,
-                        peer_class=peer_class,
-                        mode="failover",
-                        stale_backup=args.stale_backup,
+                        p, mode="failover", stale_backup=args.stale_backup
                     )
             else:
-                def runner(p):
-                    return run_plan(p, peer_class=peer_class)
+                runner = run_plan
             minimized, final = shrink_plan(
                 comparison.plan,
                 runner=runner,
@@ -178,10 +162,8 @@ def _run_failover_campaign(args: argparse.Namespace, plans) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     plan = load_plan(args.plan)
-    peer_class = _resolve_peer_class(args.peer_class) if args.peer_class else None
     outcome = run_plan(
         plan,
-        peer_class=peer_class,
         mode="failover" if args.failover else "repair",
         stale_backup=args.stale_backup,
     )
@@ -191,10 +173,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
     plan = load_plan(args.plan)
-    peer_class = _resolve_peer_class(args.peer_class) if args.peer_class else None
     minimized, final = shrink_plan(
         plan,
-        runner=lambda p: run_plan(p, peer_class=peer_class),
+        runner=run_plan,
         log=None if args.quiet else print,
     )
     if args.out:
@@ -233,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     camp.add_argument("--jobs", type=int, default=1)
     camp.add_argument("--out-dir", default="", help="where minimized repros go")
-    camp.add_argument("--peer-class", default="", help="module:Class override")
     camp.add_argument(
         "--failover",
         action="store_true",
@@ -249,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser("replay", help="re-run one saved scenario")
     replay.add_argument("plan", help="plan JSON written by save_plan")
-    replay.add_argument("--peer-class", default="", help="module:Class override")
     replay.add_argument(
         "--failover",
         action="store_true",
@@ -265,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     shrink = sub.add_parser("shrink", help="minimize a failing scenario")
     shrink.add_argument("plan", help="plan JSON written by save_plan")
     shrink.add_argument("--out", default="")
-    shrink.add_argument("--peer-class", default="", help="module:Class override")
     shrink.add_argument("--quiet", action="store_true")
     shrink.set_defaults(func=_cmd_shrink)
 

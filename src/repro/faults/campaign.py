@@ -29,14 +29,14 @@ distributions are directly comparable.
 
 from __future__ import annotations
 
-import importlib
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from random import Random
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.churn.resilience import ResilienceReport, percentile
+from repro.churn.resilience import ResilienceReport
 from repro.faults.oracles import (
     Violation,
     check_failover_multicast,
@@ -58,7 +58,6 @@ from repro.trace.schema import READ_SET
 from repro.trace.tracer import TRACER
 
 if TYPE_CHECKING:
-    from repro.protocol.base_peer import BasePeer
     from repro.protocol.cluster import Cluster
     from repro.sim.latency import LatencyModel
 
@@ -116,10 +115,6 @@ class PlanOutcome:
         """True when the multicast phase ran (bootstrap + repair ok)."""
         return bool(self.delivery_ratios)
 
-    def gap_values(self) -> list[float]:
-        """Every recorded per-member gap duration, across multicasts."""
-        return [gap for pairs in self.member_gaps for _ident, gap in pairs]
-
     def report(self) -> ResilienceReport:
         """The outcome as the churn layer's standard report shape."""
         return ResilienceReport(
@@ -128,21 +123,11 @@ class PlanOutcome:
             delivery_ratios=list(self.delivery_ratios),
             duplicates_per_message=list(self.duplicates_per_message),
             final_membership=self.final_membership,
-            delivery_gaps=self.gap_values(),
         )
 
     def summary(self) -> str:
         verdict = "ok" if self.passed else f"{len(self.violations)} violation(s)"
         return f"{self.plan.describe()}: {verdict}"
-
-
-def _resolve_peer_class(ref: str) -> type["BasePeer"]:
-    """Import ``module:Class`` — the replay CLI's mutant hook."""
-    module_name, _, class_name = ref.partition(":")
-    if not class_name:
-        raise ValueError(f"peer class ref must be 'module:Class', got {ref!r}")
-    module = importlib.import_module(module_name)
-    return getattr(module, class_name)
 
 
 def _apply_event(cluster: "Cluster", event) -> None:
@@ -155,9 +140,9 @@ def _apply_event(cluster: "Cluster", event) -> None:
         cluster.remove_peer(victim.ident, crash=(event.action == "crash"))
     elif event.action == "join":
         try:
-            cluster.add_peer(max(event.capacity, 1))
+            cluster.add_peer(event.capacity)
         except RuntimeError:
-            pass  # no live bootstrap peer left; the ring oracle will say so
+            pass  # no live bootstrap peer or identifier left
     elif event.action == "partition":
         live = cluster.live_peers()
         if len(live) < 2:
@@ -196,7 +181,6 @@ def _await_repair(cluster: "Cluster", after: str) -> Violation | None:
 
 def run_plan(
     plan: FaultPlan,
-    peer_class: "type[BasePeer] | None" = None,
     member_spec: "MemberSpec | None" = None,
     latency: "LatencyModel | None" = None,
     mode: str = "repair",
@@ -205,9 +189,8 @@ def run_plan(
 ) -> PlanOutcome:
     """Execute one fault plan end to end and judge it with the oracles.
 
-    ``peer_class`` substitutes the live peer implementation while the
-    plan's system descriptor still defines the invariants to hold it to
-    — that is how the mutation tests prove the oracles have teeth.
+    The plan's system descriptor (``get_system(plan.system)``) supplies
+    both the live peer class and the invariants the oracles hold it to.
 
     ``member_spec`` overrides the plan-seed-generated membership with an
     explicitly materialized one (the scenario compiler's topology axis:
@@ -259,7 +242,7 @@ def run_plan(
             seed=plan.seed,
         )
     cluster = Cluster(
-        peer_class if peer_class is not None else descriptor,
+        descriptor,
         spec,
         latency=latency,
         seed=plan.seed,
@@ -419,24 +402,6 @@ class CampaignResult:
             return None
         return sum(report.mean_delivery_ratio for report in measured) / len(measured)
 
-    def gap_percentiles(self) -> tuple[float, float] | None:
-        """``(p50, p99)`` of per-member delivery gaps over measured
-        runs, or ``None`` when no run recorded any.
-
-        Guarded through :attr:`ResilienceReport.has_gap_measurements`,
-        matching :meth:`mean_delivery`'s NaN convention — a run that
-        never reached the multicast phase must not poison the pool.
-        """
-        gapped = [
-            report
-            for report in (outcome.report() for outcome in self.outcomes)
-            if report.has_gap_measurements
-        ]
-        if not gapped:
-            return None
-        pooled = [gap for report in gapped for gap in report.delivery_gaps]
-        return (percentile(pooled, 0.50), percentile(pooled, 0.99))
-
     def summary(self) -> str:
         mean = self.mean_delivery()
         delivery = f"{mean:.4f}" if mean is not None else "n/a"
@@ -458,7 +423,8 @@ def ordered_map(
     Results come back in task order regardless of worker scheduling —
     that is what makes ``--jobs N`` aggregate byte-identically to the
     serial run — and ``progress`` sees each one as it arrives.  ``fn``
-    must be module-level so the pool can pickle it by reference.
+    must be a module-level function (or a ``partial`` of one) so the
+    pool can pickle it by reference.
     """
 
     def drain(stream: Iterable[Any]) -> list:
@@ -475,28 +441,16 @@ def ordered_map(
         return drain(pool.map(fn, tasks, chunksize=1))
 
 
-def _run_task(task: tuple[FaultPlan, str | None]) -> PlanOutcome:
-    """Worker entry point (module-level so the pool can pickle it)."""
-    plan, peer_ref = task
-    peer_class = _resolve_peer_class(peer_ref) if peer_ref else None
-    return run_plan(plan, peer_class=peer_class)
-
-
 def run_campaign(
     plans: Sequence[FaultPlan],
     jobs: int = 1,
-    peer_ref: str | None = None,
     progress: Callable[[PlanOutcome], None] | None = None,
 ) -> CampaignResult:
     """Run every plan, optionally across ``jobs`` worker processes.
 
-    Outcomes come back in plan order (:func:`ordered_map`); the
-    mutant peer travels as a ``module:Class`` reference because classes
-    resolve fine by name in a fresh worker but test-local subclasses do
-    not always pickle by value.
+    Outcomes come back in plan order (:func:`ordered_map`).
     """
-    tasks = [(plan, peer_ref) for plan in plans]
-    return CampaignResult(outcomes=ordered_map(_run_task, tasks, jobs, progress))
+    return CampaignResult(outcomes=ordered_map(run_plan, plans, jobs, progress))
 
 
 # -- repair vs failover comparison --------------------------------------------
@@ -554,14 +508,6 @@ class ComparisonResult:
     def plans_run(self) -> int:
         return len(self.comparisons)
 
-    def repair_result(self) -> CampaignResult:
-        """The repair-path halves as a plain campaign result."""
-        return CampaignResult(outcomes=[item.repair for item in self.comparisons])
-
-    def failover_result(self) -> CampaignResult:
-        """The failover-path halves as a plain campaign result."""
-        return CampaignResult(outcomes=[item.failover for item in self.comparisons])
-
     def paired_gaps(self) -> list[tuple[float, float]]:
         """Every ``(repair_gap, failover_gap)`` pair across all plans."""
         return [pair for item in self.comparisons for pair in item.paired_gaps()]
@@ -590,11 +536,7 @@ class ComparisonResult:
         return f"{self.plans_run} plans, {len(self.failures)} failing, {gaps}"
 
 
-def compare_plan(
-    plan: FaultPlan,
-    peer_class: "type[BasePeer] | None" = None,
-    stale_backup: bool = False,
-) -> FailoverComparison:
+def compare_plan(plan: FaultPlan, stale_backup: bool = False) -> FailoverComparison:
     """Run one plan down the repair and failover paths under one seed.
 
     Both runs get ``settle=FAILOVER_SETTLE``: quiescing the repair path
@@ -603,12 +545,9 @@ def compare_plan(
     stabilization wait its protocol actually imposes on the damage the
     failover path multicasts straight into.
     """
-    repair = run_plan(
-        plan, peer_class=peer_class, mode="repair", settle=FAILOVER_SETTLE
-    )
+    repair = run_plan(plan, mode="repair", settle=FAILOVER_SETTLE)
     failover = run_plan(
         plan,
-        peer_class=peer_class,
         mode="failover",
         settle=FAILOVER_SETTLE,
         stale_backup=stale_backup,
@@ -616,19 +555,9 @@ def compare_plan(
     return FailoverComparison(plan=plan, repair=repair, failover=failover)
 
 
-def _run_comparison_task(
-    task: tuple[FaultPlan, str | None, bool],
-) -> FailoverComparison:
-    """Worker entry point (module-level so the pool can pickle it)."""
-    plan, peer_ref, stale_backup = task
-    peer_class = _resolve_peer_class(peer_ref) if peer_ref else None
-    return compare_plan(plan, peer_class=peer_class, stale_backup=stale_backup)
-
-
 def run_comparison_campaign(
     plans: Sequence[FaultPlan],
     jobs: int = 1,
-    peer_ref: str | None = None,
     stale_backup: bool = False,
     progress: Callable[[FailoverComparison], None] | None = None,
 ) -> ComparisonResult:
@@ -636,10 +565,8 @@ def run_comparison_campaign(
 
     Same :func:`ordered_map` pooling as :func:`run_campaign`.
     """
-    tasks = [(plan, peer_ref, stale_backup) for plan in plans]
-    return ComparisonResult(
-        comparisons=ordered_map(_run_comparison_task, tasks, jobs, progress)
-    )
+    run = partial(compare_plan, stale_backup=stale_backup)
+    return ComparisonResult(comparisons=ordered_map(run, plans, jobs, progress))
 
 
 def generate_campaign(

@@ -373,13 +373,7 @@ def flash_churn(
 # -- seed-deterministic generation -------------------------------------------
 
 
-def generate_plan(
-    system: str,
-    index: int,
-    campaign_seed: int = 0,
-    size_range: tuple[int, int] = (8, 20),
-    max_primitives: int = 4,
-) -> FaultPlan:
+def generate_plan(system: str, index: int, campaign_seed: int = 0) -> FaultPlan:
     """The ``index``-th random plan of one system's campaign.
 
     Seeding routes through a string (like
@@ -390,10 +384,10 @@ def generate_plan(
     results.
     """
     rng = Random(f"faultplan:{campaign_seed}:{system}:{index}")
-    size = rng.randint(*size_range)
+    size = rng.randint(8, 20)
     window = 30.0
     events: list[FaultEvent] = []
-    for _ in range(rng.randint(1, max_primitives)):
+    for _ in range(rng.randint(1, 4)):  # one to four fault primitives
         events.extend(_random_primitive(rng, window))
     events.sort(key=lambda event: (event.time, event.action))
     return FaultPlan(

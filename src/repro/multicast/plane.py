@@ -1,11 +1,12 @@
 """Event-driven multi-group service plane.
 
-:class:`~repro.multicast.service.MulticastService` answers "who
-forwards to whom" one blocking call at a time.  Production traffic is
-different: thousands of groups disseminate *concurrently*, members
-join and leave mid-stream, and every host's single physical uplink is
-shared by all the groups it sits in.  :class:`ServicePlane` is that
-regime as a deterministic discrete-event system:
+:class:`~repro.multicast.service.MulticastService` keeps the groups,
+their overlays and the per-host forwarding ledger; it moves no
+message.  Traffic is concurrent: thousands of groups disseminate at
+once, members join and leave mid-stream, and every host's single
+physical uplink is shared by all the groups it sits in.
+:class:`ServicePlane` — the one way a message moves through the
+service — is that regime as a deterministic discrete-event system:
 
 * **Interleaved sends on one clock.**  Every send freezes the group's
   membership and implicit tree at origin time, then plays the tree out
@@ -70,12 +71,11 @@ from repro import perf
 from repro.multicast.service import MulticastService
 from repro.sim.engine import Future, Simulator
 from repro.sim.transfer import UplinkBudget, delivery_timeline
-from repro.systems import DEFAULT_UNIFORM_FANOUT
+from repro.systems import DEFAULT_UNIFORM_FANOUT, SystemKind
 from repro.trace.tracer import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from repro.multicast.kernel import FlatTree
-    from repro.multicast.session import SystemKind
     from repro.systems import SystemDescriptor
     from repro.workloads.groups import ServiceEvent
 
@@ -335,8 +335,8 @@ class _SendTemplate:
     lists the forwarding hosts in delivery order, the order
     :meth:`FlatTree.children_counts` iterates in, so
     :meth:`MulticastService.charge` accumulates the forwarding ledger
-    in the same float order the synchronous
-    :meth:`MulticastService.multicast` does.
+    in the same float order as the blocking reference send the service
+    tests keep.
     """
 
     tree: FlatTree
@@ -499,24 +499,19 @@ class _WallClock:
 class ServicePlane:
     """Batched, interleaved multi-group dissemination on one clock.
 
-    Wraps (or owns) a :class:`MulticastService` — every overlay build
-    and rebuild goes through the service's registry path, and every
-    completed transmission charges the service's per-host forwarding
-    ledger, so the synchronous API's accounting invariants hold
-    unchanged under the event-driven plane.
+    Owns its :class:`MulticastService` and its :class:`Simulator` —
+    every overlay build and rebuild goes through the service's registry
+    path, and every completed transmission charges the service's
+    per-host forwarding ledger.
     """
 
     def __init__(
         self,
-        service: MulticastService | None = None,
-        simulator: Simulator | None = None,
         space_bits: int = 19,
         hop_latency: float | HostLatency = 0.0,
     ) -> None:
-        self.service = (
-            service if service is not None else MulticastService(space_bits)
-        )
-        self.simulator = simulator if simulator is not None else Simulator()
+        self.service = MulticastService(space_bits)
+        self.simulator = Simulator()
         self.budget = UplinkBudget()
         self._latency: HostLatency = (
             hop_latency
@@ -552,18 +547,14 @@ class ServicePlane:
         self,
         group_name: str,
         member_names: Iterable[str],
-        kind: "SystemKind | SystemDescriptor | str | None" = None,
+        kind: "SystemKind | SystemDescriptor | str" = SystemKind.CAM_CHORD,
         per_link_kbps: float = 100.0,
         uniform_fanout: int = DEFAULT_UNIFORM_FANOUT,
     ) -> None:
         """Establish a group (usable immediately, even mid-run)."""
-        kwargs: dict[str, Any] = {
-            "per_link_kbps": per_link_kbps,
-            "uniform_fanout": uniform_fanout,
-        }
-        if kind is not None:
-            kwargs["kind"] = kind
-        self.service.create_group(group_name, member_names, **kwargs)
+        self.service.create_group(
+            group_name, member_names, kind, per_link_kbps, uniform_fanout
+        )
         ledger = SequenceLedger()
         for member in self.service.members_of(group_name):
             ledger.admit(member)

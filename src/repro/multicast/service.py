@@ -17,11 +17,11 @@ so unchanged members keep their ring positions across rebuilds.  The
 service aggregates forwarding load per *host* across groups — the
 quantity a deployment actually provisions for.
 
-This layer is synchronous: :meth:`multicast` delivers in one call.
-The event-driven face of the same service — interleaved sends on a
-simulated clock, sequence numbers, shared-uplink backpressure — is
-:class:`repro.multicast.plane.ServicePlane`, which drives exactly the
-group-rebuild path defined here.
+This layer is the registry and the ledger; it sends nothing itself.
+Messages move on :class:`repro.multicast.plane.ServicePlane` —
+interleaved sends on a simulated clock, sequence numbers,
+shared-uplink backpressure — which drives exactly the group-rebuild
+path defined here and charges every send through :meth:`charge`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Iterable, Mapping
 from repro.capacity.model import CapacityModel
 from repro.idspace.hashing import assign_identifiers
 from repro.idspace.ring import IdentifierSpace
-from repro.multicast.kernel import FlatTree
 from repro.multicast.session import MulticastGroup, SystemKind
 from repro.overlay.base import RingSnapshot
 from repro.systems import DEFAULT_UNIFORM_FANOUT, SystemDescriptor, resolve
@@ -249,27 +248,7 @@ class MulticastService:
             if host_name in members
         ]
 
-    # -- the service ---------------------------------------------------------------
-
-    def multicast(
-        self, group_name: str, source_host: str, message_kbits: float = 1.0
-    ) -> FlatTree:
-        """Deliver one message in one group, charging host uplinks."""
-        group = self.group(group_name)
-        source_ident = self.member_ident(group_name, source_host)
-        result = group.multicast_from(group.snapshot.node_at(source_ident))
-        host_of = {
-            ident: name for name, ident in self._membership(group_name).items()
-        }
-        self.charge(
-            (
-                (host_of[ident], count)
-                for ident, count in result.children_counts().items()
-                if count
-            ),
-            message_kbits,
-        )
-        return result
+    # -- the forwarding ledger -----------------------------------------------------
 
     def charge(
         self, charges: Iterable[tuple[str, int]], message_kbits: float
@@ -279,8 +258,7 @@ class MulticastService:
         ``charges`` pairs each forwarding host with its child count in
         the tree; each pays ``children × message_kbits`` — the Section
         5.1 forwarding-load accounting.  The one writer of the ledger:
-        :meth:`multicast` charges a tree as it delivers it, the
-        event-driven plane replays a frozen tree's charges per send.
+        the event-driven plane replays a frozen tree's charges per send.
         """
         forwarded = self._forwarded_kbits
         for host_name, count in charges:

@@ -34,7 +34,6 @@ from repro.multicast.kernel import FlatTree
 from repro.overlay.base import Node, Overlay, RingSnapshot, build_snapshot
 from repro.systems import (
     DEFAULT_UNIFORM_FANOUT,
-    MemberSpec,
     SystemDescriptor,
     SystemKind,
     resolve,
@@ -84,23 +83,6 @@ class MulticastGroup:
         system = resolve(kind)
         overlay = system.build_overlay(snapshot, uniform_fanout=uniform_fanout)
         return cls(system, overlay)
-
-    @classmethod
-    def from_member_spec(
-        cls,
-        kind: "SystemKind | SystemDescriptor | str",
-        spec: MemberSpec,
-        uniform_fanout: int = DEFAULT_UNIFORM_FANOUT,
-    ) -> "MulticastGroup":
-        """Materialize the static world of a frozen membership spec.
-
-        The same spec handed to a :class:`~repro.protocol.cluster.Cluster`
-        yields the live world of the same members — the basis of the
-        static-vs-live parity harness (:mod:`repro.systems.parity`).
-        """
-        system = resolve(kind)
-        snapshot = spec.snapshot(min_capacity=system.min_capacity)
-        return cls.from_snapshot(system, snapshot, uniform_fanout=uniform_fanout)
 
     @classmethod
     def build(

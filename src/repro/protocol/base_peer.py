@@ -1,4 +1,4 @@
-"""Peer machinery shared by the live CAM-Chord and CAM-Koorde nodes.
+"""Peer machinery shared by every live overlay node.
 
 A peer owns the Chord maintenance cycle (Section 3.3 adopts it
 verbatim, Section 4.2 reuses it for the de Bruijn overlay):
@@ -14,6 +14,9 @@ Lookups are *iterative*: the querying peer asks each hop for its best
 next hop, excluding hops that already timed out — the standard
 robustness choice under churn (a recursive chain dies with any single
 node on it).
+
+:class:`FloodPeer` adds the one flood both Koorde peers multicast
+with; the CAM-Chord peer splits regions instead.
 """
 
 from __future__ import annotations
@@ -648,3 +651,58 @@ class BasePeer:
 
 
 BasePeer._handlers = _dispatch_table(BasePeer)
+
+
+class FloodPeer(BasePeer):
+    """A peer that multicasts by flooding with duplicate suppression.
+
+    Section 4.3's dissemination, shared by CAM-Koorde and its plain
+    Koorde baseline: a new message goes to every neighbor-table link
+    plus the ring links, and a receiver that has seen it already counts
+    the copy as a duplicate instead of forwarding it.  The two systems
+    differ only in which neighbors the table holds.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._seen_messages: set[int] = set()
+
+    def flood_links(self) -> set[int]:
+        """The neighbor table plus predecessor and successor."""
+        links = set(self.neighbor_table.values())
+        if self.successor != self.ident:
+            links.add(self.successor)
+        if self.predecessor is not None and self.predecessor != self.ident:
+            links.add(self.predecessor)
+        links.discard(self.ident)
+        return links
+
+    def multicast(self, message_id: int | None = None) -> int:
+        """Originate one flood."""
+        if message_id is None:
+            message_id = self.next_message_id()
+        self._seen_messages.add(message_id)
+        self._deliver_local(message_id, depth=0)
+        self._flood(message_id, depth=0, skip=None)
+        return message_id
+
+    def _flood(self, message_id: int, depth: int, skip: int | None) -> None:
+        for link in self.flood_links():
+            if link == skip:
+                continue
+            self.network.send(
+                self.ident,
+                link,
+                "mc_flood",
+                {"mid": message_id, "depth": depth + 1},
+            )
+
+    def _on_mc_flood(self, message: Message) -> None:
+        payload = message.payload
+        message_id = payload["mid"]
+        if message_id in self._seen_messages:
+            self._duplicate_local(message_id, message.sender)
+            return
+        self._seen_messages.add(message_id)
+        self._deliver_local(message_id, payload["depth"], parent=message.sender)
+        self._flood(message_id, payload["depth"], skip=message.sender)

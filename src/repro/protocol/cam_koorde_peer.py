@@ -3,10 +3,11 @@
 The neighbor table is keyed by the Section 4.1 group identifiers
 (``x/2``, ``2**(b-1) + x/2``, second group, third group), refreshed by
 the shared fix-neighbors loop; predecessor and successor complete the
-basic group.  Multicast floods over these links with duplicate
-suppression at the receiver — semantically identical to the paper's
-"have you received it?" handshake, with every redundant copy counted
-as control overhead in the delivery monitor.
+basic group.  Multicast is :class:`~repro.protocol.base_peer.FloodPeer`'s
+flood over these links with duplicate suppression at the receiver —
+semantically identical to the paper's "have you received it?"
+handshake, with every redundant copy counted as control overhead in
+the delivery monitor.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.overlay.cam_koorde import cam_koorde_neighbor_groups
-from repro.protocol.base_peer import BasePeer
-from repro.sim.network import Message
+from repro.protocol.base_peer import FloodPeer
 
 
-class CamKoordePeer(BasePeer):
+class CamKoordePeer(FloodPeer):
     """A live CAM-Koorde node (requires ``capacity >= 4``)."""
 
     def __init__(self, *args, **kwargs) -> None:
@@ -27,7 +27,6 @@ class CamKoordePeer(BasePeer):
             raise ValueError(
                 f"CAM-Koorde requires capacity >= 4, got {self.capacity}"
             )
-        self._seen_messages: set[int] = set()
 
     def slot_specs(self) -> Iterable[tuple[Any, int]]:
         groups = cam_koorde_neighbor_groups(self.ident, self.capacity, self.space.bits)
@@ -35,47 +34,3 @@ class CamKoordePeer(BasePeer):
             (("debruijn", index), identifier)
             for index, identifier in enumerate(groups.all_identifiers())
         ]
-
-    # -- multicast ---------------------------------------------------------
-
-    def flood_links(self) -> set[int]:
-        """Everything the flood forwards over: the full basic group plus
-        the resolved shift groups."""
-        links = set(self.neighbor_table.values())
-        if self.successor != self.ident:
-            links.add(self.successor)
-        if self.predecessor is not None and self.predecessor != self.ident:
-            links.add(self.predecessor)
-        links.discard(self.ident)
-        return links
-
-    def multicast(self, message_id: int | None = None) -> int:
-        """Originate one multicast (Section 4.3: forward to all
-        neighbors)."""
-        if message_id is None:
-            message_id = self.next_message_id()
-        self._seen_messages.add(message_id)
-        self._deliver_local(message_id, depth=0)
-        self._flood(message_id, depth=0, skip=None)
-        return message_id
-
-    def _flood(self, message_id: int, depth: int, skip: int | None) -> None:
-        for link in self.flood_links():
-            if link == skip:
-                continue
-            self.network.send(
-                self.ident,
-                link,
-                "mc_flood",
-                {"mid": message_id, "depth": depth + 1},
-            )
-
-    def _on_mc_flood(self, message: Message) -> None:
-        payload = message.payload
-        message_id = payload["mid"]
-        if message_id in self._seen_messages:
-            self._duplicate_local(message_id, message.sender)
-            return
-        self._seen_messages.add(message_id)
-        self._deliver_local(message_id, payload["depth"], parent=message.sender)
-        self._flood(message_id, payload["depth"], skip=message.sender)

@@ -6,23 +6,23 @@ all peers of one live overlay session.  It is the test bench for the
 protocol converge, then join/leave/crash peers while multicasting and
 measure what arrives.
 
-A cluster is normally built from a *system* (anything the
+A cluster is built from a *system* — anything the
 :mod:`repro.systems` registry resolves: a descriptor, a
 :class:`~repro.systems.SystemKind`, or a canonical name like
-``"cam-chord"``) plus either a plain capacity list or a frozen
-:class:`~repro.systems.MemberSpec`; the descriptor supplies the live
-peer class and the capacity policy (the uniform baselines pin every
-peer's capacity to the configured fanout).  Passing a raw
-:class:`~repro.protocol.base_peer.BasePeer` subclass instead of a
-system is still supported for protocol-level tests that want to drive
-one peer implementation directly, with capacities taken verbatim.
+``"cam-chord"`` — plus either a plain capacity list or a frozen
+:class:`~repro.systems.MemberSpec`.  The descriptor is the only way to
+name a live system: it supplies the live peer class and the capacity
+policy (the system's floor, and the uniform baselines pin every peer's
+capacity to the configured fanout).  A test that needs a mutant peer
+overrides a descriptor's ``peer_loader`` with
+:func:`dataclasses.replace`; a raw peer class is a ``TypeError``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from random import Random
-from typing import Sequence, Type, Union
+from typing import Sequence, Union
 
 from repro.idspace.ring import IdentifierSpace
 from repro.overlay.base import Node, RingSnapshot, sample_identifiers
@@ -40,7 +40,14 @@ from repro.systems import (
 )
 from repro.trace.tracer import TRACER
 
-SystemLike = Union[SystemDescriptor, SystemKind, str, Type[BasePeer]]
+#: Seconds between two initial peers' joins in :meth:`Cluster.bootstrap`.
+JOIN_STAGGER = 0.05
+
+#: Stabilize intervals :meth:`Cluster.bootstrap` grants the ring to turn
+#: consistent before it gives up.
+MAX_CONVERGE_ROUNDS = 2000
+
+SystemLike = Union[SystemDescriptor, SystemKind, str]
 
 
 class Cluster:
@@ -58,14 +65,8 @@ class Cluster:
         seed: int = 0,
         uniform_fanout: int = DEFAULT_UNIFORM_FANOUT,
     ) -> None:
-        if isinstance(system, type) and issubclass(system, BasePeer):
-            # Legacy escape hatch: drive a peer implementation directly,
-            # capacities verbatim, no registry policy applied.
-            self.system: SystemDescriptor | None = None
-            self._peer_class = system
-        else:
-            self.system = resolve(system)
-            self._peer_class = self.system.live_peer_class()
+        self.system = resolve(system)
+        self._peer_class = self.system.live_peer_class()
         self._uniform_fanout = uniform_fanout
         if isinstance(members, MemberSpec):
             space_bits = members.space_bits
@@ -112,8 +113,6 @@ class Cluster:
         pins it to the configured fanout (a ``CamChordPeer`` fleet with
         every capacity pinned to ``k`` *is* live base-``k`` Chord).
         """
-        if self.system is None:
-            return capacity
         return self.system.live_capacity(
             max(capacity, self.system.min_capacity), self._uniform_fanout
         )
@@ -133,20 +132,16 @@ class Cluster:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def bootstrap(
-        self,
-        join_stagger: float = 0.05,
-        settle: float | None = None,
-        max_converge_rounds: int = 2000,
-    ) -> None:
+    def bootstrap(self) -> None:
         """Join every initial peer and let the maintenance settle.
 
         Peers join one by one (each via a random already-joined peer),
-        ``join_stagger`` apart.  A mass join telescopes successor
+        :data:`JOIN_STAGGER` apart.  A mass join telescopes successor
         pointers, and Chord stabilization then shortens each pointer by
         one live member per round — so the cluster first runs until the
-        ring invariant holds, then for ``settle`` more seconds (default:
-        enough fix-neighbor rounds to fill the largest table).
+        ring invariant holds (at most :data:`MAX_CONVERGE_ROUNDS`
+        stabilize intervals), then for enough fix-neighbor rounds to
+        fill the largest table.
         """
         first, rest = self._initial[0], self._initial[1:]
         first.create()
@@ -154,11 +149,11 @@ class Cluster:
 
         when = 0.0
         for peer in rest:
-            when += join_stagger
+            when += JOIN_STAGGER
             bootstrap_peer = self._rng.choice(joined)
             self.simulator.call_at(when, peer.join, bootstrap_peer.ident)
             joined.append(peer)
-        self.simulator.run(until=when + join_stagger)
+        self.simulator.run(until=when + JOIN_STAGGER)
 
         # A join lookup can fail while the ring is still telescoped;
         # real clients retry, so the bootstrap does too.
@@ -174,19 +169,17 @@ class Cluster:
             dead = [p.ident for p in self._initial if not p.alive]
             raise RuntimeError(f"{len(dead)} peers failed to join: {dead[:5]}")
 
-        for _ in range(max_converge_rounds):
+        for _ in range(MAX_CONVERGE_ROUNDS):
             if self.ring_consistent():
                 break
             self.run(self.config.stabilize_interval)
         else:
             raise RuntimeError(
-                f"ring failed to converge within {max_converge_rounds} rounds"
+                f"ring failed to converge within {MAX_CONVERGE_ROUNDS} rounds"
             )
 
-        if settle is None:
-            slots = max(len(list(p.slot_specs())) for p in self._initial)
-            settle = (slots + 2) * self.config.fix_neighbors_interval
-        self.run(settle)
+        slots = max(len(list(p.slot_specs())) for p in self._initial)
+        self.run((slots + 2) * self.config.fix_neighbors_interval)
 
     def run(self, duration: float) -> None:
         """Advance simulated time."""
@@ -199,6 +192,9 @@ class Cluster:
         live = self.live_peers()
         if not live:
             raise RuntimeError("cannot join: no live peers to bootstrap from")
+        # crashed peers keep their identifiers, so the space can run out
+        if len(self.peers) >= self.space.size:
+            raise RuntimeError("identifier space exhausted")
         while True:
             ident = self._rng.randrange(self.space.size)
             if ident not in self.peers:
@@ -335,11 +331,7 @@ class Cluster:
             TRACER.emit(
                 self.simulator.now, "mc", "origin",
                 mid=message_id, source=ident,
-                system=(
-                    self.system.name
-                    if self.system is not None
-                    else type(peer).__name__
-                ),
+                system=self.system.name,
                 bits=self.space.bits,
                 members=sorted(members),
                 capacities=[

@@ -9,8 +9,9 @@ member, and the anchor's successor list — which the Chord maintenance
 cycle already keeps fresh — supplies the rest of the window in a
 single extra round trip.
 
-Multicast is flooding with duplicate suppression, as in Section 4.3;
-the fanout is the uniform ``degree`` regardless of the node's
+Multicast is :class:`~repro.protocol.base_peer.FloodPeer`'s flood
+with duplicate suppression (Section 4.3), the same code CAM-Koorde
+runs; the fanout is the uniform ``degree`` regardless of the node's
 bandwidth, which is precisely what the paper's evaluation holds
 against Koorde.
 
@@ -23,12 +24,11 @@ from __future__ import annotations
 
 from typing import Any, Generator, Iterable
 
-from repro.protocol.base_peer import BasePeer, LookupFailed
+from repro.protocol.base_peer import FloodPeer, LookupFailed
 from repro.sim.engine import FutureError
-from repro.sim.network import Message
 
 
-class KoordePeer(BasePeer):
+class KoordePeer(FloodPeer):
     """A live degree-``k`` Koorde node.
 
     ``capacity`` is reinterpreted as the de Bruijn degree ``k`` (the
@@ -39,7 +39,6 @@ class KoordePeer(BasePeer):
         super().__init__(*args, **kwargs)
         if self.capacity < 1:
             raise ValueError(f"Koorde degree must be >= 1, got {self.capacity}")
-        self._seen_messages: set[int] = set()
 
     @property
     def degree(self) -> int:
@@ -86,45 +85,3 @@ class KoordePeer(BasePeer):
                 self.neighbor_table[key] = followers[index - 1]
             else:
                 self.neighbor_table.pop(key, None)
-
-    # -- multicast (flooding, Section 4.3 semantics) -----------------------
-
-    def flood_links(self) -> set[int]:
-        """Ring links plus the de Bruijn window."""
-        links = set(self.neighbor_table.values())
-        if self.successor != self.ident:
-            links.add(self.successor)
-        if self.predecessor is not None and self.predecessor != self.ident:
-            links.add(self.predecessor)
-        links.discard(self.ident)
-        return links
-
-    def multicast(self, message_id: int | None = None) -> int:
-        """Originate one flood."""
-        if message_id is None:
-            message_id = self.next_message_id()
-        self._seen_messages.add(message_id)
-        self._deliver_local(message_id, depth=0)
-        self._flood(message_id, depth=0, skip=None)
-        return message_id
-
-    def _flood(self, message_id: int, depth: int, skip: int | None) -> None:
-        for link in self.flood_links():
-            if link == skip:
-                continue
-            self.network.send(
-                self.ident,
-                link,
-                "mc_flood",
-                {"mid": message_id, "depth": depth + 1},
-            )
-
-    def _on_mc_flood(self, message: Message) -> None:
-        payload = message.payload
-        message_id = payload["mid"]
-        if message_id in self._seen_messages:
-            self._duplicate_local(message_id, message.sender)
-            return
-        self._seen_messages.add(message_id)
-        self._deliver_local(message_id, payload["depth"], parent=message.sender)
-        self._flood(message_id, payload["depth"], skip=message.sender)

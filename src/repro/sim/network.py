@@ -166,10 +166,6 @@ class Network:
         """Detach a host: all in-flight traffic to it is dropped."""
         self._endpoints.pop(address, None)
 
-    def is_registered(self, address: int) -> bool:
-        """True while the host is attached."""
-        return address in self._endpoints
-
     # -- fault injection --------------------------------------------------
 
     def partition(self, a: int, b: int) -> None:

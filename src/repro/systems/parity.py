@@ -40,6 +40,12 @@ if TYPE_CHECKING:
     from repro.trace.causal import MulticastRecord
 
 
+#: Seconds of churn-free maintenance per convergence try of the live
+#: cluster, and the seconds its multicast gets to propagate.
+PARITY_SETTLE = 200.0
+PARITY_WINDOW = 15.0
+
+
 @dataclass(frozen=True)
 class ParityReport:
     """The two trees one spec produced, and how they compare."""
@@ -138,25 +144,21 @@ def check_parity(
     system: "SystemDescriptor | SystemKind | str",
     spec: MemberSpec,
     uniform_fanout: int = DEFAULT_UNIFORM_FANOUT,
-    source: int | None = None,
-    settle: float = 200.0,
-    window: float = 15.0,
     seed: int = 0,
 ) -> ParityReport:
     """Build both worlds from ``spec`` and compare their trees.
 
-    The live cluster bootstraps, converges without churn (extra
-    ``settle`` time until every neighbor-table slot is accurate), then
-    multicasts from ``source`` (default: the spec's first member) under
-    the structured tracer.  The live run is read inside a
-    ``TRACER.capture()``, which leaves the tracer's flag and buffer as
-    it found them: earlier events survive, the run's own are dropped.
+    The live cluster bootstraps, converges without churn (up to ten
+    extra :data:`PARITY_SETTLE` stretches, until every neighbor-table
+    slot is accurate), then multicasts from the spec's first member
+    under the structured tracer for :data:`PARITY_WINDOW` seconds.
+    The live run is read inside a ``TRACER.capture()``, which leaves
+    the tracer's flag and buffer as it found them: earlier events
+    survive, the run's own are dropped.
     """
     descriptor = resolve(system)
     members = frozenset(spec.identifiers)
-    source_ident = spec.identifiers[0] if source is None else source
-    if source_ident not in members:
-        raise KeyError(f"source {source_ident} is not in the member spec")
+    source_ident = spec.identifiers[0]
 
     # Static world: snapshot -> overlay -> one pure-graph multicast.
     snapshot = spec.snapshot(descriptor.min_capacity)
@@ -176,11 +178,11 @@ def check_parity(
         uniform_fanout=uniform_fanout,
     )
     cluster.bootstrap()
-    cluster.run(settle)
+    cluster.run(PARITY_SETTLE)
     for _ in range(10):
         if cluster.neighbor_table_accuracy() == 1.0:
             break
-        cluster.run(settle)
+        cluster.run(PARITY_SETTLE)
     else:
         raise RuntimeError(
             f"{descriptor.name}: live neighbor tables failed to converge "
@@ -189,28 +191,7 @@ def check_parity(
 
     with TRACER.capture() as mark:
         mid = cluster.multicast_from(source_ident)
-        cluster.run(window)
+        cluster.run(PARITY_WINDOW)
         record = reconstruct(TRACER.events_since(mark), mid)
 
     return _compare(descriptor, source_ident, members, static, record)
-
-
-def check_all_systems(
-    spec: MemberSpec,
-    uniform_fanout: int = DEFAULT_UNIFORM_FANOUT,
-    settle: float = 200.0,
-    seed: int = 0,
-) -> dict[str, ParityReport]:
-    """Run the parity harness for every registered system on one spec."""
-    from repro.systems.registry import all_descriptors
-
-    return {
-        descriptor.name: check_parity(
-            descriptor,
-            spec,
-            uniform_fanout=uniform_fanout,
-            settle=settle,
-            seed=seed,
-        )
-        for descriptor in all_descriptors()
-    }

@@ -235,7 +235,7 @@ register(
         peer_loader=_koorde_peer,
         builds_single_tree=False,
         # The live flood forwards over predecessor and successor on top
-        # of the uniform de Bruijn window (KoordePeer.flood_links), so
+        # of the uniform de Bruijn window (FloodPeer.flood_links), so
         # the delivery-tree degree bound is capacity + 2.
         fanout_slack=2,
         backup_capable=True,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.idspace.ring import IdentifierSpace
@@ -102,30 +102,4 @@ class MemberSpec:
             identifiers=identifiers,
             capacities=capacities,
             bandwidths=bandwidths,
-        )
-
-    @classmethod
-    def from_bandwidths(
-        cls,
-        bandwidths: Sequence[float],
-        per_link_kbps: float,
-        space_bits: int = 19,
-        seed: int = 0,
-    ) -> "MemberSpec":
-        """The Figures 6-8 setup: capacities ``floor(B_x / p)`` from
-        measured bandwidths, identifiers hash-uniform from ``seed``."""
-        from repro.overlay.base import sample_identifiers
-
-        rng = Random(seed)
-        identifiers = tuple(
-            sample_identifiers(len(bandwidths), 1 << space_bits, rng)
-        )
-        capacities = tuple(
-            max(1, int(bandwidth // per_link_kbps)) for bandwidth in bandwidths
-        )
-        return cls(
-            space_bits=space_bits,
-            identifiers=identifiers,
-            capacities=capacities,
-            bandwidths=tuple(float(b) for b in bandwidths),
         )

@@ -140,7 +140,9 @@ class MulticastRecord:
         """The tree the structural CAM-Chord algorithm would build over
         the send-time membership, or ``None`` for flood systems (a
         flood has no single implicit tree to diff against)."""
-        if "chord" not in self.system.lower():
+        from repro.systems import get_system
+
+        if not get_system(self.system).builds_single_tree:
             return None
         from repro.idspace.ring import IdentifierSpace
         from repro.multicast.cam_chord import cam_chord_multicast

@@ -51,7 +51,7 @@ def random_snapshot(
     return RingSnapshot(IdentifierSpace(bits), nodes)
 
 
-def assert_plan_deterministic(plan, peer_class=None, **run_kwargs):
+def assert_plan_deterministic(plan, **run_kwargs):
     """Run one fault plan twice and demand identical outcomes.
 
     The seed-determinism contract of :mod:`repro.faults`: every byte of
@@ -65,8 +65,8 @@ def assert_plan_deterministic(plan, peer_class=None, **run_kwargs):
     """
     from repro.faults import run_plan
 
-    first = run_plan(plan, peer_class=peer_class, **run_kwargs)
-    second = run_plan(plan, peer_class=peer_class, **run_kwargs)
+    first = run_plan(plan, **run_kwargs)
+    second = run_plan(plan, **run_kwargs)
     assert first.violations == second.violations
     assert first.delivery_ratios == second.delivery_ratios
     assert first.duplicates_per_message == second.duplicates_per_message

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.idspace.ring import IdentifierSpace
 from repro.protocol.base_peer import BasePeer
@@ -101,6 +102,10 @@ class TestSlotSpecs:
         peer = make_peer(36, capacity=10, peer_class=CamKoordePeer)
         idents = [ident for _, ident in peer.slot_specs()]
         assert len(idents) == 8  # capacity - 2 (pred/succ are implicit)
+
+    def test_cam_koorde_rejects_small_capacity(self):
+        with pytest.raises(ValueError, match="capacity >= 4"):
+            make_peer(36, capacity=3, peer_class=CamKoordePeer)
 
     def test_uniform_capacity_is_live_chord(self):
         """A CamChordPeer with capacity 2 keeps exactly the classic

@@ -14,7 +14,6 @@ from repro.churn.trace import (
     poisson_trace,
     session_trace,
 )
-from repro.protocol import CamChordPeer, CamKoordePeer
 
 
 class TestPoissonTrace:
@@ -115,7 +114,7 @@ class TestChurnExperiment:
         rng = Random(1)
         caps = [rng.randint(4, 10) for _ in range(25)]
         trace = poisson_trace(40, 0, 0)
-        experiment = ChurnExperiment(CamChordPeer, caps, space_bits=12, seed=2)
+        experiment = ChurnExperiment("cam-chord", caps, space_bits=12, seed=2)
         report = experiment.run(trace, multicast_interval=10, propagation_window=4)
         assert report.delivery_ratios  # some multicasts happened
         assert report.mean_delivery_ratio == 1.0
@@ -126,28 +125,28 @@ class TestChurnExperiment:
         rng = Random(2)
         caps = [rng.randint(4, 10) for _ in range(30)]
         results = {}
-        for cls in (CamChordPeer, CamKoordePeer):
+        for system in ("cam-chord", "cam-koorde"):
             trace = poisson_trace(
                 60, join_rate=0.2, depart_rate=0.2, rng=Random(11)
             )
-            experiment = ChurnExperiment(cls, caps, space_bits=13, seed=3)
-            results[cls.__name__] = experiment.run(
+            experiment = ChurnExperiment(system, caps, space_bits=13, seed=3)
+            results[system] = experiment.run(
                 trace, multicast_interval=10, propagation_window=4
             )
         assert (
-            results["CamKoordePeer"].mean_delivery_ratio
-            >= results["CamChordPeer"].mean_delivery_ratio
+            results["cam-koorde"].mean_delivery_ratio
+            >= results["cam-chord"].mean_delivery_ratio
         )
         # flooding pays with duplicate traffic
         assert (
-            results["CamKoordePeer"].mean_duplicates
-            > results["CamChordPeer"].mean_duplicates
+            results["cam-koorde"].mean_duplicates
+            > results["cam-chord"].mean_duplicates
         )
 
     def test_membership_tracks_churn(self):
         rng = Random(3)
         caps = [rng.randint(4, 10) for _ in range(20)]
         trace = poisson_trace(50, join_rate=0.5, depart_rate=0.0, rng=Random(12))
-        experiment = ChurnExperiment(CamChordPeer, caps, space_bits=13, seed=4)
+        experiment = ChurnExperiment("cam-chord", caps, space_bits=13, seed=4)
         report = experiment.run(trace, multicast_interval=25, propagation_window=4)
         assert report.final_membership > 20

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import signal
 from random import Random
 
 import pytest
 
+from repro.churn import ChurnExperiment
 from repro.protocol import CamChordPeer, Cluster
 from repro.sim.latency import UniformLatency
 
@@ -15,7 +17,7 @@ def cluster() -> Cluster:
     rng = Random(31)
     capacities = [rng.randint(4, 10) for _ in range(25)]
     cluster = Cluster(
-        CamChordPeer,
+        "cam-chord",
         capacities,
         bandwidths=[600.0] * 25,
         space_bits=12,
@@ -63,7 +65,7 @@ class TestClusterApi:
 
 class TestClusterEdgeCases:
     def test_single_member_cluster(self):
-        cluster = Cluster(CamChordPeer, [4], space_bits=10, seed=1)
+        cluster = Cluster("cam-chord", [4], space_bits=10, seed=1)
         cluster.bootstrap()
         assert cluster.ring_consistent()
         mid = cluster.multicast_from(cluster.live_peers()[0].ident)
@@ -73,7 +75,7 @@ class TestClusterEdgeCases:
     def test_all_but_two_crash(self):
         rng = Random(7)
         cluster = Cluster(
-            CamChordPeer, [rng.randint(4, 8) for _ in range(12)],
+            "cam-chord", [rng.randint(4, 8) for _ in range(12)],
             space_bits=10, seed=7,
         )
         cluster.bootstrap()
@@ -86,8 +88,43 @@ class TestClusterEdgeCases:
     def test_lossy_network_still_converges(self):
         rng = Random(8)
         cluster = Cluster(
-            CamChordPeer, [rng.randint(4, 8) for _ in range(15)],
+            "cam-chord", [rng.randint(4, 8) for _ in range(15)],
             space_bits=10, seed=8, loss_rate=0.1,
         )
         cluster.bootstrap()
         assert cluster.ring_consistent()
+
+    def test_add_peer_raises_once_the_identifier_space_is_exhausted(self):
+        """Crashed peers keep their identifiers, so a full space has no
+        fresh one left: the join must raise, not draw forever."""
+
+        def hang(signum, frame):
+            raise TimeoutError("add_peer kept drawing identifiers")
+
+        cluster = Cluster("cam-chord", [4] * 6, space_bits=3, seed=1)
+        cluster.bootstrap()
+        cluster.add_peer(capacity=4)
+        cluster.remove_peer(cluster.add_peer(capacity=4).ident)
+        assert len(cluster.peers) == cluster.space.size
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            with pytest.raises(RuntimeError, match="identifier space exhausted"):
+                cluster.add_peer(capacity=4)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+
+
+class TestOneWayToNameASystem:
+    """A live system is a registry descriptor; a raw peer class is not
+    one (a mutant peer is a descriptor whose ``peer_loader`` is
+    overridden, see ``tests/test_faults_mutation.py``)."""
+
+    def test_cluster_rejects_a_raw_peer_class(self):
+        with pytest.raises(TypeError, match="cannot resolve a system"):
+            Cluster(CamChordPeer, [4] * 4, space_bits=10, seed=1)
+
+    def test_churn_experiment_rejects_a_raw_peer_class(self):
+        with pytest.raises(TypeError, match="cannot resolve a system"):
+            ChurnExperiment(CamChordPeer, [4] * 4, space_bits=10, seed=1)

@@ -6,11 +6,13 @@ from random import Random
 
 import pytest
 
-from repro.protocol import Cluster, KoordePeer
+from repro.protocol import Cluster
 
 
 def make_cluster(count: int, degree: int = 4, seed: int = 1, bits: int = 12) -> Cluster:
-    return Cluster(KoordePeer, [degree] * count, space_bits=bits, seed=seed)
+    return Cluster(
+        "koorde", [degree] * count, space_bits=bits, seed=seed, uniform_fanout=degree
+    )
 
 
 class TestBootstrap:
@@ -74,11 +76,12 @@ class TestFloodMulticast:
     def test_uniform_fanout_regardless_of_bandwidth(self):
         """The baseline property: link budget is the degree, not B_x."""
         cluster = Cluster(
-            KoordePeer,
+            "koorde",
             [4] * 20,
             bandwidths=[100.0 + 50 * i for i in range(20)],
             space_bits=12,
             seed=5,
+            uniform_fanout=4,
         )
         cluster.bootstrap()
         cluster.run(120)

@@ -6,14 +6,14 @@ from random import Random
 
 import pytest
 
-from repro.protocol import CamChordPeer, CamKoordePeer, Cluster, ProtocolConfig
+from repro.protocol import Cluster, ProtocolConfig
 from repro.protocol.base_peer import DeliveryMonitor
 
 
-def make_cluster(peer_class, count, seed=1, bits=12, caps=None, **kwargs):
+def make_cluster(system, count, seed=1, bits=12, caps=None, **kwargs):
     rng = Random(seed)
     capacities = caps if caps is not None else [rng.randint(4, 10) for _ in range(count)]
-    return Cluster(peer_class, capacities, space_bits=bits, seed=seed, **kwargs)
+    return Cluster(system, capacities, space_bits=bits, seed=seed, **kwargs)
 
 
 class TestProtocolConfig:
@@ -39,14 +39,14 @@ class TestProtocolConfig:
 
 class TestBootstrap:
     def test_single_node_ring(self):
-        cluster = make_cluster(CamChordPeer, 1)
+        cluster = make_cluster("cam-chord", 1)
         cluster.bootstrap()
         (peer,) = cluster.live_peers()
         assert peer.successor == peer.ident
         assert cluster.ring_consistent()
 
     def test_two_node_ring(self):
-        cluster = make_cluster(CamChordPeer, 2)
+        cluster = make_cluster("cam-chord", 2)
         cluster.bootstrap()
         a, b = cluster.live_peers()
         assert a.successor == b.ident
@@ -55,25 +55,21 @@ class TestBootstrap:
         assert b.predecessor == a.ident
 
     def test_ring_converges_cam_chord(self):
-        cluster = make_cluster(CamChordPeer, 40)
+        cluster = make_cluster("cam-chord", 40)
         cluster.bootstrap()
         assert cluster.ring_consistent()
         assert cluster.neighbor_table_accuracy() > 0.9
 
     def test_ring_converges_cam_koorde(self):
-        cluster = make_cluster(CamKoordePeer, 40)
+        cluster = make_cluster("cam-koorde", 40)
         cluster.bootstrap()
         assert cluster.ring_consistent()
         assert cluster.neighbor_table_accuracy() > 0.9
 
-    def test_cam_koorde_rejects_small_capacity(self):
-        with pytest.raises(ValueError, match="capacity >= 4"):
-            make_cluster(CamKoordePeer, 3, caps=[3, 5, 6])
-
 
 class TestStableMulticast:
     def test_cam_chord_full_delivery(self):
-        cluster = make_cluster(CamChordPeer, 50, seed=3)
+        cluster = make_cluster("cam-chord", 50, seed=3)
         cluster.bootstrap()
         mid = cluster.multicast_from(cluster.random_live_peer().ident)
         cluster.run(10)
@@ -82,14 +78,14 @@ class TestStableMulticast:
         assert len(cluster.monitor.received[mid]) == 50
 
     def test_cam_koorde_full_delivery(self):
-        cluster = make_cluster(CamKoordePeer, 50, seed=3)
+        cluster = make_cluster("cam-koorde", 50, seed=3)
         cluster.bootstrap()
         mid = cluster.multicast_from(cluster.random_live_peer().ident)
         cluster.run(10)
         assert cluster.delivery_ratio(mid) == 1.0
 
     def test_any_source(self):
-        cluster = make_cluster(CamChordPeer, 25, seed=4)
+        cluster = make_cluster("cam-chord", 25, seed=4)
         cluster.bootstrap()
         mids = [cluster.multicast_from(p.ident) for p in cluster.live_peers()[:5]]
         cluster.run(15)
@@ -97,7 +93,7 @@ class TestStableMulticast:
             assert cluster.delivery_ratio(mid) == 1.0
 
     def test_multicast_from_dead_peer_rejected(self):
-        cluster = make_cluster(CamChordPeer, 5, seed=5)
+        cluster = make_cluster("cam-chord", 5, seed=5)
         cluster.bootstrap()
         victim = cluster.live_peers()[0]
         cluster.remove_peer(victim.ident)
@@ -107,7 +103,7 @@ class TestStableMulticast:
 
 class TestChurnHandling:
     def test_join_after_bootstrap(self):
-        cluster = make_cluster(CamChordPeer, 20, seed=6)
+        cluster = make_cluster("cam-chord", 20, seed=6)
         cluster.bootstrap()
         newcomer = cluster.add_peer(capacity=6)
         cluster.run(60)
@@ -116,7 +112,7 @@ class TestChurnHandling:
         assert newcomer.ident in cluster.live_members()
 
     def test_graceful_leave_repairs_quickly(self):
-        cluster = make_cluster(CamChordPeer, 20, seed=7)
+        cluster = make_cluster("cam-chord", 20, seed=7)
         cluster.bootstrap()
         victim = cluster.live_peers()[5]
         cluster.remove_peer(victim.ident, crash=False)
@@ -125,7 +121,7 @@ class TestChurnHandling:
         assert victim.ident not in cluster.live_members()
 
     def test_crash_repair(self):
-        cluster = make_cluster(CamChordPeer, 30, seed=8)
+        cluster = make_cluster("cam-chord", 30, seed=8)
         cluster.bootstrap()
         victims = [p.ident for p in cluster.live_peers()[::6]]
         for victim in victims:
@@ -138,8 +134,8 @@ class TestChurnHandling:
         """The paper's resilience comparison, in miniature: crash 20%
         of members, multicast immediately, flooding delivers more."""
         ratios = {}
-        for cls in (CamChordPeer, CamKoordePeer):
-            cluster = make_cluster(cls, 40, seed=9)
+        for system in ("cam-chord", "cam-koorde"):
+            cluster = make_cluster(system, 40, seed=9)
             cluster.bootstrap()
             live = cluster.live_peers()
             for victim in live[:: 5]:
@@ -147,12 +143,12 @@ class TestChurnHandling:
             source = cluster.random_live_peer()
             mid = cluster.multicast_from(source.ident)
             cluster.run(5)
-            ratios[cls.__name__] = cluster.delivery_ratio(mid)
-        assert ratios["CamKoordePeer"] >= ratios["CamChordPeer"]
-        assert ratios["CamKoordePeer"] > 0.95
+            ratios[system] = cluster.delivery_ratio(mid)
+        assert ratios["cam-koorde"] >= ratios["cam-chord"]
+        assert ratios["cam-koorde"] > 0.95
 
     def test_message_loss_tolerated_by_flooding(self):
-        cluster = make_cluster(CamKoordePeer, 30, seed=10, loss_rate=0.05)
+        cluster = make_cluster("cam-koorde", 30, seed=10, loss_rate=0.05)
         cluster.bootstrap()
         mid = cluster.multicast_from(cluster.random_live_peer().ident)
         cluster.run(10)

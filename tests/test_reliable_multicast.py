@@ -13,14 +13,14 @@ from random import Random
 
 import pytest
 
-from repro.protocol import CamChordPeer, Cluster, ProtocolConfig
+from repro.protocol import Cluster, ProtocolConfig
 
 
 def build(reliable: bool, count: int = 40, seed: int = 51, loss: float = 0.0):
     rng = Random(seed)
     capacities = [rng.randint(4, 10) for _ in range(count)]
     cluster = Cluster(
-        CamChordPeer,
+        "cam-chord",
         capacities,
         space_bits=13,
         seed=seed,

@@ -6,8 +6,39 @@ from random import Random
 
 import pytest
 
+from repro.multicast.kernel import FlatTree
 from repro.multicast.service import MulticastService
 from repro.multicast.session import SystemKind
+
+
+def blocking_multicast(
+    service: MulticastService,
+    group_name: str,
+    source_host: str,
+    message_kbits: float = 1.0,
+) -> FlatTree:
+    """Deliver one message in one group at once, charging host uplinks.
+
+    The synchronous reference for the ledger: the tree a send from
+    ``source_host`` walks, charged to the forwarding hosts through the
+    same :meth:`MulticastService.charge` the service plane replays.
+    """
+    group = service.group(group_name)
+    source_ident = service.member_ident(group_name, source_host)
+    result = group.multicast_from(group.snapshot.node_at(source_ident))
+    host_of = {
+        service.member_ident(group_name, name): name
+        for name in service.members_of(group_name)
+    }
+    service.charge(
+        (
+            (host_of[ident], count)
+            for ident, count in result.children_counts().items()
+            if count
+        ),
+        message_kbits,
+    )
+    return result
 
 
 def populated_service(host_count: int = 60, seed: int = 1) -> MulticastService:
@@ -50,7 +81,7 @@ class TestGroups:
         names = [f"host-{i}" for i in range(40)]
         group = service.create_group("video", names, kind=SystemKind.CAM_CHORD)
         assert len(group) == 40
-        result = service.multicast("video", "host-3")
+        result = blocking_multicast(service, "video", "host-3")
         assert result.receiver_count == 40
 
     def test_host_in_multiple_groups_gets_distinct_identifiers(self):
@@ -97,7 +128,7 @@ class TestGroups:
         # carried; tearing a group down does not refund its traffic
         service = populated_service()
         service.create_group("g", [f"host-{i}" for i in range(10)])
-        service.multicast("g", "host-0", message_kbits=3.0)
+        blocking_multicast(service, "g", "host-0", message_kbits=3.0)
         before = sum(service.host_load_kbits().values())
         assert before == pytest.approx(9 * 3.0)
         service.drop_group("g")
@@ -115,7 +146,7 @@ class TestGroups:
         # salted per group/host placement: old members keep their rings
         for name, ident in before.items():
             assert service.member_ident("g", name) == ident
-        assert service.multicast("g", "host-40").receiver_count == 11
+        assert blocking_multicast(service, "g", "host-40").receiver_count == 11
 
     def test_join_rejects_unregistered_and_duplicate(self):
         service = populated_service()
@@ -130,7 +161,7 @@ class TestGroups:
         service.create_group("g", [f"host-{i}" for i in range(6)])
         service.leave_group("g", "host-2")
         assert "host-2" not in service.members_of("g")
-        assert service.multicast("g", "host-0").receiver_count == 5
+        assert blocking_multicast(service, "g", "host-0").receiver_count == 5
         with pytest.raises(KeyError, match="not a member"):
             service.leave_group("g", "host-2")
 
@@ -144,7 +175,7 @@ class TestGroups:
         service = populated_service()
         service.create_group("g", ["host-0", "host-1"])
         with pytest.raises(KeyError, match="not a member"):
-            service.multicast("g", "host-5")
+            blocking_multicast(service, "g", "host-5")
 
     def test_capacity_follows_host_bandwidth_and_p(self):
         service = MulticastService(space_bits=14)
@@ -163,8 +194,8 @@ class TestCrossGroupAccounting:
         service.create_group("a", [f"host-{i}" for i in range(25)])
         service.create_group("b", [f"host-{i}" for i in range(10, 35)])
         for _ in range(5):
-            service.multicast("a", "host-3", message_kbits=2.0)
-            service.multicast("b", "host-20", message_kbits=2.0)
+            blocking_multicast(service, "a", "host-3", message_kbits=2.0)
+            blocking_multicast(service, "b", "host-20", message_kbits=2.0)
         load = service.host_load_kbits()
         # every forwarded kilobit is charged to exactly one host
         # (n-1 deliveries per multicast, 2 kbits each, 5 rounds, 2 groups)
@@ -176,7 +207,7 @@ class TestCrossGroupAccounting:
     def test_unused_hosts_carry_nothing(self):
         service = populated_service()
         service.create_group("a", [f"host-{i}" for i in range(10)])
-        service.multicast("a", "host-0")
+        blocking_multicast(service, "a", "host-0")
         load = service.host_load_kbits()
         assert load["host-59"] == 0.0
 
@@ -196,8 +227,8 @@ class TestCrossGroupAccounting:
         expected: dict[str, float] = {name: 0.0 for name in service.hosts}
         for index in range(group_count):
             group_name = f"g{index}"
-            result = service.multicast(
-                group_name, "host-0", message_kbits=kbits[group_name]
+            result = blocking_multicast(
+                service, group_name, "host-0", message_kbits=kbits[group_name]
             )
             members = service._members[group_name]
             ident_to_name = {ident: name for name, ident in members.items()}
@@ -234,7 +265,9 @@ class TestCrossGroupAccounting:
             total = 0.0
             for _ in range(rounds):
                 for index in range(4):
-                    service.multicast(f"g{index}", f"host-{index * 9}", 2.0)
+                    blocking_multicast(
+                        service, f"g{index}", f"host-{index * 9}", 2.0
+                    )
                     total += (sizes[f"g{index}"] - 1) * 2.0
             for index in drops:
                 service.drop_group(f"g{index}")
@@ -244,7 +277,9 @@ class TestCrossGroupAccounting:
             for index in range(4):
                 if index in drops:
                     continue
-                result = service.multicast(f"g{index}", f"host-{index * 9}", 1.0)
+                result = blocking_multicast(
+                    service, f"g{index}", f"host-{index * 9}", 1.0
+                )
                 assert result.receiver_count == sizes[f"g{index}"]
                 total += (sizes[f"g{index}"] - 1) * 1.0
             assert sum(service.host_load_kbits().values()) == pytest.approx(total)

@@ -18,14 +18,14 @@ from repro.multicast.cam_chord import cam_chord_multicast
 from repro.multicast.cam_koorde import cam_koorde_multicast
 from repro.overlay.cam_chord import CamChordOverlay
 from repro.overlay.cam_koorde import CamKoordeOverlay
-from repro.protocol import CamChordPeer, CamKoordePeer, Cluster
+from repro.protocol import Cluster
 
 
 @pytest.fixture(scope="module")
 def chord_cluster() -> Cluster:
     rng = Random(21)
     capacities = [rng.randint(4, 10) for _ in range(40)]
-    cluster = Cluster(CamChordPeer, capacities, space_bits=12, seed=21)
+    cluster = Cluster("cam-chord", capacities, space_bits=12, seed=21)
     cluster.bootstrap()
     # extra settle so every neighbor-table slot is resolved
     cluster.run(200)
@@ -36,7 +36,7 @@ def chord_cluster() -> Cluster:
 def koorde_cluster() -> Cluster:
     rng = Random(22)
     capacities = [rng.randint(4, 10) for _ in range(40)]
-    cluster = Cluster(CamKoordePeer, capacities, space_bits=12, seed=22)
+    cluster = Cluster("cam-koorde", capacities, space_bits=12, seed=22)
     cluster.bootstrap()
     cluster.run(200)
     return cluster

@@ -18,8 +18,8 @@ from repro.churn.runner import ChurnExperiment
 from repro.churn.runner import main as churn_main
 from repro.churn.trace import poisson_trace
 from repro.experiments.runner import main as experiments_main
-from repro.protocol import CamChordPeer, CamKoordePeer
 from repro.protocol.cluster import Cluster
+from repro.systems import get_system, system_names
 from repro.trace import causal, export, schema
 from repro.trace.__main__ import main as trace_main
 from repro.trace.registry import ObsDelta, since, snapshot
@@ -275,8 +275,8 @@ class TestExport:
 class TestInstrumentation:
     """The live stack emits schema-valid events; disabled emits nothing."""
 
-    def _small_cluster(self, peer_class=CamChordPeer):
-        cluster = Cluster(peer_class, [4] * 8, space_bits=12, seed=2)
+    def _small_cluster(self, system="cam-chord"):
+        cluster = Cluster(system, [4] * 8, space_bits=12, seed=2)
         cluster.bootstrap()
         return cluster
 
@@ -301,7 +301,7 @@ class TestInstrumentation:
 
     def test_flood_system_traces_dups(self):
         TRACER.enable()
-        cluster = self._small_cluster(CamKoordePeer)
+        cluster = self._small_cluster("cam-koorde")
         mid = cluster.multicast_from(cluster.live_peers()[0].ident)
         cluster.run(3.0)
         events = TRACER.events()
@@ -323,7 +323,7 @@ class TestCausalLostHops:
             60.0, join_rate=0.3, depart_rate=0.3, rng=Random(seed + 1)
         )
         experiment = ChurnExperiment(
-            CamChordPeer, capacities, space_bits=16, seed=seed
+            "cam-chord", capacities, space_bits=16, seed=seed
         )
         experiment.run(trace, system_name="cam-chord")
         return TRACER.events()
@@ -358,6 +358,17 @@ class TestCausalLostHops:
         missing, extra = record.tree_diff()
         # under churn the actual tree deviates from the implicit one
         assert missing or extra
+
+    @pytest.mark.parametrize("system", system_names())
+    def test_implicit_tree_iff_the_descriptor_builds_one(self, system):
+        members = [1, 5, 9, 13]
+        origin = TraceEvent(0, 0.0, "mc", "origin", {
+            "mid": 3, "source": 1, "system": system, "bits": 4,
+            "members": members, "capacities": [[m, 4] for m in members],
+        })
+        record = causal.reconstruct([origin], 3)
+        has_tree = record.implicit_edges() is not None
+        assert has_tree == get_system(system).builds_single_tree
 
 
 def in_read_set(event: TraceEvent) -> bool:
@@ -420,7 +431,6 @@ class TestReadSetDriftGuard:
         full, checked at each ``reconstruct`` call the oracles make; a
         member departs inside the first multicast's window when asked."""
         from repro.faults import campaign
-        from repro.systems import system_names
 
         records = []
 
@@ -503,7 +513,7 @@ class TestTraceFlagIsScoped:
 class TestCli:
     def _write_sample(self, tmp_path):
         TRACER.enable()
-        cluster = Cluster(CamChordPeer, [4] * 8, space_bits=12, seed=2)
+        cluster = Cluster("cam-chord", [4] * 8, space_bits=12, seed=2)
         cluster.bootstrap()
         mid = cluster.multicast_from(cluster.live_peers()[0].ident)
         cluster.run(3.0)
