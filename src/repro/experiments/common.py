@@ -92,7 +92,7 @@ class FigureResult:
     """Everything one figure module produces.
 
     ``rows`` is the printable table (the "same rows the paper reports");
-    ``series`` carries the raw data for assertions in the benchmarks.
+    ``series`` carries the raw data for the shape assertions in tests.
     """
 
     figure: str
@@ -178,7 +178,7 @@ _GROUP_CACHE_MAX = 32
 
 
 def clear_caches() -> None:
-    """Drop all memoized draws, snapshots and groups (tests, benchmarks)."""
+    """Drop all memoized draws, snapshots and groups (tests, bench/)."""
     _DRAW_CACHE.clear()
     _SNAPSHOT_CACHE.clear()
     _GROUP_CACHE.clear()

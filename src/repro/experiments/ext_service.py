@@ -106,18 +106,16 @@ def _peak_concurrency(events) -> int:
     return peak
 
 
-def execute_point(
+def run_point(
     scale: ExperimentScale, seed: int, point: tuple[int, float]
-) -> tuple[dict[str, Any], dict[str, float]]:
+) -> dict[str, Any]:
     """Generate, replay and audit one workload cell.
 
-    Returns ``(row, timings)``.  The row holds only deterministic
-    metrics — including the schedule-cache attribution from a
-    :func:`repro.perf.scoped` delta around the plane phase, which is
-    replay-exact and therefore identical whether the cell ran serially
-    or inside a ``--jobs N`` worker.  Wall-clock measurements live in
-    ``timings`` so they never leak into diffable experiment output;
-    the benchmark harness reports them separately.
+    The row holds only deterministic metrics — including the
+    schedule-cache attribution from a :func:`repro.perf.scoped` delta
+    around the plane phase, which is replay-exact and therefore
+    identical whether the cell ran serially or inside a ``--jobs N``
+    worker.  No wall-clock reading enters it, so the output diffs.
     """
     from repro import perf
     from repro.multicast.plane import ServicePlane
@@ -167,18 +165,6 @@ def execute_point(
         },
         "audited": True,  # verify_quiesced raised otherwise
     }
-    timings = {
-        "plane_wall_s": report.wall_s,
-        "deliveries_per_sec_wall": report.wall_deliveries_per_sec(),
-    }
-    return row, timings
-
-
-def run_point(
-    scale: ExperimentScale, seed: int, point: tuple[int, float]
-) -> dict[str, Any]:
-    """The sweep-facing face of :func:`execute_point` (row only)."""
-    row, _ = execute_point(scale, seed, point)
     return row
 
 

@@ -515,7 +515,7 @@ class ComparisonResult:
     def gap_medians(self) -> tuple[float, float] | None:
         """``(repair_median, failover_median)`` over the paired affected
         members, or ``None`` when no plan orphaned anyone — the headline
-        the extO experiment and the bench gate read."""
+        :meth:`summary` prints and CI's failover-smoke job gates on."""
         pairs = self.paired_gaps()
         if not pairs:
             return None

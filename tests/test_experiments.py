@@ -1,4 +1,5 @@
-"""Tests for the experiment harness (tiny scales: wiring, not science)."""
+"""Tests for the experiment harness: the common types, the runner CLI,
+and each figure's headline shapes at bench scale."""
 
 from __future__ import annotations
 
@@ -15,14 +16,14 @@ from repro.experiments import (
     registry,
 )
 from repro.experiments.common import (
-    ExperimentScale,
+    SCALES,
     FigureResult,
     Series,
     resolve_scale,
 )
 from repro.experiments.runner import main
 
-TINY = ExperimentScale("tiny", 400, 2, 20, space_bits=12)
+BENCH = SCALES["bench"]
 
 
 class TestCommon:
@@ -49,69 +50,135 @@ class TestCommon:
         assert "f: t" in rendered and "-- s" in rendered
 
 
+def mean_hops(series) -> float:
+    """Mean path length of a hop-count histogram series."""
+    total = sum(x * y for x, y in series.points)
+    count = sum(y for _, y in series.points)
+    return total / count
+
+
+def interp(series: dict, x: float) -> float:
+    """Linear interpolation of a ``{x: y}`` curve, clamped at its ends."""
+    xs = sorted(series)
+    lo = max((v for v in xs if v <= x), default=xs[0])
+    hi = min((v for v in xs if v >= x), default=xs[-1])
+    if lo == hi:
+        return series[lo]
+    t = (x - lo) / (hi - lo)
+    return series[lo] * (1 - t) + series[hi] * t
+
+
 class TestFigureShapes:
-    """Each figure runs at tiny scale and its headline shape holds."""
+    """Each figure runs at bench scale (n = 2,500, the size its bounds
+    were tuned at) and its headline shapes hold."""
 
     def test_fig6_cam_dominates_baseline(self):
-        result = fig06_throughput.run(TINY)
-        cam = dict(result.get_series("cam-chord").points)
-        chord = dict(result.get_series("chord").points)
-        # compare at the shared fanout point (both sweeps include ~7)
-        cam_at_7 = min(cam.items(), key=lambda kv: abs(kv[0] - 7))[1]
-        chord_at_8 = chord[8.0]
-        assert cam_at_7 > chord_at_8
+        result = fig06_throughput.run(BENCH)
+        cam_chord, cam_koorde, chord, koorde = (
+            dict(result.get_series(label).points)
+            for label in ("cam-chord", "cam-koorde", "chord", "koorde")
+        )
+        # every curve decays with fanout: more children per node means
+        # less bandwidth per child link
+        for series in (cam_chord, chord, koorde):
+            xs = sorted(series)
+            assert series[xs[0]] > series[xs[-1]]
+        # the capacity-aware systems beat their baselines at comparable
+        # fanout by about the heterogeneity factor E[B]/min B = 1.75
+        # (paper: 70-80% improvement)
+        for fanout in (8.0, 16.0, 32.0):
+            chord_ratio = interp(cam_chord, fanout) / interp(chord, fanout)
+            koorde_ratio = interp(cam_koorde, fanout) / interp(koorde, fanout)
+            assert 1.3 < chord_ratio < 2.6, f"cam-chord/chord @ {fanout}: {chord_ratio}"
+            assert 1.2 < koorde_ratio < 3.0, f"cam-koorde/koorde @ {fanout}: {koorde_ratio}"
 
     def test_fig7_ratio_tracks_heterogeneity(self):
-        result = fig07_ratio.run(TINY)
-        ratios = result.get_series("cam-chord over chord").ys()
+        result = fig07_ratio.run(BENCH)
         reference = result.get_series("(a+b)/2a reference").ys()
-        # at tiny scale noise blurs exact monotonicity, but the widest
-        # range must beat the narrowest and every ratio must show a win
-        assert ratios[-1] > ratios[0]
-        for ratio, ref in zip(ratios, reference):
-            assert 1.0 < ratio < ref * 1.6
+        for label in ("cam-chord over chord", "cam-koorde over koorde"):
+            ratios = result.get_series(label).ys()
+            # grows with the bandwidth range ...
+            assert ratios[-1] > ratios[0], label
+            # ... shows a win everywhere and tracks (a+b)/2a within a
+            # modest margin
+            for ratio, ref in zip(ratios, reference):
+                assert max(1.0, ref * 0.6) < ratio < ref * 1.45, (label, ratio, ref)
 
     def test_fig8_curves_rise(self):
-        result = fig08_tradeoff.run(TINY)
-        for label in ("cam-chord", "cam-koorde"):
-            ys = result.get_series(label).ys()
-            # path length grows with throughput (allow minor wobble)
-            assert ys[-1] > ys[0]
+        result = fig08_tradeoff.run(BENCH)
+        chord = result.get_series("cam-chord").points
+        koorde = result.get_series("cam-koorde").points
+        # path length grows with throughput for both systems
+        for points in (chord, koorde):
+            assert points[-1][1] > points[0][1]
+        # the paper's crossover: at the low-throughput end (large
+        # capacities) CAM-Koorde's paths are no longer than CAM-Chord's,
+        # at the high-throughput end (small capacities) CAM-Chord wins
+        assert koorde[0][1] <= chord[0][1] * 1.1
+        high_chord = [y for x, y in chord if x >= 90]
+        high_koorde = [y for x, y in koorde if x >= 90]
+        assert min(high_koorde) > min(high_chord)
 
     def test_fig9_distributions_shift_left(self):
-        result = fig09_pathdist_cam_chord.run(TINY)
-        def mean_hops(label):
-            series = result.get_series(label)
-            total = sum(x * y for x, y in series.points)
-            count = sum(y for _, y in series.points)
-            return total / count
-        assert mean_hops("4") > mean_hops("[4..20]") > mean_hops("[4..200]")
+        result = fig09_pathdist_cam_chord.run(BENCH)
+        means = {series.label: mean_hops(series) for series in result.series}
+        # widening the capacity range shifts the distribution left ...
+        assert means["4"] > means["[4..10]"] > means["[4..40]"] > means["[4..200]"]
+        assert means["4"] > means["[4..20]"] > means["[4..200]"]
+        # ... with diminishing returns: the first widening helps more
+        # than a later one of equal proportion
+        assert means["4"] - means["[4..10]"] > means["[4..40]"] - means["[4..100]"]
+        # single peak, no heavy right tail
+        for series in result.series:
+            longest = max(x for x, _ in series.points)
+            assert longest <= 2.5 * means[series.label] + 2
 
     def test_fig11_bound_and_crossover_tendency(self):
-        result = fig11_avg_path_length.run(TINY)
+        result = fig11_avg_path_length.run(BENCH)
         chord = dict(result.get_series("cam-chord").points)
         koorde = dict(result.get_series("cam-koorde").points)
-        # small capacities: CAM-Chord shorter (paper Figure 11)
-        assert chord[4.0] < koorde[4.0]
-        # both fall as capacity grows
+        bound = dict(result.get_series("1.5*ln(n)/ln(c)").points)
+        # both fall with capacity (a small wobble between neighbours is ok)
+        for series in (chord, koorde):
+            ys = [series[x] for x in sorted(series)]
+            assert all(a >= b - 0.3 for a, b in zip(ys, ys[1:]))
         assert chord[102.0] < chord[4.0]
         assert koorde[102.0] < koorde[4.0]
+        # 1.5 ln(n)/ln(c) upper-bounds both (Theorems 4 and 6); the
+        # constant is tuned at n = 100,000, and small groups have a
+        # depth floor the bound does not model, hence the additive slack
+        for x in chord:
+            assert chord[x] <= bound[x] * 1.1 + 1.0
+            assert koorde[x] <= bound[x] * 1.1 + 1.0
+        # the paper's crossover: CAM-Chord shorter for small capacities,
+        # CAM-Koorde no worse for large ones
+        assert chord[4.0] < koorde[4.0]
+        assert koorde[102.0] <= chord[102.0] * 1.05
 
     def test_ext_load_flooding_spreads(self):
-        result = ext_load.run(TINY)
+        result = ext_load.run(BENCH)
         flood = dict(result.get_series("flooding").points)
         tree = dict(result.get_series("single-tree").points)
-        assert flood[3] < tree[3]  # idle fraction
-        assert flood[1] < tree[1]  # max/mean
+        # same total work (x=0 is mean kbits per node) ...
+        assert abs(flood[0] - tree[0]) / tree[0] < 0.05
+        # ... but flooding spreads it: smaller peak-to-mean, smaller
+        # spread, and far fewer idle members (tree-building idles every
+        # leaf, the majority when fanout > 2 -- Section 5.1)
+        assert flood[1] < tree[1]
+        assert flood[2] < tree[2]
+        assert flood[3] < 0.2
+        assert tree[3] > 0.5
 
     def test_ext_balance_degree_capped(self):
-        result = ext_balance.run(TINY)
-        balanced = result.get_series("balanced (ours)")
-        el_ansary = result.get_series("el-ansary")
-        balanced_root = balanced.points[0][1]
-        el_root = el_ansary.points[0][1]
-        assert balanced_root <= 4
-        assert el_root > 4
+        result = ext_balance.run(BENCH)
+        balanced = dict(result.get_series("balanced (ours)").points)
+        el_ansary = dict(result.get_series("el-ansary").points)
+        for k in {int(x) for x in balanced if x == int(x)}:
+            # our splitter caps root and max degree at the uniform fanout
+            assert balanced[float(k)] <= ext_balance.FANOUT
+            assert balanced[k + 0.2] <= ext_balance.FANOUT
+            # El-Ansary's root forwards to every distinct finger: ~(k-1)log_k n
+            assert el_ansary[float(k)] > 2 * ext_balance.FANOUT
 
 
 class TestRunnerCli:

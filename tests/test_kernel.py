@@ -185,6 +185,36 @@ def test_koorde_state_probes_once_per_member():
     assert perf.since(before).kernel_resolves == len(group)
 
 
+#: the probe counts one cold tree over n members may take, per system
+ALLOWED_PROBES = {
+    # every probe of a region-split tree delivers a member (DESIGN
+    # 5.10), so a tree of n members takes fewer than n
+    "cam-chord": lambda n, caps: range(1, n),
+    "chord": lambda n, caps: range(1, n),
+    # a CAM-Koorde state is one probe per shift-group identifier
+    "cam-koorde": lambda n, caps: [sum(caps) - 2 * n],
+    # a Koorde state is one probe per member
+    "koorde": lambda n, caps: [n],
+}
+
+
+@pytest.mark.parametrize("name", ALLOWED_PROBES)
+def test_probe_count_oracle(name):
+    """Counts, not time: one cold tree over n = 2,000 members with
+    capacities in [4, 31] reaches every member for exactly the allowed
+    number of ring-index probes."""
+    n, rng = 2_000, Random(0)
+    capacities = [rng.randint(4, 31) for _ in range(n)]
+    snapshot = build_snapshot(IdentifierSpace(14), capacities, rng=rng)
+    system = get_system(name)
+    overlay = system.build_overlay(snapshot, 16)
+    before = perf.snapshot()
+    tree = system.run_multicast(overlay, snapshot.node_for_index(n // 2))
+    probes = perf.since(before).kernel_resolves
+    assert tree.receiver_count == n
+    assert probes in ALLOWED_PROBES[name](n, capacities), probes
+
+
 GOLDEN_SCENARIOS = dict(kernel_trees.scenarios())
 
 
