@@ -26,72 +26,58 @@ frozen :class:`~repro.systems.SystemDescriptor` that every layer
 dispatches through.
 """
 
-from repro.capacity import (
-    CapacityModel,
-    FixedCapacity,
-    UniformBandwidth,
-    UniformCapacity,
-)
-from repro.idspace import IdentifierSpace
-from repro.metrics import (
-    TreeStats,
-    summarize_tree,
-    sustainable_throughput,
-)
-from repro.multicast import (
-    FlatTree,
-    MulticastGroup,
-    SystemKind,
-    cam_chord_multicast,
-    cam_koorde_multicast,
-    chord_broadcast,
-    koorde_flood,
-)
-from repro.overlay import (
-    CamChordOverlay,
-    CamKoordeOverlay,
-    ChordOverlay,
-    KoordeOverlay,
-    Node,
-    RingSnapshot,
-)
-from repro.systems import (
-    MemberSpec,
-    SystemDescriptor,
-    all_descriptors,
-    get_system,
-)
-from repro.workloads import GroupSpec, generate_group
+from importlib import import_module
+
+
+def lazy_exports(namespace: dict, exports: dict[str, str]):
+    """A module ``__getattr__`` (PEP 562) that imports an export's
+    module on first use and binds the name in ``namespace``."""
+
+    def __getattr__(name: str):
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            )
+        value = namespace[name] = getattr(import_module(module), name)
+        return value
+
+    return __getattr__
+
+
+# Exports resolve on first use (PEP 562): ``import repro.<module>``
+# then loads that module's own imports, not every subsystem's.
+_EXPORTS = {
+    "CapacityModel": "repro.capacity",
+    "FixedCapacity": "repro.capacity",
+    "UniformBandwidth": "repro.capacity",
+    "UniformCapacity": "repro.capacity",
+    "IdentifierSpace": "repro.idspace",
+    "TreeStats": "repro.metrics.tree_stats",
+    "summarize_tree": "repro.metrics.tree_stats",
+    "sustainable_throughput": "repro.metrics.throughput",
+    "FlatTree": "repro.multicast.kernel",
+    "MulticastGroup": "repro.multicast.session",
+    "SystemKind": "repro.multicast.session",
+    "cam_chord_multicast": "repro.multicast.cam_chord",
+    "cam_koorde_multicast": "repro.multicast.cam_koorde",
+    "chord_broadcast": "repro.multicast.chord_broadcast",
+    "koorde_flood": "repro.multicast.koorde_flood",
+    "CamChordOverlay": "repro.overlay",
+    "CamKoordeOverlay": "repro.overlay",
+    "ChordOverlay": "repro.overlay",
+    "KoordeOverlay": "repro.overlay",
+    "Node": "repro.overlay",
+    "RingSnapshot": "repro.overlay",
+    "MemberSpec": "repro.systems",
+    "SystemDescriptor": "repro.systems",
+    "all_descriptors": "repro.systems",
+    "get_system": "repro.systems",
+    "GroupSpec": "repro.workloads",
+    "generate_group": "repro.workloads",
+}
+__getattr__ = lazy_exports(globals(), _EXPORTS)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CapacityModel",
-    "FixedCapacity",
-    "UniformBandwidth",
-    "UniformCapacity",
-    "IdentifierSpace",
-    "TreeStats",
-    "summarize_tree",
-    "sustainable_throughput",
-    "MemberSpec",
-    "FlatTree",
-    "MulticastGroup",
-    "SystemDescriptor",
-    "SystemKind",
-    "all_descriptors",
-    "get_system",
-    "cam_chord_multicast",
-    "cam_koorde_multicast",
-    "chord_broadcast",
-    "koorde_flood",
-    "CamChordOverlay",
-    "CamKoordeOverlay",
-    "ChordOverlay",
-    "KoordeOverlay",
-    "Node",
-    "RingSnapshot",
-    "GroupSpec",
-    "generate_group",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -5,12 +5,15 @@ that share ``(n, space_bits, seed, distribution)`` reuse the ring and
 the bandwidth/capacity draws instead of regenerating them.  Groups are
 deterministic values of their key, so cache reuse never changes a
 result — it only skips identical work (Figure 11 re-sweeps the exact
-capacity ranges of Figures 9/10, and every Figure 7 sweep point shares
-one bandwidth draw per upper bound).
+capacity ranges of Figures 9/10, every Figure 7 sweep point shares
+one bandwidth draw per upper bound, and the Figure 6 memberships, which
+differ only in their capacities, share one identifier draw per
+``(space, n, seed)``).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Callable, Sequence
@@ -25,7 +28,7 @@ from repro.capacity.model import CapacityModel
 from repro.idspace.ring import IdentifierSpace
 from repro.multicast.kernel import FlatTree
 from repro.multicast.session import MulticastGroup, SystemKind
-from repro.overlay.base import RingSnapshot, build_snapshot
+from repro.overlay.base import RingSnapshot, sample_identifiers
 from repro.systems import DEFAULT_UNIFORM_FANOUT, SystemDescriptor, resolve
 from repro.workloads.groups import GroupSpec, generate_group
 
@@ -167,7 +170,7 @@ def run_sweep(
 
 # -- keyed snapshot / group caches -------------------------------------------
 
-_DRAW_CACHE: dict[tuple, tuple[float, ...]] = {}
+_DRAW_CACHE: dict[tuple, Sequence] = {}
 _SNAPSHOT_CACHE: dict[Any, RingSnapshot] = {}
 _GROUP_CACHE: dict[tuple, MulticastGroup] = {}
 
@@ -205,6 +208,19 @@ def bandwidth_draws(
     return draws
 
 
+def identifier_draws(space: IdentifierSpace, count: int, seed: int) -> array:
+    """Memoized member placement: the identifiers ``build_snapshot``
+    draws with ``Random(seed)``, once per (space, n, seed) — Figure 6's
+    memberships differ in their capacities only, so they share one."""
+    key = (space, count, seed)
+    cached = _DRAW_CACHE.get(key)
+    if cached is not None:
+        return cached
+    draws = array("Q", sample_identifiers(count, space.size, Random(seed)))
+    _cache_put(_DRAW_CACHE, key, draws, _DRAW_CACHE_MAX)
+    return draws
+
+
 # -- member requests ---------------------------------------------------------
 #
 # A *member request* is a frozen, picklable value object that fully
@@ -238,11 +254,12 @@ class BandwidthMembers:
         draws = bandwidth_draws(self.bandwidth, self.count, self.seed)
         model = CapacityModel(self.per_link_kbps, minimum=self.min_capacity)
         capacities = model.capacities(list(draws))
-        return build_snapshot(
-            IdentifierSpace(self.space_bits),
+        space = IdentifierSpace(self.space_bits)
+        return RingSnapshot.from_columns(
+            space,
+            identifier_draws(space, self.count, self.seed),
             capacities,
-            bandwidths=list(draws),
-            rng=Random(self.seed),
+            list(draws),
         )
 
 

@@ -7,21 +7,19 @@ the bottleneck-link model of Section 6.1; Section 5.1's forwarding-load
 argument gets its own module.
 """
 
-from repro.metrics.tree_stats import TreeStats, summarize_tree
-from repro.metrics.throughput import (
-    allocated_link_bandwidths,
-    average_children_per_internal_node,
-    sustainable_throughput,
-)
-from repro.metrics.load import ForwardingLoad, flooding_load, single_tree_load
+from repro import lazy_exports
 
-__all__ = [
-    "TreeStats",
-    "summarize_tree",
-    "allocated_link_bandwidths",
-    "average_children_per_internal_node",
-    "sustainable_throughput",
-    "ForwardingLoad",
-    "flooding_load",
-    "single_tree_load",
-]
+# Exports resolve on first use (PEP 562).
+_EXPORTS = {
+    "TreeStats": "repro.metrics.tree_stats",
+    "summarize_tree": "repro.metrics.tree_stats",
+    "allocated_link_bandwidths": "repro.metrics.throughput",
+    "average_children_per_internal_node": "repro.metrics.throughput",
+    "sustainable_throughput": "repro.metrics.throughput",
+    "ForwardingLoad": "repro.metrics.load",
+    "flooding_load": "repro.metrics.load",
+    "single_tree_load": "repro.metrics.load",
+}
+__getattr__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -17,6 +17,9 @@ quantifies.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import truediv
+
 from repro import perf
 from repro.multicast.kernel import FlatTree
 from repro.overlay.base import RingSnapshot
@@ -44,23 +47,22 @@ def sustainable_throughput(result: FlatTree, snapshot: RingSnapshot) -> float:
     """The session's sustainable data rate in kbps (single-node groups
     have nothing to forward, reported as the source's full bandwidth).
 
-    A running minimum over the same quotients as
-    :func:`allocated_link_bandwidths`, with no allocation dict."""
+    The minimum of the same quotients as
+    :func:`allocated_link_bandwidths`, taken in C: the bandwidths of
+    the rows with children over those rows' child counts.  A forwarder
+    with no bandwidth sends the check back to the delivery-order loop,
+    so the error names the first one the tree reached."""
     perf.COUNTERS.array_passes += 1
     counts = result.child_count
     bandwidths = result.snapshot.bandwidths
-    bottleneck = -1.0
-    for index in result.order:
-        count = counts[index]
-        if count == 0:
-            continue
-        bandwidth = bandwidths[index]
-        if bandwidth <= 0:
-            raise _no_bandwidth(result.snapshot.identifiers[index])
-        allocated = bandwidth / count
-        if bottleneck < 0 or allocated < bottleneck:
-            bottleneck = allocated
-    if bottleneck < 0:
+    if min(compress(bandwidths, counts), default=1.0) <= 0:
+        for index in result.order:
+            if counts[index] and bandwidths[index] <= 0:
+                raise _no_bandwidth(result.snapshot.identifiers[index])
+    bottleneck = min(
+        map(truediv, compress(bandwidths, counts), filter(None, counts)), default=None
+    )
+    if bottleneck is None:
         return snapshot.node_at(result.source_ident).bandwidth_kbps
     return bottleneck
 

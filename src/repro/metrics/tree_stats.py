@@ -1,8 +1,8 @@
 """Structural statistics of one implicit multicast tree.
 
-A tree (:class:`~repro.multicast.kernel.FlatTree`) is summarized in one
-fused sweep over its flat arrays; the accumulations are integer until
-the final divisions."""
+A tree (:class:`~repro.multicast.kernel.FlatTree`) is summarized by
+C-level passes over its flat arrays; the accumulations are integer
+until the final divisions."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro import perf
-from repro.multicast.kernel import FlatTree
+from repro.multicast.kernel import UNREACHED, FlatTree
 
 
 @dataclass(frozen=True)
@@ -39,38 +39,27 @@ class TreeStats:
 
 
 def summarize_tree(result: FlatTree) -> TreeStats:
-    """All eight statistics in one pass over the kernel arrays."""
+    """All eight statistics from C-level passes over the kernel arrays:
+    one count of every depth (an unreached member counts at
+    ``UNREACHED`` and is dropped), a sum and a max of the children."""
     perf.COUNTERS.array_passes += 1
-    depths = result.depth_array
+    histogram = Counter(result.depth_array)
+    histogram.pop(UNREACHED, None)
     counts = result.child_count
-    histogram: Counter[int] = Counter()
-    receivers = 0
-    depth_total = 0
-    depth_max = 0
-    internal = 0
-    children_total = 0
-    children_max = 0
-    for index in result.order:
-        receivers += 1
-        depth = depths[index]
-        depth_total += depth
-        if depth > depth_max:
-            depth_max = depth
-        histogram[depth] += 1
-        count = counts[index]
-        if count > 0:
-            internal += 1
-            children_total += count
-            if count > children_max:
-                children_max = count
+    receivers = len(result.order)
+    internal = len(counts) - counts.count(0)
     others = receivers - 1
     return TreeStats(
         receivers=receivers,
-        average_path_length=depth_total / others if others else 0.0,
-        max_path_length=depth_max,
+        average_path_length=(
+            sum(depth * many for depth, many in histogram.items()) / others
+            if others
+            else 0.0
+        ),
+        max_path_length=max(histogram),
         histogram=dict(sorted(histogram.items())),
         internal_count=internal,
         leaf_count=receivers - internal,
-        average_children=children_total / internal if internal else 0.0,
-        max_children=children_max,
+        average_children=sum(counts) / internal if internal else 0.0,
+        max_children=max(counts),
     )

@@ -20,38 +20,33 @@ protocol peers build no tree object; their dissemination is read back
 from the trace.
 """
 
-from repro.multicast.kernel import FlatTree, flood_tree, region_split_tree
-from repro.multicast.cam_chord import cam_chord_multicast
-from repro.multicast.cam_koorde import cam_koorde_multicast
+from repro import lazy_exports
 from repro.multicast.chord_broadcast import chord_broadcast
 from repro.multicast.koorde_flood import koorde_flood
-from repro.multicast.session import MulticastGroup, SystemKind
-from repro.multicast.service import MulticastService
-from repro.multicast.plane import (
-    PlaneReport,
-    SendReceipt,
-    SequenceAudit,
-    SequenceLedger,
-    ServicePlane,
-)
-from repro.multicast.tree_building import SharedTree, build_shared_tree
 
-__all__ = [
-    "MulticastService",
-    "ServicePlane",
-    "PlaneReport",
-    "SendReceipt",
-    "SequenceAudit",
-    "SequenceLedger",
-    "SharedTree",
-    "build_shared_tree",
-    "FlatTree",
-    "flood_tree",
-    "region_split_tree",
-    "cam_chord_multicast",
-    "cam_koorde_multicast",
-    "chord_broadcast",
-    "koorde_flood",
-    "MulticastGroup",
-    "SystemKind",
-]
+# Exports resolve on first use (PEP 562), so importing one routine
+# does not load the service plane and the simulator behind it.  The
+# two imported above are the exception: each shares its name with the
+# module that defines it, and importing a submodule binds the module
+# to that name on this package; only an import here rebinds it to the
+# function.
+_EXPORTS = {
+    "MulticastService": "repro.multicast.service",
+    "ServicePlane": "repro.multicast.plane",
+    "PlaneReport": "repro.multicast.plane",
+    "SendReceipt": "repro.multicast.plane",
+    "SequenceAudit": "repro.multicast.plane",
+    "SequenceLedger": "repro.multicast.plane",
+    "SharedTree": "repro.multicast.tree_building",
+    "build_shared_tree": "repro.multicast.tree_building",
+    "FlatTree": "repro.multicast.kernel",
+    "flood_tree": "repro.multicast.kernel",
+    "region_split_tree": "repro.multicast.kernel",
+    "cam_chord_multicast": "repro.multicast.cam_chord",
+    "cam_koorde_multicast": "repro.multicast.cam_koorde",
+    "MulticastGroup": "repro.multicast.session",
+    "SystemKind": "repro.multicast.session",
+}
+__getattr__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = [*_EXPORTS, "chord_broadcast", "koorde_flood"]

@@ -32,9 +32,11 @@ arrays instead of millions of per-node object operations:
 * the result is a :class:`FlatTree`, the one tree type of the
   structural world, and every tree is booked and traced by one
   :func:`_finish`.  The metrics (:mod:`repro.metrics`) read the arrays
-  directly in fused single passes; the ``parent`` / ``depth`` dicts
-  materialize only when a consumer actually subscripts them (parity
-  diffing, delay sums, the transfer scheduler), in delivery order.
+  directly, in C-level passes (``Counter``, ``sum``, ``max``,
+  ``compress``) that skip the unreached rows by value, not by walking
+  ``order``; the ``parent`` / ``depth`` dicts materialize only when a
+  consumer actually subscripts them (parity diffing, delay sums, the
+  transfer scheduler), in delivery order.
 
 Live protocol peers build no tree object: their trees emerge from
 simulated message exchanges and are read back from the trace
@@ -180,10 +182,12 @@ class FlatTree:
         return [idents[index] for index in self.order if counts[index] > 0]
 
     def path_length_histogram(self) -> Counter[int]:
-        """The Figure 9/10 statistic: #nodes reached at each hop count."""
+        """The Figure 9/10 statistic: #nodes reached at each hop count,
+        in ascending hop order (the order delivery reaches them)."""
         perf.COUNTERS.array_passes += 1
-        depths = self.depth_array
-        return Counter(depths[index] for index in self.order)
+        counts = Counter(self.depth_array)
+        counts.pop(UNREACHED, None)
+        return Counter(dict(sorted(counts.items())))
 
     def average_path_length(self) -> float:
         """Mean hops from the source over all receivers except itself."""
@@ -191,17 +195,14 @@ class FlatTree:
         others = len(self.order) - 1
         if others == 0:
             return 0.0
-        depths = self.depth_array
-        total = 0
-        for index in self.order:
-            total += depths[index]
-        return total / others
+        # each unreached row adds UNREACHED (-1) to the sum
+        unreached = len(self.depth_array) - len(self.order)
+        return (sum(self.depth_array) + unreached) / others
 
     def max_path_length(self) -> int:
         """Tree depth: the longest source-to-member path."""
         perf.COUNTERS.array_passes += 1
-        depths = self.depth_array
-        return max(depths[index] for index in self.order)
+        return max(self.depth_array)
 
     def path_to_source(self, ident: int) -> list[int]:
         """The delivery path from ``ident`` back to the source."""
@@ -223,6 +224,8 @@ class FlatTree:
         membership are checked)."""
         idents = self.snapshot.identifiers
         if len(self.order) == len(idents):  # every row, once each
+            if len(member_idents) == len(idents) and member_idents.issuperset(idents):
+                return
             received = set(idents)
         else:
             received = {idents[index] for index in self.order}
@@ -442,10 +445,14 @@ def flood_tree(overlay: Overlay, source: Node) -> FlatTree:
             row = targets[offsets[i] : offsets[i + 1]]
         else:
             # Koorde: predecessor, successor, then the ``degree``
-            # consecutive members from the one responsible for k * x.
-            walk = range(starts[i], starts[i] + degree)
+            # consecutive members from the one responsible for k * x;
+            # a run every member of which was reached is skipped whole.
+            start = starts[i]
+            walk = range(start, start + degree)
             if walk.stop > count:  # the walk wraps past member n - 1
                 walk = [j % count for j in walk]
+            elif UNREACHED not in depths[start : walk.stop]:
+                walk = ()
             row = ((i - 1) % count, (i + 1) % count, *walk)
         hop = depths[i] + 1
         children = 0

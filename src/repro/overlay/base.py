@@ -12,12 +12,13 @@ the paper's scale tractable in pure Python.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
-from operator import ge
+from itertools import accumulate, islice, repeat
+from operator import ge, rshift
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -474,11 +475,30 @@ def build_snapshot(
 
 
 def sample_identifiers(count: int, size: int, rng: Random) -> list[int]:
-    """Draw ``count`` distinct identifiers uniformly from ``[0, size)``."""
+    """Draw ``count`` distinct identifiers uniformly from ``[0, size)``.
+
+    A sparse draw is ``rng.randrange(size)`` until ``count`` distinct
+    identifiers are taken.  For a plain :class:`Random` and a size of
+    at most 32 bits, ``randrange`` is one 32-bit word shifted right by
+    ``32 - size.bit_length()``, redrawn while it is ``>= size``; so
+    the words are drawn in bulk, ``count - len(taken)`` at a time (each
+    adds at most one identifier, so no batch draws past the last one
+    the loop would), and the result and the rng's final state are the
+    loop's.
+    """
     if count * 4 >= size:
         # Dense ring: sampling without replacement via shuffle semantics.
         return rng.sample(range(size), count)
     taken: set[int] = set()
-    while len(taken) < count:
-        taken.add(rng.randrange(size))
+    bits = size.bit_length()
+    if type(rng) is Random and bits <= 32:
+        shift = 32 - bits
+        while len(taken) < count:
+            need = count - len(taken)
+            block = rng.getrandbits(32 * need).to_bytes(4 * need, sys.byteorder)
+            words = map(rshift, array("I", block), repeat(shift))
+            taken.update(filter(size.__gt__, words))
+    else:
+        while len(taken) < count:
+            taken.add(rng.randrange(size))
     return sorted(taken)

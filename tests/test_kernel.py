@@ -528,3 +528,19 @@ def test_verify_exactly_once_names_missing_and_extra_members():
         with pytest.raises(AssertionError, match=re.escape(message)):
             tree.verify_exactly_once(members)
     partial.verify_exactly_once(set(idents) - {lost})
+
+
+def test_verify_exactly_once_checks_membership_on_full_coverage():
+    """The full-coverage shortcut (equal sizes, members a superset of
+    the rows) must not pass a member set with one member swapped out."""
+    idents = [1, 50, 200, 400, 600, 800, 1000]
+    snap = make_snapshot(10, idents, capacity=3)
+    full = region_split_tree(CamChordOverlay(snap), snap.nodes[0])
+    full.verify_exactly_once(set(idents))
+    swapped = set(idents) - {400} | {7}
+    for members, message in (
+        (swapped, "1 members never received the message, e.g. [7]"),
+        (set(idents) - {400}, "1 non-members received the message, e.g. [400]"),
+    ):
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            full.verify_exactly_once(members)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
+from random import Random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.load import flooding_load, single_tree_load
 from repro.metrics.throughput import (
@@ -13,7 +18,7 @@ from repro.metrics.throughput import (
 from repro.metrics.tree_stats import summarize_tree
 from repro.multicast.kernel import DuplicateDeliveryError
 from tests.conftest import make_snapshot
-from tests.dict_trees import hand_tree
+from tests.dict_trees import derived, hand_tree
 
 
 def ring(*idents: int, bandwidth: float | list[float] = 0.0):
@@ -122,6 +127,69 @@ class TestThroughput:
         assert average_children_per_internal_node(star_tree(0, [1, 2])) == 2
         assert average_children_per_internal_node(chain_tree([0, 1, 2])) == 1
         assert average_children_per_internal_node(single_node(0)) == 0.0
+
+
+def partial_tree(idents: set[int], seed: int):
+    """A random tree over some members of ``ring(*idents)``, never all
+    of them, and its parent / depth dicts built by a plain BFS."""
+    rng = Random(seed)
+    bandwidths = [rng.choice((250.0, 400.0, 625.0, 1000.0)) for _ in idents]
+    snap = ring(*idents, bandwidth=bandwidths)
+    members = list(snap.identifiers)
+    rng.shuffle(members)
+    reached = members[: rng.randint(1, len(members) - 1)]
+    edges = [(rng.choice(reached[:k]), child) for k, child in enumerate(reached[1:], 1)]
+    kids = defaultdict(list)
+    for up, child in edges:
+        kids[up].append(child)
+    parent, depth = {reached[0]: None}, {reached[0]: 0}
+    queue = deque(reached[:1])
+    while queue:
+        node = queue.popleft()
+        for child in kids[node]:
+            parent[child] = node
+            depth[child] = depth[node] + 1
+            queue.append(child)
+    return hand_tree(snap, reached[0], edges), parent, depth
+
+
+class TestPartialCoverage:
+    """The array passes skip the unreached (-1) rows exactly as the
+    dict trees, which never hold them, do."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        idents=st.sets(st.integers(min_value=0, max_value=255), min_size=2, max_size=40),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_array_metrics_equal_the_dict_oracle(self, idents, seed):
+        tree, parent, depth = partial_tree(idents, seed)
+        assert tree.depth_array.count(-1) == len(idents) - len(parent)
+        assert tree.depth_array.count(-1) > 0
+        expected = derived(parent, depth)
+        histogram = tree.path_length_histogram()
+        assert histogram == expected["histogram"]
+        assert list(histogram) == list(expected["histogram"])  # ascending hops
+        assert tree.average_path_length() == expected["mean"]
+        assert tree.max_path_length() == expected["max"]
+        assert summarize_tree(tree) == expected["stats"]
+        bandwidths = dict(zip(tree.snapshot.identifiers, tree.snapshot.bandwidths))
+        children = expected["children"]
+        bottleneck = min(
+            (bandwidths[ident] / count for ident, count in children.items() if count),
+            default=bandwidths[tree.source_ident],
+        )
+        assert sustainable_throughput(tree, tree.snapshot) == bottleneck
+
+    def test_the_first_forwarder_without_bandwidth_is_named(self):
+        # rows 0 and 20 both forward with no bandwidth; 20 is reached first
+        snap = ring(0, 10, 20, 30, 40, bandwidth=[0.0, 500.0, 0.0, 500.0, 500.0])
+        tree = hand_tree(snap, 30, [(30, 20), (30, 0), (20, 10), (0, 40)])
+        with pytest.raises(ValueError, match="node 20 has no bandwidth"):
+            sustainable_throughput(tree, snap)
+        # a leaf without bandwidth forwards nothing and is no bottleneck
+        leafy = hand_tree(snap, 30, [(30, 10), (30, 0)])
+        assert sustainable_throughput(leafy, snap) == 250.0
 
 
 class TestForwardingLoad:

@@ -19,6 +19,7 @@ import pytest
 
 from repro import perf
 from repro.capacity.distributions import UniformBandwidth, UniformCapacity
+from repro.capacity.model import CapacityModel
 from repro.experiments import registry
 from repro.experiments.common import (
     SCALES,
@@ -30,12 +31,15 @@ from repro.experiments.common import (
     bandwidth_members,
     capacity_group,
     clear_caches,
+    identifier_draws,
     members_snapshot,
     point_rng,
 )
 from repro.experiments.parallel import Task, plan_tasks, run_experiments
 from repro.experiments.runner import main
+from repro.idspace.ring import IdentifierSpace
 from repro.multicast.session import SystemKind
+from repro.overlay.base import build_snapshot, sample_identifiers
 from repro.workloads.groups import GroupSpec
 from tests.golden.sim_order import SRC
 
@@ -222,6 +226,44 @@ class TestCaches:
         assert first is second
         assert (delta.draw_cache_misses, delta.draw_cache_hits) == (1, 1)
         assert bandwidth_draws(law, 500, seed=4) is not first
+
+    def test_identifier_draw_memoized_until_caches_clear(self):
+        space = IdentifierSpace(14)
+        first = identifier_draws(space, 500, seed=3)
+        assert identifier_draws(space, 500, seed=3) is first
+        assert first.typecode == "Q"
+        assert list(first) == sample_identifiers(500, space.size, Random(3))
+        assert identifier_draws(space, 500, seed=4) is not first
+        clear_caches()
+        assert identifier_draws(space, 500, seed=3) is not first
+
+    @pytest.mark.parametrize(
+        "scale", [TINY, ExperimentScale("dense", 300, 2, 20, space_bits=10)]
+    )
+    def test_bandwidth_memberships_share_the_ring_not_the_snapshot(self, scale):
+        requests = [
+            bandwidth_members(kind, scale, per_link_kbps=per_link)
+            for kind, per_link in (
+                (SystemKind.CAM_CHORD, 40.0),
+                (SystemKind.CAM_KOORDE, 40.0),
+                (SystemKind.CHORD, 100.0),
+            )
+        ]
+        snapshots = [members_snapshot(request) for request in requests]
+        assert len({id(snapshot) for snapshot in snapshots}) == 3
+        assert len({tuple(snapshot.identifiers) for snapshot in snapshots}) == 1
+        for request, snapshot in zip(requests, snapshots):
+            # the build with a fresh identifier draw places the members alike
+            draws = list(bandwidth_draws(request.bandwidth, request.count, request.seed))
+            model = CapacityModel(request.per_link_kbps, minimum=request.min_capacity)
+            expected = build_snapshot(
+                IdentifierSpace(request.space_bits),
+                model.capacities(draws),
+                bandwidths=draws,
+                rng=Random(request.seed),
+            )
+            for column in ("identifiers", "capacities", "bandwidths"):
+                assert getattr(snapshot, column) == getattr(expected, column)
 
     def test_capacity_group_memoized_and_rebuild_identical(self):
         tiny = SCALES["bench"]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.idspace.ring import IdentifierSpace
-from repro.overlay.base import Node, RingSnapshot, build_snapshot
+from repro.overlay.base import Node, RingSnapshot, build_snapshot, sample_identifiers
 from tests.conftest import make_snapshot
 
 
@@ -365,3 +365,75 @@ def test_from_columns_rejects_length_mismatch(column):
     columns[column] = columns[column][:1]
     with pytest.raises(ValueError, match="equal length"):
         RingSnapshot.from_columns(IdentifierSpace(5), **columns)
+
+
+# -- the identifier draw: batched words equal the randrange loop --------------
+
+
+def randrange_draw(count: int, size: int, rng: Random) -> list[int]:
+    """The sparse draw as a plain loop: ``randrange`` until ``count``
+    distinct identifiers are taken."""
+    taken: set[int] = set()
+    while len(taken) < count:
+        taken.add(rng.randrange(size))
+    return sorted(taken)
+
+
+def assert_same_draw(count: int, size: int, make_rng) -> None:
+    batched, looped = make_rng(), make_rng()
+    assert sample_identifiers(count, size, batched) == randrange_draw(count, size, looped)
+    # the callers keep drawing from the same rng afterwards
+    assert batched.getstate() == looped.getstate()
+    assert batched.random() == looped.random()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    bits=st.integers(min_value=3, max_value=31),
+    count=st.integers(min_value=1, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_batched_sparse_draw_equals_the_randrange_loop(bits, count, seed):
+    size = 1 << bits
+    count = min(count, (size - 1) // 4)  # the sparse path: count * 4 < size
+    if count:
+        assert_same_draw(count, size, lambda: Random(seed))
+
+
+@given(size=st.integers(min_value=5, max_value=2**32), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_batched_draw_at_sizes_between_powers_of_two(size, seed):
+    # rejection matters most just above a power of two
+    assert_same_draw(min(size // 5, 300) or 1, size, lambda: Random(seed))
+
+
+def test_single_identifier_draw():
+    assert_same_draw(1, 1 << 19, lambda: Random(0))
+    assert sample_identifiers(1, 1 << 19, Random(0)) == [Random(0).randrange(1 << 19)]
+
+
+def test_dense_draw_is_the_shuffle_sample():
+    size = 64
+    drawn = sample_identifiers(20, size, Random(4))
+    assert drawn == Random(4).sample(range(size), 20)
+    assert len(set(drawn)) == 20
+
+
+def test_a_random_subclass_takes_the_randrange_loop():
+    class Counting(Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.calls = 0
+
+        def randrange(self, *args):
+            self.calls += 1
+            return super().randrange(*args)
+
+    assert_same_draw(50, 1 << 16, lambda: Counting(9))
+    counting = Counting(9)
+    sample_identifiers(50, 1 << 16, counting)
+    assert counting.calls >= 50
+
+
+def test_a_space_wider_than_32_bits_takes_the_randrange_loop():
+    assert_same_draw(100, 1 << 40, lambda: Random(2))
