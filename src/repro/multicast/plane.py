@@ -48,15 +48,23 @@ and per source inside it a :class:`_SendTemplate`: the tree and, per
 row, its children with their hop latencies; a first send from a source
 is simply the send that builds its template.  Deliveries sit in a
 plane-level pending heap that a single *wavefront* event commits in
-one loop (:meth:`ServicePlane._pump`), a forwarding node taking all its
-children's uplink slots in one run reservation; the loop stops exactly
-where a foreign event — a membership change, a scheduled send, a
-completion it scheduled itself, a bounded ``run(until)`` —
-interleaves.  The specification of that order is "one engine event per
-delivery, ties by insertion": the walker that implemented it literally
-is gone, and its receipts, audits, ``mc.*`` traces and reports live on
-as the golden digests in ``tests/golden/plane_observables.json`` (that
+one loop (:meth:`ServicePlane._pump`); the loop stops exactly where a
+foreign event — a membership change, a scheduled send, a completion
+it scheduled itself, a bounded ``run(until)`` — interleaves.  The
+specification of that order is "one engine event per delivery, ties
+by insertion": the walker that implemented it literally is gone, and
+its receipts, audits, ``mc.*`` traces and reports live on as the
+golden digests in ``tests/golden/plane_observables.json`` (that
 module's docstring says where each came from and how to regenerate).
+
+A delivery that is its cursor's next sequence moves the cursor on in
+the loop; any other goes through ``_Cursor.record``, the one full
+implementation of the cursor rules.  A forwarding node takes all its
+children's uplink slots in one run reservation, which hands back only
+the run's start and end — the node rebuilds each slot's end with the
+budget's own additions.  A send only notes its forwarding charges on
+the service's ledger, which adds them in when it is read or its
+membership changes.
 """
 
 from __future__ import annotations
@@ -606,24 +614,38 @@ class ServicePlane:
         """Originate one message *now*: freeze membership and tree,
         stamp the next sequence number, and schedule the hops."""
         with self._wall:
-            group, context, template = self._template(
+            group, context, template, cached = self._template(
                 group_name, source_host, message_kbits
             )
+            if cached:
+                perf.COUNTERS.schedule_cache_hits += 1
+                if TRACER.mc and "tree" in TRACER.mc:
+                    # building a template extracts (and trace-summarizes)
+                    # the tree; a hit replays the frozen tree's summary so
+                    # the traced stream does not depend on what was cached
+                    TRACER.emit(
+                        0.0, "mc", "tree",
+                        source=template.tree.source_ident,
+                        edges=template.tree.messages_sent,
+                    )
+            else:
+                perf.COUNTERS.schedule_cache_misses += 1
             self.service.charge(template.charges, message_kbits)
             seq = group.ledger.issue()
             mid = self._next_mid
             self._next_mid += 1
+            now = self.simulator.now
             stats = group.stats
             stats.sends += 1
             if stats.first_origin is None:
-                stats.first_origin = self.now
+                stats.first_origin = now
             receipt = SendReceipt(
                 group=group_name,
                 seq=seq,
                 mid=mid,
                 source=source_host,
                 message_kbits=message_kbits,
-                origin_time=self.now,
+                origin_time=now,
                 members=context.member_names,
             )
             self._receipts.append(receipt)
@@ -637,7 +659,7 @@ class ServicePlane:
             source_ident = tree.source_ident
             if TRACER.mc and "origin" in TRACER.mc:
                 TRACER.emit(
-                    self.now, "mc", "origin",
+                    now, "mc", "origin",
                     mid=mid, source=source_ident,
                     system=context.system_name,
                     bits=context.space_bits,
@@ -649,7 +671,7 @@ class ServicePlane:
                 # the origin's own copy, parent=None — same convention
                 # as the protocol peers' local delivery record
                 TRACER.emit(
-                    self.now, "mc", "deliver",
+                    now, "mc", "deliver",
                     mid=mid, ident=source_ident, depth=0, parent=None,
                     group=group_name, seq=seq,
                 )
@@ -658,9 +680,7 @@ class ServicePlane:
             if state.remaining == 0:
                 receipt.completion.resolve(receipt)
             else:
-                self._forward(
-                    state, source_row, template.kids[source_row], self.now
-                )
+                self._forward(state, source_row, template.kids[source_row], now)
                 self._arm_wavefront()
             return receipt
 
@@ -689,34 +709,25 @@ class ServicePlane:
 
     def _template(
         self, group_name: str, source_host: str, message_kbits: float
-    ) -> tuple[_Group, _EpochSchedule, _SendTemplate]:
+    ) -> tuple[_Group, _EpochSchedule, _SendTemplate, bool]:
         """Validate a send request and look up what it plays from: the
         group's live incarnation, its current-epoch schedule context
-        and the source's template, built on first use in the epoch."""
+        and the source's template, built on first use in the epoch.
+        The flag says whether the template was already cached; only a
+        send counts the lookup, so a preview leaves the counters be."""
         group = self._live(group_name)
         if not 0 < message_kbits < inf:
             raise ValueError(f"message size must be finite and > 0, got {message_kbits}")
         context = self._epoch_context(group_name, group)
         template = context.templates.get(source_host)
-        if template is None:
-            # raises for a host outside the group, before anything counts
-            source_ident = self.service.member_ident(group_name, source_host)
-            perf.COUNTERS.schedule_cache_misses += 1
-            template = context.templates[source_host] = self._build_template(
-                context, group_name, source_ident
-            )
-        else:
-            perf.COUNTERS.schedule_cache_hits += 1
-            if TRACER.mc and "tree" in TRACER.mc:
-                # building a template extracts (and trace-summarizes)
-                # the tree; a hit replays the frozen tree's summary so
-                # the traced stream does not depend on what was cached
-                TRACER.emit(
-                    0.0, "mc", "tree",
-                    source=template.tree.source_ident,
-                    edges=template.tree.messages_sent,
-                )
-        return group, context, template
+        if template is not None:
+            return group, context, template, True
+        # raises for a host outside the group, before anything is built
+        source_ident = self.service.member_ident(group_name, source_host)
+        template = context.templates[source_host] = self._build_template(
+            context, group_name, source_ident
+        )
+        return group, context, template, False
 
     def _epoch_context(self, group_name: str, group: _Group) -> _EpochSchedule:
         """The group's schedule context for its *current* epoch,
@@ -758,19 +769,22 @@ class ServicePlane:
         hosts = context.hosts
         latency = self._latency
         parent_index = tree.parent_index
-        kids: list[_Kids] = [()] * len(hosts)
+        child_count = tree.child_count
+        # delivery order puts every parent before its children, so a
+        # forwarder's list exists by the time its first child shows up
+        hops: dict[int, list[tuple[int, float]]] = {}
+        charges = []
         for row in tree.order:
             parent = parent_index[row]
             if parent != row:  # the source is its own parent
-                hop = (row, latency(hosts[parent], hosts[row]))
-                kids[parent] = (*kids[parent], hop)
-        child_count = tree.child_count
-        charges = tuple(
-            (hosts[row], child_count[row])
-            for row in tree.order
-            if child_count[row]
-        )
-        return _SendTemplate(tree=tree, kids=kids, charges=charges)
+                hops[parent].append((row, latency(hosts[parent], hosts[row])))
+            if child_count[row]:
+                hops[row] = []
+                charges.append((hosts[row], child_count[row]))
+        kids: list[_Kids] = [()] * len(hosts)
+        for parent, children in hops.items():
+            kids[parent] = tuple(children)
+        return _SendTemplate(tree=tree, kids=kids, charges=tuple(charges))
 
     def _forward(
         self, state: _SendState, row: int, kids: _Kids, now: float
@@ -780,18 +794,22 @@ class ServicePlane:
         child in template order, and queue the arrivals."""
         count = len(kids)
         serialize = state.receipt.message_kbits / state.bandwidths[row]
-        _, dones, deferred = self.budget.reserve_run(
+        # the run starts at ``done``; each slot ends where the budget's
+        # own additions put it
+        done, _, deferred = self.budget.reserve_run(
             state.hosts[row], now, serialize, count
         )
         stats = state.stats
         stats.deferrals += deferred
-        stats.queue_depth += count
-        if stats.queue_depth > stats.max_queue_depth:
-            stats.max_queue_depth = stats.queue_depth
+        depth = stats.queue_depth + count
+        stats.queue_depth = depth
+        if depth > stats.max_queue_depth:
+            stats.max_queue_depth = depth
         pending = self._pending
         seq = self._pending_seq
         self._pending_seq = seq + count
-        for (child, latency), done in zip(kids, dones):
+        for child, latency in kids:
+            done += serialize
             heappush(pending, (done + latency, seq, state, child, row))
             seq += 1
 
@@ -841,18 +859,26 @@ class ServicePlane:
         forward = self._forward
         committed = False
         while pending:
-            head = pending[0]
-            time = head[0]
+            time, _, state, row, parent = pending[0]
             if time > bound or (time > now and time >= horizon):
                 break
             heappop(pending)
             committed = True
-            _, _, state, row, parent = head
             receipt = state.receipt
             stats = state.stats
             stats.queue_depth -= 1
-            verdict = state.cursors[row].record(receipt.seq)
-            if verdict == "dup":
+            cursor = state.cursors[row]
+            seq = receipt.seq
+            # the next one in line with nothing ahead, inside the stint:
+            # what _Cursor.record does for it, without the call; every
+            # other delivery takes the full rules
+            if (
+                seq == cursor.contiguous + 1
+                and not cursor.ahead
+                and (cursor.last is None or seq <= cursor.last)
+            ):
+                cursor.contiguous = seq
+            elif cursor.record(seq) == "dup":
                 stats.dups += 1
                 if trace_dup:
                     idents = state.idents
@@ -860,7 +886,7 @@ class ServicePlane:
                         time, "mc", "dup",
                         mid=receipt.mid, ident=idents[row],
                         sender=idents[parent],
-                        group=receipt.group, seq=receipt.seq,
+                        group=receipt.group, seq=seq,
                     )
                 continue
             stats.deliveries += 1
@@ -873,10 +899,11 @@ class ServicePlane:
                     time, "mc", "deliver",
                     mid=receipt.mid, ident=idents[row],
                     depth=state.depths[row], parent=idents[parent],
-                    group=receipt.group, seq=receipt.seq,
+                    group=receipt.group, seq=seq,
                 )
-            state.remaining -= 1
-            if state.remaining == 0:
+            remaining = state.remaining - 1
+            state.remaining = remaining
+            if not remaining:
                 # resolve through the engine (not inline) so the clock
                 # advances to the final delivery before waiters wake;
                 # the resolution is a foreign event that caps the batch
@@ -903,9 +930,11 @@ class ServicePlane:
         uplink budget — the shared ledger is deliberately untouched, so
         previewing never perturbs the plane.  With live traffic the
         actual send defers behind whatever the shared uplinks are
-        already serializing; the preview is the lower envelope.
+        already serializing; the preview is the lower envelope.  A
+        preview may build the source's template, but counts no cache
+        lookup and replays no tree summary: those answer for sends.
         """
-        _, context, template = self._template(
+        _, context, template, _ = self._template(
             group_name, source_host, message_kbits
         )
         host_of = dict(zip(context.trace_members, context.hosts))
@@ -930,21 +959,22 @@ class ServicePlane:
             self.simulator.call_at(event.time, self._apply_event, event)
 
     def _apply_event(self, event: "ServiceEvent") -> None:
-        if event.action == "create":
+        action = event.action
+        if action == "send":  # nearly every event of a workload
+            self.send(event.group, event.hosts[0], event.message_kbits)
+        elif action == "create":
             self.create_group(
                 event.group,
                 event.hosts,
                 kind=event.kind,
                 per_link_kbps=event.per_link_kbps,
             )
-        elif event.action == "drop":
+        elif action == "drop":
             self.drop_group(event.group)
-        elif event.action == "join":
+        elif action == "join":
             self.join(event.group, event.hosts[0])
-        elif event.action == "leave":
+        elif action == "leave":
             self.leave(event.group, event.hosts[0])
-        elif event.action == "send":
-            self.send(event.group, event.hosts[0], event.message_kbits)
         else:  # pragma: no cover - generator emits only these
             raise ValueError(f"unknown workload action {event.action!r}")
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.capacity.model import CapacityModel
 from repro.idspace.hashing import assign_identifiers
@@ -58,6 +58,8 @@ class MulticastService:
         self._members: dict[str, dict[str, int]] = {}
         self._configs: dict[str, GroupConfig] = {}
         self._forwarded_kbits: dict[str, float] = {}
+        # charged sends not yet added into ``_forwarded_kbits``
+        self._unfolded: list[tuple[Sequence[tuple[str, int]], float]] = []
         self._epoch_serial = 0
         self._epochs: dict[str, int] = {}
 
@@ -106,7 +108,10 @@ class MulticastService:
         self._members[group_name] = dict(zip(names, idents))
         # every overlay (re)build opens a new membership epoch; the
         # serial is service-global so a dropped-and-recreated group
-        # name can never alias a stale epoch
+        # name can never alias a stale epoch.  The old epoch's trees are
+        # discarded, so their noted charges are added in now: the notes
+        # never keep a discarded tree's charge list alive
+        self._folded()
         self._epoch_serial += 1
         self._epochs[group_name] = self._epoch_serial
         return group
@@ -194,6 +199,7 @@ class MulticastService:
         """
         if group_name not in self._groups:
             raise KeyError(f"no group named {group_name!r}")
+        self._folded()  # as in _build_group: the group's trees go
         del self._groups[group_name]
         del self._members[group_name]
         del self._configs[group_name]
@@ -251,7 +257,7 @@ class MulticastService:
     # -- the forwarding ledger -----------------------------------------------------
 
     def charge(
-        self, charges: Iterable[tuple[str, int]], message_kbits: float
+        self, charges: Sequence[tuple[str, int]], message_kbits: float
     ) -> None:
         """Charge one dissemination's forwarding to host uplinks.
 
@@ -259,10 +265,21 @@ class MulticastService:
         the tree; each pays ``children × message_kbits`` — the Section
         5.1 forwarding-load accounting.  The one writer of the ledger:
         the event-driven plane replays a frozen tree's charges per send.
+        The charge is only noted here and added in at the next read or
+        membership change, in send order with the same additions, so
+        ``charges`` is kept by reference until then and must not
+        change.
         """
+        self._unfolded.append((charges, message_kbits))
+
+    def _folded(self) -> dict[str, float]:
+        """The ledger with every charge noted so far added in."""
         forwarded = self._forwarded_kbits
-        for host_name, count in charges:
-            forwarded[host_name] += count * message_kbits
+        for charges, message_kbits in self._unfolded:
+            for host_name, count in charges:
+                forwarded[host_name] += count * message_kbits
+        self._unfolded.clear()
+        return forwarded
 
     def host_load_kbits(self) -> Mapping[str, float]:
         """Total forwarded traffic per host, across every group.
@@ -271,11 +288,11 @@ class MulticastService:
         host forwarded for a group that was later dropped stays counted
         (it really did cross the uplink).
         """
-        return dict(self._forwarded_kbits)
+        return dict(self._folded())
 
     def busiest_hosts(self, count: int = 5) -> list[tuple[str, float]]:
         """The hosts carrying the most aggregate forwarding work."""
         ranked = sorted(
-            self._forwarded_kbits.items(), key=lambda item: item[1], reverse=True
+            self._folded().items(), key=lambda item: item[1], reverse=True
         )
         return ranked[:count]

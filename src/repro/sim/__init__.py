@@ -11,24 +11,22 @@ and latency models including a geographic one for the Section 5.2
 proximity experiments (:mod:`repro.sim.latency`).
 """
 
-from repro.sim.engine import Future, ProcessHandle, Simulator
-from repro.sim.latency import (
-    ConstantLatency,
-    GeographicLatency,
-    LatencyModel,
-    UniformLatency,
-)
-from repro.sim.network import Endpoint, Message, Network
+from repro import lazy_exports
 
-__all__ = [
-    "Future",
-    "ProcessHandle",
-    "Simulator",
-    "ConstantLatency",
-    "GeographicLatency",
-    "LatencyModel",
-    "UniformLatency",
-    "Endpoint",
-    "Message",
-    "Network",
-]
+# Exports resolve on first use (PEP 562), so a module that needs only
+# the engine does not load the network and the latency models.
+_EXPORTS = {
+    "Future": "repro.sim.engine",
+    "ProcessHandle": "repro.sim.engine",
+    "Simulator": "repro.sim.engine",
+    "ConstantLatency": "repro.sim.latency",
+    "GeographicLatency": "repro.sim.latency",
+    "LatencyModel": "repro.sim.latency",
+    "UniformLatency": "repro.sim.latency",
+    "Endpoint": "repro.sim.network",
+    "Message": "repro.sim.network",
+    "Network": "repro.sim.network",
+}
+__getattr__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = [*_EXPORTS]

@@ -17,7 +17,7 @@ propagation term dominates.  Experiment extH sweeps both regimes.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from math import inf
 from typing import Callable, Hashable, Mapping
@@ -50,8 +50,8 @@ class UplinkBudget:
 
     def __init__(self) -> None:
         self._free_at: dict[Hashable, float] = {}
-        self._deferrals: Counter[Hashable] = Counter()
-        self._reservations: Counter[Hashable] = Counter()
+        self._deferrals: dict[Hashable, int] = {}
+        self._reservations: dict[Hashable, int] = {}
 
     def free_at(self, host: Hashable) -> float:
         """When the host's uplink next goes idle (0.0 if never used)."""
@@ -71,19 +71,22 @@ class UplinkBudget:
         ``start > now`` means the slot was deferred behind traffic the
         host is already serializing (for this group or any other).
         """
-        start, dones, _ = self.reserve_run(host, now, duration, 1)
-        return start, dones[0]
+        start, end, _ = self.reserve_run(host, now, duration, 1)
+        return start, end
 
     def reserve_run(
         self, host: Hashable, now: float, duration: float, count: int
-    ) -> tuple[float, list[float], int]:
+    ) -> tuple[float, float, int]:
         """Claim ``count`` back-to-back slots of ``duration`` seconds
         from the earliest instant ``>= now`` — what ``count`` single
         :meth:`reserve` calls at the same ``now`` would claim, float
         for float, since each of those would start where the previous
-        one ended.  Returns ``(start, dones, deferred)``: when the
-        first slot starts, when each slot ends, and how many of the
-        slots start after ``now``.  The one writer of the ledger.
+        one ended.  Returns ``(start, end, deferred)``: when the first
+        slot starts, when the last one ends, and how many of the slots
+        start after ``now``.  Slot ``i`` ends at ``start`` plus
+        ``duration`` added ``i + 1`` times, one addition at a time (a
+        product would round differently); a caller that needs every end
+        repeats those additions.  The one writer of the ledger.
         """
         if count < 1:
             raise ValueError(f"a run needs at least one slot, got {count}")
@@ -95,31 +98,31 @@ class UplinkBudget:
             # the later slots start at the previous slot's end, which
             # is past ``now`` unless the duration vanishes next to it
             deferred = count - 1 if now + duration > now else 0
-        dones = []
-        done = start
+        end = start
         for _ in range(count):
-            done += duration
-            dones.append(done)
+            end += duration
         # a NaN or infinite argument shows in the last end; nothing is
         # written yet
-        if not (duration >= 0 and done < inf):
+        if not (duration >= 0 and end < inf):
             raise ValueError(f"need finite now={now} and duration={duration} >= 0")
-        self._free_at[host] = done
+        self._free_at[host] = end
         if deferred:
-            self._deferrals[host] += deferred
-        self._reservations[host] += count
-        return start, dones, deferred
+            deferrals = self._deferrals
+            deferrals[host] = deferrals.get(host, 0) + deferred
+        reservations = self._reservations
+        reservations[host] = reservations.get(host, 0) + count
+        return start, end, deferred
 
     def deferrals(self, host: Hashable | None = None) -> int:
         """Deferred reservations for one host (or the whole ledger)."""
         if host is not None:
-            return self._deferrals[host]
+            return self._deferrals.get(host, 0)
         return sum(self._deferrals.values())
 
     def reservations(self, host: Hashable | None = None) -> int:
         """Total reservations for one host (or the whole ledger)."""
         if host is not None:
-            return self._reservations[host]
+            return self._reservations.get(host, 0)
         return sum(self._reservations.values())
 
 

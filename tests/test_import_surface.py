@@ -1,9 +1,11 @@
 """What an import loads: the package exports resolve on first use.
 
-``repro``, ``repro.multicast`` and ``repro.metrics`` name their exports
-through a PEP 562 ``__getattr__``, so the experiment plumbing does not
-pay for the service plane, the event simulator or the tracer's readers
-at import time — and every public name still imports as before.
+``repro``, ``repro.multicast``, ``repro.metrics`` and ``repro.sim``
+name their exports through a PEP 562 ``__getattr__``, so the
+experiment plumbing does not pay for the service plane, the event
+simulator or the tracer's readers at import time, the service plane
+does not pay for the datagram network — and every public name still
+imports as before.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 import repro
 import repro.metrics
 import repro.multicast
+import repro.sim
 from tests.golden.sim_order import SRC
 
 
@@ -44,7 +47,19 @@ def test_experiment_plumbing_loads_no_plane_service_or_simulator():
     assert run_child(script).split("\n")[:2] == ["[]", "True"]
 
 
-@pytest.mark.parametrize("package", [repro, repro.multicast, repro.metrics])
+def test_service_plane_loads_no_network_latency_or_protocol():
+    script = (
+        "import sys\n"
+        "import repro.multicast.plane\n"
+        "heavy = ('repro.sim.network', 'repro.sim.latency', 'repro.protocol')\n"
+        "print(sorted(name for name in sys.modules if name in heavy))\n"
+    )
+    assert run_child(script).split("\n")[0] == "[]"
+
+
+@pytest.mark.parametrize(
+    "package", [repro, repro.multicast, repro.metrics, repro.sim]
+)
 def test_every_export_resolves(package):
     for name in package.__all__:
         assert getattr(package, name) is not None

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
-import pytest
+from heapq import heappush
 
-from repro.multicast.plane import SequenceLedger, ServicePlane
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.multicast.plane import (
+    GroupStats,
+    SendReceipt,
+    SequenceLedger,
+    ServicePlane,
+    _Cursor,
+    _SendState,
+)
 
 
 def make_plane(
@@ -418,6 +429,69 @@ class TestBranchesTrafficNeverTakes:
         assert (audit.gaps, audit.dups, audit.unexpected) == ({}, 0, 1)
         with pytest.raises(AssertionError, match="1 unexpected"):
             plane.verify_quiesced()
+
+
+class TestPumpCursorAdvance:
+    """The pump moves a cursor on in line when a delivery is the next
+    one due, with nothing ahead and inside the stint, and hands every
+    other delivery to ``_Cursor.record``: the two together must give
+    what ``record`` alone gives."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        first=st.integers(min_value=1, max_value=5),
+        # the stint's last sequence relative to ``first``; None = open
+        span=st.one_of(st.none(), st.integers(min_value=-1, max_value=8)),
+        deliveries=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=15),
+                st.booleans(),  # run the pump after this delivery
+            ),
+            max_size=40,
+        ),
+    )
+    # in order, a dup, then a gap filled from ahead, then past ``last``
+    @example(3, 4, [(3, False), (4, False), (4, False), (6, False),
+                    (5, True), (8, False), (7, False), (9, True)])
+    def test_pump_verdicts_and_cursor_match_record(
+        self, first, span, deliveries
+    ):
+        last = None if span is None else first + span
+        reference = _Cursor(first=first, last=last)
+        cursor = _Cursor(first=first, last=last)
+        plane = ServicePlane()
+        batch: list[tuple[str, GroupStats]] = []
+
+        def pump() -> None:
+            unexpected = cursor.unexpected
+            plane._arm_wavefront()
+            plane.simulator.run_until_idle()
+            verdicts = [want for want, _ in batch]
+            assert [stats.dups == 1 for _, stats in batch] == [
+                want == "dup" for want in verdicts
+            ]
+            assert cursor.unexpected - unexpected == verdicts.count("unexpected")
+            batch.clear()
+
+        for seq, run_now in deliveries:
+            # a state of its own per delivery, so its dup count is the
+            # delivery's verdict
+            stats = GroupStats(created_at=0.0)
+            receipt = SendReceipt("g", seq, seq, "s", 1.0, 0.0, ("s", "h"))
+            state = _SendState(
+                receipt, [()], ["h"], [1.0], [cursor], [0], [1], stats,
+                remaining=2,  # never completes: no foreign event interleaves
+            )
+            heappush(plane._pending, (0.0, plane._pending_seq, state, 0, 0))
+            plane._pending_seq += 1
+            batch.append((reference.record(seq), stats))
+            if run_now:
+                pump()
+        pump()
+        assert (cursor.contiguous, cursor.ahead, cursor.dups, cursor.unexpected) == (
+            reference.contiguous, reference.ahead, reference.dups,
+            reference.unexpected,
+        )
 
 
 class TestBackpressure:

@@ -375,6 +375,29 @@ class TestSchedulePreview:
         }
         assert plane.budget.reservations() == 0
 
+    def test_preview_is_not_a_cache_lookup(self):
+        # a preview fills the cache but counts no lookup and replays no
+        # tree summary: the cache counters and the traced stream answer
+        # for sends only
+        plane = make_plane(hosts=12)
+        plane.create_group("g", [f"h{i}" for i in range(8)])
+        with perf.scoped() as scope, TRACER.capture() as mark:
+            plane.schedule_preview("g", "h0")
+            plane.schedule_preview("g", "h0")
+            previewed = scope.delta
+            trees = [
+                e for e in TRACER.events_since(mark)
+                if e.layer == "mc" and e.kind == "tree"
+            ]
+            plane.send("g", "h0")
+            plane.drain()
+        assert previewed.schedule_cache_hits == 0
+        assert previewed.schedule_cache_misses == 0
+        assert len(trees) == 1  # the kernel's, from the one build
+        # the send after the previews counts its own lookup, a hit
+        assert scope.delta.schedule_cache_hits == 1
+        assert scope.delta.schedule_cache_misses == 0
+
     def test_preview_agrees_with_delivery_timeline(self):
         plane = make_plane(hosts=12)
         plane.create_group("g", [f"h{i}" for i in range(8)])

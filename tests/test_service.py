@@ -5,6 +5,8 @@ from __future__ import annotations
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.multicast.kernel import FlatTree
 from repro.multicast.service import MulticastService
@@ -31,7 +33,7 @@ def blocking_multicast(
         for name in service.members_of(group_name)
     }
     service.charge(
-        (
+        tuple(
             (host_of[ident], count)
             for ident, count in result.children_counts().items()
             if count
@@ -244,9 +246,6 @@ class TestCrossGroupAccounting:
         # property test: create groups, multicast, drop some groups in
         # varying orders — surviving groups' traffic accounting and the
         # global ledger stay exact throughout
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
         @settings(max_examples=25, deadline=None)
         @given(
             drops=st.lists(
@@ -285,3 +284,54 @@ class TestCrossGroupAccounting:
             assert sum(service.host_load_kbits().values()) == pytest.approx(total)
 
         run()
+
+
+class TestFoldedLedger:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sends=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),  # group
+                st.sampled_from([0.1, 0.7, 1.1, 8.0]),  # message kbits
+                st.booleans(),  # read the ledger after this send
+            ),
+            min_size=1,
+            max_size=24,
+        ),
+        drop_after=st.integers(min_value=0, max_value=24),
+    )
+    def test_folded_ledger_equals_eager_additions(self, sends, drop_after):
+        """A charge is added in at the next read, in send order with
+        the same additions: every read, before and after a drop, sees
+        the floats an eager ledger holds."""
+        service = populated_service(host_count=30)
+        for index in range(3):
+            service.create_group(
+                f"g{index}", [f"host-{i}" for i in range(index * 8, index * 8 + 12)]
+            )
+        eager = {name: 0.0 for name in service.hosts}
+
+        def check() -> None:
+            assert service.host_load_kbits() == eager
+            ranked = sorted(eager.items(), key=lambda item: item[1], reverse=True)
+            assert service.busiest_hosts(4) == ranked[:4]
+
+        live = [0, 1, 2]
+        for step, (index, kbits, read) in enumerate(sends):
+            if step == drop_after and len(live) > 1:
+                service.drop_group(f"g{live.pop(0)}")
+                # a membership change adds the notes in: none outlives
+                # the trees it was charged from
+                assert not service._unfolded
+                check()
+            group_name = f"g{live[index % len(live)]}"
+            members = service._members[group_name]
+            host_of = {ident: name for name, ident in members.items()}
+            source = next(iter(members))
+            tree = blocking_multicast(service, group_name, source, kbits)
+            for ident, count in tree.children_counts().items():
+                if count:
+                    eager[host_of[ident]] += count * kbits
+            if read:
+                check()
+        check()

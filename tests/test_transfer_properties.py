@@ -108,10 +108,15 @@ def test_completion_scales_linearly_in_message_size(seed, count):
 @example([(0, 1.0, 1e-17, 3)])
 # busy uplink, then idle again, then a zero-length run
 @example([(1, 0.0, 2.0, 2), (1, 1.0, 0.5, 3), (1, 4.5, 0.0, 2)])
+# six additions of 0.1 are 0.6, six times 0.1 is 0.6000000000000001
+@example([(2, 0.0, 0.1, 6)])
 def test_run_reservation_equals_single_reservations(steps):
     """``reserve_run(host, now, d, k)`` is k ``reserve(host, now, d)``
     calls: every start and end the same float, and the same ledger —
-    judged against the one-slot ledger as it was before runs existed."""
+    judged against the one-slot ledger as it was before runs existed.
+    A run returns its first start and its last end; the slot ends in
+    between are what a caller rebuilds by adding ``d`` once per slot,
+    as the service plane's forwarding does."""
     free_at: dict[int, float] = {}
     deferrals = [0] * 4
     reservations = [0] * 4
@@ -128,7 +133,13 @@ def test_run_reservation_equals_single_reservations(steps):
     for host, advance, duration, count in steps:
         now += advance
         slots = [reference_reserve(host, now, duration) for _ in range(count)]
-        start, dones, deferred = runs.reserve_run(host, now, duration, count)
+        start, end, deferred = runs.reserve_run(host, now, duration, count)
+        dones = []
+        done = start
+        for _ in range(count):
+            done += duration
+            dones.append(done)
+        assert dones[-1] == end
         # a slot starts where the one before it ended
         assert list(zip([start, *dones], dones)) == slots
         assert deferred == sum(begin > now for begin, _ in slots)
