@@ -38,20 +38,39 @@ def assign_identifiers(
     space (no injective mapping exists).
     """
     names = list(names)
+    return settle_collisions(
+        names, [hash_to_identifier(name, space) for name in names], space
+    )
+
+
+def settle_collisions(
+    names: Sequence[str],
+    hashes: Sequence[int],
+    space: IdentifierSpace,
+    prefix: str = "",
+) -> dict[str, int]:
+    """The one collision-resolution loop: ``hashes`` holds each name's
+    unsalted hash of ``prefix + name``, in ``names`` order, and a name
+    whose hash an earlier name already took is re-hashed with salt 1,
+    2, ... until its identifier is free.  Returns name -> identifier in
+    ``names`` order.
+
+    Raises ``ValueError`` for a repeated name or more names than
+    identifiers (no injective mapping exists).
+    """
     if len(names) > space.size:
         raise ValueError(
             f"cannot map {len(names)} members into a space of {space.size} identifiers"
         )
     taken: set[int] = set()
     mapping: dict[str, int] = {}
-    for name in names:
+    for name, identifier in zip(names, hashes):
         if name in mapping:
             raise ValueError(f"duplicate member name: {name!r}")
         salt = 0
-        identifier = hash_to_identifier(name, space)
         while identifier in taken:
             salt += 1
-            identifier = hash_to_identifier(name, space, salt=salt)
+            identifier = hash_to_identifier(prefix + name, space, salt=salt)
         taken.add(identifier)
         mapping[name] = identifier
     return mapping

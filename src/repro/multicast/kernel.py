@@ -90,6 +90,13 @@ class FlatTree:
       source first: exactly the insertion order the legacy recorder's
       dicts would have, which is what keeps the materialized views —
       and everything downstream of their iteration order — identical.
+
+    Every builder delivers a node's children one after another, in the
+    order the parents were delivered, so a forwarder's children are one
+    run of ``order``: the source's are the ``child_count`` rows after
+    it, and each later forwarder's run follows the runs of those
+    delivered before it (the service plane's schedule templates read
+    children this way; ``tests/test_kernel.py`` pins it per builder).
     """
 
     __slots__ = (
@@ -408,6 +415,12 @@ _flood_state = _FLOOD_STATES.get
 # -- one-pass tree construction ----------------------------------------------
 
 
+#: one-entry rows the tree arrays are repeated from (the ``array``
+#: constructor costs several times the repetition)
+_UNREACHED_ROW = array("l", [UNREACHED])
+_ZERO_ROW = array("l", [0])
+
+
 def _rooted(snapshot: RingSnapshot, source: Node) -> tuple[int, array, array, array, array]:
     """The row of ``source``, which must be a member, and the four
     arrays of a tree that has reached only it."""
@@ -415,11 +428,11 @@ def _rooted(snapshot: RingSnapshot, source: Node) -> tuple[int, array, array, ar
     if row is None:
         raise KeyError(f"source {source.ident} is not a group member")
     count = len(snapshot)
-    parent_index = array("l", [UNREACHED]) * count
-    depths = array("l", [UNREACHED]) * count
+    parent_index = _UNREACHED_ROW * count
+    depths = _UNREACHED_ROW * count
     parent_index[row] = row
     depths[row] = 0
-    return row, parent_index, depths, array("l", [0]) * count, array("l", [row])
+    return row, parent_index, depths, _ZERO_ROW * count, array("l", [row])
 
 
 def flood_tree(overlay: Overlay, source: Node) -> FlatTree:
@@ -484,7 +497,9 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
     ``offset <= reach``, the offset of row ``last``; so the next child
     sits in the first slot at or below ``reach`` (DESIGN.md 5.10).  It
     takes the rows after it, the parent keeps those before it, and a
-    child with none is never queued.  At most n - 1 probes per tree.
+    child with none is never queued.  A region of one row — when popped,
+    or once the higher slots are placed — needs no slot at all: its row
+    is the next and last child.  At most n - 1 probes per tree.
     """
     snapshot = overlay.snapshot
     source_index, parent_index, depths, child_count, order = _rooted(snapshot, source)
@@ -509,48 +524,62 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
     deliver = order.append
     while queue:
         i, limit, last = pop()
-        ident = idents[i]
-        remaining = (limit - ident) % size
-        fanout = fanouts[i]
-        ladder = _ladder(fanout, size)
-        level = bisect_right(ladder, remaining) - 1
-        unit = ladder[level]
-        if level:  # at level 0 the unit is 1: every reach is on the rung
-            below = ladder[level - 1]
-            spread = spare_sequences(fanout, remaining // unit)
         hop = depths[i] + 1
+        after = i + 1 if i + 1 < count else 0
         children = 0
-        while last != i:
-            reach = (idents[last] - ident) % size
-            if reach >= unit:  # a level-i rung, highest sequence first
-                offset = reach // unit * unit
-            else:
-                # spare capacity spread over level i-1 (ceiling; see the
-                # cam_chord module docstring), else the successor slot
-                slot = bisect_right(spread, reach // below)
-                offset = spread[slot - 1] * below if slot else 1
-            if offset == reach:
-                child = last
-            elif offset == 1:
-                child = i + 1 if i + 1 < count else 0
-            else:
-                neighbor_ident = (ident + offset) % size
-                child = directory[neighbor_ident >> shift]
-                while child < count and idents[child] < neighbor_ident:
-                    child += 1
-                if child == count:
-                    child = 0
-                probes += 1
-            if parent_index[child] != UNREACHED:
-                raise _duplicate(idents, child, parent_index[child], i)
-            parent_index[child] = i
-            depths[child] = hop
-            deliver(child)
-            if child != last:
-                push((child, limit, last))
+        if last != after:
+            ident = idents[i]
+            remaining = (limit - ident) % size
+            fanout = fanouts[i]
+            ladder = _ladder(fanout, size)
+            level = bisect_right(ladder, remaining) - 1
+            unit = ladder[level]
+            if level:  # at level 0 the unit is 1: every reach is on the rung
+                below = ladder[level - 1]
+                spread = spare_sequences(fanout, remaining // unit)
+            while True:
+                reach = (idents[last] - ident) % size
+                if reach >= unit:  # a level-i rung, highest sequence first
+                    offset = reach // unit * unit
+                else:
+                    # spare capacity spread over level i-1 (ceiling; see the
+                    # cam_chord module docstring), else the successor slot
+                    slot = bisect_right(spread, reach // below)
+                    offset = spread[slot - 1] * below if slot else 1
+                if offset == reach:
+                    child = last
+                elif offset == 1:
+                    child = after
+                else:
+                    neighbor_ident = (ident + offset) % size
+                    child = directory[neighbor_ident >> shift]
+                    while child < count and idents[child] < neighbor_ident:
+                        child += 1
+                    if child == count:
+                        child = 0
+                    probes += 1
+                if parent_index[child] != UNREACHED:
+                    raise _duplicate(idents, child, parent_index[child], i)
+                parent_index[child] = i
+                depths[child] = hop
+                deliver(child)
+                if child != last:
+                    push((child, limit, last))
+                children += 1
+                limit = (ident + offset - 1) % size
+                last = (child or count) - 1
+                if last == after or last == i:
+                    break
+        if last != i:
+            # one row left — the popped region, or what the placed
+            # children left of it: the next and last child, whichever
+            # slot holds it
+            if parent_index[last] != UNREACHED:
+                raise _duplicate(idents, last, parent_index[last], i)
+            parent_index[last] = i
+            depths[last] = hop
+            deliver(last)
             children += 1
-            limit = (ident + offset - 1) % size
-            last = (child or count) - 1
         child_count[i] = children
 
     perf.COUNTERS.kernel_resolves += probes

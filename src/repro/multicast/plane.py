@@ -44,15 +44,18 @@ member keeps its *row* — its position on the ring, the index
 :class:`~repro.multicast.kernel.FlatTree` speaks.  The row is the only
 key on the delivery path.  Per (group, membership epoch) the plane
 keeps three columns (host name, uplink bandwidth, open ledger cursor)
-and per source inside it a :class:`_SendTemplate`: the tree and, per
-row, its children with their hop latencies; a first send from a source
-is simply the send that builds its template.  Deliveries sit in a
-plane-level pending heap that a single *wavefront* event commits in
-one loop (:meth:`ServicePlane._pump`); the loop stops exactly where a
-foreign event — a membership change, a scheduled send, a completion
-it scheduled itself, a bounded ``run(until)`` — interleaves.  The
-specification of that order is "one engine event per delivery, ties
-by insertion": the walker that implemented it literally is gone, and
+and per source inside it a :class:`_SendTemplate`: the tree, each
+forwarder's children — a run of the tree's delivery order, so a
+template costs work per forwarder, not per edge — and its forwarding
+charges; every hop adds the plane's one float hop latency.  A first
+send from a source is simply the send that builds its template.
+Deliveries sit in a plane-level pending heap that a single *wavefront*
+event commits in one loop (:meth:`ServicePlane._pump`); the loop
+stops exactly where a foreign event — a membership change, a
+scheduled send, a completion it scheduled itself, a bounded
+``run(until)`` — interleaves.  The specification of that order is
+"one engine event per delivery, ties by insertion": the walker that
+implemented it literally is gone, and
 its receipts, audits, ``mc.*`` traces and reports live on as the
 golden digests in ``tests/golden/plane_observables.json`` (that
 module's docstring says where each came from and how to regenerate).
@@ -62,18 +65,21 @@ the loop; any other goes through ``_Cursor.record``, the one full
 implementation of the cursor rules.  A forwarding node takes all its
 children's uplink slots in one run reservation, which hands back only
 the run's start and end — the node rebuilds each slot's end with the
-budget's own additions.  A send only notes its forwarding charges on
-the service's ledger, which adds them in when it is read or its
-membership changes.
+budget's own additions.  A send only notes its forwarding charges (two
+lists: hosts and child counts) on the service's ledger, which adds
+them in when it is read or its membership changes.  The ``mc.origin``
+membership and capacity lists are built at an epoch's first traced
+origin, so an untraced plane never builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import compress
 from math import inf
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro import perf
 from repro.multicast.service import MulticastService
@@ -87,10 +93,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from repro.systems import SystemDescriptor
     from repro.workloads.groups import ServiceEvent
 
-#: per-hop one-way latency in seconds: (parent_host, child_host) -> s
-HostLatency = Callable[[str, str], float]
-#: one node's children, in delivery order: (child row, hop latency)
-_Kids = tuple[tuple[int, float], ...]
+#: one node's children, in delivery order: a run of the tree's ``order``
+_Kids = tuple[int, ...]
 
 
 # -- sequencing -------------------------------------------------------------
@@ -298,8 +302,9 @@ class SendReceipt:
     def verify_complete(self) -> None:
         """The completeness oracle: every frozen send-time member got
         its copy (raises with the missing hosts otherwise)."""
-        missing = [host for host in self.members if host not in self.delivered]
-        if missing:
+        delivered = self.delivered
+        if not all(map(delivered.__contains__, self.members)):
+            missing = [host for host in self.members if host not in delivered]
             raise AssertionError(
                 f"send {self.group}#{self.seq}: {len(missing)} frozen "
                 f"members never delivered, e.g. {missing[:5]}"
@@ -315,11 +320,13 @@ class _EpochSchedule:
     discards the context (counted as schedule-cache invalidations).
     The columns are indexed by snapshot row (a member's position on the
     ring, the index :class:`FlatTree` uses): ``hosts`` beside
-    ``trace_members`` is the epoch's one identifier <-> host mapping,
-    and ``cursors`` holds each member's open ledger stint, which only
-    a leave or a drop — an epoch bump — can close.  The trace lists are
-    shared across the epoch's sends: every ``mc.origin`` carries the
-    same frozen membership, so one object serves them all.
+    ``idents`` is the epoch's one identifier <-> host mapping, and
+    ``cursors`` holds each member's open ledger stint, which only a
+    leave or a drop — an epoch bump — can close.  ``trace_columns``
+    (the ``mc.origin`` membership and capacity lists) is built at the
+    epoch's first traced origin and shared by the rest: every
+    ``mc.origin`` carries the same frozen membership, so one object
+    serves them all.
     """
 
     epoch: int
@@ -327,10 +334,11 @@ class _EpochSchedule:
     hosts: Sequence[str]
     bandwidths: Sequence[float]
     cursors: list[_Cursor]
+    idents: Sequence[int]
+    capacities: Sequence[int]
     system_name: str
     space_bits: int
-    trace_members: list[int]
-    trace_capacities: list[list[float]]
+    trace_columns: tuple[list[int], list[list[int]]] | None = None
     templates: dict[str, _SendTemplate] = field(default_factory=dict)
 
 
@@ -338,18 +346,21 @@ class _EpochSchedule:
 class _SendTemplate:
     """One source's frozen dissemination schedule within an epoch.
 
-    ``kids[row]`` pairs each child row of ``row`` with its precomputed
-    hop latency, in delivery order (empty for a leaf).  ``charges``
-    lists the forwarding hosts in delivery order, the order
-    :meth:`FlatTree.children_counts` iterates in, so
-    :meth:`MulticastService.charge` accumulates the forwarding ledger
-    in the same float order as the blocking reference send the service
-    tests keep.
+    ``kids[row]`` is the child rows of ``row`` in delivery order (empty
+    for a leaf): every tree builder delivers a node's children one
+    after another, in the order their parents were delivered (the
+    :class:`FlatTree` contract), so each is a run of ``tree.order``.
+    ``forwarders`` lists the forwarding hosts in delivery order — the
+    order :meth:`FlatTree.children_counts` iterates in — beside their
+    child counts in ``fanouts``, so :meth:`MulticastService.charge`
+    accumulates the forwarding ledger in the same float order as the
+    blocking reference send the service tests keep.
     """
 
     tree: FlatTree
     kids: list[_Kids]
-    charges: tuple[tuple[str, int], ...]
+    forwarders: list[str]
+    fanouts: list[int]
 
 
 @dataclass(slots=True, eq=False)
@@ -367,7 +378,7 @@ class _SendState:
     hosts: Sequence[str]
     bandwidths: Sequence[float]
     cursors: list[_Cursor]
-    idents: list[int]  # read only when tracing, like ``depths``
+    idents: Sequence[int]  # read only when tracing, like ``depths``
     depths: Sequence[int]
     stats: GroupStats
     remaining: int  # frozen members still to deliver to
@@ -513,19 +524,12 @@ class ServicePlane:
     per-host forwarding ledger.
     """
 
-    def __init__(
-        self,
-        space_bits: int = 19,
-        hop_latency: float | HostLatency = 0.0,
-    ) -> None:
+    def __init__(self, space_bits: int = 19, hop_latency: float = 0.0) -> None:
         self.service = MulticastService(space_bits)
         self.simulator = Simulator()
         self.budget = UplinkBudget()
-        self._latency: HostLatency = (
-            hop_latency
-            if callable(hop_latency)
-            else (lambda a, b, _s=float(hop_latency): _s)
-        )
+        #: one-way latency of every overlay hop, in seconds
+        self._hop_latency = float(hop_latency)
         # every incarnation of every group name, in creation order; the
         # last one is the live group unless its stats say closed
         self._groups: dict[str, list[_Group]] = {}
@@ -630,7 +634,7 @@ class ServicePlane:
                     )
             else:
                 perf.COUNTERS.schedule_cache_misses += 1
-            self.service.charge(template.charges, message_kbits)
+            self.service.charge(template.forwarders, template.fanouts, message_kbits)
             seq = group.ledger.issue()
             mid = self._next_mid
             self._next_mid += 1
@@ -653,18 +657,25 @@ class ServicePlane:
             state = _SendState(
                 receipt, template.kids,
                 context.hosts, context.bandwidths, context.cursors,
-                context.trace_members, tree.depth_array, stats,
+                context.idents, tree.depth_array, stats,
                 remaining=len(context.member_names) - 1,  # not the source
             )
             source_ident = tree.source_ident
             if TRACER.mc and "origin" in TRACER.mc:
+                columns = context.trace_columns
+                if columns is None:
+                    idents = list(context.idents)
+                    columns = context.trace_columns = (
+                        idents,
+                        [list(row) for row in zip(idents, context.capacities)],
+                    )
                 TRACER.emit(
                     now, "mc", "origin",
                     mid=mid, source=source_ident,
                     system=context.system_name,
                     bits=context.space_bits,
-                    members=context.trace_members,
-                    capacities=context.trace_capacities,
+                    members=columns[0],
+                    capacities=columns[1],
                     group=group_name, seq=seq,
                 )
             if TRACER.mc and "deliver" in TRACER.mc:
@@ -744,47 +755,41 @@ class ServicePlane:
         overlay = self.service.group(group_name)
         snapshot = overlay.snapshot
         hosts = snapshot.names
-        idents = list(snapshot.identifiers)
         context = group.context = _EpochSchedule(
             epoch=epoch,
             member_names=tuple(self.service.members_of(group_name)),
             hosts=hosts,
             bandwidths=snapshot.bandwidths,
             cursors=group.ledger.active_cursors(hosts),
+            idents=snapshot.identifiers,
+            capacities=snapshot.capacities,
             system_name=overlay.system.name,
             space_bits=snapshot.space.bits,
-            trace_members=idents,
-            trace_capacities=[
-                list(row) for row in zip(idents, snapshot.capacities)
-            ],
         )
         return context
 
     def _build_template(
         self, context: _EpochSchedule, group_name: str, source_ident: int
     ) -> _SendTemplate:
-        """Extract the source's tree once and freeze its schedule."""
+        """Extract the source's tree once and freeze its schedule: per
+        forwarder, not per edge — a forwarder's children are the next
+        run of ``order`` after the runs of the forwarders delivered
+        before it (the source's run starts right after the source)."""
         overlay = self.service.group(group_name)
         tree = overlay.multicast_from(overlay.snapshot.node_at(source_ident))
-        hosts = context.hosts
-        latency = self._latency
-        parent_index = tree.parent_index
+        order = tuple(tree.order)
         child_count = tree.child_count
-        # delivery order puts every parent before its children, so a
-        # forwarder's list exists by the time its first child shows up
-        hops: dict[int, list[tuple[int, float]]] = {}
-        charges = []
-        for row in tree.order:
-            parent = parent_index[row]
-            if parent != row:  # the source is its own parent
-                hops[parent].append((row, latency(hosts[parent], hosts[row])))
-            if child_count[row]:
-                hops[row] = []
-                charges.append((hosts[row], child_count[row]))
-        kids: list[_Kids] = [()] * len(hosts)
-        for parent, children in hops.items():
-            kids[parent] = tuple(children)
-        return _SendTemplate(tree=tree, kids=kids, charges=tuple(charges))
+        forwarding = list(compress(order, map(child_count.__getitem__, order)))
+        fanouts = list(map(child_count.__getitem__, forwarding))
+        kids: list[_Kids] = [()] * len(child_count)
+        start = 1
+        for row, count in zip(forwarding, fanouts):
+            end = start + count
+            kids[row] = order[start:end]
+            start = end
+        return _SendTemplate(
+            tree, kids, list(map(context.hosts.__getitem__, forwarding)), fanouts
+        )
 
     def _forward(
         self, state: _SendState, row: int, kids: _Kids, now: float
@@ -806,9 +811,10 @@ class ServicePlane:
         if depth > stats.max_queue_depth:
             stats.max_queue_depth = depth
         pending = self._pending
+        latency = self._hop_latency
         seq = self._pending_seq
         self._pending_seq = seq + count
-        for child, latency in kids:
+        for child in kids:
             done += serialize
             heappush(pending, (done + latency, seq, state, child, row))
             seq += 1
@@ -859,10 +865,13 @@ class ServicePlane:
         forward = self._forward
         committed = False
         while pending:
-            time, _, state, row, parent = pending[0]
+            # heap keys are unique (``seq`` is), so popping the head and
+            # pushing it back when it must wait changes no commit order
+            entry = heappop(pending)
+            time, _, state, row, parent = entry
             if time > bound or (time > now and time >= horizon):
+                heappush(pending, entry)
                 break
-            heappop(pending)
             committed = True
             receipt = state.receipt
             stats = state.stats
@@ -937,12 +946,13 @@ class ServicePlane:
         _, context, template, _ = self._template(
             group_name, source_host, message_kbits
         )
-        host_of = dict(zip(context.trace_members, context.hosts))
+        host_of = dict(zip(context.idents, context.hosts))
+        latency = self._hop_latency
         timeline = delivery_timeline(
             template.tree,
             self.service.group(group_name).snapshot,
             message_kbits,
-            hop_latency=lambda a, b: self._latency(host_of[a], host_of[b]),
+            hop_latency=lambda a, b: latency,
             budget=UplinkBudget(),
             host_key=host_of.__getitem__,
         )

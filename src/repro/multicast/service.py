@@ -12,10 +12,12 @@ system kind and per-link rate; membership is by host name, mapped onto
 each group's ring with the Section 2 SHA-1 assignment.  Membership is
 *mutable*: :meth:`join_group` / :meth:`leave_group` rebuild the
 group's snapshot and overlay through the same registry path
-:meth:`create_group` uses — identifiers are salted per ``group/host``,
-so unchanged members keep their ring positions across rebuilds.  The
-service aggregates forwarding load per *host* across groups — the
-quantity a deployment actually provisions for.
+:meth:`create_group` uses.  Identifiers hash ``group/host`` and
+collisions are settled in join order, so a join moves no member; a
+leave can move only a member that was salted past a collision (what
+it collided with may be gone).  The service aggregates forwarding
+load per *host* across groups — the quantity a deployment actually
+provisions for.
 
 This layer is the registry and the ledger; it sends nothing itself.
 Messages move on :class:`repro.multicast.plane.ServicePlane` —
@@ -32,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from repro.capacity.model import CapacityModel
-from repro.idspace.hashing import assign_identifiers
+from repro.idspace.hashing import hash_to_identifier, settle_collisions
 from repro.idspace.ring import IdentifierSpace
 from repro.multicast.session import MulticastGroup, SystemKind
 from repro.overlay.base import RingSnapshot
@@ -56,10 +58,12 @@ class MulticastService:
         self._hosts: dict[str, float] = {}
         self._groups: dict[str, MulticastGroup] = {}
         self._members: dict[str, dict[str, int]] = {}
+        # per group, each live member's unsalted hash of ``group/host``
+        self._hashes: dict[str, dict[str, int]] = {}
         self._configs: dict[str, GroupConfig] = {}
         self._forwarded_kbits: dict[str, float] = {}
         # charged sends not yet added into ``_forwarded_kbits``
-        self._unfolded: list[tuple[Sequence[tuple[str, int]], float]] = []
+        self._unfolded: list[tuple[Sequence[str], Sequence[int], float]] = []
         self._epoch_serial = 0
         self._epochs: dict[str, int] = {}
 
@@ -85,19 +89,28 @@ class MulticastService:
     def _build_group(self, group_name: str, names: list[str]) -> MulticastGroup:
         """One snapshot + overlay for ``names``, through the registry.
 
-        Members are mapped onto the group's ring with salted SHA-1 of
-        ``"group/host"`` — deterministic per pair, so a rebuild after a
-        join or leave keeps every unchanged member at its identifier.
+        Members are mapped onto the group's ring with SHA-1 of
+        ``"group/host"``, collisions settled in ``names`` (join) order
+        — exactly :func:`~repro.idspace.hashing.assign_identifiers` of
+        those strings.  Only a name without a held hash is hashed: a
+        rebuild after a join or a leave hashes at most the joiner.
         """
         config = self._configs[group_name]
-        mapping = assign_identifiers(
-            [f"{group_name}/{name}" for name in names], self._space
-        )
+        space = self._space
+        prefix = f"{group_name}/"
+        held = self._hashes.get(group_name, {})
+        missing = set(names).difference(held)
+        if missing:
+            held = held | {
+                name: hash_to_identifier(prefix + name, space) for name in missing
+            }
+        hashes = list(map(held.__getitem__, names))
+        mapping = settle_collisions(names, hashes, space, prefix)
         model = CapacityModel(
             config.per_link_kbps, minimum=config.system.min_capacity
         )
         idents = list(mapping.values())  # keyed in ``names`` order
-        bandwidths = [self._hosts[name] for name in names]
+        bandwidths = list(map(self._hosts.__getitem__, names))
         snapshot = RingSnapshot.from_columns(
             self._space, idents, model.capacities(bandwidths), bandwidths, names
         )
@@ -105,7 +118,8 @@ class MulticastService:
             config.system, snapshot, config.uniform_fanout
         )
         self._groups[group_name] = group
-        self._members[group_name] = dict(zip(names, idents))
+        self._members[group_name] = mapping
+        self._hashes[group_name] = dict(zip(names, hashes))
         # every overlay (re)build opens a new membership epoch; the
         # serial is service-global so a dropped-and-recreated group
         # name can never alias a stale epoch.  The old epoch's trees are
@@ -157,8 +171,8 @@ class MulticastService:
 
         The group's snapshot and overlay are rebuilt through the same
         registry path :meth:`create_group` uses; every prior member
-        keeps its identifier (placement is salted per ``group/host``).
-        Returns the rebuilt group.
+        keeps its identifier (collisions are settled in join order, and
+        the joiner comes last).  Returns the rebuilt group.
         """
         members = self._membership(group_name)
         if host_name not in self._hosts:
@@ -173,7 +187,9 @@ class MulticastService:
         """Remove a member and rebuild the group's overlay.
 
         A group keeps at least one member; dropping the last one is
-        :meth:`drop_group`'s job.  Returns the rebuilt group.
+        :meth:`drop_group`'s job.  A remaining member that was salted
+        past a collision can move: its unsalted identifier may now be
+        free.  Returns the rebuilt group.
         """
         members = self._membership(group_name)
         if host_name not in members:
@@ -202,6 +218,7 @@ class MulticastService:
         self._folded()  # as in _build_group: the group's trees go
         del self._groups[group_name]
         del self._members[group_name]
+        del self._hashes[group_name]
         del self._configs[group_name]
         del self._epochs[group_name]
 
@@ -257,26 +274,29 @@ class MulticastService:
     # -- the forwarding ledger -----------------------------------------------------
 
     def charge(
-        self, charges: Sequence[tuple[str, int]], message_kbits: float
+        self,
+        forwarders: Sequence[str],
+        fanouts: Sequence[int],
+        message_kbits: float,
     ) -> None:
         """Charge one dissemination's forwarding to host uplinks.
 
-        ``charges`` pairs each forwarding host with its child count in
-        the tree; each pays ``children × message_kbits`` — the Section
-        5.1 forwarding-load accounting.  The one writer of the ledger:
-        the event-driven plane replays a frozen tree's charges per send.
-        The charge is only noted here and added in at the next read or
-        membership change, in send order with the same additions, so
-        ``charges`` is kept by reference until then and must not
-        change.
+        ``forwarders`` lists each forwarding host of the tree beside its
+        child count in ``fanouts``; each pays ``children ×
+        message_kbits`` — the Section 5.1 forwarding-load accounting.
+        The one writer of the ledger: the event-driven plane replays a
+        frozen tree's charges per send.  The charge is only noted here
+        and added in at the next read or membership change, in send
+        order with the same additions, so both lists are kept by
+        reference until then and must not change.
         """
-        self._unfolded.append((charges, message_kbits))
+        self._unfolded.append((forwarders, fanouts, message_kbits))
 
     def _folded(self) -> dict[str, float]:
         """The ledger with every charge noted so far added in."""
         forwarded = self._forwarded_kbits
-        for charges, message_kbits in self._unfolded:
-            for host_name, count in charges:
+        for forwarders, fanouts, message_kbits in self._unfolded:
+            for host_name, count in zip(forwarders, fanouts):
                 forwarded[host_name] += count * message_kbits
         self._unfolded.clear()
         return forwarded

@@ -151,11 +151,10 @@ class MulticastGroup:
     def multicast_from(self, source: Node) -> FlatTree:
         """Deliver one message from ``source`` to every other member.
 
-        Returns the implicit tree the dissemination traced.  Raises if
-        ``source`` is not a member.
+        Returns the implicit tree the dissemination traced.  Raises
+        :class:`KeyError` if ``source`` is not a member (the kernel's
+        one membership check).
         """
-        if source.ident not in self.snapshot:
-            raise KeyError(f"source {source.ident} is not a group member")
         return self._system.run_multicast(self._overlay, source)
 
     def lookup(self, start: Node, key: int):

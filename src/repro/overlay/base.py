@@ -124,7 +124,7 @@ class RingSnapshot:
             # not in ring order yet: one argsort, applied to every column
             order = sorted(range(count), key=idents.__getitem__)
             idents, capacities, bandwidths, names = (
-                [column[index] for index in order]
+                list(map(column.__getitem__, order))
                 for column in (idents, capacities, bandwidths, names)
             )
             for prev, here in zip(idents, idents[1:]):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import math
 import re
+from itertools import groupby
 from random import Random
 
 import pytest
@@ -359,6 +360,40 @@ def test_select_tree_matches_the_dict_split_from_every_source(
 def test_select_tree_matches_the_dict_split_at_the_ring_edges(idents):
     capacities = cycle_capacities([4, 9, 5, 17, 6], len(idents), floor=2)
     assert_rules_match(make_snapshot(10, idents, capacity=capacities), base=3, placement=1)
+
+
+def assert_children_are_runs_of_order(tree: FlatTree) -> None:
+    """The :class:`FlatTree` contract the plane's schedule templates
+    read children by: grouped by parent, ``order[1:]`` is one
+    contiguous run per forwarder, of its child count, in the order the
+    forwarders were delivered."""
+    order = list(tree.order)
+    child_count = tree.child_count
+    runs = [
+        (parent, len(list(children)))
+        for parent, children in groupby(order[1:], key=tree.parent_index.__getitem__)
+    ]
+    assert runs == [(row, child_count[row]) for row in order if child_count[row]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    idents=st.sets(st.integers(min_value=0, max_value=1023), min_size=1, max_size=40),
+    caps=st.lists(st.integers(min_value=4, max_value=16), min_size=1, max_size=6),
+    fanout=st.integers(min_value=2, max_value=8),
+    placement=st.integers(min_value=0, max_value=5),
+)
+def test_children_are_runs_of_the_delivery_order(idents, caps, fanout, placement):
+    """Every builder — ``region_split_tree`` (CAM-Chord, Chord),
+    ``flood_tree`` (CAM-Koorde, Koorde) and ``select_tree`` (El-Ansary's
+    broadcast, proximity) — from every source."""
+    ordered = sorted(idents)
+    capacities = cycle_capacities(caps, len(ordered), floor=4)
+    snap = make_snapshot(10, ordered, capacity=capacities)
+    systems = [*all_four(snap, fanout), *rule_systems(snap, fanout, placement)]
+    for overlay, routine, _ in systems:
+        for source in snap.nodes:
+            assert_children_are_runs_of_order(routine(overlay, source))
 
 
 @pytest.mark.parametrize("degree", [7, 8, 19])

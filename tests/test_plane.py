@@ -479,7 +479,8 @@ class TestPumpCursorAdvance:
             stats = GroupStats(created_at=0.0)
             receipt = SendReceipt("g", seq, seq, "s", 1.0, 0.0, ("s", "h"))
             state = _SendState(
-                receipt, [()], ["h"], [1.0], [cursor], [0], [1], stats,
+                receipt=receipt, kids=[()], hosts=["h"], bandwidths=[1.0],
+                cursors=[cursor], idents=[0], depths=[1], stats=stats,
                 remaining=2,  # never completes: no foreign event interleaves
             )
             heappush(plane._pending, (0.0, plane._pending_seq, state, 0, 0))

@@ -30,6 +30,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -322,6 +323,47 @@ class TestEpochInvalidation:
             plane.drop_group("g")
         assert scope.delta.schedule_cache_misses == 2
         assert scope.delta.schedule_cache_invalidations == 2
+
+
+class TestSendTemplate:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["cam-chord", "chord", "cam-koorde", "koorde"]),
+        size=st.integers(min_value=1, max_value=24),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_kids_and_charges_are_the_trees(self, kind, size, seed):
+        """A template reads each forwarder's children as a run of the
+        tree's ``order``: ``kids[row]`` is exactly the rows
+        ``parent_index`` names as ``row``'s children, in delivery
+        order, and the charges are the tree's forwarders with their
+        child counts, in the order ``children_counts`` lists them."""
+        rng = Random(seed)
+        plane = ServicePlane(space_bits=14)
+        pool = [f"h{index}" for index in range(24)]
+        for name in pool:
+            plane.register_host(name, rng.uniform(200.0, 1200.0))
+        members = rng.sample(pool, size)
+        plane.create_group("g", members, kind=kind)
+        for source in members:
+            plane.send("g", source)
+            template = plane._groups["g"][-1].context.templates[source]
+            tree = template.tree
+            parent_index = tree.parent_index
+            assert [list(kids) for kids in template.kids] == [
+                [child for child in tree.order[1:] if parent_index[child] == row]
+                for row in range(len(parent_index))
+            ]
+            host_of = dict(zip(tree.snapshot.identifiers, tree.snapshot.names))
+            charges = [
+                (host_of[ident], count)
+                for ident, count in tree.children_counts().items()
+                if count
+            ]
+            assert template.forwarders == [host for host, _ in charges]
+            assert template.fanouts == [count for _, count in charges]
+        plane.drain()
+        plane.verify_quiesced()
 
 
 class TestCounters:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.idspace.hashing import assign_identifiers, hash_to_identifier
+from repro.idspace.ring import IdentifierSpace
 from repro.multicast.kernel import FlatTree
 from repro.multicast.service import MulticastService
 from repro.multicast.session import SystemKind
@@ -32,13 +34,13 @@ def blocking_multicast(
         service.member_ident(group_name, name): name
         for name in service.members_of(group_name)
     }
+    charges = [
+        (host_of[ident], count)
+        for ident, count in result.children_counts().items()
+        if count
+    ]
     service.charge(
-        tuple(
-            (host_of[ident], count)
-            for ident, count in result.children_counts().items()
-            if count
-        ),
-        message_kbits,
+        [host for host, _ in charges], [count for _, count in charges], message_kbits
     )
     return result
 
@@ -335,3 +337,81 @@ class TestFoldedLedger:
             if read:
                 check()
         check()
+
+
+class TestIdentifierAssignment:
+    def test_join_moves_no_one_but_a_leave_can_move_a_salted_member(self):
+        """In a 4-bit space ``g/h0`` and ``g/h7`` both hash to 4, so
+        ``h7``, second in join order, is salted (to 0).  A join moves no
+        one; once ``h0`` leaves, ``h7`` moves to its own hash."""
+        space = IdentifierSpace(4)
+        assert hash_to_identifier("g/h0", space) == hash_to_identifier("g/h7", space) == 4
+        service = MulticastService(space_bits=4)
+        for index in range(10):
+            service.register_host(f"h{index}", 500.0)
+        service.create_group("g", ["h0", "h7"])
+        assert service.member_ident("g", "h7") == 0
+        service.join_group("g", "h1")
+        idents = {name: service.member_ident("g", name) for name in ("h0", "h7", "h1")}
+        assert idents == {"h0": 4, "h7": 0, "h1": 13}
+        service.leave_group("g", "h0")
+        assert service.member_ident("g", "h7") == 4
+        assert service.member_ident("g", "h1") == 13
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        bits=st.integers(min_value=4, max_value=6),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["join", "leave", "drop", "create"]),
+                st.integers(min_value=0, max_value=2**16),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_every_rebuild_assigns_what_a_fresh_assignment_does(self, bits, ops):
+        """Join, leave, drop and recreate in spaces small enough for
+        collisions: after every operation each member holds the
+        identifier :func:`assign_identifiers` gives the join-order
+        member list, and the service holds hashes of live members only."""
+        space = IdentifierSpace(bits)
+        service = MulticastService(space_bits=bits)
+        pool = [f"h{index}" for index in range(12)]
+        for name in pool:
+            service.register_host(name, 500.0)
+        groups: dict[str, list[str]] = {}  # the model: members in join order
+
+        def check() -> None:
+            assert service._hashes.keys() == groups.keys()
+            for group_name, members in groups.items():
+                keys = [f"{group_name}/{name}" for name in members]
+                expected = assign_identifiers(keys, space)
+                assert service.members_of(group_name) == members
+                assert [service.member_ident(group_name, name) for name in members] == [
+                    expected[key] for key in keys
+                ]
+                assert service._hashes[group_name] == {
+                    name: hash_to_identifier(key, space) for name, key in zip(members, keys)
+                }
+
+        check()
+        for op, code in ops:
+            group_name = f"g{code % 2}"
+            members = groups.get(group_name)
+            if op == "create" and members is None:
+                chosen = Random(code).sample(pool, 1 + code % 8)
+                service.create_group(group_name, chosen)
+                groups[group_name] = chosen
+            elif op == "drop" and members is not None:
+                service.drop_group(group_name)
+                del groups[group_name]
+            elif op == "join" and members is not None and len(members) < len(pool):
+                outsiders = [name for name in pool if name not in members]
+                joiner = outsiders[code % len(outsiders)]
+                service.join_group(group_name, joiner)
+                members.append(joiner)
+            elif op == "leave" and members is not None and len(members) > 1:
+                leaver = members[code % len(members)]
+                service.leave_group(group_name, leaver)
+                members.remove(leaver)
+            check()

@@ -7,10 +7,12 @@ from random import Random
 import pytest
 
 from repro.multicast.session import MulticastGroup, SystemKind
+from repro.overlay.base import Node
 from repro.overlay.cam_chord import CamChordOverlay
 from repro.overlay.cam_koorde import CamKoordeOverlay
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.koorde import KoordeOverlay
+from repro.systems import all_descriptors
 from tests.conftest import random_snapshot
 
 
@@ -103,13 +105,16 @@ class TestMulticast:
         assert max(tree.children_counts().values()) <= 4
 
     def test_non_member_source_rejected(self):
-        group = MulticastGroup.build(
-            SystemKind.CAM_CHORD, bandwidths(10), per_link_kbps=100, space_bits=12
-        )
-        from repro.overlay.base import Node
-
-        with pytest.raises(KeyError):
-            group.multicast_from(Node(ident=1, capacity=4))
+        """The kernel's one membership check answers for the facade,
+        with the same message, on every registry system."""
+        for descriptor in all_descriptors():
+            group = MulticastGroup.build(
+                descriptor, bandwidths(10), per_link_kbps=100, space_bits=12
+            )
+            ident = next(x for x in range(4096) if x not in group.snapshot)
+            message = f"source {ident} is not a group member"
+            with pytest.raises(KeyError, match=f"^'{message}'$"):
+                group.multicast_from(Node(ident=ident, capacity=4))
 
     def test_lookup_delegates(self):
         group = MulticastGroup.build(
