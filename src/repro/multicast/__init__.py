@@ -36,7 +36,6 @@ _EXPORTS = {
     "PlaneReport": "repro.multicast.plane",
     "SendReceipt": "repro.multicast.plane",
     "SequenceAudit": "repro.multicast.plane",
-    "SequenceLedger": "repro.multicast.plane",
     "SharedTree": "repro.multicast.tree_building",
     "build_shared_tree": "repro.multicast.tree_building",
     "FlatTree": "repro.multicast.kernel",

@@ -21,12 +21,14 @@ service — is that regime as a deterministic discrete-event system:
   A saturated host defers its forwarding slots; the plane counts those
   deferrals and the queue depth they imply, per group.
 * **Sequencing.**  Each group stamps sends with a monotonically
-  increasing sequence number; each member carries a delivery cursor
-  (:class:`SequenceLedger`) that detects duplicates on arrival and
-  names every gap at audit time.  A member joining mid-stream is
-  obligated from the next sequence; a leaver stays obligated for every
-  send originated while it was a member — exactly the frozen send-time
-  membership the trace layer's ``mc.origin`` events record.
+  increasing sequence number, and a send owes its copy to exactly the
+  membership frozen at origin — the set the trace layer's
+  ``mc.origin`` events record.  So a member joining mid-stream is
+  obligated from the next sequence, and a leaver for every send
+  originated while it was a member.  A send's receipt holds its
+  deliveries in two columns over the epoch's rows; a second copy of a
+  delivery finds its row already filled (a duplicate), and the audit
+  names every gap from the rows still empty.
 * **Mid-stream membership.**  ``create_group`` / ``join`` / ``leave``
   are admitted *during* active dissemination: the group's snapshot and
   overlay rebuild through the registry path
@@ -43,9 +45,9 @@ source walks the *same* tree with the *same* per-hop terms, and every
 member keeps its *row* — its position on the ring, the index
 :class:`~repro.multicast.kernel.FlatTree` speaks.  The row is the only
 key on the delivery path.  Per (group, membership epoch) the plane
-keeps three columns (host name, uplink bandwidth, open ledger cursor)
-and per source inside it a :class:`_SendTemplate`: the tree, each
-forwarder's children — a run of the tree's delivery order, so a
+keeps its columns (host name, uplink bandwidth, identifier) and per
+source inside it a :class:`_SendTemplate`: the tree, each forwarder's
+children — a run of the tree's delivery order, so a
 template costs work per forwarder, not per edge — and its forwarding
 charges; every hop adds the plane's one float hop latency.  A first
 send from a source is simply the send that builds its template.
@@ -60,24 +62,26 @@ its receipts, audits, ``mc.*`` traces and reports live on as the
 golden digests in ``tests/golden/plane_observables.json`` (that
 module's docstring says where each came from and how to regenerate).
 
-A delivery that is its cursor's next sequence moves the cursor on in
-the loop; any other goes through ``_Cursor.record``, the one full
-implementation of the cursor rules.  A forwarding node takes all its
-children's uplink slots in one run reservation, which hands back only
-the run's start and end — the node rebuilds each slot's end with the
-budget's own additions.  A send only notes its forwarding charges (two
-lists: hosts and child counts) on the service's ledger, which adds
-them in when it is read or its membership changes.  The ``mc.origin``
+A delivery writes its time into the receipt's ``times`` row and its
+row onto ``order``, and a delivery whose row already holds a time is
+a duplicate; nothing per member is kept beside the receipts.  A
+forwarding node takes all its children's uplink slots in one run
+reservation, which hands back only the run's start and end — the
+node rebuilds each slot's end with the budget's own additions.  A
+send only notes its forwarding charges (two lists: hosts and child
+counts) on the service's ledger, which adds them in when it is read
+or its membership changes.  The ``mc.origin``
 membership and capacity lists are built at an epoch's first traced
 origin, so an untraced plane never builds them.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import compress
-from math import inf
+from math import inf, nextafter
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
@@ -97,54 +101,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
 _Kids = tuple[int, ...]
 
 
-# -- sequencing -------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class _Cursor:
-    """One member's delivery obligations and progress in one group."""
-
-    first: int  # first sequence the member must receive
-    last: int | None = None  # last obligated sequence (None = still member)
-    contiguous: int = 0  # highest n with first..n all delivered
-    ahead: set[int] = field(default_factory=set)  # delivered out of order
-    dups: int = 0
-    unexpected: int = 0  # deliveries outside first..last
-
-    def __post_init__(self) -> None:
-        self.contiguous = self.first - 1
-
-    def record(self, seq: int) -> str:
-        """Account one delivery; returns ``"ok"``, ``"dup"`` or
-        ``"unexpected"`` (outside this stint's obligations)."""
-        last = self.last
-        if seq < self.first or (last is not None and seq > last):
-            self.unexpected += 1
-            return "unexpected"
-        contiguous = self.contiguous
-        if seq <= contiguous or seq in self.ahead:
-            self.dups += 1
-            return "dup"
-        if seq != contiguous + 1:
-            self.ahead.add(seq)
-            return "ok"
-        # the next one in line: advance through whatever ran ahead
-        ahead = self.ahead
-        while seq + 1 in ahead:
-            seq += 1
-            ahead.remove(seq)
-        self.contiguous = seq
-        return "ok"
+# -- sequencing and send bookkeeping ----------------------------------------
 
 
 @dataclass(frozen=True)
 class SequenceAudit:
-    """What the cursors say once the plane has quiesced.
+    """What the receipts say once the plane has quiesced.
 
     ``gaps`` maps each member with missing sequences to the exact
-    sequence numbers it never received; ``dups`` / ``unexpected`` count
-    repeated and never-obligated deliveries.  A healthy plane audits to
-    ``clean``.
+    sequence numbers it never received; ``dups`` counts repeated
+    deliveries.  ``unexpected`` (a delivery the member was never
+    obligated for) is 0 by construction: a delivery can only land on a
+    row of its send's frozen membership, which is exactly the set of
+    members obligated for that sequence.  The field stays so an audit
+    reads as ``(gaps, dups, unexpected)`` as it always has.  A healthy
+    plane audits to ``clean``.
     """
 
     gaps: Mapping[str, tuple[int, ...]]
@@ -156,110 +127,20 @@ class SequenceAudit:
         return not self.gaps and self.dups == 0 and self.unexpected == 0
 
 
-class SequenceLedger:
-    """Per-member delivery cursors for one group's sequence space.
-
-    The ledger is pure bookkeeping — no clock, no randomness — so the
-    gap/duplicate semantics are testable in isolation and the plane
-    simply feeds it ``record`` calls as deliveries land.  Sequences in
-    a group count up from 1; cursors compress the delivered set into a
-    contiguous prefix plus an out-of-order overflow, so overlapping
-    sends that complete out of order cost O(overlap) not O(history).
-
-    A member that leaves and later rejoins gets a fresh *stint*: each
-    stint is its own cursor with its own obligation range (stints never
-    overlap — a leave freezes obligations at the last issued sequence
-    and a rejoin starts at the next one), and the audit merges every
-    stint's gaps per member.
-    """
-
-    def __init__(self) -> None:
-        self._cursors: dict[str, list[_Cursor]] = {}
-        self._issued = 0  # highest sequence number originated so far
-        self._unexpected = 0
-
-    @property
-    def issued(self) -> int:
-        """The highest sequence number originated in the group."""
-        return self._issued
-
-    def issue(self) -> int:
-        """Stamp the next send: sequence numbers are 1, 2, 3, ..."""
-        self._issued += 1
-        return self._issued
-
-    def admit(self, member: str, first_seq: int | None = None) -> None:
-        """Start a member's (next) stint, obligated from ``first_seq``
-        on (default: the next sequence to be issued)."""
-        stints = self._cursors.setdefault(member, [])
-        if stints and stints[-1].last is None:
-            raise ValueError(f"member {member!r} already tracked")
-        first = first_seq if first_seq is not None else self._issued + 1
-        stints.append(_Cursor(first=first))
-
-    def retire(self, member: str, last_seq: int | None = None) -> None:
-        """Freeze a member's obligations at ``last_seq`` (default: the
-        last sequence issued).  The cursor stays for the final audit —
-        a leaver remains accountable for sends it was a member of."""
-        stints = self._cursors.get(member)
-        if not stints or stints[-1].last is not None:
-            raise ValueError(f"member {member!r} is not actively tracked")
-        stints[-1].last = last_seq if last_seq is not None else self._issued
-
-    def record(self, member: str, seq: int) -> str:
-        """Account one delivery; returns ``"ok"``, ``"dup"`` or
-        ``"unexpected"`` (delivery outside the member's obligations).
-        Stint ranges never overlap and start in increasing order, so
-        only the latest stint begun by ``seq`` can be obligated."""
-        for stint in reversed(self._cursors.get(member, ())):
-            if seq >= stint.first:
-                return stint.record(seq)
-        self._unexpected += 1
-        return "unexpected"
-
-    def active_cursors(self, members: Iterable[str]) -> list[_Cursor]:
-        """Each member's open stint, in ``members`` order — the same
-        objects until the member's next leave and rejoin."""
-        cursors = self._cursors
-        return [cursors[member][-1] for member in members]
-
-    def retire_all(self) -> None:
-        """Freeze every still-active cursor (group teardown)."""
-        for stints in self._cursors.values():
-            if stints and stints[-1].last is None:
-                stints[-1].last = self._issued
-
-    def audit(self) -> SequenceAudit:
-        """Gaps/dups across all cursors against their obligations."""
-        gaps: dict[str, tuple[int, ...]] = {}
-        dups = 0
-        unexpected = self._unexpected  # deliveries before any stint
-        for member, stints in sorted(self._cursors.items()):
-            missing: list[int] = []
-            for cursor in stints:
-                last = cursor.last if cursor.last is not None else self._issued
-                missing.extend(
-                    seq
-                    for seq in range(cursor.contiguous + 1, last + 1)
-                    if seq not in cursor.ahead
-                )
-                dups += cursor.dups
-                unexpected += cursor.unexpected
-            if missing:
-                gaps[member] = tuple(missing)
-        return SequenceAudit(gaps=gaps, dups=dups, unexpected=unexpected)
-
-
-# -- send bookkeeping -------------------------------------------------------
+#: one not-yet-delivered row of a receipt's ``times`` column
+_UNDELIVERED = array("d", [-1.0])
 
 
 class SendReceipt:
     """One scheduled send: its frozen context and live progress.
 
-    ``members`` is the frozen send-time membership (host names) — the
-    set the completeness oracle judges.  ``delivered`` fills in as the
-    dissemination plays out; ``completion`` resolves with the receipt
-    once every frozen member has its copy.
+    ``members`` is the frozen send-time membership (host names, join
+    order) — the set the completeness oracle judges.  The deliveries
+    are two columns over the send's epoch rows (``hosts[row]`` names a
+    row): ``times[row]`` is the row's delivery time, or -1.0 while it
+    has none, and ``order`` lists the delivered rows in commit order,
+    the source first.  ``completion`` resolves with the receipt once
+    every frozen member has its copy.
     """
 
     __slots__ = (
@@ -270,7 +151,9 @@ class SendReceipt:
         "message_kbits",
         "origin_time",
         "members",
-        "delivered",
+        "hosts",
+        "times",
+        "order",
         "completion",
     )
 
@@ -283,6 +166,8 @@ class SendReceipt:
         message_kbits: float,
         origin_time: float,
         members: tuple[str, ...],
+        hosts: Sequence[str],
+        source_row: int,
     ) -> None:
         self.group = group
         self.seq = seq
@@ -291,9 +176,20 @@ class SendReceipt:
         self.message_kbits = message_kbits
         self.origin_time = origin_time
         self.members = members
-        #: host name -> delivery time (the source maps to origin_time)
-        self.delivered: dict[str, float] = {source: origin_time}
+        self.hosts = hosts
+        self.times = times = _UNDELIVERED * len(hosts)
+        times[source_row] = origin_time
+        self.order = array("l", [source_row])
         self.completion = Future()
+
+    @property
+    def delivered(self) -> dict[str, float]:
+        """Host name -> delivery time, in commit order (the source
+        first, at ``origin_time``): a fresh dict built from the columns
+        at every read, so changing it changes nothing here."""
+        hosts = self.hosts
+        times = self.times
+        return {hosts[row]: times[row] for row in self.order}
 
     @property
     def complete(self) -> bool:
@@ -302,8 +198,8 @@ class SendReceipt:
     def verify_complete(self) -> None:
         """The completeness oracle: every frozen send-time member got
         its copy (raises with the missing hosts otherwise)."""
-        delivered = self.delivered
-        if not all(map(delivered.__contains__, self.members)):
+        if min(self.times) < 0.0:
+            delivered = self.delivered
             missing = [host for host in self.members if host not in delivered]
             raise AssertionError(
                 f"send {self.group}#{self.seq}: {len(missing)} frozen "
@@ -320,9 +216,8 @@ class _EpochSchedule:
     discards the context (counted as schedule-cache invalidations).
     The columns are indexed by snapshot row (a member's position on the
     ring, the index :class:`FlatTree` uses): ``hosts`` beside
-    ``idents`` is the epoch's one identifier <-> host mapping, and
-    ``cursors`` holds each member's open ledger stint, which only a
-    leave or a drop — an epoch bump — can close.  ``trace_columns``
+    ``idents`` is the epoch's one identifier <-> host mapping, and a
+    receipt's delivery columns run over the same rows.  ``trace_columns``
     (the ``mc.origin`` membership and capacity lists) is built at the
     epoch's first traced origin and shared by the rest: every
     ``mc.origin`` carries the same frozen membership, so one object
@@ -333,7 +228,6 @@ class _EpochSchedule:
     member_names: tuple[str, ...]  # join order: what a receipt freezes
     hosts: Sequence[str]
     bandwidths: Sequence[float]
-    cursors: list[_Cursor]
     idents: Sequence[int]
     capacities: Sequence[int]
     system_name: str
@@ -368,18 +262,19 @@ class _SendState:
     """Per-send progress of one template-driven dissemination.
 
     Holds the row columns of the epoch and the stats of the group
-    *incarnation* the send was originated under: a member that leaves
-    and rejoins, or a name dropped and recreated mid-flight, gets fresh
-    cursors, and this send's deliveries must keep landing in the old.
+    *incarnation* the send was originated under: a name dropped and
+    recreated mid-flight gets fresh stats, and this send's deliveries
+    must keep counting in the old.
     """
 
     receipt: SendReceipt
     kids: list[_Kids]
     hosts: Sequence[str]
     bandwidths: Sequence[float]
-    cursors: list[_Cursor]
-    idents: Sequence[int]  # read only when tracing, like ``depths``
+    # the next three are read only when tracing
+    idents: Sequence[int]
     depths: Sequence[int]
+    parents: Sequence[int]
     stats: GroupStats
     remaining: int  # frozen members still to deliver to
 
@@ -479,11 +374,13 @@ class PlaneReport:
 
 @dataclass(slots=True, eq=False)
 class _Group:
-    """One incarnation of a group name: its sequence space, its
-    counters and, while it is live, the current epoch's schedules."""
+    """One incarnation of a group name: its counters, its receipts in
+    sequence order (the last one's ``seq`` is ``issued``) and, while it
+    is live, the current epoch's schedules."""
 
-    ledger: SequenceLedger
     stats: GroupStats
+    issued: int = 0  # highest sequence number originated so far
+    receipts: list[SendReceipt] = field(default_factory=list)
     context: _EpochSchedule | None = None
 
 
@@ -528,17 +425,22 @@ class ServicePlane:
         self.service = MulticastService(space_bits)
         self.simulator = Simulator()
         self.budget = UplinkBudget()
+        hop_latency = float(hop_latency)
+        if not 0.0 <= hop_latency < inf:
+            raise ValueError(
+                f"hop latency must be finite and >= 0, got {hop_latency}"
+            )
         #: one-way latency of every overlay hop, in seconds
-        self._hop_latency = float(hop_latency)
+        self._hop_latency = hop_latency
         # every incarnation of every group name, in creation order; the
         # last one is the live group unless its stats say closed
         self._groups: dict[str, list[_Group]] = {}
         self._next_mid = 1
         self._receipts: list[SendReceipt] = []
-        # pending deliveries: (time, plane seq, state, child, parent) —
-        # the plane seq is the insertion-order tie-break the engine
-        # would apply were each delivery its own event
-        self._pending: list[tuple[float, int, _SendState, int, int]] = []
+        # pending deliveries: (time, plane seq, state, row) — the plane
+        # seq is the insertion-order tie-break the engine would apply
+        # were each delivery its own event
+        self._pending: list[tuple[float, int, _SendState, int]] = []
         self._pending_seq = 0
         self._wavefront: list | None = None  # its engine event
         self._wavefront_time: float | None = None
@@ -567,13 +469,10 @@ class ServicePlane:
         self.service.create_group(
             group_name, member_names, kind, per_link_kbps, uniform_fanout
         )
-        ledger = SequenceLedger()
-        for member in self.service.members_of(group_name):
-            ledger.admit(member)
         # a recreated name opens a new incarnation beside the closed
-        # one, whose in-flight sends keep their own ledger and stats
+        # one, whose in-flight sends keep their own receipts and stats
         self._groups.setdefault(group_name, []).append(
-            _Group(ledger, GroupStats(created_at=self.now))
+            _Group(GroupStats(created_at=self.now))
         )
 
     def _live(self, group_name: str) -> _Group:
@@ -588,21 +487,18 @@ class ServicePlane:
         registry path; in-flight sends keep their frozen trees.  The
         joiner is obligated from the *next* sequence number."""
         self.service.join_group(group_name, host_name)
-        self._live(group_name).ledger.admit(host_name)
 
     def leave(self, group_name: str, host_name: str) -> None:
         """Remove a host mid-stream.  The leaver stays obligated for
         every sequence originated while it was a member — including
         in-flight sends, which deliver against frozen membership."""
         self.service.leave_group(group_name, host_name)
-        self._live(group_name).ledger.retire(host_name)
 
     def drop_group(self, group_name: str) -> None:
         """Tear a group down.  In-flight sends finish (frozen trees);
-        the ledger and stats stay readable for the final audit."""
+        the receipts and stats stay readable for the final audit."""
         self.service.drop_group(group_name)
         group = self._live(group_name)
-        group.ledger.retire_all()
         group.stats.closed = True
         if group.context is not None:
             perf.COUNTERS.schedule_cache_invalidations += len(
@@ -635,7 +531,7 @@ class ServicePlane:
             else:
                 perf.COUNTERS.schedule_cache_misses += 1
             self.service.charge(template.forwarders, template.fanouts, message_kbits)
-            seq = group.ledger.issue()
+            group.issued = seq = group.issued + 1
             mid = self._next_mid
             self._next_mid += 1
             now = self.simulator.now
@@ -643,6 +539,8 @@ class ServicePlane:
             stats.sends += 1
             if stats.first_origin is None:
                 stats.first_origin = now
+            tree = template.tree
+            source_row = tree.order[0]
             receipt = SendReceipt(
                 group=group_name,
                 seq=seq,
@@ -651,13 +549,14 @@ class ServicePlane:
                 message_kbits=message_kbits,
                 origin_time=now,
                 members=context.member_names,
+                hosts=context.hosts,
+                source_row=source_row,
             )
+            group.receipts.append(receipt)
             self._receipts.append(receipt)
-            tree = template.tree
             state = _SendState(
-                receipt, template.kids,
-                context.hosts, context.bandwidths, context.cursors,
-                context.idents, tree.depth_array, stats,
+                receipt, template.kids, context.hosts, context.bandwidths,
+                context.idents, tree.depth_array, tree.parent_index, stats,
                 remaining=len(context.member_names) - 1,  # not the source
             )
             source_ident = tree.source_ident
@@ -686,8 +585,6 @@ class ServicePlane:
                     mid=mid, ident=source_ident, depth=0, parent=None,
                     group=group_name, seq=seq,
                 )
-            source_row = tree.order[0]
-            context.cursors[source_row].record(seq)
             if state.remaining == 0:
                 receipt.completion.resolve(receipt)
             else:
@@ -760,7 +657,6 @@ class ServicePlane:
             member_names=tuple(self.service.members_of(group_name)),
             hosts=hosts,
             bandwidths=snapshot.bandwidths,
-            cursors=group.ledger.active_cursors(hosts),
             idents=snapshot.identifiers,
             capacities=snapshot.capacities,
             system_name=overlay.system.name,
@@ -816,7 +712,7 @@ class ServicePlane:
         self._pending_seq = seq + count
         for child in kids:
             done += serialize
-            heappush(pending, (done + latency, seq, state, child, row))
+            heappush(pending, (done + latency, seq, state, child))
             seq += 1
 
     def _arm_wavefront(self) -> None:
@@ -853,13 +749,17 @@ class ServicePlane:
         self._wavefront_time = None
         pending = self._pending
         engine = self.simulator
-        bound = engine.run_bound
         now = engine.now
+        after_now = nextafter(now, inf)
+        past_bound = nextafter(engine.run_bound, inf)
         # the earliest foreign event, read once: only a completion this
         # loop schedules can put one in front of it
         horizon = engine.next_event_time()
         if horizon is None:
             horizon = inf
+        # a delivery commits iff it is due before ``cut``: not after the
+        # run bound, and at ``now`` or before the horizon
+        cut = min(horizon if horizon > now else after_now, past_bound)
         trace_dup = TRACER.mc and "dup" in TRACER.mc
         trace_deliver = TRACER.mc and "deliver" in TRACER.mc
         forward = self._forward
@@ -868,47 +768,38 @@ class ServicePlane:
             # heap keys are unique (``seq`` is), so popping the head and
             # pushing it back when it must wait changes no commit order
             entry = heappop(pending)
-            time, _, state, row, parent = entry
-            if time > bound or (time > now and time >= horizon):
+            time, _, state, row = entry
+            if time >= cut:
                 heappush(pending, entry)
                 break
             committed = True
             receipt = state.receipt
             stats = state.stats
             stats.queue_depth -= 1
-            cursor = state.cursors[row]
-            seq = receipt.seq
-            # the next one in line with nothing ahead, inside the stint:
-            # what _Cursor.record does for it, without the call; every
-            # other delivery takes the full rules
-            if (
-                seq == cursor.contiguous + 1
-                and not cursor.ahead
-                and (cursor.last is None or seq <= cursor.last)
-            ):
-                cursor.contiguous = seq
-            elif cursor.record(seq) == "dup":
+            times = receipt.times
+            if times[row] >= 0.0:
                 stats.dups += 1
                 if trace_dup:
                     idents = state.idents
                     TRACER.emit(
                         time, "mc", "dup",
                         mid=receipt.mid, ident=idents[row],
-                        sender=idents[parent],
-                        group=receipt.group, seq=seq,
+                        sender=idents[state.parents[row]],
+                        group=receipt.group, seq=receipt.seq,
                     )
                 continue
+            times[row] = time
+            receipt.order.append(row)
             stats.deliveries += 1
             stats.delivered_kbits += receipt.message_kbits
             stats.last_delivery = time
-            receipt.delivered[state.hosts[row]] = time
             if trace_deliver:
                 idents = state.idents
                 TRACER.emit(
                     time, "mc", "deliver",
                     mid=receipt.mid, ident=idents[row],
-                    depth=state.depths[row], parent=idents[parent],
-                    group=receipt.group, seq=seq,
+                    depth=state.depths[row], parent=idents[state.parents[row]],
+                    group=receipt.group, seq=receipt.seq,
                 )
             remaining = state.remaining - 1
             state.remaining = remaining
@@ -920,6 +811,7 @@ class ServicePlane:
                 engine.call_at(time, receipt.completion.resolve, receipt)
                 if time < horizon:
                     horizon = time
+                    cut = min(time if time > now else after_now, past_bound)
             kids = state.kids[row]
             if kids:
                 forward(state, row, kids, time)
@@ -1005,22 +897,31 @@ class ServicePlane:
         return tuple(self._receipts)
 
     def audit(self) -> SequenceAudit:
-        """Merge every group incarnation's cursor audit (run
+        """Every group incarnation's gaps, read off its receipts (run
         :meth:`drain` first — in-flight sends legitimately show as
-        gaps).  Gaps are keyed ``group/member``; a recreated name's
-        later incarnations are told apart as ``group#2/member``, ..."""
+        gaps): a member misses a sequence iff its row of that send is
+        still undelivered.  Gaps are keyed ``group/member``, members
+        sorted, sequences ascending; a recreated name's later
+        incarnations are told apart as ``group#2/member``, ..."""
         gaps: dict[str, tuple[int, ...]] = {}
         dups = 0
-        unexpected = 0
         for group_name in sorted(self._groups):
             for nth, group in enumerate(self._groups[group_name], 1):
                 label = group_name if nth == 1 else f"{group_name}#{nth}"
-                audit = group.ledger.audit()
-                for member, missing in audit.gaps.items():
-                    gaps[f"{label}/{member}"] = missing
-                dups += audit.dups
-                unexpected += audit.unexpected
-        return SequenceAudit(gaps=gaps, dups=dups, unexpected=unexpected)
+                missing: dict[str, list[int]] = {}
+                for receipt in group.receipts:
+                    times = receipt.times
+                    if min(times) < 0.0:
+                        hosts = receipt.hosts
+                        for row, when in enumerate(times):
+                            if when < 0.0:
+                                missing.setdefault(hosts[row], []).append(
+                                    receipt.seq
+                                )
+                for member in sorted(missing):
+                    gaps[f"{label}/{member}"] = tuple(missing[member])
+                dups += group.stats.dups
+        return SequenceAudit(gaps=gaps, dups=dups, unexpected=0)
 
     def verify_quiesced(self) -> None:
         """The plane's oracles after :meth:`drain`: every send complete

@@ -43,6 +43,7 @@ from repro.multicast.plane import ServicePlane
 from repro.sim.transfer import UplinkBudget, delivery_timeline
 from repro.trace.tracer import TRACER
 from tests.golden import plane_observables as golden
+from tests.sequence_ledger import Mirror, assert_same_audit
 
 #: the subprocess test imports ``tests.golden`` from here
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -259,10 +260,15 @@ class TestEpochInvalidation:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=2**31 - 1), min_size=1, max_size=40))
     def test_membership_ops_bump_epoch_and_freeze_membership(self, codes):
+        with TRACER.capture():
+            self._bump_and_freeze(codes)
+
+    def _bump_and_freeze(self, codes):
         plane = make_plane(hosts=8)
+        mirror = Mirror(plane)
         pool = [f"h{i}" for i in range(8)]
         members = ["h0", "h1", "h2"]
-        plane.create_group("g", list(members))
+        mirror.create("g", list(members))
         service = plane.service
         epoch = service.membership_epoch("g")
         admissions = {name: 1 for name in members}
@@ -272,7 +278,7 @@ class TestEpochInvalidation:
                 candidates = [name for name in pool if name not in members]
                 if candidates:
                     joiner = candidates[(code // 3) % len(candidates)]
-                    plane.join("g", joiner)
+                    mirror.join("g", joiner)
                     members.append(joiner)
                     admissions[joiner] = admissions.get(joiner, 0) + 1
                     bumped = service.membership_epoch("g")
@@ -283,7 +289,7 @@ class TestEpochInvalidation:
             if op == 1:  # leave (keeps at least one member)
                 if len(members) > 1:
                     leaver = members[(code // 3) % len(members)]
-                    plane.leave("g", leaver)
+                    mirror.leave("g", leaver)
                     members.remove(leaver)
                     bumped = service.membership_epoch("g")
                     assert bumped > epoch, "leave must open a new epoch"
@@ -292,7 +298,7 @@ class TestEpochInvalidation:
                 op = 2
             if op == 2:  # send: frozen membership == current members
                 source = members[(code // 3) % len(members)]
-                receipt = plane.send("g", source, 4.0)
+                receipt = mirror.send("g", source, 4.0)
                 assert set(receipt.members) == set(members), (
                     "a send must freeze exactly the current epoch's "
                     "membership — never a stale tree's"
@@ -300,6 +306,7 @@ class TestEpochInvalidation:
                 assert service.membership_epoch("g") == epoch, (
                     "sends must not bump the epoch"
                 )
+        assert_same_audit(plane, mirror)  # in flight: every send owes
         plane.drain()
         plane.verify_quiesced()  # leavers still complete in-flight sends
         for receipt in plane.receipts():
@@ -307,7 +314,10 @@ class TestEpochInvalidation:
                 "deliveries must cover the frozen membership exactly: "
                 "no departed member may receive through a stale tree"
             )
-        ledger = plane._groups["g"][-1].ledger
+        # the reference ledger opened a fresh stint at every rejoin,
+        # and the receipts owe exactly what its stints owe
+        assert_same_audit(plane, mirror)
+        ledger = mirror.ledgers["g"][-1]
         for name, stints in ledger._cursors.items():
             assert len(stints) == admissions[name], (
                 f"{name}: every leave-then-rejoin must open a fresh stint"
