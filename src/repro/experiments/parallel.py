@@ -24,16 +24,14 @@ deterministic build the serial path does.
 
 Workers ship their observability delta — :mod:`repro.perf` counter
 increments *and* the trace events the task emitted (see
-:mod:`repro.trace.registry`) — back with each payload, plus their
-peak RSS; the engine folds counters into per-figure totals for the
-runner's perf footer and reassembles trace buffers in deterministic
-task-plan order, which extends the byte-identical guarantee to
-``--trace`` output.
+:mod:`repro.trace.registry`) — back with each payload; the engine
+folds counters into per-figure totals for the runner's perf footer and
+reassembles trace buffers in deterministic task-plan order, which
+extends the byte-identical guarantee to ``--trace`` output.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -56,24 +54,17 @@ class Task:
 
 @dataclass
 class FigureRun:
-    """One assembled experiment result with its execution accounting.
+    """One assembled experiment result with its counter delta.
 
-    ``work_seconds`` sums the wall-clock of the run's tasks — under
-    ``--jobs N`` the figure's elapsed wall time can be up to N times
-    smaller than its work time.  ``events`` holds the trace events the
-    run's tasks emitted (empty unless tracing was enabled), in task
-    order.  ``peak_rss_mb`` is the largest peak RSS among the processes
-    that ran the tasks, read as each task finished (None where
-    :func:`repro.perf.peak_rss` is unavailable).
+    ``events`` holds the trace events the run's tasks emitted (empty
+    unless tracing was enabled), in task order.
     """
 
     name: str
     seed: int
     result: FigureResult
     counters: perf.PerfCounters
-    work_seconds: float
     events: tuple[TraceEvent, ...] = field(default_factory=tuple)
-    peak_rss_mb: float | None = None
 
 
 def plan_tasks(
@@ -97,25 +88,21 @@ class TaskOutcome(NamedTuple):
 
     payload: object
     delta: obs.ObsDelta
-    wall_seconds: float
-    peak_rss_mb: float | None  # of the executing process, after the task
 
 
 def execute_task(task: Task, scale: ExperimentScale) -> TaskOutcome:
-    """Run one task and measure it.
+    """Run one task and record its observability delta.
 
     Module-level so the process pool can pickle it by reference.
     """
     module = registry.load(task.figure)
     before = obs.snapshot()
-    started = time.perf_counter()
     if task.point_index is None:
         payload: object = module.run(scale, task.seed)
     else:
         point = module.sweep(scale)[task.point_index]
         payload = module.run_point(scale, task.seed, point)
-    wall = time.perf_counter() - started
-    return TaskOutcome(payload, obs.since(before), wall, perf.peak_rss_mb())
+    return TaskOutcome(payload, obs.since(before))
 
 
 def _init_worker(tracing_enabled: bool) -> None:
@@ -170,12 +157,5 @@ def run_experiments(
             delta = obs.ObsDelta()
             for part in parts:
                 delta = delta + part.delta
-            work = sum(part.wall_seconds for part in parts)
-            rss = max(
-                (p.peak_rss_mb for p in parts if p.peak_rss_mb is not None),
-                default=None,
-            )
-            runs.append(
-                FigureRun(name, seed, result, delta.counters, work, delta.events, rss)
-            )
+            runs.append(FigureRun(name, seed, result, delta.counters, delta.events))
     return runs

@@ -96,10 +96,6 @@ REGISTRY: dict[str, ExperimentInfo] = {
             "fault-injection campaign: invariant oracles after ring repair",
         ),
         ExperimentInfo(
-            "extL", "ext_scale",
-            "scale sweep over decades of n: build/multicast/metrics time + RSS",
-        ),
-        ExperimentInfo(
             "extM", "ext_scenarios",
             "scenario matrix: workload x fault x topology cells under oracles",
         ),

@@ -10,15 +10,14 @@ paper plots — plus shape notes.  ``--out DIR`` additionally writes one
 ``<figure>.txt`` per result.  ``--jobs N`` fans figure runs,
 replication seeds and per-figure sweep points out over N worker
 processes; the tables are bit-for-bit identical to the serial run.
-``--profile`` wraps each figure in cProfile and prints the top 20
-functions by cumulative time.
+The runner measures no host time: to profile a figure, run this
+module under the standard library's profiler (EXPERIMENTS.md shows how).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -69,13 +68,6 @@ def main(argv: list[str] | None = None) -> int:
         " (inspect with: python -m repro.trace summarize PATH)",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run each figure under cProfile and print the top 20 functions"
-        " by cumulative time (forces --jobs 1: the profiler only sees"
-        " this process)",
-    )
-    parser.add_argument(
         "--list",
         action="store_true",
         help="print the experiment names with descriptions and exit",
@@ -98,10 +90,6 @@ def main(argv: list[str] | None = None) -> int:
             f"unknown experiments: {unknown}; choose from {list(registry.REGISTRY)}"
         )
 
-    if args.profile and args.jobs > 1:
-        print("# --profile forces --jobs 1 (cProfile cannot see worker processes)")
-        args.jobs = 1
-
     scale = resolve_scale(args.scale)
     print(f"# scale={scale.name} n={scale.group_size} sources={scale.sources}")
     if args.out is not None:
@@ -116,25 +104,11 @@ def main(argv: list[str] | None = None) -> int:
 
     perf.reset()
 
-    total_started = time.time()
     seeds = [args.seed + offset for offset in range(args.replicate)]
     # --trace records for the length of the runs only and leaves the
     # process-global tracer as it found it (each run keeps its events)
     with TRACER.capture() if args.trace is not None else nullcontext():
-        if args.profile:
-            import cProfile
-            import pstats
-
-            runs = []
-            for name in names:
-                profiler = cProfile.Profile()
-                profiler.enable()
-                runs.extend(run_experiments([name], scale, seeds=seeds, jobs=1))
-                profiler.disable()
-                print(f"# profile[{name}]: top 20 by cumulative time")
-                pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
-        else:
-            runs = run_experiments(names, scale, seeds=seeds, jobs=args.jobs)
+        runs = run_experiments(names, scale, seeds=seeds, jobs=args.jobs)
     by_name: dict[str, list] = {}
     for run in runs:
         by_name.setdefault(run.name, []).append(run)
@@ -154,25 +128,15 @@ def main(argv: list[str] | None = None) -> int:
                 rendered += "\n" + render_figure(result)
         print(rendered)
         counters = figure_runs[0].counters
-        work = figure_runs[0].work_seconds
         for run in figure_runs[1:]:
             counters = counters + run.counters
-            work += run.work_seconds
-        print(f"# {name} done: work={work:.1f}s {counters.summary()}\n")
+        print(f"# {name} done: {counters.summary()}\n")
         if args.out is not None:
             (args.out / f"{name}.txt").write_text(rendered + "\n")
 
-    elapsed = time.time() - total_started
-    # peak RSS is the process high-water mark (see repro.perf.peak_rss)
-    # of this parent, which under --jobs N only assembles results: the
-    # members live in the workers, so their largest peak goes beside it.
-    rss_mb = perf.peak_rss_mb()
-    rss_suffix = f" peak_rss={rss_mb}MB" if rss_mb is not None else ""
-    if args.jobs > 1 and rss_mb is not None:
-        rss_suffix += f" worker_peak_rss={max(run.peak_rss_mb for run in runs)}MB"
     print(
         f"# total: {len(names)} experiment(s) x {args.replicate} seed(s) "
-        f"in {elapsed:.1f}s (jobs={args.jobs}){rss_suffix}"
+        f"(jobs={args.jobs})"
     )
 
     if args.trace is not None:

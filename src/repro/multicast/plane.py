@@ -82,7 +82,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import compress
 from math import inf, nextafter
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from repro import perf
@@ -327,11 +326,6 @@ class PlaneReport:
     rows: tuple[dict[str, Any], ...]
     total_deliveries: int
     total_deferrals: int
-    #: wall-clock seconds the plane spent originating and draining —
-    #: a measurement, not part of the deterministic outcome, so it is
-    #: excluded from report equality (replays compare equal even
-    #: though their wall clocks differ)
-    wall_s: float = field(default=0.0, compare=False)
 
     def deliveries_per_sec(self) -> float:
         """Aggregate sustained deliveries per *simulated* second —
@@ -340,14 +334,6 @@ class PlaneReport:
         if self.time <= 0.0:
             return float(self.total_deliveries)
         return self.total_deliveries / self.time
-
-    def wall_deliveries_per_sec(self) -> float:
-        """Deliveries per *wall-clock* second — the harness-facing
-        rate (how fast the simulation itself executes; what the
-        epoch-cached schedule path accelerates)."""
-        if self.wall_s <= 0.0:
-            return 0.0
-        return self.total_deliveries / self.wall_s
 
     def render(self) -> str:
         header = (
@@ -365,8 +351,7 @@ class PlaneReport:
         lines.append(
             f"# t={self.time:.2f}s groups={len(self.rows)} "
             f"deliveries={self.total_deliveries} "
-            f"({self.deliveries_per_sec():.1f}/s sim, "
-            f"{self.wall_deliveries_per_sec():.0f}/s wall) "
+            f"({self.deliveries_per_sec():.1f}/s sim) "
             f"deferrals={self.total_deferrals}"
         )
         return "\n".join(lines)
@@ -382,31 +367,6 @@ class _Group:
     issued: int = 0  # highest sequence number originated so far
     receipts: list[SendReceipt] = field(default_factory=list)
     context: _EpochSchedule | None = None
-
-
-class _WallClock:
-    """Wall-clock seconds spent inside the plane's entry points.
-
-    Re-entrant: a send fired from inside ``drain`` is already on the
-    clock, so only the outermost ``with`` reads the timer.
-    """
-
-    __slots__ = ("seconds", "_depth", "_started")
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-        self._depth = 0
-        self._started = 0.0
-
-    def __enter__(self) -> None:
-        if self._depth == 0:
-            self._started = perf_counter()
-        self._depth += 1
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._depth -= 1
-        if self._depth == 0:
-            self.seconds += perf_counter() - self._started
 
 
 # -- the plane --------------------------------------------------------------
@@ -444,7 +404,6 @@ class ServicePlane:
         self._pending_seq = 0
         self._wavefront: list | None = None  # its engine event
         self._wavefront_time: float | None = None
-        self._wall = _WallClock()
 
     # -- membership lifecycle (admissible mid-stream) -------------------
 
@@ -513,84 +472,83 @@ class ServicePlane:
     ) -> SendReceipt:
         """Originate one message *now*: freeze membership and tree,
         stamp the next sequence number, and schedule the hops."""
-        with self._wall:
-            group, context, template, cached = self._template(
-                group_name, source_host, message_kbits
-            )
-            if cached:
-                perf.COUNTERS.schedule_cache_hits += 1
-                if TRACER.mc and "tree" in TRACER.mc:
-                    # building a template extracts (and trace-summarizes)
-                    # the tree; a hit replays the frozen tree's summary so
-                    # the traced stream does not depend on what was cached
-                    TRACER.emit(
-                        0.0, "mc", "tree",
-                        source=template.tree.source_ident,
-                        edges=template.tree.messages_sent,
-                    )
-            else:
-                perf.COUNTERS.schedule_cache_misses += 1
-            self.service.charge(template.forwarders, template.fanouts, message_kbits)
-            group.issued = seq = group.issued + 1
-            mid = self._next_mid
-            self._next_mid += 1
-            now = self.simulator.now
-            stats = group.stats
-            stats.sends += 1
-            if stats.first_origin is None:
-                stats.first_origin = now
-            tree = template.tree
-            source_row = tree.order[0]
-            receipt = SendReceipt(
-                group=group_name,
-                seq=seq,
-                mid=mid,
-                source=source_host,
-                message_kbits=message_kbits,
-                origin_time=now,
-                members=context.member_names,
-                hosts=context.hosts,
-                source_row=source_row,
-            )
-            group.receipts.append(receipt)
-            self._receipts.append(receipt)
-            state = _SendState(
-                receipt, template.kids, context.hosts, context.bandwidths,
-                context.idents, tree.depth_array, tree.parent_index, stats,
-                remaining=len(context.member_names) - 1,  # not the source
-            )
-            source_ident = tree.source_ident
-            if TRACER.mc and "origin" in TRACER.mc:
-                columns = context.trace_columns
-                if columns is None:
-                    idents = list(context.idents)
-                    columns = context.trace_columns = (
-                        idents,
-                        [list(row) for row in zip(idents, context.capacities)],
-                    )
+        group, context, template, cached = self._template(
+            group_name, source_host, message_kbits
+        )
+        if cached:
+            perf.COUNTERS.schedule_cache_hits += 1
+            if TRACER.mc and "tree" in TRACER.mc:
+                # building a template extracts (and trace-summarizes)
+                # the tree; a hit replays the frozen tree's summary so
+                # the traced stream does not depend on what was cached
                 TRACER.emit(
-                    now, "mc", "origin",
-                    mid=mid, source=source_ident,
-                    system=context.system_name,
-                    bits=context.space_bits,
-                    members=columns[0],
-                    capacities=columns[1],
-                    group=group_name, seq=seq,
+                    0.0, "mc", "tree",
+                    source=template.tree.source_ident,
+                    edges=template.tree.messages_sent,
                 )
-            if TRACER.mc and "deliver" in TRACER.mc:
-                # the origin's own copy, parent=None — same convention
-                # as the protocol peers' local delivery record
-                TRACER.emit(
-                    now, "mc", "deliver",
-                    mid=mid, ident=source_ident, depth=0, parent=None,
-                    group=group_name, seq=seq,
+        else:
+            perf.COUNTERS.schedule_cache_misses += 1
+        self.service.charge(template.forwarders, template.fanouts, message_kbits)
+        group.issued = seq = group.issued + 1
+        mid = self._next_mid
+        self._next_mid += 1
+        now = self.simulator.now
+        stats = group.stats
+        stats.sends += 1
+        if stats.first_origin is None:
+            stats.first_origin = now
+        tree = template.tree
+        source_row = tree.order[0]
+        receipt = SendReceipt(
+            group=group_name,
+            seq=seq,
+            mid=mid,
+            source=source_host,
+            message_kbits=message_kbits,
+            origin_time=now,
+            members=context.member_names,
+            hosts=context.hosts,
+            source_row=source_row,
+        )
+        group.receipts.append(receipt)
+        self._receipts.append(receipt)
+        state = _SendState(
+            receipt, template.kids, context.hosts, context.bandwidths,
+            context.idents, tree.depth_array, tree.parent_index, stats,
+            remaining=len(context.member_names) - 1,  # not the source
+        )
+        source_ident = tree.source_ident
+        if TRACER.mc and "origin" in TRACER.mc:
+            columns = context.trace_columns
+            if columns is None:
+                idents = list(context.idents)
+                columns = context.trace_columns = (
+                    idents,
+                    [list(row) for row in zip(idents, context.capacities)],
                 )
-            if state.remaining == 0:
-                receipt.completion.resolve(receipt)
-            else:
-                self._forward(state, source_row, template.kids[source_row], now)
-                self._arm_wavefront()
-            return receipt
+            TRACER.emit(
+                now, "mc", "origin",
+                mid=mid, source=source_ident,
+                system=context.system_name,
+                bits=context.space_bits,
+                members=columns[0],
+                capacities=columns[1],
+                group=group_name, seq=seq,
+            )
+        if TRACER.mc and "deliver" in TRACER.mc:
+            # the origin's own copy, parent=None — same convention
+            # as the protocol peers' local delivery record
+            TRACER.emit(
+                now, "mc", "deliver",
+                mid=mid, ident=source_ident, depth=0, parent=None,
+                group=group_name, seq=seq,
+            )
+        if state.remaining == 0:
+            receipt.completion.resolve(receipt)
+        else:
+            self._forward(state, source_row, template.kids[source_row], now)
+            self._arm_wavefront()
+        return receipt
 
     def send_later(
         self,
@@ -884,13 +842,11 @@ class ServicePlane:
 
     def run(self, until: float) -> None:
         """Advance the clock to ``until``."""
-        with self._wall:
-            self.simulator.run(until)
+        self.simulator.run(until)
 
     def drain(self, max_events: int | None = None) -> None:
         """Run until every scheduled hop has landed."""
-        with self._wall:
-            self.simulator.run_until_idle(max_events)
+        self.simulator.run_until_idle(max_events)
 
     def receipts(self) -> tuple[SendReceipt, ...]:
         """Every send originated so far, in origination order."""
@@ -977,5 +933,4 @@ class ServicePlane:
             rows=tuple(rows),
             total_deliveries=total_deliveries,
             total_deferrals=total_deferrals,
-            wall_s=self._wall.seconds,
         )

@@ -1,4 +1,4 @@
-"""Lightweight performance observability: wall timers + hot-path counters.
+"""Lightweight performance observability: hot-path counters.
 
 The experiment harness spends nearly all of its time in two loops —
 identifier resolution (one probe per neighbor identifier) and implicit
@@ -13,13 +13,12 @@ cheap enough to leave permanently enabled (the kernel adds to them
 once per tree, not once per probe).  Parallel workers each
 own a fork of the counter state; the engine snapshots around every
 task and ships the *delta* back with the task result, so per-figure
-totals add up correctly across processes; each worker's
-:func:`peak_rss` rides back beside it.
+totals add up correctly across processes.  This module measures
+no host time; the benchmark harness (``bench/``) times the program.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields, replace
 
 
@@ -164,10 +163,12 @@ def peak_rss() -> int | None:
     high-water mark of the *current* address space, which resets on
     ``exec``.  ``ru_maxrss`` does not — a child forked from a large
     parent inherits the parent's mark through the signal struct even
-    across ``exec``, so subprocess-isolated measurements (the extL
-    scale CLI) would report the parent's footprint instead of their
-    own.  Either way the value is a high-water mark that only grows
-    within one process, so per-phase attribution needs a fresh process.
+    across ``exec``, so a subprocess-isolated measurement would report
+    the parent's footprint instead of its own.  Either way the value is
+    a high-water mark that only grows within one process, so per-phase
+    attribution needs a fresh process.  Nothing in ``repro`` reads it:
+    it serves the benchmark harness (``bench/``), which runs each
+    workload in a fresh subprocess.
 
     Fallback is ``resource.getrusage(RUSAGE_SELF).ru_maxrss``, whose
     unit POSIX leaves unspecified — Linux reports kibibytes, macOS
@@ -192,26 +193,3 @@ def peak_rss() -> int | None:
     if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes
         return maxrss
     return maxrss * 1024
-
-
-def peak_rss_mb() -> float | None:
-    """:func:`peak_rss` in mebibytes (rounded), or None when unavailable."""
-    rss = peak_rss()
-    if rss is None:  # pragma: no cover - Windows
-        return None
-    return round(rss / (1024 * 1024), 1)
-
-
-class StopWatch:
-    """Context-manager wall-clock timer (monotonic)."""
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._started = 0.0
-
-    def __enter__(self) -> "StopWatch":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.elapsed = time.perf_counter() - self._started

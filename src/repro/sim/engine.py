@@ -71,7 +71,7 @@ class Future:
     def __init__(self) -> None:
         self._state = Future._PENDING
         self._value: Any = None
-        self._callbacks: list[Callable[[Future], None]] = []
+        self._callbacks: list[Callable[[Future], None]] | tuple[()] = []
 
     @property
     def done(self) -> bool:
@@ -105,7 +105,8 @@ class Future:
             raise RuntimeError("future already settled")
         self._state = state
         self._value = value
-        callbacks, self._callbacks = self._callbacks, []
+        # settled: add_callback fires at once and never appends, so keep no list
+        callbacks, self._callbacks = self._callbacks, ()
         for callback in callbacks:
             callback(self)
 

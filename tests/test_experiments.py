@@ -190,7 +190,7 @@ class TestRunnerCli:
         assert set(registry.REGISTRY) == {
             "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
             "extA", "extB", "extC", "extD", "extE", "extF", "extG", "extH",
-            "extI", "extJ", "extK", "extL", "extM", "extN", "extO",
+            "extI", "extJ", "extK", "extM", "extN", "extO",
         }
         for name in registry.REGISTRY:
             assert callable(registry.load(name).run), name

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,6 +227,18 @@ class TestFuture:
         seen = []
         future.add_callback(lambda f: seen.append(f.value))
         assert seen == ["x"]
+
+    @pytest.mark.parametrize("settle", ["resolve", "fail"])
+    def test_settled_future_holds_no_callback_list(self, settle):
+        """A plane run keeps every send's completion future alive, so a
+        settled one must not keep an empty list beside its value."""
+        future = Future()
+        seen = []
+        future.add_callback(lambda f: seen.append("early"))
+        getattr(future, settle)("x")
+        assert not any(isinstance(ref, list) for ref in gc.get_referents(future))
+        future.add_callback(lambda f: seen.append("late"))
+        assert seen == ["early", "late"]
 
 
 class TestProcesses:
