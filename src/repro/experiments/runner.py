@@ -43,7 +43,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", type=Path, default=None, help="directory for .txt dumps")
     parser.add_argument(
-        "--plot", action="store_true", help="also draw ASCII charts of each figure"
+        "--plot",
+        action="store_true",
+        help="also draw ASCII charts of each figure (one seed only)",
     )
     parser.add_argument(
         "--jobs",
@@ -82,6 +84,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--replicate must be >= 1")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.plot and args.replicate > 1:
+        # an aggregated figure has no single result to chart
+        parser.error("--plot cannot be combined with --replicate > 1")
 
     names = list(registry.REGISTRY) if "all" in args.figures else args.figures
     unknown = [name for name in names if name not in registry.REGISTRY]

@@ -46,16 +46,20 @@ member keeps its *row* — its position on the ring, the index
 :class:`~repro.multicast.kernel.FlatTree` speaks.  The row is the only
 key on the delivery path.  Per (group, membership epoch) the plane
 keeps its columns (host name, uplink bandwidth, identifier) and per
-source inside it a :class:`_SendTemplate`: the tree, each forwarder's
-children — a run of the tree's delivery order, so a
-template costs work per forwarder, not per edge — and its forwarding
-charges; every hop adds the plane's one float hop latency.  A first
-send from a source is simply the send that builds its template.
-Deliveries sit in a plane-level pending heap that a single *wavefront*
-event commits in one loop (:meth:`ServicePlane._pump`); the loop
-stops exactly where a foreign event — a membership change, a
-scheduled send, a completion it scheduled itself, a bounded
-``run(until)`` — interleaves.  The specification of that order is
+source inside it a :class:`_SendTemplate`: no tree, only the tree's
+delivery ``order`` and child counts beside the index in ``order``
+where each forwarder's children start — a forwarder's children are
+one run of ``order``, so a template costs work per forwarder, not per
+edge — and its forwarding charges; every hop adds the plane's one
+float hop latency.  A first send from a source is simply the send that
+builds its template.  Deliveries sit in a plane-level pending heap, one
+entry per forwarding *run* (a forwarder's children, served one after
+another off its uplink), that a single *wavefront* event commits in
+one loop (:meth:`ServicePlane._pump`): the loop commits the head run's
+next row and re-keys the run to the row after it, and stops exactly
+where a foreign event — a membership change, a scheduled send, a
+completion it scheduled itself, a bounded ``run(until)`` —
+interleaves.  The specification of that order is
 "one engine event per delivery, ties by insertion": the walker that
 implemented it literally is gone, and
 its receipts, audits, ``mc.*`` traces and reports live on as the
@@ -72,14 +76,15 @@ send only notes its forwarding charges (two lists: hosts and child
 counts) on the service's ledger, which adds them in when it is read
 or its membership changes.  The ``mc.origin``
 membership and capacity lists are built at an epoch's first traced
-origin, so an untraced plane never builds them.
+origin, and the ``mc.deliver`` parent and depth columns at a
+template's first traced delivery, so an untraced plane builds neither.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from itertools import compress
 from math import inf, nextafter
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
@@ -87,17 +92,13 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 from repro import perf
 from repro.multicast.service import MulticastService
 from repro.sim.engine import Future, Simulator
-from repro.sim.transfer import UplinkBudget, delivery_timeline
+from repro.sim.transfer import UplinkBudget
 from repro.systems import DEFAULT_UNIFORM_FANOUT, SystemKind
 from repro.trace.tracer import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
-    from repro.multicast.kernel import FlatTree
     from repro.systems import SystemDescriptor
     from repro.workloads.groups import ServiceEvent
-
-#: one node's children, in delivery order: a run of the tree's ``order``
-_Kids = tuple[int, ...]
 
 
 # -- sequencing and send bookkeeping ----------------------------------------
@@ -178,7 +179,7 @@ class SendReceipt:
         self.hosts = hosts
         self.times = times = _UNDELIVERED * len(hosts)
         times[source_row] = origin_time
-        self.order = array("l", [source_row])
+        self.order = array("i", [source_row])
         self.completion = Future()
 
     @property
@@ -237,23 +238,59 @@ class _EpochSchedule:
 
 @dataclass(slots=True, eq=False)
 class _SendTemplate:
-    """One source's frozen dissemination schedule within an epoch.
+    """One source's frozen dissemination schedule within an epoch: the
+    source's tree as columns over its delivery order, not the tree.
 
-    ``kids[row]`` is the child rows of ``row`` in delivery order (empty
-    for a leaf): every tree builder delivers a node's children one
-    after another, in the order their parents were delivered (the
-    :class:`FlatTree` contract), so each is a run of ``tree.order``.
-    ``forwarders`` lists the forwarding hosts in delivery order — the
-    order :meth:`FlatTree.children_counts` iterates in — beside their
-    child counts in ``fanouts``, so :meth:`MulticastService.charge`
-    accumulates the forwarding ledger in the same float order as the
-    blocking reference send the service tests keep.
+    Every tree builder delivers a node's children one after another, in
+    the order their parents were delivered (the :class:`FlatTree`
+    contract), so the children of ``row`` are the run
+    ``order[firsts[row] : firsts[row] + child_count[row]]`` (``firsts``
+    is 0 for a leaf).  ``forwarders`` lists the forwarding hosts in
+    delivery order — the order :meth:`FlatTree.children_counts` iterates
+    in — beside their child counts in ``fanouts``, so
+    :meth:`MulticastService.charge` accumulates the forwarding ledger in
+    the same float order as the blocking reference send the service
+    tests keep.  ``source_ident`` and ``edges`` replay the tree's
+    ``mc.tree`` summary on a cache hit; ``trace_columns`` (each row's
+    parent row and depth) is built from the runs at the template's
+    first traced delivery.
     """
 
-    tree: FlatTree
-    kids: list[_Kids]
+    source_row: int
+    source_ident: int
+    edges: int
+    order: Sequence[int]
+    child_count: Sequence[int]
+    firsts: array
     forwarders: list[str]
     fanouts: list[int]
+    trace_columns: tuple[array, array] | None = None
+
+    def parents_and_depths(self) -> tuple[array, array]:
+        """Each row's parent row (the source's is itself) and depth,
+        read off the child runs once and kept."""
+        columns = self.trace_columns
+        if columns is None:
+            order = self.order
+            counts = self.child_count
+            firsts = self.firsts
+            parents = array("i", [-1]) * len(counts)
+            depths = array("i", [-1]) * len(counts)
+            source = order[0]
+            parents[source] = source
+            depths[source] = 0
+            # a parent precedes its children in ``order``, so its depth
+            # is set before theirs is read off it
+            for row in order:
+                count = counts[row]
+                if count:
+                    depth = depths[row] + 1
+                    first = firsts[row]
+                    for child in order[first : first + count]:
+                        parents[child] = row
+                        depths[child] = depth
+            columns = self.trace_columns = (parents, depths)
+        return columns
 
 
 @dataclass(slots=True, eq=False)
@@ -267,13 +304,14 @@ class _SendState:
     """
 
     receipt: SendReceipt
-    kids: list[_Kids]
+    template: _SendTemplate
+    # the template's columns, read per delivery
+    order: Sequence[int]
+    child_count: Sequence[int]
+    firsts: Sequence[int]
     hosts: Sequence[str]
     bandwidths: Sequence[float]
-    # the next three are read only when tracing
-    idents: Sequence[int]
-    depths: Sequence[int]
-    parents: Sequence[int]
+    idents: Sequence[int]  # read only when tracing
     stats: GroupStats
     remaining: int  # frozen members still to deliver to
 
@@ -397,10 +435,16 @@ class ServicePlane:
         self._groups: dict[str, list[_Group]] = {}
         self._next_mid = 1
         self._receipts: list[SendReceipt] = []
-        # pending deliveries: (time, plane seq, state, row) — the plane
-        # seq is the insertion-order tie-break the engine would apply
-        # were each delivery its own event
-        self._pending: list[tuple[float, int, _SendState, int]] = []
+        # pending forwarding runs, one entry per run keyed by its next
+        # delivery: (time, plane seq, state, k, end, done, serialize) —
+        # row ``state.order[k]`` lands at ``time``, its uplink slot
+        # ending at ``done``, and rows ``k + 1 .. end - 1`` follow one
+        # ``serialize`` apart with seqs ``seq + 1, ...``.  The plane seq
+        # is the insertion-order tie-break the engine would apply were
+        # each delivery its own event
+        self._pending: list[
+            tuple[float, int, _SendState, int, int, float, float]
+        ] = []
         self._pending_seq = 0
         self._wavefront: list | None = None  # its engine event
         self._wavefront_time: float | None = None
@@ -483,8 +527,8 @@ class ServicePlane:
                 # the traced stream does not depend on what was cached
                 TRACER.emit(
                     0.0, "mc", "tree",
-                    source=template.tree.source_ident,
-                    edges=template.tree.messages_sent,
+                    source=template.source_ident,
+                    edges=template.edges,
                 )
         else:
             perf.COUNTERS.schedule_cache_misses += 1
@@ -497,8 +541,7 @@ class ServicePlane:
         stats.sends += 1
         if stats.first_origin is None:
             stats.first_origin = now
-        tree = template.tree
-        source_row = tree.order[0]
+        source_row = template.source_row
         receipt = SendReceipt(
             group=group_name,
             seq=seq,
@@ -513,11 +556,12 @@ class ServicePlane:
         group.receipts.append(receipt)
         self._receipts.append(receipt)
         state = _SendState(
-            receipt, template.kids, context.hosts, context.bandwidths,
-            context.idents, tree.depth_array, tree.parent_index, stats,
+            receipt, template, template.order, template.child_count,
+            template.firsts, context.hosts, context.bandwidths,
+            context.idents, stats,
             remaining=len(context.member_names) - 1,  # not the source
         )
-        source_ident = tree.source_ident
+        source_ident = template.source_ident
         if TRACER.mc and "origin" in TRACER.mc:
             columns = context.trace_columns
             if columns is None:
@@ -546,7 +590,9 @@ class ServicePlane:
         if state.remaining == 0:
             receipt.completion.resolve(receipt)
         else:
-            self._forward(state, source_row, template.kids[source_row], now)
+            self._forward(
+                state, source_row, template.child_count[source_row], now
+            )
             self._arm_wavefront()
         return receipt
 
@@ -579,8 +625,7 @@ class ServicePlane:
         """Validate a send request and look up what it plays from: the
         group's live incarnation, its current-epoch schedule context
         and the source's template, built on first use in the epoch.
-        The flag says whether the template was already cached; only a
-        send counts the lookup, so a preview leaves the counters be."""
+        The flag says whether the template was already cached."""
         group = self._live(group_name)
         if not 0 < message_kbits < inf:
             raise ValueError(f"message size must be finite and > 0, got {message_kbits}")
@@ -628,30 +673,33 @@ class ServicePlane:
         """Extract the source's tree once and freeze its schedule: per
         forwarder, not per edge — a forwarder's children are the next
         run of ``order`` after the runs of the forwarders delivered
-        before it (the source's run starts right after the source)."""
+        before it (the source's run starts right after the source).
+        The template keeps the tree's ``order`` and ``child_count``
+        columns and lets the tree go."""
         overlay = self.service.group(group_name)
         tree = overlay.multicast_from(overlay.snapshot.node_at(source_ident))
-        order = tuple(tree.order)
+        order = tree.order
         child_count = tree.child_count
         forwarding = list(compress(order, map(child_count.__getitem__, order)))
         fanouts = list(map(child_count.__getitem__, forwarding))
-        kids: list[_Kids] = [()] * len(child_count)
+        firsts = array("i", [0]) * len(child_count)
         start = 1
         for row, count in zip(forwarding, fanouts):
-            end = start + count
-            kids[row] = order[start:end]
-            start = end
+            firsts[row] = start
+            start += count
         return _SendTemplate(
-            tree, kids, list(map(context.hosts.__getitem__, forwarding)), fanouts
+            order[0], tree.source_ident, tree.messages_sent, order,
+            child_count, firsts,
+            list(map(context.hosts.__getitem__, forwarding)), fanouts,
         )
 
     def _forward(
-        self, state: _SendState, row: int, kids: _Kids, now: float
+        self, state: _SendState, row: int, count: int, now: float
     ) -> None:
         """The node at ``row`` holds the full message at ``now``: take
         one run of uplink slots on its host's shared budget, a slot per
-        child in template order, and queue the arrivals."""
-        count = len(kids)
+        each of its ``count`` children in template order, and queue the
+        run as one pending entry keyed by its first arrival."""
         serialize = state.receipt.message_kbits / state.bandwidths[row]
         # the run starts at ``done``; each slot ends where the budget's
         # own additions put it
@@ -664,14 +712,17 @@ class ServicePlane:
         stats.queue_depth = depth
         if depth > stats.max_queue_depth:
             stats.max_queue_depth = depth
-        pending = self._pending
-        latency = self._hop_latency
         seq = self._pending_seq
-        self._pending_seq = seq + count
-        for child in kids:
-            done += serialize
-            heappush(pending, (done + latency, seq, state, child))
-            seq += 1
+        self._pending_seq = seq + count  # a seq per child, taken in turn
+        first = state.firsts[row]
+        done += serialize
+        heappush(
+            self._pending,
+            (
+                done + self._hop_latency, seq, state,
+                first, first + count, done, serialize,
+            ),
+        )
 
     def _arm_wavefront(self) -> None:
         """Keep exactly one engine event — at the earliest pending
@@ -721,16 +772,28 @@ class ServicePlane:
         trace_dup = TRACER.mc and "dup" in TRACER.mc
         trace_deliver = TRACER.mc and "deliver" in TRACER.mc
         forward = self._forward
+        latency = self._hop_latency
         committed = False
+        # a run's keys only increase (its seqs do, and its times never
+        # fall), so the least run head is the least pending delivery:
+        # committing heads in key order is the per-delivery order
         while pending:
-            # heap keys are unique (``seq`` is), so popping the head and
-            # pushing it back when it must wait changes no commit order
-            entry = heappop(pending)
-            time, _, state, row = entry
+            time, seq, state, k, end, done, serialize = pending[0]
             if time >= cut:
-                heappush(pending, entry)
                 break
             committed = True
+            row = state.order[k]
+            k += 1
+            if k < end:
+                # the run's next slot ends one ``serialize`` later: the
+                # addition ``reserve_run`` made for it
+                done += serialize
+                heapreplace(
+                    pending,
+                    (done + latency, seq + 1, state, k, end, done, serialize),
+                )
+            else:
+                heappop(pending)
             receipt = state.receipt
             stats = state.stats
             stats.queue_depth -= 1
@@ -739,10 +802,11 @@ class ServicePlane:
                 stats.dups += 1
                 if trace_dup:
                     idents = state.idents
+                    parents, _ = state.template.parents_and_depths()
                     TRACER.emit(
                         time, "mc", "dup",
                         mid=receipt.mid, ident=idents[row],
-                        sender=idents[state.parents[row]],
+                        sender=idents[parents[row]],
                         group=receipt.group, seq=receipt.seq,
                     )
                 continue
@@ -753,10 +817,11 @@ class ServicePlane:
             stats.last_delivery = time
             if trace_deliver:
                 idents = state.idents
+                parents, depths = state.template.parents_and_depths()
                 TRACER.emit(
                     time, "mc", "deliver",
                     mid=receipt.mid, ident=idents[row],
-                    depth=state.depths[row], parent=idents[state.parents[row]],
+                    depth=depths[row], parent=idents[parents[row]],
                     group=receipt.group, seq=receipt.seq,
                 )
             remaining = state.remaining - 1
@@ -770,43 +835,12 @@ class ServicePlane:
                 if time < horizon:
                     horizon = time
                     cut = min(time if time > now else after_now, past_bound)
-            kids = state.kids[row]
-            if kids:
-                forward(state, row, kids, time)
+            count = state.child_count[row]
+            if count:
+                forward(state, row, count, time)
         if committed:
             perf.COUNTERS.wavefront_commits += 1
         self._arm_wavefront()
-
-    def schedule_preview(
-        self, group_name: str, source_host: str, message_kbits: float = 1.0
-    ) -> dict[str, float]:
-        """The relative delivery timeline an *uncontended* send from
-        ``source_host`` would follow: host name -> seconds after
-        origination (the source maps to 0.0).
-
-        Derived from the template's frozen tree via
-        :func:`repro.sim.transfer.delivery_timeline` against a fresh
-        uplink budget — the shared ledger is deliberately untouched, so
-        previewing never perturbs the plane.  With live traffic the
-        actual send defers behind whatever the shared uplinks are
-        already serializing; the preview is the lower envelope.  A
-        preview may build the source's template, but counts no cache
-        lookup and replays no tree summary: those answer for sends.
-        """
-        _, context, template, _ = self._template(
-            group_name, source_host, message_kbits
-        )
-        host_of = dict(zip(context.idents, context.hosts))
-        latency = self._hop_latency
-        timeline = delivery_timeline(
-            template.tree,
-            self.service.group(group_name).snapshot,
-            message_kbits,
-            hop_latency=lambda a, b: latency,
-            budget=UplinkBudget(),
-            host_key=host_of.__getitem__,
-        )
-        return {host_of[ident]: when for ident, when in timeline.items()}
 
     # -- workload replay ------------------------------------------------
 

@@ -293,9 +293,8 @@ def delivery_timeline(
     schedule*: within one tree every host forwards from a single
     parent position, so its reservations are self-contained and the
     times are byte-identical to what the event-driven plane commits
-    for an isolated send — which is what makes the timeline usable as
-    a schedule preview (``ServicePlane.schedule_preview``) and as the
-    oracle the plane's isolated-send tests compare against.  With a
+    for an isolated send — which is what makes the timeline the oracle
+    the plane's isolated-send tests compare against.  With a
     shared, pre-loaded budget the timeline instead shows how the send
     would defer behind traffic already serialized on those uplinks.
     """

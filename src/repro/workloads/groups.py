@@ -108,7 +108,7 @@ class GroupSpec:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceEvent:
     """One concrete service-plane action, ready to replay.
 

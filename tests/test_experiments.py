@@ -186,6 +186,15 @@ class TestRunnerCli:
         with pytest.raises(SystemExit):
             main(["nope"])
 
+    def test_plot_with_replicate_rejected(self, capsys):
+        # an aggregated figure has no chart: the flag used to be
+        # dropped without a word
+        with pytest.raises(SystemExit) as exited:
+            main(["extB", "--plot", "--replicate", "2"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "--plot" in err and "--replicate" in err
+
     def test_registry_complete(self):
         assert set(registry.REGISTRY) == {
             "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",

@@ -6,17 +6,20 @@ import gc
 import tracemalloc
 from array import array
 from heapq import heappush
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.multicast import kernel as kernel_module
 from repro.multicast import plane as plane_module
 from repro.multicast.plane import (
     GroupStats,
     SendReceipt,
     ServicePlane,
     _SendState,
+    _SendTemplate,
 )
 from repro.trace.tracer import TRACER
 from tests.sequence_ledger import Mirror, SequenceLedger, _Cursor, assert_same_audit
@@ -29,6 +32,14 @@ def make_plane(
     for index in range(hosts):
         plane.register_host(f"h{index}", kbps)
     return plane
+
+
+def plant(plane: ServicePlane, when: float, state: _SendState, k: int) -> None:
+    """Queue a second copy of the delivery of row ``state.order[k]``,
+    due at ``when`` behind every entry already keyed there: a one-row
+    forwarding run."""
+    heappush(plane._pending, (when, plane._pending_seq, state, k, k + 1, 0.0, 0.0))
+    plane._pending_seq += 1
 
 
 class TestSequenceLedger:
@@ -210,9 +221,8 @@ class TestPlaneSends:
         load = plane.service.host_load_kbits()
         free_at = {f"h{i}": plane.budget.free_at(f"h{i}") for i in range(6)}
         reservations = plane.budget.reservations()
-        for send in (plane.send, plane.schedule_preview):
-            with pytest.raises(ValueError, match="message size"):
-                send("g", "h0", size)
+        with pytest.raises(ValueError, match="message size"):
+            plane.send("g", "h0", size)
         assert plane.receipts() == receipts
         assert plane.service.host_load_kbits() == load
         assert free_at == {
@@ -408,17 +418,12 @@ class TestBranchesTrafficNeverTakes:
     and the ``mc.dup`` event stay what they were."""
 
     def test_second_pending_entry_for_one_delivery_is_a_dup(self):
-        from heapq import heappush
-
-        from repro.trace.tracer import TRACER
-
         plane = make_plane()
         plane.create_group("g", [f"h{i}" for i in range(8)])
         with TRACER.capture() as mark:
             receipt = plane.send("g", "h0", 16.0)
-            when, _, *delivery = min(plane._pending)
-            heappush(plane._pending, (when, plane._pending_seq, *delivery))
-            plane._pending_seq += 1
+            when, _, state, k, *_ = min(plane._pending)
+            plant(plane, when, state, k)
             plane.drain()
             events = [e for e in TRACER.events_since(mark) if e.layer == "mc"]
         source = plane.service.member_ident("g", "h0")
@@ -494,6 +499,12 @@ class TestPumpDupCheck:
         reference = _Cursor(first=1)
         plane = ServicePlane()
         hosts = ("s", "h")  # row 0 is the source, row 1 the member
+        # the one-edge tree s -> h: h is the run order[1:2]
+        template = _SendTemplate(
+            source_row=0, source_ident=0, edges=1, order=array("i", [0, 1]),
+            child_count=array("i", [1, 0]), firsts=array("i", [1, 0]),
+            forwarders=["s"], fanouts=[1],
+        )
         receipts = {
             seq: SendReceipt("g", seq, seq, "s", 1.0, 0.0, hosts, hosts, 0)
             for seq in range(1, 9)
@@ -513,13 +524,13 @@ class TestPumpDupCheck:
             # delivery's verdict
             stats = GroupStats(created_at=0.0)
             state = _SendState(
-                receipt=receipts[seq], kids=[(), ()], hosts=hosts,
-                bandwidths=[1.0, 1.0], idents=[0, 1], depths=[0, 1],
-                parents=[0, 0], stats=stats,
+                receipt=receipts[seq], template=template,
+                order=template.order, child_count=template.child_count,
+                firsts=template.firsts, hosts=hosts, bandwidths=[1.0, 1.0],
+                idents=[0, 1], stats=stats,
                 remaining=2,  # never completes: no foreign event interleaves
             )
-            heappush(plane._pending, (0.0, plane._pending_seq, state, 1))
-            plane._pending_seq += 1
+            plant(plane, 0.0, state, 1)
             batch.append((reference.record(seq), stats))
             if run_now:
                 pump()
@@ -602,11 +613,12 @@ class TestAuditAgainstTheReference:
                 elif op == "drain":
                     plane.drain()
                 elif op == "plant" and plane._pending:
-                    # a second pending entry for one delivery, due at
-                    # the same time right behind the first
-                    when, _, state, row = plane._pending[code % len(plane._pending)]
-                    heappush(plane._pending, (when, plane._pending_seq, state, row))
-                    plane._pending_seq += 1
+                    # a second pending entry for a run's next delivery,
+                    # due at the same time right behind the first
+                    when, _, state, k, *_ = plane._pending[
+                        code % len(plane._pending)
+                    ]
+                    plant(plane, when, state, k)
                 assert_same_audit(plane, mirror)
             plane.drain()
             assert_same_audit(plane, mirror)
@@ -617,9 +629,11 @@ class TestAuditAgainstTheReference:
 
 class TestReceiptColumns:
     def test_receipts_cost_two_machine_words_per_delivery(self):
-        # a receipt holds a float and a row per delivery in two arrays;
-        # a delivered dict with a boxed float per entry costs about
-        # twice that
+        # a receipt holds a float and a 4-byte row per delivery in two
+        # arrays: 15.3 bytes per delivery measured with the receipts
+        # and send states around them (15.9 on Python 3.10), 19.9 with
+        # 8-byte rows, about twice that with a delivered dict of boxed
+        # floats
         members = [f"h{i}" for i in range(128)]
         plane = make_plane(hosts=128, kbps=400.0)
         plane.create_group("g", members)
@@ -643,7 +657,7 @@ class TestReceiptColumns:
         )
         deliveries = plane.report().total_deliveries
         assert deliveries == 200 * 127
-        assert held <= 24 * deliveries, held / deliveries
+        assert held <= 16.9 * deliveries, held / deliveries
         plane.verify_quiesced()
         for receipt in plane.receipts():
             assert type(receipt.times) is array and type(receipt.order) is array
@@ -673,6 +687,48 @@ class TestReceiptColumns:
             receipt.verify_complete()
         plane.drain()
         receipt.verify_complete()
+
+
+class TestTemplateColumns:
+    def test_a_template_costs_under_fifty_bytes_per_member(self):
+        # a template keeps the tree's order and child counts, the start
+        # of each forwarder's child run and its charges: 44.5 bytes per
+        # member measured (45.1 on Python 3.10); keeping the whole
+        # FlatTree and a tuple of children per forwarder cost 95
+        rng = Random(0)
+        plane = make_plane(hosts=0)
+        hosts = [f"h{i}" for i in range(2000)]
+        for name in hosts:
+            plane.register_host(name, rng.uniform(200.0, 1200.0))
+        groups = {f"g{i}": rng.sample(hosts, 32) for i in range(60)}
+        for name, members in groups.items():
+            plane.create_group(name, members)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for name, members in groups.items():
+                for member in members:
+                    plane._template(name, member, 1.0)
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            stat.size
+            for stat in snapshot.filter_traces(
+                [
+                    tracemalloc.Filter(True, plane_module.__file__),
+                    tracemalloc.Filter(True, kernel_module.__file__),
+                ]
+            ).statistics("filename")
+        )
+        members = 60 * 32 * 32  # a 32-member template per member
+        assert held <= 50 * members, held / members
+        for name, members in groups.items():
+            for member in members:
+                plane.send(name, member)
+        plane.drain()
+        plane.verify_quiesced()
 
 
 class TestBackpressure:

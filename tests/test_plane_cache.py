@@ -14,13 +14,14 @@ pin that down four ways:
 * **Invariants that need no twin.**  A Hypothesis op sequence (send,
   ``send_later``, bounded runs, join, leave) checks causality along
   every ``mc.deliver`` parent edge, uplink exclusivity per host, the
-  quiesce oracles, and that an isolated send lands on its preview.
+  quiesce oracles, and that an isolated send lands on the analytic
+  :func:`~repro.sim.transfer.delivery_timeline`.
 * **Invalidation.**  A Hypothesis-driven op sequence checks the
   membership-epoch contract: every join/leave/create bumps the epoch,
   no send ever delivers through a stale tree to a departed member,
   and a leave-then-rejoin opens a fresh ledger stint.
 * **Attribution.**  The ``schedule_cache_*`` / ``wavefront_commits``
-  counters, the extN per-cell cache stats, and the schedule preview.
+  counters and the extN per-cell cache stats.
 """
 
 from __future__ import annotations
@@ -224,9 +225,8 @@ class TestScheduleInvariants:
                 )
 
         # quiesced, every uplink is idle: one more send is isolated and
-        # must land exactly on the analytic timeline (and the preview)
+        # must land exactly on the analytic timeline
         group, source = "a", members["a"][0]
-        preview = plane.schedule_preview(group, source, 8.0)
         receipt = plane.send(group, source, 8.0)
         plane.drain()
         overlay = service.group(group)
@@ -248,12 +248,6 @@ class TestScheduleInvariants:
         assert receipt.delivered == {
             names[ident]: when for ident, when in timeline.items()
         }
-        assert receipt.delivered == pytest.approx(
-            {
-                host: receipt.origin_time + after
-                for host, after in preview.items()
-            }
-        )
 
 
 class TestEpochInvalidation:
@@ -344,10 +338,12 @@ class TestSendTemplate:
     )
     def test_kids_and_charges_are_the_trees(self, kind, size, seed):
         """A template reads each forwarder's children as a run of the
-        tree's ``order``: ``kids[row]`` is exactly the rows
-        ``parent_index`` names as ``row``'s children, in delivery
-        order, and the charges are the tree's forwarders with their
-        child counts, in the order ``children_counts`` lists them."""
+        tree's ``order``: ``order[firsts[row] : firsts[row] +
+        child_count[row]]`` is exactly the rows ``parent_index`` names
+        as ``row``'s children, in delivery order; the parent and depth
+        columns a traced send reads are the tree's; and the charges are
+        the tree's forwarders with their child counts, in the order
+        ``children_counts`` lists them."""
         rng = Random(seed)
         plane = ServicePlane(space_bits=14)
         pool = [f"h{index}" for index in range(24)]
@@ -358,12 +354,30 @@ class TestSendTemplate:
         for source in members:
             plane.send("g", source)
             template = plane._groups["g"][-1].context.templates[source]
-            tree = template.tree
+            overlay = plane.service.group("g")
+            tree = overlay.multicast_from(
+                overlay.snapshot.node_at(plane.service.member_ident("g", source))
+            )
             parent_index = tree.parent_index
-            assert [list(kids) for kids in template.kids] == [
+            order = template.order
+            firsts = template.firsts
+            counts = template.child_count
+            assert list(order) == list(tree.order)
+            assert list(counts) == list(tree.child_count)
+            assert (template.source_row, template.source_ident) == (
+                tree.order[0], tree.source_ident,
+            )
+            assert template.edges == tree.messages_sent
+            assert [
+                list(order[firsts[row] : firsts[row] + counts[row]])
+                for row in range(len(parent_index))
+            ] == [
                 [child for child in tree.order[1:] if parent_index[child] == row]
                 for row in range(len(parent_index))
             ]
+            parents, depths = template.parents_and_depths()
+            assert list(parents) == list(parent_index)
+            assert list(depths) == list(tree.depth_array)
             host_of = dict(zip(tree.snapshot.identifiers, tree.snapshot.names))
             charges = [
                 (host_of[ident], count)
@@ -402,80 +416,6 @@ class TestCounters:
         assert scope.delta.schedule_cache_invalidations == 1
         assert scope.delta.schedule_cache_misses == 1
         assert scope.delta.schedule_cache_hits == 0
-
-
-class TestSchedulePreview:
-    def test_preview_matches_uncontended_send(self):
-        plane = make_plane(hosts=12, hop_latency=0.005)
-        plane.create_group("g", [f"h{i}" for i in range(10)])
-        preview = plane.schedule_preview("g", "h0", message_kbits=8.0)
-        receipt = plane.send("g", "h0", message_kbits=8.0)  # at t=0
-        plane.drain()
-        assert receipt.delivered == preview, (
-            "an isolated send at t=0 must land exactly on the preview"
-        )
-
-    def test_preview_does_not_perturb_the_plane(self):
-        plane = make_plane(hosts=12)
-        plane.create_group("g", [f"h{i}" for i in range(8)])
-        free_before = {
-            f"h{i}": plane.budget.free_at(f"h{i}") for i in range(8)
-        }
-        plane.schedule_preview("g", "h0")
-        assert free_before == {
-            f"h{i}": plane.budget.free_at(f"h{i}") for i in range(8)
-        }
-        assert plane.budget.reservations() == 0
-
-    def test_preview_is_not_a_cache_lookup(self):
-        # a preview fills the cache but counts no lookup and replays no
-        # tree summary: the cache counters and the traced stream answer
-        # for sends only
-        plane = make_plane(hosts=12)
-        plane.create_group("g", [f"h{i}" for i in range(8)])
-        with perf.scoped() as scope, TRACER.capture() as mark:
-            plane.schedule_preview("g", "h0")
-            plane.schedule_preview("g", "h0")
-            previewed = scope.delta
-            trees = [
-                e for e in TRACER.events_since(mark)
-                if e.layer == "mc" and e.kind == "tree"
-            ]
-            plane.send("g", "h0")
-            plane.drain()
-        assert previewed.schedule_cache_hits == 0
-        assert previewed.schedule_cache_misses == 0
-        assert len(trees) == 1  # the kernel's, from the one build
-        # the send after the previews counts its own lookup, a hit
-        assert scope.delta.schedule_cache_hits == 1
-        assert scope.delta.schedule_cache_misses == 0
-
-    def test_preview_agrees_with_delivery_timeline(self):
-        plane = make_plane(hosts=12)
-        plane.create_group("g", [f"h{i}" for i in range(8)])
-        service = plane.service
-        group = service.group("g")
-        source = service.member_ident("g", "h0")
-        tree = group.multicast_from(group.snapshot.node_at(source))
-        host_of = {
-            service.member_ident("g", name): name
-            for name in service.members_of("g")
-        }
-        timeline = delivery_timeline(
-            tree, group.snapshot, 8.0, budget=UplinkBudget()
-        )
-        preview = plane.schedule_preview("g", "h0", message_kbits=8.0)
-        assert preview == {
-            host_of[ident]: when for ident, when in timeline.items()
-        }
-
-    def test_preview_unknown_group_and_member(self):
-        plane = make_plane()
-        with pytest.raises(KeyError, match="no group"):
-            plane.schedule_preview("nope", "h0")
-        plane.create_group("g", ["h0", "h1"])
-        with pytest.raises(KeyError, match="not a member"):
-            plane.schedule_preview("g", "h9")
 
 
 class TestExperimentAttribution:
