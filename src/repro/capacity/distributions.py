@@ -7,7 +7,6 @@ explicit :class:`random.Random` so experiments are reproducible.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from random import Random
@@ -24,10 +23,6 @@ class CapacityDistribution(ABC):
     @abstractmethod
     def mean(self) -> float:
         """Expected capacity (used for the Figure 11 x-axis)."""
-
-    def sample_many(self, count: int, rng: Random) -> list[int]:
-        """Draw ``count`` capacities."""
-        return [self.sample(rng) for _ in range(count)]
 
 
 @dataclass(frozen=True)
@@ -169,26 +164,18 @@ class UniformBandwidth(BandwidthDistribution):
 # -- JSON codec ---------------------------------------------------------------
 #
 # Distributions are frozen dataclasses, so a tagged field dump is a
-# faithful round-trip; scenario specs (repro.scenarios) and group
-# workloads (repro.workloads.GroupSpec) embed them through this codec.
+# faithful round-trip; scenario specs (repro.scenarios) embed capacity
+# laws through this codec.
 
-_CAPACITY_KINDS: dict[str, type[CapacityDistribution]] = {}
-_BANDWIDTH_KINDS: dict[str, type[BandwidthDistribution]] = {}
-
-
-def _register_codecs() -> None:
-    for cls in (FixedCapacity, UniformCapacity, HeavyTailCapacity):
-        _CAPACITY_KINDS[cls.__name__] = cls
-    for cls in (UniformBandwidth,):
-        _BANDWIDTH_KINDS[cls.__name__] = cls
+_CAPACITY_KINDS: dict[str, type[CapacityDistribution]] = {
+    cls.__name__: cls for cls in (FixedCapacity, UniformCapacity, HeavyTailCapacity)
+}
 
 
-def distribution_to_json(
-    distribution: CapacityDistribution | BandwidthDistribution,
-) -> dict[str, Any]:
-    """One distribution as a tagged, JSON-safe dict."""
+def distribution_to_json(distribution: CapacityDistribution) -> dict[str, Any]:
+    """One capacity law as a tagged, JSON-safe dict."""
     name = type(distribution).__name__
-    if name not in _CAPACITY_KINDS and name not in _BANDWIDTH_KINDS:
+    if name not in _CAPACITY_KINDS:
         raise TypeError(f"no JSON codec for distribution {name}")
     out: dict[str, Any] = {"kind": name}
     out.update(vars(distribution))
@@ -206,35 +193,3 @@ def capacity_distribution_from_json(raw: dict[str, Any]) -> CapacityDistribution
             f"choose from {sorted(_CAPACITY_KINDS)}"
         ) from None
     return cls(**{k: v for k, v in raw.items() if k != "kind"})
-
-
-def bandwidth_distribution_from_json(raw: dict[str, Any]) -> BandwidthDistribution:
-    """Inverse of :func:`distribution_to_json` for bandwidth laws."""
-    kind = dict(raw).pop("kind", None)
-    try:
-        cls = _BANDWIDTH_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown bandwidth distribution {kind!r}; "
-            f"choose from {sorted(_BANDWIDTH_KINDS)}"
-        ) from None
-    return cls(**{k: v for k, v in raw.items() if k != "kind"})
-
-
-_register_codecs()
-
-
-def expected_log_capacity(distribution: CapacityDistribution) -> float:
-    """Monte-Carlo-free ``E[log2 c]`` for the uniform/fixed distributions.
-
-    Theorems 2/4/6 express path lengths through ``log c`` terms; this
-    helper evaluates the exact expectation for the distributions the
-    paper sweeps, so benchmark assertions can compare measured depths
-    against the theoretical scaling.
-    """
-    if isinstance(distribution, FixedCapacity):
-        return math.log2(distribution.value)
-    if isinstance(distribution, UniformCapacity):
-        values = range(distribution.low, distribution.high + 1)
-        return sum(math.log2(v) for v in values) / len(values)
-    raise TypeError(f"unsupported distribution: {type(distribution).__name__}")

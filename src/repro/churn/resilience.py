@@ -71,13 +71,6 @@ class ResilienceReport:
             return 1.0
         return sum(self.ring_consistency_samples) / len(self.ring_consistency_samples)
 
-    @property
-    def mean_path_length(self) -> float:
-        """Mean delivery hop count across all multicasts."""
-        if not self.path_lengths:
-            return 0.0
-        return sum(self.path_lengths) / len(self.path_lengths)
-
     def summary_row(self) -> str:
         """One formatted result row for experiment output."""
         return (
@@ -102,11 +95,3 @@ def percentile(values: list[float], fraction: float) -> float:
     ordered = sorted(values)
     rank = min(len(ordered) - 1, max(0, math.ceil(fraction * len(ordered)) - 1))
     return ordered[rank]
-
-
-def geometric_mean(values: list[float]) -> float:
-    """Geometric mean (guards zero by flooring at 1e-9)."""
-    if not values:
-        return 0.0
-    total = sum(math.log(max(value, 1e-9)) for value in values)
-    return math.exp(total / len(values))

@@ -145,29 +145,6 @@ SEED_HELP = (
 )
 
 
-# -- sweepable experiments ---------------------------------------------------
-
-
-def run_sweep(
-    sweep: Callable[[ExperimentScale], Sequence[Any]],
-    run_point: Callable[[ExperimentScale, int, Any], Any],
-    assemble: Callable[[ExperimentScale, int, Sequence[Any]], FigureResult],
-    scale: ExperimentScale,
-    seed: int,
-) -> FigureResult:
-    """Serial execution of a sweep-decomposed experiment.
-
-    A figure module that defines ``sweep`` / ``run_point`` / ``assemble``
-    implements ``run`` as exactly this composition, so the parallel
-    engine (which maps ``run_point`` over worker processes and feeds the
-    ordered partials to ``assemble``) produces byte-identical output by
-    construction.
-    """
-    points = sweep(scale)
-    partials = [run_point(scale, seed, point) for point in points]
-    return assemble(scale, seed, partials)
-
-
 # -- keyed snapshot / group caches -------------------------------------------
 
 _DRAW_CACHE: dict[tuple, Sequence] = {}

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.churn.resilience import percentile
-from repro.experiments.common import ExperimentScale, FigureResult, Series, run_sweep
+from repro.experiments.common import ExperimentScale, FigureResult, Series
 from repro.faults import compare_plan, generate_plan
 from repro.systems import system_names
 
@@ -120,8 +120,3 @@ def assemble(
         "member was orphaned."
     )
     return result
-
-
-def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
-    """Serial composition of the sweep (the parallel engine maps it)."""
-    return run_sweep(sweep, run_point, assemble, scale, seed)

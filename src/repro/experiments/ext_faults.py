@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.experiments.common import ExperimentScale, FigureResult, Series, run_sweep
+from repro.experiments.common import ExperimentScale, FigureResult, Series
 from repro.faults import generate_plan, run_plan
 from repro.systems import system_names
 
@@ -102,8 +102,3 @@ def assemble(
         "all hold; shrink any failure with `python -m repro.faults`."
     )
     return result
-
-
-def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
-    """Serial composition of the sweep (the parallel engine maps it)."""
-    return run_sweep(sweep, run_point, assemble, scale, seed)

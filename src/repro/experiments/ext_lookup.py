@@ -18,7 +18,6 @@ from repro.experiments.common import (
     Series,
     capacity_group,
     point_rng,
-    run_sweep,
 )
 from repro.multicast.session import SystemKind
 
@@ -92,8 +91,3 @@ def assemble(
         "overlays should track the ln(n)/ln(mean capacity) reference."
     )
     return result
-
-
-def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
-    """Regenerate the lookup-scaling series."""
-    return run_sweep(sweep, run_point, assemble, scale, seed)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.experiments.common import ExperimentScale, FigureResult, Series, run_sweep
+from repro.experiments.common import ExperimentScale, FigureResult, Series
 from repro.systems import system_names
 
 #: The sampled sub-matrix at each scale; None means the full matrix.
@@ -95,8 +95,3 @@ def assemble(
         "failures with `python -m repro.scenarios`."
     )
     return result
-
-
-def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
-    """Serial composition of the sweep (the parallel engine maps it)."""
-    return run_sweep(sweep, run_point, assemble, scale, seed)

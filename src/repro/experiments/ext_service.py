@@ -33,7 +33,6 @@ from repro.experiments.common import (
     Series,
     point_rng,
 )
-from repro.experiments.common import run_sweep
 
 #: group-count sweep per scale
 GROUP_COUNTS = {
@@ -227,8 +226,3 @@ def assemble(
         "audits to zero gaps, zero duplicate deliveries."
     )
     return result
-
-
-def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
-    """Serial composition of the sweep (the parallel engine maps it)."""
-    return run_sweep(sweep, run_point, assemble, scale, seed)

@@ -31,7 +31,6 @@ from repro.experiments.common import (
     Series,
     averaged_over_sources,
     bandwidth_group,
-    run_sweep,
 )
 from repro.metrics.throughput import sustainable_throughput
 from repro.multicast.session import SystemKind
@@ -112,8 +111,3 @@ def assemble(
         "heterogeneity ratio E[B]/min(B) = 1.75)."
     )
     return result
-
-
-def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
-    """Regenerate the Figure 6 series (x = average fanout, y = kbps)."""
-    return run_sweep(sweep, run_point, assemble, scale, seed)

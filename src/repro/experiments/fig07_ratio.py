@@ -22,7 +22,6 @@ from repro.experiments.common import (
     Series,
     averaged_over_sources,
     bandwidth_group,
-    run_sweep,
 )
 from repro.metrics.throughput import sustainable_throughput
 from repro.systems import capacity_aware_systems, descriptor_for
@@ -103,8 +102,3 @@ def assemble(
         "Ratios should increase with the upper bound, tracking (a+b)/2a."
     )
     return result
-
-
-def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
-    """Regenerate the Figure 7 series."""
-    return run_sweep(sweep, run_point, assemble, scale, seed)

@@ -21,7 +21,6 @@ from repro.experiments.common import (
     Series,
     averaged_over_sources,
     bandwidth_group,
-    run_sweep,
 )
 from repro.metrics.throughput import sustainable_throughput
 from repro.multicast.session import SystemKind
@@ -71,8 +70,3 @@ def assemble(
         "CAM-Chord on the high-throughput side."
     )
     return result
-
-
-def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
-    """Regenerate the Figure 8 series (x = throughput, y = path length)."""
-    return run_sweep(sweep, run_point, assemble, scale, seed)

@@ -23,7 +23,6 @@ from repro.experiments.common import (
     capacity_group,
     merged_histogram,
     point_rng,
-    run_sweep,
 )
 from repro.multicast.session import SystemKind
 
@@ -98,8 +97,3 @@ def build_figure(
             series.add(float(hops), float(count))
         result.series.append(series)
     return result
-
-
-def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
-    """Regenerate the Figure 9 curves."""
-    return run_sweep(sweep, run_point, assemble, scale, seed)

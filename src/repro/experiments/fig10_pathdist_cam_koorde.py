@@ -14,7 +14,7 @@ from repro.capacity.distributions import (
     UniformCapacity,
 )
 from repro.experiments import fig09_pathdist_cam_chord as fig09
-from repro.experiments.common import ExperimentScale, FigureResult, run_sweep
+from repro.experiments.common import ExperimentScale, FigureResult
 from repro.multicast.session import SystemKind
 
 CAPACITY_RANGES: tuple[CapacityDistribution, ...] = (
@@ -51,8 +51,3 @@ def assemble(
         "served neighbors) and catch up as capacities grow."
     )
     return result
-
-
-def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
-    """Regenerate the Figure 10 curves."""
-    return run_sweep(sweep, run_point, assemble, scale, seed)

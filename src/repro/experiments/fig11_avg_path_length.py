@@ -25,7 +25,6 @@ from repro.experiments.common import (
     Series,
     capacity_group,
     point_rng,
-    run_sweep,
 )
 from repro.multicast.session import SystemKind
 
@@ -95,8 +94,3 @@ def assemble(
         "(paper crossover between mean capacity 10 and 12)."
     )
     return result
-
-
-def run(scale: ExperimentScale, seed: int = 0) -> FigureResult:
-    """Regenerate the Figure 11 series."""
-    return run_sweep(sweep, run_point, assemble, scale, seed)

@@ -8,14 +8,14 @@ sweep points all become tasks in one flat list, so a single
 ``ProcessPoolExecutor`` keeps every core busy regardless of how the
 work is shaped.
 
-Determinism: a sweep-decomposed ``run()`` is *defined* as
-``assemble(scale, seed, [run_point(scale, seed, p) for p in sweep])``
-and every point draws from its own :func:`~repro.experiments.common.point_rng`
-stream, so executing the points on worker processes and assembling the
-ordered partials yields bit-for-bit the serial output.  The engine
-additionally runs the serial path (``jobs <= 1``) through the exact
-same task decomposition, making the equivalence testable byte for
-byte.
+Determinism: a sweep-decomposed experiment has no ``run()``; its
+result is ``assemble(scale, seed, [run_point(scale, seed, p) for p in
+sweep(scale)])`` and every point draws from its own
+:func:`~repro.experiments.common.point_rng` stream, so executing the
+points on worker processes and assembling the ordered partials yields
+bit-for-bit the serial output.  The serial path (``jobs <= 1``) runs
+the exact same task decomposition in-process, making the equivalence
+testable byte for byte.
 
 Members never cross the process boundary as bytes: a task names them
 by a frozen request (:func:`~repro.experiments.common.members_snapshot`)

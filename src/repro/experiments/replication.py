@@ -1,10 +1,11 @@
 """Multi-seed replication of experiments with summary statistics.
 
 A single seed answers "what happened"; replication answers "how much of
-that is noise".  :func:`replicate` reruns an experiment across seeds
-and aggregates matching series point-wise into mean and sample
-standard deviation — usable by any experiment module since they all
-return :class:`FigureResult`.
+that is noise".  :func:`aggregate` takes one experiment's per-seed
+results (the runner computes them, fanned like any other task) and
+aggregates matching series point-wise into mean and sample standard
+deviation — usable by any experiment module since they all return
+:class:`FigureResult`.
 
 Series whose x-values differ across seeds (e.g. measured-children
 sweeps) are aligned by *rank* rather than by x: the i-th point of each
@@ -15,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.experiments.common import ExperimentScale, FigureResult, Series
+from repro.experiments.common import FigureResult, Series
 
 
 @dataclass
@@ -74,23 +75,8 @@ def _mean_and_deviation(values: Sequence[float]) -> tuple[float, float]:
     return mean, math.sqrt(variance)
 
 
-def replicate(
-    experiment: Callable[[ExperimentScale, int], FigureResult],
-    scale: ExperimentScale,
-    seeds: Sequence[int],
-) -> ReplicatedResult:
-    """Run ``experiment`` once per seed and aggregate point-wise."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    return aggregate([experiment(scale, seed) for seed in seeds])
-
-
 def aggregate(results: Sequence[FigureResult]) -> ReplicatedResult:
-    """Point-wise mean ± sd over already-computed per-seed results.
-
-    Split out from :func:`replicate` so the parallel engine can fan the
-    per-seed runs over worker processes and aggregate afterwards.
-    """
+    """Point-wise mean ± sd over already-computed per-seed results."""
     if not results:
         raise ValueError("need at least one result")
     first = results[0]

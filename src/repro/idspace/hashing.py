@@ -74,29 +74,3 @@ def settle_collisions(
         taken.add(identifier)
         mapping[name] = identifier
     return mapping
-
-
-def spread_identifiers(count: int, space: IdentifierSpace) -> Sequence[int]:
-    """Return ``count`` identifiers spread evenly over the ring.
-
-    Useful for worst/best-case topology experiments where hashing noise
-    would obscure the structural effect being measured.
-    """
-    if count > space.size:
-        raise ValueError(
-            f"cannot place {count} nodes in a space of {space.size} identifiers"
-        )
-    if count == 0:
-        return []
-    step = space.size / count
-    positions = sorted({int(i * step) % space.size for i in range(count)})
-    # Integer truncation can merge adjacent slots for very dense rings;
-    # fill any shortfall with the lowest free identifiers.
-    free = 0
-    taken = set(positions)
-    while len(positions) < count:
-        if free not in taken:
-            positions.append(free)
-            taken.add(free)
-        free += 1
-    return sorted(positions)

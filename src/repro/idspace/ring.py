@@ -28,18 +28,12 @@ def segment_contains(z: int, x: int, y: int, modulus: int) -> bool:
     return 0 < offset <= (y - x) % modulus
 
 
-def ring_distance(x: int, y: int, modulus: int) -> int:
-    """Return ``|x - y|``: the shorter way around the ring."""
-    clockwise = (y - x) % modulus
-    return min(clockwise, modulus - clockwise)
-
-
 @dataclass(frozen=True)
 class IdentifierSpace:
     """A circular identifier space ``[0, 2**bits - 1]``.
 
-    Provides the ring arithmetic of Section 2 plus the bit-shuffling
-    helpers needed by the de Bruijn (Koorde / CAM-Koorde) overlays.
+    Provides the ring arithmetic of Section 2 plus the low-bit mask
+    CAM-Koorde's lookup reads.
     """
 
     bits: int
@@ -69,10 +63,6 @@ class IdentifierSpace:
         """True when ``z`` lies in the clockwise segment ``(x, y]``."""
         return segment_contains(z, x, y, self.size)
 
-    def distance(self, x: int, y: int) -> int:
-        """Shorter-way-around ring distance ``|x - y|``."""
-        return ring_distance(x, y, self.size)
-
     def add(self, x: int, delta: int) -> int:
         """Clockwise displacement: ``(x + delta) mod N``."""
         return (x + delta) % self.size
@@ -81,49 +71,8 @@ class IdentifierSpace:
         """Counter-clockwise displacement: ``(x - delta) mod N``."""
         return (x - delta) % self.size
 
-    # -- bit helpers used by the de Bruijn overlays -------------------
-
-    def shift_right(self, x: int, count: int) -> int:
-        """Drop the ``count`` low-order bits of ``x`` (CAM-Koorde shift)."""
-        if count < 0:
-            raise ValueError(f"shift count must be >= 0, got {count}")
-        return x >> count
-
-    def shift_left_in(self, x: int, digit: int, base_bits: int) -> int:
-        """Koorde-style left shift: push ``digit`` into the low bits.
-
-        ``x`` is shifted ``base_bits`` to the left (dropping the bits
-        that overflow the identifier width) and ``digit`` becomes the
-        new low-order chunk.
-        """
-        if not 0 <= digit < (1 << base_bits):
-            raise ValueError(f"digit {digit} does not fit in {base_bits} bits")
-        return ((x << base_bits) | digit) % self.size
-
-    def top_bits(self, x: int, count: int) -> int:
-        """Return the ``count`` high-order bits of ``x``."""
-        if not 0 <= count <= self.bits:
-            raise ValueError(f"count must be in [0, {self.bits}], got {count}")
-        return x >> (self.bits - count) if count else 0
-
     def low_bits(self, x: int, count: int) -> int:
         """Return the ``count`` low-order bits of ``x``."""
         if not 0 <= count <= self.bits:
             raise ValueError(f"count must be in [0, {self.bits}], got {count}")
         return x & ((1 << count) - 1) if count else 0
-
-    def ps_common_bits(self, x: int, k: int) -> int:
-        """Number of *ps-common* bits shared by ``x`` and ``k``.
-
-        Definition 1 of the paper: the largest ``l`` such that the
-        ``l``-bit *prefix* of ``x`` equals the ``l``-bit *suffix* of
-        ``k``.  ``x == k`` iff they share ``bits`` ps-common bits.
-        """
-        for length in range(self.bits, 0, -1):
-            if self.top_bits(x, length) == self.low_bits(k, length):
-                return length
-        return 0
-
-    def format_id(self, x: int) -> str:
-        """Binary rendering used in the paper's figures, e.g. ``100100``."""
-        return format(x, f"0{self.bits}b")

@@ -173,14 +173,6 @@ class BackupPlan:
             queue.extend(self.children.get(node, ()))
         return tuple(out)
 
-    def orphans_of_edge(self, parent: int, child: int) -> tuple[int, ...]:
-        """The members orphaned when the edge ``parent -> child`` dies:
-        exactly the child's primary subtree."""
-        route = self.routes.get(child)
-        if route is None or route.parent != parent:
-            raise KeyError(f"{parent} -> {child} is not a primary tree edge")
-        return self.subtree(child)
-
     def orphans_of_node(self, ident: int) -> tuple[int, ...]:
         """The members orphaned when node ``ident`` dies: the union of
         its children's subtrees (the node itself departs, so it is not
@@ -339,10 +331,6 @@ class FailoverRecovery:
     grafts: tuple[GraftEdge, ...] = ()
     uncovered: tuple[int, ...] = ()
 
-    def recovered_times(self) -> dict[int, float]:
-        """Member -> absolute eventual delivery time."""
-        return {item.ident: item.time for item in self.recovered}
-
     def graft_load(self) -> dict[int, int]:
         """Graft children per backup parent (for the fanout check)."""
         load: dict[int, int] = {}
@@ -495,8 +483,3 @@ def delivery_gaps(
 def sorted_gap_items(gaps: dict[int, float]) -> tuple[tuple[int, float], ...]:
     """Gaps as a sorted, hashable (ident, gap) tuple for plan outcomes."""
     return tuple(sorted(gaps.items()))
-
-
-def gap_values(items: Sequence[tuple[int, float]]) -> list[float]:
-    """Just the gap durations of one outcome's (ident, gap) pairs."""
-    return [gap for _ident, gap in items]

@@ -163,11 +163,6 @@ class FlatTree:
 
     # -- tree vocabulary (fused array passes) ----------------------------
 
-    def was_delivered(self, ident: int) -> bool:
-        """True when the node received the message."""
-        index = self.member_index(ident)
-        return index is not None and self.depth_array[index] >= 0
-
     @property
     def receiver_count(self) -> int:
         """Number of nodes that received the message, source included."""
@@ -180,13 +175,6 @@ class FlatTree:
         idents = self.snapshot.identifiers
         counts = self.child_count
         return Counter({idents[index]: counts[index] for index in self.order})
-
-    def internal_nodes(self) -> list[int]:
-        """Identifiers of nodes with at least one child."""
-        perf.COUNTERS.array_passes += 1
-        idents = self.snapshot.identifiers
-        counts = self.child_count
-        return [idents[index] for index in self.order if counts[index] > 0]
 
     def path_length_histogram(self) -> Counter[int]:
         """The Figure 9/10 statistic: #nodes reached at each hop count,

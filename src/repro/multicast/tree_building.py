@@ -63,13 +63,6 @@ class SharedTree:
                 violations[ident] = count - capacity
         return violations
 
-    def delivery_path_length(self, source_ident: int, member_ident: int) -> int:
-        """Overlay hops from ``source`` to ``member`` through the root:
-        up the source's branch, down the member's."""
-        if source_ident not in self.depth or member_ident not in self.depth:
-            raise KeyError("both endpoints must be tree members")
-        return self.depth[source_ident] + self.depth[member_ident]
-
     def forwarding_load(
         self, message_count: int, message_kbits: float = 1.0
     ) -> Mapping[int, float]:

@@ -147,10 +147,6 @@ class RingSnapshot:
         self._nodes: tuple[Node, ...] | None = None
         self._ring_index: RingIndex | None = None
 
-    def _columns(self) -> tuple[Sequence, Sequence, Sequence, Sequence]:
-        """The stored columns, in :meth:`from_columns` argument order."""
-        return self._idents, self._capacities, self._bandwidths, self._names
-
     @property
     def space(self) -> IdentifierSpace:
         """The identifier space this membership lives in."""
@@ -163,8 +159,9 @@ class RingSnapshot:
         # transient nodes: iterating does not materialize the tuple
         return map(self.node_for_index, range(len(self._idents)))
 
-    def __contains__(self, ident: int) -> bool:
-        return self.index_of(ident) is not None
+    #: ``ident in snapshot`` would fall back to ``__iter__`` and compare
+    #: an int with each Node (always False): ask ``index_of`` instead
+    __contains__ = None
 
     @property
     def nodes(self) -> Sequence[Node]:
@@ -302,29 +299,6 @@ class RingSnapshot:
             del out[limit:]
         return out
 
-    def without(self, idents: Iterable[int]) -> "RingSnapshot":
-        """A new snapshot with the given members removed (churn support)."""
-        gone = set(idents)
-        keep = [i for i, ident in enumerate(self._idents) if ident not in gone]
-        return RingSnapshot.from_columns(
-            self._space, *([column[i] for i in keep] for column in self._columns())
-        )
-
-    def with_nodes(self, nodes: Iterable[Node]) -> "RingSnapshot":
-        """A new snapshot with the given members added (churn support).
-
-        The additions are appended to the existing columns and the
-        constructor's argsort merges the two runs (and rejects an
-        identifier that is already on the ring).
-        """
-        return RingSnapshot.from_columns(
-            self._space,
-            *(
-                [*mine, *added]
-                for mine, added in zip(self._columns(), _node_columns(nodes))
-            ),
-        )
-
 
 class RingIndex:
     """What tree extraction asks of a membership, in O(n) words.
@@ -434,22 +408,6 @@ class Overlay(ABC):
     @abstractmethod
     def lookup(self, start: Node, key: int) -> LookupResult:
         """Find the node responsible for identifier ``key``."""
-
-    def check_lookup_invariants(self, result: LookupResult, key: int) -> None:
-        """Assert that a lookup answer is actually responsible for ``key``.
-
-        Responsibility means ``key`` lies in ``(predecessor(v), v]``.
-        Used by tests and by the paranoid mode of the experiment runner.
-        """
-        node = result.responsible
-        predecessor = self._snapshot.predecessor(node)
-        if len(self._snapshot) == 1:
-            return
-        if not self.space.in_segment(key, predecessor.ident, node.ident):
-            raise AssertionError(
-                f"lookup({key}) returned {node}, responsible segment is "
-                f"({predecessor.ident}, {node.ident}]"
-            )
 
 
 def build_snapshot(

@@ -88,19 +88,6 @@ def slot_identifiers(ident: int, capacity: int, bits: int) -> list[tuple[int, in
     return out
 
 
-def neighbor_levels(capacity: int, space_bits: int) -> int:
-    """Number of neighbor levels: the smallest ``L`` with ``c**L >= N``."""
-    if capacity < 2:
-        raise ValueError(f"capacity must be >= 2, got {capacity}")
-    size = 1 << space_bits
-    levels = 0
-    power = 1
-    while power < size:
-        power *= capacity
-        levels += 1
-    return levels
-
-
 class CamChordOverlay(Overlay):
     """CAM-Chord over a membership snapshot.
 

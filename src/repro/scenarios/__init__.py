@@ -19,7 +19,6 @@ from repro.scenarios.compile import (
     CellOutcome,
     CompiledCell,
     compile_cell,
-    load_cell,
     run_cell,
     save_cell,
 )
@@ -37,8 +36,6 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     TopologyAxis,
     WorkloadAxis,
-    load_scenario,
-    save_scenario,
 )
 
 __all__ = [
@@ -54,13 +51,10 @@ __all__ = [
     "compile_cell",
     "compile_matrix",
     "get_scenario",
-    "load_cell",
-    "load_scenario",
     "render_tables",
     "run_cell",
     "run_matrix",
     "save_cell",
-    "save_scenario",
     "scenario_names",
     "shrink_cell",
 ]

@@ -39,7 +39,6 @@ from repro.experiments.common import SEED_HELP
 from repro.scenarios.compile import (
     CompiledCell,
     compile_cell,
-    load_cell,
     run_cell,
     save_cell,
 )

@@ -45,7 +45,7 @@ from repro.faults.campaign import PlanOutcome, run_plan
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.metrics.load import flooding_load
 from repro.metrics.throughput import sustainable_throughput
-from repro.scenarios.spec import LatencySpec, ScenarioSpec
+from repro.scenarios.spec import LatencySpec, ScenarioSpec, reject_unknown_keys
 from repro.sim.latency import ConstantLatency, GeographicLatency, LatencyModel
 from repro.systems import MemberSpec, get_system
 
@@ -151,9 +151,6 @@ class CompiledCell:
     coordinates: tuple[tuple[float, float], ...] | None = None
     message_kbits: float = 1.0
     static_sources: int = 3
-    #: concurrent service-plane groups (1 = classic single-group cell;
-    #: >1 adds the event-driven plane phase to run_cell)
-    groups: int = 1
 
     def build_latency(self) -> LatencyModel:
         """The live latency model, coordinates pinned when geographic."""
@@ -210,13 +207,12 @@ class CompiledCell:
         }
         if self.coordinates is not None:
             out["coordinates"] = [list(pair) for pair in self.coordinates]
-        if self.groups != 1:  # omitted when 1: existing artifacts keep bytes
-            out["groups"] = self.groups
         return out
 
     @classmethod
     def from_json_dict(cls, raw: dict[str, Any]) -> "CompiledCell":
-        members = raw["members"]
+        reject_unknown_keys(raw, cls)
+        members = reject_unknown_keys(raw["members"], MemberSpec)
         return cls(
             scenario=str(raw["scenario"]),
             system=str(raw["system"]),
@@ -236,7 +232,6 @@ class CompiledCell:
             ),
             message_kbits=float(raw.get("message_kbits", 1.0)),
             static_sources=int(raw.get("static_sources", 3)),
-            groups=int(raw.get("groups", 1)),
         )
 
 
@@ -245,12 +240,6 @@ def save_cell(cell: CompiledCell, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(cell.to_json_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def load_cell(path: str) -> CompiledCell:
-    """Read a cell written by :func:`save_cell`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return CompiledCell.from_json_dict(json.load(handle))
 
 
 def compile_cell(spec: ScenarioSpec, system: str, seed: int = 0) -> CompiledCell:
@@ -288,7 +277,6 @@ def compile_cell(spec: ScenarioSpec, system: str, seed: int = 0) -> CompiledCell
         coordinates=coordinates,
         message_kbits=spec.workload.message_kbits,
         static_sources=spec.workload.static_sources,
-        groups=spec.workload.groups,
     )
 
 
@@ -302,8 +290,6 @@ class CellOutcome:
     load_max_over_mean: float = 0.0
     load_cv: float = 0.0
     load_idle_fraction: float = 0.0
-    #: event-driven plane phase metrics (only when cell.groups > 1)
-    plane: dict[str, Any] | None = None
 
     @property
     def passed(self) -> bool:
@@ -316,7 +302,7 @@ class CellOutcome:
     def row(self) -> dict[str, Any]:
         """One result-table row as JSON-safe data."""
         delivery = self.mean_delivery()
-        row = {
+        return {
             "scenario": self.cell.scenario,
             "system": self.cell.system,
             "passed": self.passed,
@@ -329,70 +315,10 @@ class CellOutcome:
             "load_cv": self.load_cv,
             "load_idle_fraction": self.load_idle_fraction,
         }
-        if self.plane is not None:  # single-group rows keep their bytes
-            row["plane"] = self.plane
-        return row
-
-
-def _run_plane_phase(cell: CompiledCell) -> dict[str, Any]:
-    """The multi-group service-plane phase of a ``groups > 1`` cell.
-
-    The cell's membership becomes a shared host population; ``groups``
-    overlapping groups are sampled from it, every group originates the
-    workload's ``multicasts`` sends interleaved on one clock, and each
-    group sees one mid-stream join and one mid-stream leave while sends
-    are in flight.  The quiesce oracles (completeness against frozen
-    send-time membership, zero sequence gaps, zero duplicates) must
-    hold — a violation raises, failing the cell loudly rather than
-    degrading a metric.
-    """
-    from repro.multicast.plane import ServicePlane
-
-    plane = ServicePlane(space_bits=cell.members.space_bits)
-    names = [f"m{index:04d}" for index in range(len(cell.members))]
-    for name, kbps in zip(names, cell.members.bandwidths):
-        plane.register_host(name, max(float(kbps), 1.0))
-    rng = _scenario_rng(cell.seed, cell.scenario, cell.system, "plane")
-    group_size = max(4, min(len(names) - 1, 8))
-    window = max(cell.plan.propagation_window, 1.0)
-    sends = max(cell.plan.multicasts, 1)
-    for index in range(cell.groups):
-        group = f"g{index:03d}"
-        members = rng.sample(names, group_size)
-        plane.create_group(group, members, kind=cell.system)
-        # the leaver never sources a send: a send_later firing after
-        # the leave would otherwise originate at a non-member
-        leaver = members[rng.randrange(len(members))]
-        sources = [name for name in members if name != leaver]
-        for turn in range(sends):
-            offset = rng.uniform(0.0, window)
-            source = sources[rng.randrange(len(sources))]
-            plane.send_later(offset, group, source, cell.message_kbits)
-        # one join and one leave mid-window, while sends are in flight
-        free = sorted(set(names) - set(members))
-        if free:
-            joiner = rng.choice(free)
-            plane.simulator.call_at(
-                rng.uniform(0.0, window), plane.join, group, joiner
-            )
-        plane.simulator.call_at(rng.uniform(0.0, window), plane.leave, group, leaver)
-    plane.drain()
-    plane.verify_quiesced()
-    report = plane.report()
-    return {
-        "groups": cell.groups,
-        "deliveries": report.total_deliveries,
-        "deliveries_per_sec": round(report.deliveries_per_sec(), 4),
-        "deferrals": report.total_deferrals,
-        "max_queue_depth": max(
-            (row["max_queue_depth"] for row in report.rows), default=0
-        ),
-    }
 
 
 def run_cell(cell: CompiledCell) -> CellOutcome:
-    """Execute one cell: live fault phase, then static measurement,
-    then (for ``groups > 1`` cells) the event-driven plane phase."""
+    """Execute one cell: live fault phase, then static measurement."""
     from repro.multicast.session import MulticastGroup
 
     outcome = run_plan(
@@ -417,7 +343,6 @@ def run_cell(cell: CompiledCell) -> CellOutcome:
     except ValueError:
         throughput = None  # membership carries no usable bandwidths
     load = flooding_load(results, message_kbits=cell.message_kbits)
-    plane = _run_plane_phase(cell) if cell.groups > 1 else None
     return CellOutcome(
         cell=cell,
         outcome=outcome,
@@ -425,5 +350,4 @@ def run_cell(cell: CompiledCell) -> CellOutcome:
         load_max_over_mean=load.max_over_mean,
         load_cv=load.coefficient_of_variation,
         load_idle_fraction=load.idle_fraction,
-        plane=plane,
     )

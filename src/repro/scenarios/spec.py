@@ -20,8 +20,8 @@ varies, each axis an independent frozen value:
 
 Like :class:`~repro.faults.plan.FaultPlan`, a spec is a *value*:
 frozen, JSON round-trippable (:meth:`ScenarioSpec.to_json_dict` /
-:meth:`ScenarioSpec.from_json_dict`, :func:`save_scenario` /
-:func:`load_scenario`), and every byte of its compiled form derives
+:meth:`ScenarioSpec.from_json_dict`, which rejects a key no field
+reads), and every byte of its compiled form derives
 from ``(spec, system, seed)`` — the compiler (:mod:`.compile`) draws
 all randomness from named SHA-512 streams, so compiling twice yields
 byte-identical cells.
@@ -50,6 +50,17 @@ PLACEMENTS = ("uniform", "hilbert")
 
 #: Latency models a topology axis may name.
 LATENCY_KINDS = ("constant", "geographic")
+
+
+def reject_unknown_keys(raw: dict[str, Any], cls: type) -> dict[str, Any]:
+    """``raw`` itself, or a ``ValueError`` naming each key ``cls`` lacks.
+
+    A misspelt key would otherwise run the field's default unnoticed.
+    """
+    unknown = sorted(set(raw) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -127,8 +138,7 @@ class ChurnModel:
 
     @classmethod
     def from_json_dict(cls, raw: dict[str, Any]) -> "ChurnModel":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in raw.items() if k in known})
+        return cls(**reject_unknown_keys(raw, cls))
 
 
 @dataclass(frozen=True)
@@ -158,8 +168,7 @@ class LatencySpec:
 
     @classmethod
     def from_json_dict(cls, raw: dict[str, Any]) -> "LatencySpec":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in raw.items() if k in known})
+        return cls(**reject_unknown_keys(raw, cls))
 
 
 @dataclass(frozen=True)
@@ -195,6 +204,7 @@ class TopologyAxis:
 
     @classmethod
     def from_json_dict(cls, raw: dict[str, Any]) -> "TopologyAxis":
+        reject_unknown_keys(raw, cls)
         return cls(
             size=int(raw.get("size", 16)),
             space_bits=int(raw.get("space_bits", 12)),
@@ -214,9 +224,6 @@ class WorkloadAxis:
     churn: ChurnModel = field(default_factory=ChurnModel)
     message_kbits: float = 1.0
     static_sources: int = 3  # distinct sources probed in the static phase
-    #: concurrent service-plane groups; 1 keeps the classic single-group
-    #: scenario (no plane phase runs, outputs stay byte-identical)
-    groups: int = 1
 
     def __post_init__(self) -> None:
         if self.multicasts < 0:
@@ -225,30 +232,25 @@ class WorkloadAxis:
             raise ValueError(
                 f"static_sources must be >= 1, got {self.static_sources}"
             )
-        if self.groups < 1:
-            raise ValueError(f"groups must be >= 1, got {self.groups}")
 
     def to_json_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
+        return {
             "multicasts": self.multicasts,
             "propagation_window": self.propagation_window,
             "churn": self.churn.to_json_dict(),
             "message_kbits": self.message_kbits,
             "static_sources": self.static_sources,
         }
-        if self.groups != 1:
-            out["groups"] = self.groups
-        return out
 
     @classmethod
     def from_json_dict(cls, raw: dict[str, Any]) -> "WorkloadAxis":
+        reject_unknown_keys(raw, cls)
         return cls(
             multicasts=int(raw.get("multicasts", 2)),
             propagation_window=float(raw.get("propagation_window", 10.0)),
             churn=ChurnModel.from_json_dict(raw.get("churn", {"kind": "none"})),
             message_kbits=float(raw.get("message_kbits", 1.0)),
             static_sources=int(raw.get("static_sources", 3)),
-            groups=int(raw.get("groups", 1)),
         )
 
 
@@ -290,6 +292,7 @@ class FaultAxis:
 
     @classmethod
     def from_json_dict(cls, raw: dict[str, Any]) -> "FaultAxis":
+        reject_unknown_keys(raw, cls)
         return cls(
             fault_window=float(raw.get("fault_window", 20.0)),
             events=tuple(
@@ -330,6 +333,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_json_dict(cls, raw: dict[str, Any]) -> "ScenarioSpec":
+        reject_unknown_keys(raw, cls)
         return cls(
             name=str(raw["name"]),
             description=str(raw.get("description", "")),
@@ -338,20 +342,3 @@ class ScenarioSpec:
             faults=FaultAxis.from_json_dict(raw["faults"]),
             uniform_fanout=int(raw.get("uniform_fanout", 4)),
         )
-
-
-def save_scenario(spec: ScenarioSpec, path: str) -> None:
-    """Write one spec as JSON (the single-file scenario form)."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(spec.to_json_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_scenario(path: str) -> ScenarioSpec:
-    """Read a spec written by :func:`save_scenario`."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        return ScenarioSpec.from_json_dict(json.load(handle))

@@ -186,10 +186,6 @@ class Network:
             a, b = sorted(pair)
             self.heal(a, b)
 
-    def partitions(self) -> tuple[tuple[int, int], ...]:
-        """The currently severed host pairs, sorted."""
-        return tuple(sorted(tuple(sorted(pair)) for pair in self._partitioned))
-
     def set_loss_rate(self, loss_rate: float) -> None:
         """Change the iid message-loss probability."""
         if not 0.0 <= loss_rate < 1.0:

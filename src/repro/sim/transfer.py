@@ -57,11 +57,6 @@ class UplinkBudget:
         """When the host's uplink next goes idle (0.0 if never used)."""
         return self._free_at.get(host, 0.0)
 
-    def backlog(self, host: Hashable, now: float) -> float:
-        """Seconds of queued serialization ahead of a reservation at
-        ``now`` — the queue-depth measure in time units."""
-        return max(0.0, self.free_at(host) - now)
-
     def reserve(
         self, host: Hashable, now: float, duration: float
     ) -> tuple[float, float]:
@@ -152,13 +147,6 @@ class TransferResult:
         if self.session_completion <= 0:
             return float("inf")
         return self.message_kbits / self.session_completion
-
-    def member_throughput_kbps(self, ident: int) -> float:
-        """One member's effective receive rate."""
-        elapsed = self.completion_time[ident]
-        if elapsed <= 0:
-            return float("inf")
-        return self.message_kbits / elapsed
 
     def startup_delay(self, ident: int) -> float:
         """When the member's *first* packet arrived (stream start-up)."""

@@ -5,14 +5,15 @@ every task and ships the *delta* back with the task payload.  Before
 this module existed that delta was just a
 :class:`~repro.perf.PerfCounters` block; the tracer adds a second kind
 of per-process accumulating state with exactly the same shipping
-needs, so both are folded behind one snapshot/since/absorb API:
+needs, so both are folded behind one snapshot/since API:
 
 * :func:`snapshot` — remember the current counter values and trace
   buffer position;
 * :func:`since` — the counters incremented and events emitted after a
-  snapshot (pickleable; this is what a worker returns);
-* :func:`absorb` — fold a worker's delta into this process (counters
-  add, events append re-sequenced).
+  snapshot (pickleable; this is what a worker returns).
+
+The engine sums the deltas (:class:`ObsDelta` adds) per figure; it
+never folds them back into the live counters or trace buffer.
 
 Because deltas are taken per task and reassembled in deterministic
 task-plan order, a ``--jobs N`` run reconstructs the same event stream
@@ -55,20 +56,3 @@ def snapshot() -> ObsSnapshot:
 def since(start: ObsSnapshot) -> ObsDelta:
     """The observability delta accumulated after ``start``."""
     return ObsDelta(perf.since(start.counters), TRACER.events_since(start.trace_mark))
-
-
-def absorb(delta: ObsDelta) -> None:
-    """Fold a (worker) delta into this process's accumulators.
-
-    Counters are added onto the live :data:`repro.perf.COUNTERS`;
-    events are appended to the live tracer buffer (re-sequenced), so
-    a later export from this process sees them.
-    """
-    for name in perf.PerfCounters.__dataclass_fields__:
-        setattr(
-            perf.COUNTERS,
-            name,
-            getattr(perf.COUNTERS, name) + getattr(delta.counters, name),
-        )
-    if delta.events:
-        TRACER.absorb(delta.events)

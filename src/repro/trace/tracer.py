@@ -171,14 +171,6 @@ class Tracer:
             _record(TraceEvent, (len(self._events), time, layer, kind, data))
         )
 
-    def absorb(self, events: Iterable[TraceEvent]) -> None:
-        """Fold events recorded elsewhere (a worker process) into this
-        buffer, re-sequencing them after the current tail."""
-        for event in events:
-            self._events.append(
-                TraceEvent(len(self._events), event.time, event.layer, event.kind, event.data)
-            )
-
     # -- inspection -----------------------------------------------------
 
     def __len__(self) -> int:

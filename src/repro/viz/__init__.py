@@ -1,5 +1,5 @@
 """Terminal rendering of experiment results (no plotting dependencies)."""
 
-from repro.viz.ascii_chart import render_figure, render_histogram, render_xy
+from repro.viz.ascii_chart import render_figure, render_xy
 
-__all__ = ["render_figure", "render_histogram", "render_xy"]
+__all__ = ["render_figure", "render_xy"]

@@ -2,10 +2,8 @@
 
 The offline environment has no matplotlib, and the harness output
 should be readable where it runs: in a terminal.  ``render_xy`` draws
-multiple series on one axes grid with per-series glyphs and a legend;
-``render_histogram`` draws horizontal bars (used for the Figure 9/10
-path-length distributions).  Output is deterministic, so examples can
-assert against it.
+multiple series on one axes grid with per-series glyphs and a legend.
+Output is deterministic, so examples can assert against it.
 """
 
 from __future__ import annotations
@@ -102,22 +100,6 @@ def render_xy(
     for index, series in enumerate(series_list):
         glyph = GLYPHS[index % len(GLYPHS)]
         lines.append(f"{'':>{margin}}{glyph} = {series.label}")
-    return "\n".join(lines)
-
-
-def render_histogram(
-    series: Series,
-    width: int = 50,
-    title: str = "",
-) -> str:
-    """Horizontal-bar rendering of one (bucket, count) series."""
-    if not series.points:
-        return f"{title}\n(no data)"
-    peak = max(y for _, y in series.points) or 1.0
-    lines = [title] if title else []
-    for x, y in series.points:
-        bar = "#" * max(0, round(y / peak * width))
-        lines.append(f"{_format_tick(x):>8} | {bar} {_format_tick(y)}")
     return "\n".join(lines)
 
 

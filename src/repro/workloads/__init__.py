@@ -1,9 +1,7 @@
 """Workload generation for experiments and examples.
 
-:class:`GroupSpec` and :class:`ServiceWorkloadSpec` are JSON
-round-trippable (``to_json_dict`` / ``from_json_dict``), so scenario
-specs (:mod:`repro.scenarios`) can embed group and service workloads
-the same way fault plans embed their schedules.
+:class:`GroupSpec` draws one group; :class:`ServiceWorkloadSpec`
+compiles to a time-ordered service-plane event sequence.
 """
 
 from repro.workloads.groups import (

@@ -22,15 +22,8 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from random import Random
-from typing import Any
 
-from repro.capacity.distributions import (
-    BandwidthDistribution,
-    CapacityDistribution,
-    bandwidth_distribution_from_json,
-    capacity_distribution_from_json,
-    distribution_to_json,
-)
+from repro.capacity.distributions import BandwidthDistribution, CapacityDistribution
 from repro.capacity.model import CapacityModel
 from repro.idspace.ring import IdentifierSpace
 from repro.overlay.base import RingSnapshot, build_snapshot
@@ -63,49 +56,6 @@ class GroupSpec:
             )
         if bandwidth_mode and self.per_link_kbps is None:
             raise ValueError("bandwidth mode requires per_link_kbps (the paper's p)")
-
-    # -- JSON ------------------------------------------------------------
-    #
-    # Scenario specs (repro.scenarios) embed group workloads, so a spec
-    # must survive the same JSON round-trip FaultPlan does: dump, load,
-    # and the reloaded spec generates the byte-identical group.
-
-    def to_json_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "size": self.size,
-            "space_bits": self.space_bits,
-            "min_capacity": self.min_capacity,
-        }
-        if self.capacities is not None:
-            out["capacities"] = distribution_to_json(self.capacities)
-        else:
-            assert self.bandwidths is not None
-            out["bandwidths"] = distribution_to_json(self.bandwidths)
-            out["per_link_kbps"] = self.per_link_kbps
-        return out
-
-    @classmethod
-    def from_json_dict(cls, raw: dict[str, Any]) -> "GroupSpec":
-        return cls(
-            size=int(raw["size"]),
-            space_bits=int(raw.get("space_bits", 19)),
-            capacities=(
-                capacity_distribution_from_json(raw["capacities"])
-                if raw.get("capacities") is not None
-                else None
-            ),
-            bandwidths=(
-                bandwidth_distribution_from_json(raw["bandwidths"])
-                if raw.get("bandwidths") is not None
-                else None
-            ),
-            per_link_kbps=(
-                float(raw["per_link_kbps"])
-                if raw.get("per_link_kbps") is not None
-                else None
-            ),
-            min_capacity=int(raw.get("min_capacity", 1)),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,51 +147,6 @@ class ServiceWorkloadSpec:
             raise ValueError(
                 f"arrival window must be in (0, 1], got {self.arrival_window}"
             )
-
-    def to_json_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "groups": self.groups,
-            "hosts": self.hosts,
-            "group_size": self.group_size,
-            "horizon_s": self.horizon_s,
-            "send_interval_s": self.send_interval_s,
-            "churn_rate": self.churn_rate,
-            "mean_hold_s": self.mean_hold_s,
-            "arrival_window": self.arrival_window,
-            "message_kbits": self.message_kbits,
-            "kind": self.kind,
-            "per_link_kbps": self.per_link_kbps,
-            "min_group_size": self.min_group_size,
-        }
-        if self.bandwidths is not None:
-            out["bandwidths"] = distribution_to_json(self.bandwidths)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, raw: dict[str, Any]) -> "ServiceWorkloadSpec":
-        return cls(
-            groups=int(raw["groups"]),
-            hosts=int(raw["hosts"]),
-            group_size=int(raw["group_size"]),
-            horizon_s=float(raw["horizon_s"]),
-            send_interval_s=float(raw.get("send_interval_s", 5.0)),
-            churn_rate=float(raw.get("churn_rate", 0.0)),
-            mean_hold_s=(
-                float(raw["mean_hold_s"])
-                if raw.get("mean_hold_s") is not None
-                else None
-            ),
-            arrival_window=float(raw.get("arrival_window", 0.25)),
-            message_kbits=float(raw.get("message_kbits", 8.0)),
-            kind=str(raw.get("kind", "cam-chord")),
-            per_link_kbps=float(raw.get("per_link_kbps", 100.0)),
-            bandwidths=(
-                bandwidth_distribution_from_json(raw["bandwidths"])
-                if raw.get("bandwidths") is not None
-                else None
-            ),
-            min_group_size=int(raw.get("min_group_size", 2)),
-        )
 
 
 def generate_service_workload(

@@ -71,7 +71,7 @@ def flood(overlay, source) -> tuple[Parent, Depth]:
 
 def derived(parent: Parent, depth: Depth) -> dict:
     """Children counts (delivery order, leaves at 0), path-length
-    histogram, mean / max path length, internal nodes and the
+    histogram, mean / max path length and the
     :class:`TreeStats` of the tree the two dicts describe."""
     children = Counter({ident: 0 for ident in parent})
     for ident in parent.values():
@@ -86,7 +86,6 @@ def derived(parent: Parent, depth: Depth) -> dict:
         "histogram": histogram,
         "mean": mean,
         "max": max(depth.values()),
-        "internal": [ident for ident, count in children.items() if count],
         "stats": TreeStats(
             receivers=len(parent),
             average_path_length=mean,

@@ -35,7 +35,6 @@ from repro.multicast.backup import (
     backup_plan_for_record,
     build_backup_plan,
     delivery_gaps,
-    gap_values,
     sorted_gap_items,
 )
 from repro.multicast.kernel import flood_tree, region_split_tree
@@ -119,9 +118,7 @@ def test_backup_covers_exactly_the_orphan_set(idents, caps, system):
     plan = build_backup_plan(tree, descriptor)
     assert set(plan.routes) == set(plan.epoch_members) - {plan.source}
     for child, route in plan.routes.items():
-        assert set(plan.orphans_of_edge(route.parent, child)) == descendants(
-            plan, child
-        )
+        assert set(plan.subtree(child)) == descendants(plan, child)
     for ident in plan.epoch_members:
         union: set[int] = set()
         for child in plan.children.get(ident, ()):
@@ -185,9 +182,7 @@ def test_failover_partitions_orphans_within_fanout_bounds(
     gaps = delivery_gaps(record, recovery)
     for member in recovered:
         assert gaps[member] > 0.0
-    assert gap_values(sorted_gap_items(gaps)) == [
-        gap for _ident, gap in sorted(gaps.items())
-    ]
+    assert sorted_gap_items(gaps) == tuple(sorted(gaps.items()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -216,8 +211,6 @@ def test_plan_for_record_and_error_paths():
 
     with pytest.raises(KeyError):
         plan.subtree(7777)  # not an epoch member
-    with pytest.raises(KeyError):
-        plan.orphans_of_edge(1, 1)  # not a primary edge
     with pytest.raises(KeyError):
         plan.orphans_of_node(7777)  # not an epoch member: not "nobody orphaned"
     leaf = next(ident for ident in plan.routes if ident not in plan.children)
@@ -347,7 +340,7 @@ def test_failover_traces_one_event_per_graft():
     assert traced == quiet and quiet.grafts
     assert not validate_events(events)
     assert [event.name for event in events] == ["mc.failover.graft"] * len(quiet.grafts)
-    times = quiet.recovered_times()
+    times = {item.ident: item.time for item in quiet.recovered}
     for event, graft in zip(events, quiet.grafts):
         data = event.data
         assert (data["mid"], data["root"], data["feeder"]) == (

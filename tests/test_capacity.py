@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from random import Random
 
 import pytest
@@ -13,7 +12,6 @@ from repro.capacity.distributions import (
     FixedCapacity,
     UniformBandwidth,
     UniformCapacity,
-    expected_log_capacity,
 )
 from repro.capacity.model import (
     CAM_CHORD_MIN_CAPACITY,
@@ -95,7 +93,7 @@ class TestDistributions:
     def test_uniform_capacity_range_and_mean(self):
         dist = UniformCapacity(4, 10)
         rng = Random(1)
-        draws = dist.sample_many(2000, rng)
+        draws = [dist.sample(rng) for _ in range(2000)]
         assert set(draws) == set(range(4, 11))
         assert dist.mean() == 7
         assert str(dist) == "[4..10]"
@@ -120,13 +118,6 @@ class TestDistributions:
             UniformBandwidth(0, 100)
         with pytest.raises(ValueError):
             UniformBandwidth(500, 400)
-
-    def test_expected_log_capacity(self):
-        assert expected_log_capacity(FixedCapacity(8)) == pytest.approx(3.0)
-        manual = sum(math.log2(v) for v in range(4, 11)) / 7
-        assert expected_log_capacity(UniformCapacity(4, 10)) == pytest.approx(manual)
-        with pytest.raises(TypeError):
-            expected_log_capacity(object())  # type: ignore[arg-type]
 
 
 @given(

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from repro.churn.resilience import ResilienceReport, geometric_mean
+from repro.churn.resilience import ResilienceReport
 from repro.churn.runner import ChurnExperiment
 from repro.churn.trace import (
     ChurnKind,
@@ -89,7 +89,6 @@ class TestResilienceReport:
         assert report.min_delivery_ratio == 0.5
         assert report.mean_duplicates == 5
         assert report.ring_consistency_fraction == 0.5
-        assert report.mean_path_length == 2.0
         assert "x" in report.summary_row()
 
     def test_empty_defaults(self):
@@ -100,13 +99,8 @@ class TestResilienceReport:
         assert math.isnan(report.min_delivery_ratio)
         assert report.mean_duplicates == 0.0
         assert report.ring_consistency_fraction == 1.0
-        assert report.mean_path_length == 0.0
         # ...and the summary row still renders without raising.
         assert "x" in report.summary_row()
-
-    def test_geometric_mean(self):
-        assert geometric_mean([4.0, 1.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
 
 
 class TestChurnExperiment:

@@ -8,15 +8,13 @@ from __future__ import annotations
 from repro.experiments import (
     ext_churn,
     ext_geography,
-    ext_lookup,
     ext_proximity,
     ext_reliability,
     ext_sessions,
     ext_timed,
-    fig10_pathdist_cam_koorde,
 )
 from repro.experiments.common import SCALES
-from tests.test_experiments import mean_hops
+from tests.test_experiments import mean_hops, run_figure
 
 BENCH = SCALES["bench"]
 
@@ -29,7 +27,7 @@ def mean_at(series, offset: float) -> float:
 
 class TestFig10Tiny:
     def test_distributions_shift_left(self):
-        result = fig10_pathdist_cam_koorde.run(BENCH)
+        result = run_figure("fig10")
         means = {s.label: mean_hops(s) for s in result.series}
         # curves shift left with wider capacity ranges, with the
         # largest improvement at the start of the sweep
@@ -40,7 +38,7 @@ class TestFig10Tiny:
 
 class TestExtLookupTiny:
     def test_hops_grow_sublinearly(self):
-        result = ext_lookup.run(BENCH)
+        result = run_figure("extC")
         for label in ("cam-chord", "cam-koorde", "chord", "koorde"):
             ys = result.get_series(label).ys()
             # hops grow with n, but 10x the nodes costs far less than 10x hops

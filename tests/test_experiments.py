@@ -6,11 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import (
-    fig06_throughput,
-    fig07_ratio,
-    fig08_tradeoff,
-    fig09_pathdist_cam_chord,
-    fig11_avg_path_length,
     ext_balance,
     ext_load,
     registry,
@@ -21,9 +16,15 @@ from repro.experiments.common import (
     Series,
     resolve_scale,
 )
+from repro.experiments.parallel import run_experiments
 from repro.experiments.runner import main
 
 BENCH = SCALES["bench"]
+
+
+def run_figure(name: str) -> FigureResult:
+    """One experiment at bench scale, through the runner's task plan."""
+    return run_experiments([name], BENCH)[0].result
 
 
 class TestCommon:
@@ -73,7 +74,7 @@ class TestFigureShapes:
     were tuned at) and its headline shapes hold."""
 
     def test_fig6_cam_dominates_baseline(self):
-        result = fig06_throughput.run(BENCH)
+        result = run_figure("fig6")
         cam_chord, cam_koorde, chord, koorde = (
             dict(result.get_series(label).points)
             for label in ("cam-chord", "cam-koorde", "chord", "koorde")
@@ -93,7 +94,7 @@ class TestFigureShapes:
             assert 1.2 < koorde_ratio < 3.0, f"cam-koorde/koorde @ {fanout}: {koorde_ratio}"
 
     def test_fig7_ratio_tracks_heterogeneity(self):
-        result = fig07_ratio.run(BENCH)
+        result = run_figure("fig7")
         reference = result.get_series("(a+b)/2a reference").ys()
         for label in ("cam-chord over chord", "cam-koorde over koorde"):
             ratios = result.get_series(label).ys()
@@ -105,7 +106,7 @@ class TestFigureShapes:
                 assert max(1.0, ref * 0.6) < ratio < ref * 1.45, (label, ratio, ref)
 
     def test_fig8_curves_rise(self):
-        result = fig08_tradeoff.run(BENCH)
+        result = run_figure("fig8")
         chord = result.get_series("cam-chord").points
         koorde = result.get_series("cam-koorde").points
         # path length grows with throughput for both systems
@@ -120,7 +121,7 @@ class TestFigureShapes:
         assert min(high_koorde) > min(high_chord)
 
     def test_fig9_distributions_shift_left(self):
-        result = fig09_pathdist_cam_chord.run(BENCH)
+        result = run_figure("fig9")
         means = {series.label: mean_hops(series) for series in result.series}
         # widening the capacity range shifts the distribution left ...
         assert means["4"] > means["[4..10]"] > means["[4..40]"] > means["[4..200]"]
@@ -134,7 +135,7 @@ class TestFigureShapes:
             assert longest <= 2.5 * means[series.label] + 2
 
     def test_fig11_bound_and_crossover_tendency(self):
-        result = fig11_avg_path_length.run(BENCH)
+        result = run_figure("fig11")
         chord = dict(result.get_series("cam-chord").points)
         koorde = dict(result.get_series("cam-koorde").points)
         bound = dict(result.get_series("1.5*ln(n)/ln(c)").points)
@@ -202,7 +203,12 @@ class TestRunnerCli:
             "extI", "extJ", "extK", "extM", "extN", "extO",
         }
         for name in registry.REGISTRY:
-            assert callable(registry.load(name).run), name
+            # one entry per module: a sweep (sweep / run_point /
+            # assemble) or a monolithic run(), never both
+            module = registry.load(name)
+            assert registry.is_sweepable(module) != callable(
+                getattr(module, "run", None)
+            ), name
 
     def test_single_run_prints_and_writes(self, tmp_path, capsys):
         # run the cheapest experiment at quick scale via the CLI

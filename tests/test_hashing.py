@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.idspace.hashing import (
-    assign_identifiers,
-    hash_to_identifier,
-    spread_identifiers,
-)
+from repro.idspace.hashing import assign_identifiers, hash_to_identifier
 from repro.idspace.ring import IdentifierSpace
 
 
@@ -56,27 +52,6 @@ class TestAssignIdentifiers:
 
     def test_empty_group(self):
         assert assign_identifiers([], IdentifierSpace(8)) == {}
-
-
-class TestSpreadIdentifiers:
-    def test_exact_count_and_distinct(self):
-        space = IdentifierSpace(10)
-        for count in (0, 1, 7, 100, 1024):
-            spread = spread_identifiers(count, space)
-            assert len(spread) == count
-            assert len(set(spread)) == count
-
-    def test_rejects_overfull(self):
-        with pytest.raises(ValueError):
-            spread_identifiers(17, IdentifierSpace(4))
-
-    def test_roughly_even_spacing(self):
-        space = IdentifierSpace(12)
-        spread = list(spread_identifiers(8, space))
-        gaps = [
-            (spread[(i + 1) % 8] - spread[i]) % space.size for i in range(8)
-        ]
-        assert max(gaps) <= 2 * space.size // 8
 
 
 @given(st.integers(min_value=1, max_value=200))

@@ -126,12 +126,6 @@ class TestParallelEquivalence:
         fanned = run_experiments([figure], TINY, seeds=[0], jobs=2)
         assert serial[0].result.render() == fanned[0].result.render()
 
-    def test_run_matches_engine_serial_path(self):
-        """module.run() and the task-decomposed path agree exactly."""
-        direct = registry.load("extC").run(QUICK, 0)
-        engine = run_experiments(["extC"], QUICK, seeds=[0], jobs=1)[0].result
-        assert direct.render() == engine.render()
-
 
 class TestMemberRequests:
     """Members cross a process boundary as a frozen request only."""

@@ -858,8 +858,9 @@ class TestExtNExperiment:
     def test_bench_scale_runs_and_renders(self):
         from repro.experiments import ext_service
         from repro.experiments.common import SCALES
+        from repro.experiments.parallel import run_experiments
 
-        result = ext_service.run(SCALES["bench"], seed=0)
+        result = run_experiments(["extN"], SCALES["bench"])[0].result
         assert result.figure == "extN"
         rendered = result.render()
         assert "deliveries" in rendered.lower() or "extN" in rendered

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.common import ExperimentScale, FigureResult, Series
-from repro.experiments.replication import ReplicatedResult, replicate
+from repro.experiments.replication import ReplicatedResult, aggregate
 
 TINY = ExperimentScale("tiny", 100, 1, 10, space_bits=10)
 
@@ -20,7 +20,7 @@ def fake_experiment(scale: ExperimentScale, seed: int) -> FigureResult:
 
 class TestReplicate:
     def test_mean_and_deviation(self):
-        result = replicate(fake_experiment, TINY, seeds=[0, 2])
+        result = aggregate([fake_experiment(TINY, seed) for seed in [0, 2]])
         line = result.get_series("line")
         assert line.xs == [0.0, 1.0, 2.0]
         assert line.means == [1.0, 2.0, 3.0]  # mean of seed 0 and 2
@@ -28,28 +28,28 @@ class TestReplicate:
         assert all(dev == pytest.approx(2**0.5) for dev in line.deviations)
 
     def test_single_seed_zero_deviation(self):
-        result = replicate(fake_experiment, TINY, seeds=[5])
+        result = aggregate([fake_experiment(TINY, seed) for seed in [5]])
         line = result.get_series("line")
         assert line.means == [5.0, 6.0, 7.0]
         assert line.deviations == [0.0, 0.0, 0.0]
 
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
-            replicate(fake_experiment, TINY, seeds=[])
+            aggregate([fake_experiment(TINY, seed) for seed in []])
 
     def test_render_mentions_runs(self):
-        result = replicate(fake_experiment, TINY, seeds=[0, 1, 2])
+        result = aggregate([fake_experiment(TINY, seed) for seed in [0, 1, 2]])
         rendered = result.render()
         assert "3 seeds" in rendered
         assert "±" in rendered
 
     def test_missing_series_lookup(self):
-        result = replicate(fake_experiment, TINY, seeds=[0])
+        result = aggregate([fake_experiment(TINY, seed) for seed in [0]])
         with pytest.raises(KeyError):
             result.get_series("nope")
 
     def test_as_series_roundtrip(self):
-        result = replicate(fake_experiment, TINY, seeds=[0, 2])
+        result = aggregate([fake_experiment(TINY, seed) for seed in [0, 2]])
         plain = result.get_series("line").as_series()
         assert plain.points == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
 
@@ -57,7 +57,7 @@ class TestReplicate:
         """End-to-end: a real figure module under replication."""
         from repro.experiments import ext_load
 
-        result = replicate(ext_load.run, TINY, seeds=[0, 1])
+        result = aggregate([ext_load.run(TINY, seed) for seed in [0, 1]])
         assert isinstance(result, ReplicatedResult)
         flood = result.get_series("flooding")
         assert len(flood.means) == 4

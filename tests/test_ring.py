@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.idspace.ring import (
     IdentifierSpace,
-    ring_distance,
     segment_contains,
     segment_size,
 )
@@ -52,20 +51,6 @@ class TestSegmentContains:
             assert not segment_contains(z, 7, 7, 256)
 
 
-class TestRingDistance:
-    def test_symmetric(self):
-        assert ring_distance(3, 10, 256) == ring_distance(10, 3, 256) == 7
-
-    def test_takes_shorter_way(self):
-        assert ring_distance(1, 255, 256) == 2
-
-    def test_antipodal(self):
-        assert ring_distance(0, 128, 256) == 128
-
-    def test_zero(self):
-        assert ring_distance(42, 42, 256) == 0
-
-
 class TestIdentifierSpace:
     def test_size(self):
         assert IdentifierSpace(19).size == 2**19
@@ -90,57 +75,15 @@ class TestIdentifierSpace:
 
     def test_top_low_bits(self):
         x = 0b10110100
-        assert SPACE.top_bits(x, 3) == 0b101
         assert SPACE.low_bits(x, 3) == 0b100
-        assert SPACE.top_bits(x, 0) == 0
         assert SPACE.low_bits(x, 0) == 0
-        assert SPACE.top_bits(x, 8) == x
         assert SPACE.low_bits(x, 8) == x
 
     def test_top_bits_rejects_out_of_range_count(self):
         with pytest.raises(ValueError):
-            SPACE.top_bits(1, 9)
+            SPACE.low_bits(1, 9)
         with pytest.raises(ValueError):
             SPACE.low_bits(1, -1)
-
-    def test_shift_left_in(self):
-        # 10110100 shifted left by 2 with digit 0b11 pushed in.
-        assert SPACE.shift_left_in(0b10110100, 0b11, 2) == 0b11010011
-
-    def test_shift_left_in_rejects_oversized_digit(self):
-        with pytest.raises(ValueError):
-            SPACE.shift_left_in(0, 4, 2)
-
-    def test_shift_right(self):
-        assert SPACE.shift_right(0b10110100, 3) == 0b10110
-        with pytest.raises(ValueError):
-            SPACE.shift_right(1, -1)
-
-    def test_format_id(self):
-        space = IdentifierSpace(6)
-        assert space.format_id(36) == "100100"
-
-
-class TestPsCommonBits:
-    """Definition 1 of the paper (prefix-of-x matches suffix-of-k)."""
-
-    def test_identical(self):
-        assert SPACE.ps_common_bits(0b10110100, 0b10110100) == 8
-
-    def test_no_common(self):
-        # Every prefix of x starts with 0; every suffix of k is all 1s.
-        assert SPACE.ps_common_bits(0b01000000, 0b11111111) == 0
-
-    def test_partial(self):
-        # prefix 101 of x == suffix 101 of k; longer overlaps fail.
-        x = 0b10100000
-        k = 0b11111101
-        assert SPACE.ps_common_bits(x, k) == 3
-
-    def test_asymmetric(self):
-        x = 0b10100000
-        k = 0b11111101
-        assert SPACE.ps_common_bits(k, x) != SPACE.ps_common_bits(x, k)
 
 
 # -- property tests -----------------------------------------------------
@@ -171,30 +114,6 @@ def test_segment_sizes_complementary(x, y):
 
 
 @given(ids, ids)
-def test_distance_bounds(x, y):
-    d = ring_distance(x, y, 256)
-    assert 0 <= d <= 128
-    assert d == ring_distance(y, x, 256)
-
-
-@given(ids, ids, ids)
-def test_distance_triangle_inequality(x, y, z):
-    assert ring_distance(x, z, 256) <= ring_distance(x, y, 256) + ring_distance(
-        y, z, 256
-    )
-
-
-@given(ids, ids)
 def test_segment_size_matches_enumeration(x, y):
     members = [z for z in range(256) if segment_contains(z, x, y, 256)]
     assert len(members) == segment_size(x, y, 256)
-
-
-@given(ids, ids)
-def test_ps_common_bits_is_valid_overlap(x, k):
-    l = SPACE.ps_common_bits(x, k)
-    if l > 0:
-        assert SPACE.top_bits(x, l) == SPACE.low_bits(k, l)
-    # maximality: no longer overlap exists
-    for longer in range(l + 1, 9):
-        assert SPACE.top_bits(x, longer) != SPACE.low_bits(k, longer)

@@ -11,6 +11,7 @@ round-trips, single-file replay) and the shrinker hook.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,13 +29,10 @@ from repro.scenarios import (
     compile_cell,
     compile_matrix,
     get_scenario,
-    load_cell,
-    load_scenario,
     render_tables,
     run_cell,
     run_matrix,
     save_cell,
-    save_scenario,
     scenario_names,
 )
 from repro.scenarios.spec import (
@@ -169,12 +167,6 @@ class TestLibrary:
         with pytest.raises(ValueError, match="unknown scenario"):
             get_scenario("nope")
 
-    def test_specs_round_trip_as_single_files(self, tmp_path):
-        for name in scenario_names():
-            path = tmp_path / f"{name}.json"
-            save_scenario(LIBRARY[name], str(path))
-            assert load_scenario(str(path)) == LIBRARY[name]
-
     def test_regional_partition_is_geographic(self):
         cell = compile_cell(LIBRARY["regional-partition"], "cam-chord", 0)
         assert cell.coordinates is not None
@@ -220,7 +212,7 @@ class TestCellExecution:
         cell = compile_cell(LIBRARY["multi-source-storm"], "koorde", 0)
         path = tmp_path / "cell.json"
         save_cell(cell, str(path))
-        reloaded = load_cell(str(path))
+        reloaded = CompiledCell.from_json_dict(json.loads(path.read_text()))
         assert reloaded == cell
         assert run_cell(reloaded).row() == run_cell(cell).row()
 
@@ -308,7 +300,7 @@ class TestCli:
         assert rows[0]["passed"] is True
 
         spec_path = tmp_path / "spec.json"
-        save_scenario(LIBRARY["multi-source-storm"], str(spec_path))
+        spec_path.write_text(json.dumps(LIBRARY["multi-source-storm"].to_json_dict()))
         code = main(
             ["replay", str(spec_path), "--systems", "cam-chord", "--seed", "0"]
         )
@@ -324,50 +316,78 @@ class TestCli:
             main(["replay", str(bogus)])
 
 
-class TestMultiGroupPlane:
-    def test_groups_knob_round_trips(self):
-        spec = ScenarioSpec(
-            name="many-rooms",
-            topology=TopologyAxis(size=30),
-            workload=WorkloadAxis(multicasts=1, groups=4),
-        )
-        blob = json.dumps(spec.to_json_dict(), sort_keys=True)
-        assert '"groups": 4' in blob
-        reloaded = ScenarioSpec.from_json_dict(json.loads(blob))
-        assert reloaded == spec
-        assert reloaded.workload.groups == 4
+class TestUnknownKeys:
+    """A key no field reads is an error, not a silently run default."""
 
-    def test_default_groups_absent_from_json(self):
-        # existing single-group artifacts must stay byte-identical, so
-        # the default groups=1 never appears in serialized specs/cells
-        for name in scenario_names():
-            spec = get_scenario(name)
-            assert spec.workload.groups == 1
-            assert "groups" not in json.dumps(spec.to_json_dict())
-            cell = compile_cell(spec, "cam-chord", 0)
-            assert "groups" not in json.dumps(cell.to_json_dict())
+    @pytest.mark.parametrize(
+        "where",
+        [(), ("topology",), ("topology", "latency"), ("workload",),
+         ("workload", "churn"), ("faults",)],
+        ids=lambda where: "/".join(where) or "spec",
+    )
+    def test_spec_rejects_a_planted_key(self, where):
+        raw = LIBRARY["flash-crowd"].to_json_dict()
+        target = raw
+        for key in where:
+            target = target[key]
+        target["multicastz"] = 4
+        with pytest.raises(ValueError, match="multicastz"):
+            ScenarioSpec.from_json_dict(raw)
 
-    def test_groups_validated(self):
+    @pytest.mark.parametrize("where", [(), ("members",)], ids=["cell", "members"])
+    def test_cell_rejects_a_planted_key(self, where):
+        raw = compile_cell(LIBRARY["flash-crowd"], "cam-chord", 0).to_json_dict()
+        target = raw
+        for key in where:
+            target = target[key]
+        target["groups"] = 3
         with pytest.raises(ValueError, match="groups"):
-            WorkloadAxis(groups=0)
+            CompiledCell.from_json_dict(raw)
 
-    def test_plane_row_only_for_multi_group_cells(self):
-        single = run_cell(compile_cell(LIBRARY["flash-crowd"], "cam-chord", 0))
-        assert single.plane is None
-        assert "plane" not in single.row()
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_every_library_scenario_replays_from_its_json(self, name):
+        spec = get_scenario(name)
+        shown = json.loads(json.dumps(spec.to_json_dict(), indent=2, sort_keys=True))
+        assert ScenarioSpec.from_json_dict(shown) == spec
+        cell = compile_cell(spec, "cam-koorde", 0)
+        assert CompiledCell.from_json_dict(cell.to_json_dict()) == cell
 
-    def test_multi_group_cell_runs_plane_phase(self):
-        spec = ScenarioSpec(
-            name="rooms",
-            topology=TopologyAxis(size=24),
-            workload=WorkloadAxis(multicasts=1, groups=3),
+
+class TestShrinkCell:
+    def test_minimizes_to_the_marked_event_inside_the_cells_topology(
+        self, monkeypatch
+    ):
+        from repro.scenarios import runner
+
+        cell = compile_cell(LIBRARY["regional-partition"], "cam-chord", 0)
+        events = cell.plan.events
+        marked = events[len(events) // 2]
+        assert len(events) > 1 and events.count(marked) == 1
+        assert cell.coordinates is not None  # geographic: coordinates must truncate too
+
+        def run_cell_failing_on_marked(candidate):
+            failing = marked in candidate.plan.events
+            outcome = SimpleNamespace(
+                plan=candidate.plan,
+                passed=not failing,
+                violations=["marked event present"] if failing else [],
+            )
+            return SimpleNamespace(cell=candidate, outcome=outcome)
+
+        monkeypatch.setattr(runner, "run_cell", run_cell_failing_on_marked)
+        minimized, final = runner.shrink_cell(run_cell_failing_on_marked(cell))
+
+        assert minimized.plan.events == (marked,)
+        assert not final.outcome.passed
+        assert final.cell == minimized
+        size = minimized.plan.size
+        assert size < cell.plan.size
+        assert (minimized.scenario, minimized.system, minimized.seed) == (
+            cell.scenario, cell.system, cell.seed,
         )
-        cell = compile_cell(spec, "cam-chord", 0)
-        assert cell.groups == 3
-        outcome = run_cell(cell)
-        assert outcome.plane is not None
-        assert outcome.plane["groups"] == 3
-        assert outcome.plane["deliveries"] > 0
-        assert outcome.row()["plane"] == outcome.plane
-        # deterministic: same cell, same plane summary
-        assert run_cell(cell).plane == outcome.plane
+        assert minimized.latency == cell.latency
+        assert minimized.members.space_bits == cell.members.space_bits
+        assert minimized.members.identifiers == cell.members.identifiers[:size]
+        assert minimized.members.capacities == cell.members.capacities[:size]
+        assert minimized.members.bandwidths == cell.members.bandwidths[:size]
+        assert minimized.coordinates == cell.coordinates[:size]

@@ -111,7 +111,7 @@ class TestMulticast:
             group = MulticastGroup.build(
                 descriptor, bandwidths(10), per_link_kbps=100, space_bits=12
             )
-            ident = next(x for x in range(4096) if x not in group.snapshot)
+            ident = next(x for x in range(4096) if group.snapshot.index_of(x) is None)
             message = f"source {ident} is not a group member"
             with pytest.raises(KeyError, match=f"^'{message}'$"):
                 group.multicast_from(Node(ident=ident, capacity=4))

@@ -136,16 +136,25 @@ class TestScheduling:
         assert fired == list(range(7))
 
 
-#: one scheduling instruction: (entry point, time or delay, id of an
-#: earlier instruction to cancel or None, nested instructions issued
-#: from inside the callback)
-_instruction = st.deferred(
-    lambda: st.tuples(
+def _instruction_with(nested):
+    """One scheduling instruction: (entry point, time or delay, id of an
+    earlier instruction to cancel or None, nested instructions issued
+    from inside the callback)."""
+    return st.tuples(
         st.sampled_from(["call_at", "call_later"]),
         st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 3.0]),
         st.none() | st.integers(min_value=0, max_value=30),
-        st.lists(_instruction, max_size=3),
+        nested,
     )
+
+
+#: max_leaves bounds each drawn tree, or Hypothesis spends most of the
+#: test drawing and discarding deep ones; 16 leaves per top-level
+#: instruction still reach programs of 50-90 instructions
+_instruction = st.recursive(
+    _instruction_with(st.just([])),
+    lambda children: _instruction_with(st.lists(children, max_size=3)),
+    max_leaves=16,
 )
 
 

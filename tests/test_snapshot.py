@@ -73,20 +73,11 @@ class TestRingSnapshot:
             figure2_snapshot.node_at(5)
 
     def test_contains_and_iter(self, figure2_snapshot):
-        assert 13 in figure2_snapshot
-        assert 14 not in figure2_snapshot
+        assert figure2_snapshot.index_of(13) is not None
+        assert figure2_snapshot.index_of(14) is None
+        with pytest.raises(TypeError):
+            13 in figure2_snapshot  # membership is index_of
         assert len(list(figure2_snapshot)) == len(figure2_snapshot) == 8
-
-    def test_without(self, figure2_snapshot):
-        smaller = figure2_snapshot.without([4, 13])
-        assert len(smaller) == 6
-        assert 4 not in smaller
-        assert smaller.resolve(4).ident == 8
-
-    def test_with_nodes(self, figure2_snapshot):
-        bigger = figure2_snapshot.with_nodes([Node(ident=15, capacity=3)])
-        assert len(bigger) == 9
-        assert bigger.resolve(14).ident == 15
 
     def test_random_node_uniformish(self, figure2_snapshot):
         rng = Random(0)
@@ -148,24 +139,19 @@ def _row(node: Node) -> tuple:
     return (node.ident, node.capacity, node.bandwidth_kbps, node.name)
 
 
-def _answers(snap: RingSnapshot, segments, doomed, extra) -> dict:
+def _answers(snap: RingSnapshot, segments) -> dict:
     """Everything a snapshot can be asked, as plain comparable values."""
     size = snap.space.size
     members = list(snap.identifiers)
 
-    def basics(view: RingSnapshot) -> dict:
-        return {
-            "len": len(view),
-            "iter": [_row(node) for node in view],
-            "nodes": [_row(node) for node in view.nodes],
-            "columns": (
-                list(view.identifiers), list(view.capacities), list(view.bandwidths)
-            ),
-        }
-
     return {
-        **basics(snap),
-        "in": [ident in snap for ident in range(size)],
+        "len": len(snap),
+        "iter": [_row(node) for node in snap],
+        "nodes": [_row(node) for node in snap.nodes],
+        "columns": (
+            list(snap.identifiers), list(snap.capacities), list(snap.bandwidths)
+        ),
+        "index_of": [snap.index_of(ident) for ident in range(size)],
         "node_at": [_row(snap.node_at(ident)) for ident in members],
         "resolve": [_row(snap.resolve(probe)) for probe in range(-size, 2 * size)],
         "resolve_index": [snap.resolve_index(p) for p in range(-size, 2 * size)],
@@ -175,8 +161,6 @@ def _answers(snap: RingSnapshot, segments, doomed, extra) -> dict:
             [_row(node) for node in snap.nodes_in_segment(x, y, limit)]
             for x, y, limit in segments
         ],
-        "without": basics(snap.without(doomed)),
-        "with_nodes": basics(snap.with_nodes(extra)),
     }
 
 
@@ -208,14 +192,9 @@ def test_every_entry_point_answers_identically(
             max_size=6,
         )
     )
-    doomed = data.draw(st.sets(st.sampled_from(idents), max_size=count - 1))
-    extra = [
-        Node(ident, 3, 250.0, "late")
-        for ident in data.draw(st.sets(point.filter(lambda i: i not in idents)))
-    ]
 
     def ask(snap: RingSnapshot) -> dict:
-        return _answers(snap, segments, doomed, extra)
+        return _answers(snap, segments)
 
     from_nodes = RingSnapshot(
         space,

@@ -179,17 +179,6 @@ class TestTracer:
             with pytest.raises(AssertionError, match="trace field"):
                 network.send(1, 2, "mc_region", Untouchable())
 
-    def test_absorb_resequences(self):
-        tracer = Tracer()
-        tracer.enable()
-        tracer.emit(0.0, "sim", "spawn")
-        foreign = [TraceEvent(7, 3.0, "net", "drop", {"reason": "loss"})]
-        tracer.absorb(foreign)
-        events = tracer.events()
-        assert [event.seq for event in events] == [0, 1]
-        assert events[1].name == "net.drop"
-        assert events[1].data == {"reason": "loss"}
-
     def test_resequence(self):
         scrambled = [
             TraceEvent(10, 0.0, "sim", "spawn", {}),

@@ -57,7 +57,7 @@ class TestPipelining:
         tree = hand_tree(snap, 0, [(0, 10), (10, 30)])
         result = simulate_tree_transfer(tree, snap, message_kbits=100, packet_count=50)
         # node 30 receives at node 10's 50 kbps, not the source's 1000
-        assert result.member_throughput_kbps(30) == pytest.approx(50.0, rel=0.05)
+        assert 100 / result.completion_time[30] == pytest.approx(50.0, rel=0.05)
 
     def test_latency_adds_to_startup_not_rate(self):
         snap = make_snapshot(8, [0, 10], capacity=4, bandwidth=[100.0, 100.0])
@@ -165,7 +165,6 @@ class TestUplinkBudget:
         start, done = budget.reserve("h", now=1.0, duration=0.5)
         assert (start, done) == (2.0, 2.5)
         assert budget.deferrals("h") == 1
-        assert budget.backlog("h", 1.0) == pytest.approx(1.5)
 
     def test_hosts_are_independent(self):
         from repro.sim.transfer import UplinkBudget

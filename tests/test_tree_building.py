@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,15 +84,6 @@ class TestSection51Properties:
         assert violations  # at least one overloaded node
         counts = tree.children_counts()
         assert max(counts.values()) > 6
-
-    def test_any_source_path_via_root(self):
-        snap = random_snapshot(12, 100, seed=7)
-        overlay = CamChordOverlay(snap)
-        tree = build_shared_tree(overlay, group_key=11)
-        a, b = snap.nodes[3].ident, snap.nodes[60].ident
-        assert tree.delivery_path_length(a, b) == tree.depth[a] + tree.depth[b]
-        with pytest.raises(KeyError):
-            tree.delivery_path_length(a, 123456)
 
     def test_forwarding_load_excludes_leaves(self):
         snap = random_snapshot(12, 300, seed=8)

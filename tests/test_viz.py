@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.common import FigureResult, Series
-from repro.viz.ascii_chart import render_figure, render_histogram, render_xy
+from repro.viz.ascii_chart import render_figure, render_xy
 
 
 def series(label: str, points: list[tuple[float, float]]) -> Series:
@@ -62,22 +62,6 @@ class TestRenderXy:
     def test_deterministic(self):
         data = [series("a", [(0, 1), (5, 2)]), series("b", [(2, 9)])]
         assert render_xy(data) == render_xy(data)
-
-
-class TestRenderHistogram:
-    def test_bars_scale_to_peak(self):
-        chart = render_histogram(
-            series("h", [(0, 10), (1, 20), (2, 5)]), width=20, title="hist"
-        )
-        lines = chart.splitlines()
-        assert lines[0] == "hist"
-        bar_lengths = [line.count("#") for line in lines[1:]]
-        assert bar_lengths[1] == 20  # the peak fills the width
-        assert bar_lengths[0] == 10
-        assert bar_lengths[2] == 5
-
-    def test_empty(self):
-        assert "(no data)" in render_histogram(Series(label="h"))
 
 
 class TestRenderFigure:

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import hashlib
-import json
 
 import pytest
 
 from repro.capacity.distributions import (
-    FixedCapacity,
-    HeavyTailCapacity,
     UniformBandwidth,
     UniformCapacity,
+    capacity_distribution_from_json,
+    distribution_to_json,
 )
 from repro.workloads import GroupSpec, generate_group
 
@@ -37,42 +36,12 @@ class TestGroupSpec:
             GroupSpec(size=0, capacities=UniformCapacity(4, 10))
 
 
-class TestGroupSpecJson:
-    """The FaultPlan-style JSON value contract on group workloads."""
-
-    SPECS = [
-        GroupSpec(size=40, space_bits=14, capacities=UniformCapacity(4, 10)),
-        GroupSpec(size=25, capacities=FixedCapacity(6), min_capacity=2),
-        GroupSpec(size=30, capacities=HeavyTailCapacity(2, 32, 1.6)),
-        GroupSpec(
-            size=50,
-            bandwidths=UniformBandwidth(400, 1000),
-            per_link_kbps=100.0,
-            min_capacity=4,
-        ),
-    ]
-
-    def test_round_trip_equality(self):
-        for spec in self.SPECS:
-            raw = json.loads(json.dumps(spec.to_json_dict()))
-            assert GroupSpec.from_json_dict(raw) == spec
-
-    def test_round_trip_generates_identical_group(self):
-        for spec in self.SPECS:
-            reloaded = GroupSpec.from_json_dict(
-                json.loads(json.dumps(spec.to_json_dict()))
-            )
-            first = generate_group(spec, seed=7)
-            second = generate_group(reloaded, seed=7)
-            assert [
-                (n.ident, n.capacity, n.bandwidth_kbps) for n in first
-            ] == [(n.ident, n.capacity, n.bandwidth_kbps) for n in second]
-
+class TestCapacityCodec:
     def test_unknown_distribution_rejected(self):
-        raw = GroupSpec(size=10, capacities=UniformCapacity(4, 10)).to_json_dict()
-        raw["capacities"]["kind"] = "CauchyCapacity"
+        raw = distribution_to_json(UniformCapacity(4, 10))
+        raw["kind"] = "CauchyCapacity"
         with pytest.raises(ValueError, match="unknown capacity distribution"):
-            GroupSpec.from_json_dict(raw)
+            capacity_distribution_from_json(raw)
 
 
 class TestGenerateGroup:
@@ -118,19 +87,6 @@ class TestGenerateGroup:
 
 
 class TestServiceWorkloadSpec:
-    def test_round_trips_through_json(self):
-        from repro.workloads import ServiceWorkloadSpec
-
-        spec = ServiceWorkloadSpec(
-            groups=20, hosts=80, group_size=6, horizon_s=30.0,
-            send_interval_s=4.0, churn_rate=0.05, mean_hold_s=25.0,
-            message_kbits=16.0,
-        )
-        blob = json.dumps(spec.to_json_dict(), sort_keys=True)
-        reloaded = ServiceWorkloadSpec.from_json_dict(json.loads(blob))
-        assert reloaded == spec
-        assert json.dumps(reloaded.to_json_dict(), sort_keys=True) == blob
-
     def test_validation(self):
         from repro.workloads import ServiceWorkloadSpec
 
