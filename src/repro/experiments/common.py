@@ -7,8 +7,9 @@ deterministic values of their key, so cache reuse never changes a
 result — it only skips identical work (Figure 11 re-sweeps the exact
 capacity ranges of Figures 9/10, every Figure 7 sweep point shares
 one bandwidth draw per upper bound, and the Figure 6 memberships, which
-differ only in their capacities, share one identifier draw per
-``(space, n, seed)``).
+differ only in their capacities, share one ring per draw: the
+identifiers, bandwidths, names and ring index of the draw's first
+snapshot, each membership with a capacity column of its own).
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ SEED_HELP = (
 
 # -- keyed snapshot / group caches -------------------------------------------
 
-_DRAW_CACHE: dict[tuple, Sequence] = {}
+_DRAW_CACHE: dict[tuple, Any] = {}
 _SNAPSHOT_CACHE: dict[Any, RingSnapshot] = {}
 _GROUP_CACHE: dict[tuple, MulticastGroup] = {}
 
@@ -172,15 +173,16 @@ def _cache_put(cache: dict, key: tuple, value: Any, maximum: int) -> None:
 
 def bandwidth_draws(
     bandwidth: BandwidthDistribution, count: int, seed: int
-) -> tuple[float, ...]:
-    """Memoized bandwidth draws: one sample vector per (law, n, seed)."""
+) -> array:
+    """Memoized bandwidth draws: one sample column (``array("d")``)
+    per (law, n, seed)."""
     key = (bandwidth, count, seed)
     cached = _DRAW_CACHE.get(key)
     if cached is not None:
         perf.COUNTERS.draw_cache_hits += 1
         return cached
     perf.COUNTERS.draw_cache_misses += 1
-    draws = tuple(bandwidth.sample_many(count, Random(seed)))
+    draws = array("d", bandwidth.sample_many(count, Random(seed)))
     _cache_put(_DRAW_CACHE, key, draws, _DRAW_CACHE_MAX)
     return draws
 
@@ -228,16 +230,26 @@ class BandwidthMembers:
     seed: int
 
     def build(self) -> RingSnapshot:
+        """The first build from one draw is that draw's ring, memoized
+        beside the draws; every later request over the draw gets the
+        ring's members with its own capacity column
+        (:meth:`RingSnapshot.with_capacities`), which the capacity model
+        maps member by member, so ring order gives the same values."""
         draws = bandwidth_draws(self.bandwidth, self.count, self.seed)
         model = CapacityModel(self.per_link_kbps, minimum=self.min_capacity)
-        capacities = model.capacities(list(draws))
         space = IdentifierSpace(self.space_bits)
-        return RingSnapshot.from_columns(
+        key = (self.bandwidth, space, self.count, self.seed)
+        ring = _DRAW_CACHE.get(key)
+        if ring is not None:
+            return ring.with_capacities(model.capacities(ring.bandwidths))
+        ring = RingSnapshot.from_columns(
             space,
             identifier_draws(space, self.count, self.seed),
-            capacities,
-            list(draws),
+            model.capacities(draws),
+            draws,
         )
+        _cache_put(_DRAW_CACHE, key, ring, _DRAW_CACHE_MAX)
+        return ring
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,15 @@ ring.  This module computes that function as flat passes over machine
 arrays instead of millions of per-node object operations:
 
 * every member is addressed by its **member index** (its position in
-  the snapshot's sorted identifier array), so the tree is three
-  ``array('l')`` buffers — ``parent_index``, ``depth`` and
-  ``child_count`` — plus the breadth-first ``order`` the dissemination
-  delivered in;
+  the snapshot's sorted identifier array), so the tree is four 32-bit
+  ``array('i')`` columns — ``parent_index``, ``depth`` and
+  ``child_count``, plus the breadth-first ``order`` the dissemination
+  delivered in — 16 bytes per member;
 * every neighbor question is asked of the sorted ring as a **run of
   rows**, not a list of points; what is left over is one probe of the
   snapshot's **ring index** (:class:`~repro.overlay.base.RingIndex`,
-  built once per membership, shared by every overlay over it).  A
+  built once per membership, shared by every overlay over it and by
+  every capacity column derived over the same members).  A
   CAM-Chord region ``(x, k]`` *is* the rows after ``x`` up to the last
   member at or before ``k``, and since a node's slot offsets descend,
   that last row's offset names the next slot holding a child: no slot
@@ -268,7 +269,7 @@ class _FloodState:
             self.starts = array("I", [probe(degree * x % size) for x in idents])
             perf.COUNTERS.kernel_resolves += count
             return
-        self.offsets = offsets = array("l", [0]) * (count + 1)
+        self.offsets = offsets = array("I", [0]) * (count + 1)
         self.targets = targets = array("I")
         append, extend = targets.append, targets.extend
         probes = 0
@@ -405,8 +406,8 @@ _flood_state = _FLOOD_STATES.get
 
 #: one-entry rows the tree arrays are repeated from (the ``array``
 #: constructor costs several times the repetition)
-_UNREACHED_ROW = array("l", [UNREACHED])
-_ZERO_ROW = array("l", [0])
+_UNREACHED_ROW = array("i", [UNREACHED])
+_ZERO_ROW = array("i", [0])
 
 
 def _rooted(snapshot: RingSnapshot, source: Node) -> tuple[int, array, array, array, array]:
@@ -420,7 +421,7 @@ def _rooted(snapshot: RingSnapshot, source: Node) -> tuple[int, array, array, ar
     depths = _UNREACHED_ROW * count
     parent_index[row] = row
     depths[row] = 0
-    return row, parent_index, depths, _ZERO_ROW * count, array("l", [row])
+    return row, parent_index, depths, _ZERO_ROW * count, array("i", [row])
 
 
 def flood_tree(overlay: Overlay, source: Node) -> FlatTree:
@@ -499,7 +500,7 @@ def region_split_tree(overlay: Overlay, source: Node) -> FlatTree:
     if isinstance(overlay, CamChordOverlay):
         fanouts = snapshot.capacities
     else:  # plain Chord: the uniform finger base
-        fanouts = array("q", [overlay.base]) * count
+        fanouts = array("i", [overlay.base]) * count
 
     probes = 0
     queue = deque()

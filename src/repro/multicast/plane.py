@@ -139,8 +139,9 @@ class SendReceipt:
     are two columns over the send's epoch rows (``hosts[row]`` names a
     row): ``times[row]`` is the row's delivery time, or -1.0 while it
     has none, and ``order`` lists the delivered rows in commit order,
-    the source first.  ``completion`` resolves with the receipt once
-    every frozen member has its copy.
+    the source first.  ``complete`` turns true once every frozen
+    member has its copy; the :attr:`completion` future is made only
+    when it is asked for.
     """
 
     __slots__ = (
@@ -154,7 +155,8 @@ class SendReceipt:
         "hosts",
         "times",
         "order",
-        "completion",
+        "_done",
+        "_completion",
     )
 
     def __init__(
@@ -180,7 +182,8 @@ class SendReceipt:
         self.times = times = _UNDELIVERED * len(hosts)
         times[source_row] = origin_time
         self.order = array("i", [source_row])
-        self.completion = Future()
+        self._done = False
+        self._completion: Future | None = None
 
     @property
     def delivered(self) -> dict[str, float]:
@@ -193,7 +196,26 @@ class SendReceipt:
 
     @property
     def complete(self) -> bool:
-        return self.completion.done
+        return self._done
+
+    @property
+    def completion(self) -> Future:
+        """Resolves with the receipt once every frozen member has its
+        copy: made at the first read, resolved at once if that is
+        already so."""
+        future = self._completion
+        if future is None:
+            future = self._completion = Future()
+            if self._done:
+                future.resolve(self)
+        return future
+
+    def _complete(self) -> None:
+        """Every frozen member has its copy: mark the receipt complete
+        and wake whoever waits on :attr:`completion`."""
+        self._done = True
+        if self._completion is not None:
+            self._completion.resolve(self)
 
     def verify_complete(self) -> None:
         """The completeness oracle: every frozen send-time member got
@@ -588,7 +610,7 @@ class ServicePlane:
                 group=group_name, seq=seq,
             )
         if state.remaining == 0:
-            receipt.completion.resolve(receipt)
+            receipt._complete()
         else:
             self._forward(
                 state, source_row, template.child_count[source_row], now
@@ -831,7 +853,7 @@ class ServicePlane:
                 # advances to the final delivery before waiters wake;
                 # the resolution is a foreign event that caps the batch
                 # where it would interleave with per-delivery events
-                engine.call_at(time, receipt.completion.resolve, receipt)
+                engine.call_at(time, receipt._complete)
                 if time < horizon:
                     horizon = time
                     cut = min(time if time > now else after_now, past_bound)

@@ -64,6 +64,15 @@ def _node_columns(nodes: Iterable[Node]) -> tuple[list, list, list, list]:
     )
 
 
+def _capacity_column(capacities: Sequence[int], count: int) -> array:
+    """A snapshot's capacity column: ``count`` values, each at least 1."""
+    if len(capacities) != count:
+        raise ValueError("member columns must have equal length")
+    if min(capacities) < 1:
+        raise ValueError(f"capacity must be >= 1, got {min(capacities)}")
+    return array("q", capacities)
+
+
 class RingSnapshot:
     """An immutable membership view with O(log n) identifier resolution.
 
@@ -135,17 +144,35 @@ class RingSnapshot:
                 raise ValueError(
                     f"identifier {ident} outside space of {space.size}"
                 )
-        if min(capacities) < 1:
-            raise ValueError(f"capacity must be >= 1, got {min(capacities)}")
+        capacities = _capacity_column(capacities, count)
         if min(bandwidths) < 0:
             raise ValueError(f"bandwidth must be >= 0, got {min(bandwidths)}")
         self._space = space
         self._idents = array("Q", idents)
-        self._capacities = array("q", capacities)
+        self._capacities = capacities
         self._bandwidths = array("d", bandwidths)
         self._names = tuple(names)
         self._nodes: tuple[Node, ...] | None = None
         self._ring_index: RingIndex | None = None
+
+    def with_capacities(self, capacities: Sequence[int]) -> "RingSnapshot":
+        """These members with another capacity column, in ring order.
+
+        Every other column and the :attr:`ring_index` are this
+        snapshot's own objects, so memberships that differ only in
+        their capacities (Figure 6's systems over one draw) share one
+        ring.  Rejects what the constructors reject in a capacity
+        column: a length other than the membership's, a value below 1.
+        """
+        snapshot = RingSnapshot.__new__(RingSnapshot)
+        snapshot._space = self._space
+        snapshot._idents = self._idents
+        snapshot._capacities = _capacity_column(capacities, len(self._idents))
+        snapshot._bandwidths = self._bandwidths
+        snapshot._names = self._names
+        snapshot._nodes = None
+        snapshot._ring_index = self.ring_index
+        return snapshot
 
     @property
     def space(self) -> IdentifierSpace:
@@ -202,7 +229,8 @@ class RingSnapshot:
     def ring_index(self) -> "RingIndex":
         """The successor directory of this membership, built on first
         access and cached like :attr:`nodes` — overlays over one
-        snapshot (Chord and Koorde in Figure 6) share it."""
+        snapshot (Chord and Koorde in Figure 6) share it, and so do the
+        snapshots :meth:`with_capacities` derives."""
         if self._ring_index is None:
             self._ring_index = RingIndex(self._space, self._idents)
         return self._ring_index

@@ -393,6 +393,22 @@ def test_children_are_runs_of_the_delivery_order(idents, caps, fanout, placement
             assert_children_are_runs_of_order(routine(overlay, source))
 
 
+def test_every_builder_stores_four_32_bit_columns():
+    """16 bytes per member: ``region_split_tree`` (CAM-Chord, and Chord
+    over its uniform fanout column), both ``flood_tree`` branches (the
+    CAM-Koorde CSR with its 32-bit offsets, Koorde's run starts) and
+    ``select_tree`` (El-Ansary's broadcast, proximity)."""
+    idents = [0, 1, 2, 300, 301, 640, 900, 1021, 1022, 1023]
+    snap = make_snapshot(10, idents, capacity=cycle_capacities([4, 9, 5], 10, floor=4))
+    systems = [*all_four(snap, fanout=3), *rule_systems(snap, base=3, placement=1)]
+    for overlay, routine, _ in systems:
+        tree = routine(overlay, snap.nodes[3])
+        columns = (tree.parent_index, tree.depth_array, tree.child_count, tree.order)
+        assert [column.typecode for column in columns] == ["i"] * 4, routine
+        assert tree.receiver_count == len(snap)
+    assert kernel._flood_state(CamKoordeOverlay(snap)).offsets.typecode == "I"
+
+
 @pytest.mark.parametrize("degree", [7, 8, 19])
 def test_koorde_run_longer_than_the_ring(degree):
     """``degree >= n``: the pointer run laps the ring."""

@@ -13,6 +13,7 @@ import os
 import pickle
 import subprocess
 import sys
+from array import array
 from random import Random
 
 import pytest
@@ -218,6 +219,8 @@ class TestCaches:
         second = bandwidth_draws(law, 500, seed=3)
         delta = perf.since(before)
         assert first is second
+        assert type(first) is array and first.typecode == "d"
+        assert list(first) == law.sample_many(500, Random(3))
         assert (delta.draw_cache_misses, delta.draw_cache_hits) == (1, 1)
         assert bandwidth_draws(law, 500, seed=4) is not first
 
@@ -245,7 +248,12 @@ class TestCaches:
         ]
         snapshots = [members_snapshot(request) for request in requests]
         assert len({id(snapshot) for snapshot in snapshots}) == 3
-        assert len({tuple(snapshot.identifiers) for snapshot in snapshots}) == 1
+        first = snapshots[0]
+        for snapshot in snapshots[1:]:
+            # one ring per draw: only the capacity column is the snapshot's own
+            for column in ("identifiers", "bandwidths", "names", "ring_index"):
+                assert getattr(snapshot, column) is getattr(first, column), column
+        assert len({id(snapshot.capacities) for snapshot in snapshots}) == 3
         for request, snapshot in zip(requests, snapshots):
             # the build with a fresh identifier draw places the members alike
             draws = list(bandwidth_draws(request.bandwidth, request.count, request.seed))
@@ -256,8 +264,9 @@ class TestCaches:
                 bandwidths=draws,
                 rng=Random(request.seed),
             )
-            for column in ("identifiers", "capacities", "bandwidths"):
+            for column in ("identifiers", "capacities", "bandwidths", "names"):
                 assert getattr(snapshot, column) == getattr(expected, column)
+            assert snapshot.ring_index.directory == expected.ring_index.directory
 
     def test_capacity_group_memoized_and_rebuild_identical(self):
         tiny = SCALES["bench"]

@@ -10,13 +10,15 @@ machine words shows up as its width.  ``tracemalloc`` sees every
 Python allocation (a dict, a list of boxed floats), which an
 ``array.buffer_info()`` sum over the known columns would not.
 
-The ceilings sit about 1.2x above the values measured on CPython 3.11
-(cam-chord 148.8, cam-koorde 178.0, chord 176.2, koorde 157.8 bytes
-per member at seed 0, within 3 bytes of that at seeds 1 and 2, and the
-same under any ``PYTHONHASHSEED``).  A per-member
-``{identifier: row}`` dict adds about 85 bytes per member and fails all
-four.  n = 10^5 is not traced here: under ``tracemalloc`` it takes
-about half a minute.
+Measured on CPython 3.11 (cam-chord 136.5, cam-koorde 162.4, chord
+158.4, koorde 144.4 bytes per member at seed 0, within 1 byte of that
+at seeds 1 and 2, and the same under any ``PYTHONHASHSEED``), the
+ceilings sit about halfway between those values and what the same
+pipeline costs with 64-bit tree columns (148.8, 174.0, 172.2, 157.8):
+a tree is four ``array("i")`` columns, and widening them to 8 bytes
+fails all four.  A per-member ``{identifier: row}`` dict adds about 85
+bytes per member and fails all four too.  n = 10^5 is not traced here:
+under ``tracemalloc`` it takes about half a minute.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.overlay.base import build_snapshot
 from repro.systems import get_system
 
 #: marginal traced bytes per member, n = 10^3 -> 10^4
-CEILINGS = {"cam-chord": 180, "cam-koorde": 215, "chord": 212, "koorde": 190}
+CEILINGS = {"cam-chord": 142, "cam-koorde": 168, "chord": 165, "koorde": 151}
 
 SMALL, LARGE = 1_000, 10_000
 

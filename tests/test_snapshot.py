@@ -346,6 +346,31 @@ def test_from_columns_rejects_length_mismatch(column):
         RingSnapshot.from_columns(IdentifierSpace(5), **columns)
 
 
+def test_with_capacities_shares_every_column_but_the_capacities():
+    snap = RingSnapshot.from_columns(
+        IdentifierSpace(5), [20, 3, 9], [2, 4, 6], [3.0, 1.0, 2.0], ["c", "a", "b"]
+    )
+    derived = snap.with_capacities([7, 8, 9])
+    assert derived is not snap
+    for column in ("space", "identifiers", "bandwidths", "names", "ring_index"):
+        assert getattr(derived, column) is getattr(snap, column), column
+    assert type(derived.capacities) is array and derived.capacities.typecode == "q"
+    assert list(derived.capacities) == [7, 8, 9]
+    assert list(snap.capacities) == [4, 6, 2]
+    assert derived.node_at(9) == Node(9, 8, 2.0, "b")
+
+
+@pytest.mark.parametrize(
+    "capacities, message",
+    [([2, 2], "equal length"), ([2, 2, 2, 2], "equal length"), ([2, 0, 2], ">= 1")],
+    ids=["short", "long", "below one"],
+)
+def test_with_capacities_rejects_what_the_constructors_reject(capacities, message):
+    snap = RingSnapshot.from_columns(IdentifierSpace(5), [3, 9, 20], [2, 4, 6])
+    with pytest.raises(ValueError, match=message):
+        snap.with_capacities(capacities)
+
+
 # -- the identifier draw: batched words equal the randrange loop --------------
 
 
