@@ -9,7 +9,7 @@ measurement, and every PR-5 oracle judges the result.
 
 Expected shape: every cell at 1.0 — the library pins its chaos where
 a healthy protocol must recover, so any violation is a protocol bug
-(replay and shrink it with ``python -m repro.scenarios``).
+(replay and shrink it with ``python -m repro.faults``).
 
 Scales: ``bench``/``quick`` sample a 2 x 2 corner of the matrix (the
 CI smoke shape); ``default``/``paper`` run the full 5-scenario x
@@ -92,6 +92,6 @@ def assemble(
     result.notes.append(
         "Every cell must score 1.0: the library scenarios pin their chaos "
         "where a repaired ring must deliver perfectly; replay and shrink "
-        "failures with `python -m repro.scenarios`."
+        "failures with `python -m repro.faults`."
     )
     return result

@@ -90,11 +90,20 @@ class TaskOutcome(NamedTuple):
     delta: obs.ObsDelta
 
 
-def execute_task(task: Task, scale: ExperimentScale) -> TaskOutcome:
-    """Run one task and record its observability delta.
+#: Multicast ids one task may hand out: the task at ``position`` in the
+#: plan numbers its multicasts from ``position * TASK_MESSAGE_IDS + 1``,
+#: so ids are unique across a traced run and the same serial or fanned.
+TASK_MESSAGE_IDS = 1_000_000
+
+
+def execute_task(task: Task, scale: ExperimentScale, position: int) -> TaskOutcome:
+    """Run the task at ``position`` in the plan; record its observability delta.
 
     Module-level so the process pool can pickle it by reference.
     """
+    from repro.protocol.base_peer import restart_message_ids
+
+    restart_message_ids(position * TASK_MESSAGE_IDS + 1)
     module = registry.load(task.figure)
     before = obs.snapshot()
     if task.point_index is None:
@@ -137,10 +146,15 @@ def run_experiments(
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(TRACER.enabled,)
         ) as pool:
-            futures = [pool.submit(execute_task, task, scale) for task in tasks]
+            futures = [
+                pool.submit(execute_task, task, scale, position)
+                for position, task in enumerate(tasks)
+            ]
             outcomes = [future.result() for future in futures]
     else:
-        outcomes = [execute_task(task, scale) for task in tasks]
+        outcomes = [
+            execute_task(task, scale, position) for position, task in enumerate(tasks)
+        ]
 
     by_task = dict(zip(tasks, outcomes))
     runs: list[FigureRun] = []

@@ -17,7 +17,9 @@ registered systems (``python -m repro.faults campaign``, also
 experiment ``extK``); a failing plan is handed to the
 :mod:`shrinker <repro.faults.shrink>`, which minimizes it to a
 smallest still-failing scenario saved as JSON and replayable forever
-via ``python -m repro.faults replay``.
+via ``python -m repro.faults replay``.  The same CLI runs the scenario
+library (:mod:`repro.scenarios`): ``list``, ``gen --scenario`` and
+``campaign --scenario``.
 """
 
 from repro.faults.campaign import (
@@ -42,7 +44,6 @@ from repro.faults.plan import (
     generate_plan,
     join_at,
     leave_at,
-    load_plan,
     loss_burst,
     message_loss_burst,
     partition_window,
@@ -70,7 +71,6 @@ __all__ = [
     "generate_plan",
     "join_at",
     "leave_at",
-    "load_plan",
     "loss_burst",
     "message_loss_burst",
     "partition_window",

@@ -188,12 +188,6 @@ def save_plan(plan: FaultPlan, path: str, extra: dict[str, Any] | None = None) -
         handle.write("\n")
 
 
-def load_plan(path: str) -> FaultPlan:
-    """Read a plan written by :func:`save_plan`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return FaultPlan.from_json_dict(json.load(handle))
-
-
 # -- schedule summarization ---------------------------------------------------
 
 

@@ -40,8 +40,9 @@ def shrink_plan(
 ) -> tuple[FaultPlan, PlanOutcome]:
     """The smallest still-failing variant of ``plan`` and its outcome.
 
-    ``runner`` executes a candidate (the failover CLI passes one that
-    runs the failover path).  ``plan`` itself must fail
+    ``runner`` executes a candidate: the CLI passes the runner the
+    plan failed under (its mode and settle, or its scenario cell's
+    topology).  ``plan`` itself must fail
     under ``runner``; raises ``ValueError`` otherwise — shrinking a
     passing plan would silently return garbage.
     """

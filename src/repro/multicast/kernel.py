@@ -625,7 +625,6 @@ def _finish(
 ) -> FlatTree:
     """Wrap finished arrays, book the counters, emit the tree event."""
     tree = FlatTree(snapshot, source_ident, parent_index, depths, child_count, order)
-    perf.COUNTERS.multicast_trees += 1
     perf.COUNTERS.kernel_trees += 1
     perf.COUNTERS.deliveries += tree.messages_sent
     if TRACER.mc and "tree" in TRACER.mc:

@@ -10,7 +10,7 @@ the facade most library users (and all examples) interact with::
         per_link_kbps=100,
         seed=7,
     )
-    result = group.multicast_from(group.random_member())
+    result = group.multicast_from(group.random_member(Random(7)))
     print(result.average_path_length())
 
 Which systems exist, how their overlays are built and which routine
@@ -41,12 +41,6 @@ from repro.systems import (
 
 #: Identifier-space width used throughout the paper's evaluation.
 DEFAULT_SPACE_BITS = 19
-
-#: Fallback stream for callers that do not pass their own ``rng``.
-#: Seeded, so two runs of the same process draw the same sequence —
-#: nothing in the library may consume entropy the seed-determinism
-#: audit cannot replay.
-_DEFAULT_RNG = Random(0x5EED)
 
 __all__ = ["DEFAULT_SPACE_BITS", "MulticastGroup", "SystemKind"]
 
@@ -137,14 +131,10 @@ class MulticastGroup:
     def __len__(self) -> int:
         return len(self.snapshot)
 
-    def random_member(self, rng: Random | None = None) -> Node:
-        """A uniformly random member (e.g. to act as multicast source).
-
-        Without an explicit ``rng`` the draw comes from a process-global
-        *seeded* stream, so repeated runs of the same program pick the
-        same members (experiments that need independent streams pass
-        their own ``Random``)."""
-        return self.snapshot.random_node(rng if rng is not None else _DEFAULT_RNG)
+    def random_member(self, rng: Random) -> Node:
+        """A uniformly random member drawn from ``rng`` (e.g. to act as
+        multicast source)."""
+        return self.snapshot.random_node(rng)
 
     # -- the service ------------------------------------------------------
 

@@ -27,14 +27,14 @@ class PerfCounters:
     """Cumulative hot-path event counts for one process.
 
     ``resolves`` counts :meth:`RingSnapshot.resolve_index` calls (every
-    scalar ``resolve`` funnels through it); ``multicast_trees`` full
-    implicit tree extractions; ``deliveries`` tree edges recorded.  The
-    cache pairs track the keyed snapshot/group cache in
+    scalar ``resolve`` funnels through it); ``deliveries`` tree edges
+    recorded.  The cache pairs track the keyed snapshot/group cache in
     ``repro.experiments.common``.
 
     The ``kernel_*`` counters instrument the flat-array multicast
-    kernel (:mod:`repro.multicast.kernel`): ``kernel_trees`` trees
-    built by it, ``kernel_resolves`` probes of the snapshot's successor
+    kernel (:mod:`repro.multicast.kernel`), which builds every tree:
+    ``kernel_trees`` trees built (the footer's ``trees=``),
+    ``kernel_resolves`` probes of the snapshot's successor
     directory — at most n - 1 per region-split tree plus, once per flood
     overlay, one per Koorde member or CAM-Koorde neighbor identifier,
     ``kernel_resolves_saved`` always 0 (it counted hits in the per-node
@@ -58,7 +58,6 @@ class PerfCounters:
     """
 
     resolves: int = 0
-    multicast_trees: int = 0
     deliveries: int = 0
     kernel_trees: int = 0
     kernel_resolves: int = 0
@@ -93,9 +92,9 @@ class PerfCounters:
     def summary(self) -> str:
         """One compact report line (used in the runner footer)."""
         return (
-            f"resolves={self.resolves} trees={self.multicast_trees} "
+            f"resolves={self.resolves} trees={self.kernel_trees} "
             f"deliveries={self.deliveries} "
-            f"kernel[trees {self.kernel_trees} fills {self.kernel_resolves} "
+            f"kernel[fills {self.kernel_resolves} "
             f"saved {self.kernel_resolves_saved} passes {self.array_passes} "
             f"evict {self.kernel_state_evictions}] "
             f"cache[group {self.group_cache_hits}h/{self.group_cache_misses}m "

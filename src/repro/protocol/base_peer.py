@@ -39,6 +39,18 @@ class LookupFailed(Exception):
 
 _message_ids = itertools.count(1)
 
+
+def restart_message_ids(start: int) -> None:
+    """Number the multicasts originated from now on ``start``, ``start + 1``, ...
+
+    The experiment engine restarts the stream at a base fixed by each
+    task's position in its plan, so a traced run's ids do not depend on
+    which process ran the task or what it ran before.
+    """
+    global _message_ids
+    _message_ids = itertools.count(start)
+
+
 #: the exclude set of a routing request that names no failed hop
 _NO_EXCLUDE: frozenset[int] = frozenset()
 

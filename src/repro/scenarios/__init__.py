@@ -12,7 +12,8 @@ Specs and cells are JSON round-trippable values; compilation draws
 all randomness from named SHA-512 streams, so the same inputs always
 lower byte-identically and matrix runs parallelize without changing a
 byte of output.  See ``docs/SCENARIOS.md`` for the cookbook and
-``python -m repro.scenarios`` for the CLI.
+``python -m repro.faults`` for the CLI (``list``, ``gen
+--scenario``, ``campaign --scenario``, ``replay``).
 """
 
 from repro.scenarios.compile import (
@@ -27,7 +28,6 @@ from repro.scenarios.runner import (
     compile_matrix,
     render_tables,
     run_matrix,
-    shrink_cell,
 )
 from repro.scenarios.spec import (
     ChurnModel,
@@ -56,5 +56,4 @@ __all__ = [
     "run_matrix",
     "save_cell",
     "scenario_names",
-    "shrink_cell",
 ]

@@ -2,7 +2,7 @@
 
 Five canonical workload × fault × topology compositions, each a plain
 :class:`~repro.scenarios.spec.ScenarioSpec` value (dump one with
-``python -m repro.scenarios show <name>``; every one is expressible
+``python -m repro.faults gen --scenario <name>``; every one is expressible
 as a single JSON file and replayable from it):
 
 * ``flash-crowd`` — a join surge during dissemination: Poisson joins

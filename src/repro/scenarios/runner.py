@@ -7,12 +7,12 @@ so ``--jobs N`` aggregates byte-identically to the serial run (cells
 are frozen values and outcomes plain data, the same property the
 fault-campaign pool and the parallel experiment engine rely on).
 
-Failing cells hand their plan to the ddmin shrinker
-(:func:`repro.faults.shrink.shrink_plan`) with a runner that re-wraps
-each candidate in the cell's membership via
-:meth:`~repro.scenarios.compile.CompiledCell.with_plan` — so the
-minimized repro keeps the scenario's topology (heavy-tail capacities,
-geographic placement) while events and group size shrink.
+A failing cell is shrunk by ``python -m repro.faults campaign
+--scenario ... --out-dir D``: the ddmin shrinker runs each candidate
+plan inside the cell's membership
+(:meth:`~repro.scenarios.compile.CompiledCell.with_plan`), so the
+minimized repro keeps the scenario's topology while events and group
+size shrink.
 
 :func:`render_tables` folds outcomes into one aligned per-scenario
 table: delivery, duplicates, bottleneck throughput, forwarding-load
@@ -24,8 +24,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from repro.faults.campaign import ordered_map
-from repro.faults.plan import FaultPlan
-from repro.faults.shrink import shrink_plan
 from repro.scenarios.compile import (
     CellOutcome,
     CompiledCell,
@@ -55,26 +53,6 @@ def run_matrix(
 ) -> list[CellOutcome]:
     """Execute every cell, optionally across ``jobs`` workers."""
     return ordered_map(run_cell, cells, jobs, progress)
-
-
-def shrink_cell(
-    outcome: CellOutcome,
-    log: Callable[[str], None] | None = None,
-) -> tuple[CompiledCell, CellOutcome]:
-    """Minimize one failing cell with the fault-plan ddmin shrinker.
-
-    Returns the minimized cell and its (still failing) outcome.  The
-    shrinker mutates only the plan; every candidate re-runs inside the
-    cell's own topology, truncated to the candidate's size.
-    """
-    cell = outcome.cell
-
-    def runner(plan: FaultPlan):
-        return run_cell(cell.with_plan(plan)).outcome
-
-    minimized_plan, _final = shrink_plan(outcome.outcome.plan, runner=runner, log=log)
-    minimized = cell.with_plan(minimized_plan)
-    return minimized, run_cell(minimized)
 
 
 def render_tables(outcomes: Sequence[CellOutcome]) -> str:

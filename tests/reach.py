@@ -16,9 +16,10 @@ under a wrapper that installs ``sys.setprofile`` and
   ``repro.trace`` command on that (small) trace;
 - ``repro.faults`` ``gen``, ``campaign`` (repair on a pool, and
   ``--failover`` on a seed whose failing plans it shrinks), ``replay``
-  (also ``--failover --stale-backup``) and ``shrink`` of a failing plan;
-- ``repro.scenarios`` ``list``, ``show``, ``compile``, ``run`` and
-  ``replay`` of a saved spec and of a compiled cell;
+  (also ``--failover --stale-backup``) and ``shrink`` of a failing
+  plan; then, for the scenario library, ``list``, ``gen --scenario``
+  (a spec, and with ``--system`` a compiled cell), ``campaign
+  --scenario all`` and ``replay`` of the saved spec and cell;
 - the six ``examples/``;
 - ``python -m bench _child`` once per workload (and once traced): the
   benchmark driver runs its reps in such a child, so wrapping the
@@ -273,19 +274,19 @@ def matrix() -> list[Step]:
             "--out", f"{tmp}/shrunk.json"]),
         Step("faults replay failing", lambda tmp: [
             "-m", "repro.faults", "replay", _failing_plan(tmp)], ok_codes=(1,)),
-        Step("scenarios list", _module("repro.scenarios", "list")),
-        Step("scenarios show", _module("repro.scenarios", "show", "flash-crowd"),
-             stdout="spec.json"),
-        Step("scenarios compile", _module(
-            "repro.scenarios", "compile", "--scenario", "regional-partition",
+        Step("faults list", _module("repro.faults", "list")),
+        Step("faults gen --scenario", _module(
+            "repro.faults", "gen", "--scenario", "flash-crowd"), stdout="spec.json"),
+        Step("faults gen --scenario --system", _module(
+            "repro.faults", "gen", "--scenario", "regional-partition",
             "--system", "cam-koorde", "--out", "{tmp}/cell.json")),
-        Step("scenarios run", _module(
-            "repro.scenarios", "run", "--jobs", "2", "--out-dir", "{tmp}/scen"),
-            ok_codes=(0, 1)),
-        Step("scenarios replay spec", _module(
-            "repro.scenarios", "replay", "{tmp}/spec.json", "--systems", "chord")),
-        Step("scenarios replay cell", _module(
-            "repro.scenarios", "replay", "{tmp}/cell.json"), ok_codes=(0, 1)),
+        Step("faults campaign --scenario", _module(
+            "repro.faults", "campaign", "--scenario", "all", "--jobs", "2",
+            "--out-dir", "{tmp}/scen"), ok_codes=(0, 1)),
+        Step("faults replay spec", _module(
+            "repro.faults", "replay", "{tmp}/spec.json", "--systems", "chord")),
+        Step("faults replay cell", _module(
+            "repro.faults", "replay", "{tmp}/cell.json"), ok_codes=(0, 1)),
     ]
     steps += [
         Step(f"example {path.stem}", lambda tmp, path=path: [str(path)])

@@ -41,6 +41,7 @@ from repro.experiments.runner import main
 from repro.idspace.ring import IdentifierSpace
 from repro.multicast.session import SystemKind
 from repro.overlay.base import build_snapshot, sample_identifiers
+from repro.trace.tracer import TRACER, resequence
 from repro.workloads.groups import GroupSpec
 from tests.golden.sim_order import SRC
 
@@ -126,6 +127,22 @@ class TestParallelEquivalence:
         clear_caches()
         fanned = run_experiments([figure], TINY, seeds=[0], jobs=2)
         assert serial[0].result.render() == fanned[0].result.render()
+
+    def test_live_protocol_trace_matches_serial_with_distinct_mids(self):
+        """Each task numbers its multicasts from a base fixed by its
+        position in the plan, so the trace of two live-protocol figures
+        does not depend on which worker ran what before, and no two
+        multicasts in it share an id."""
+
+        def traced(jobs):
+            with TRACER.capture():
+                runs = run_experiments(["extF", "extA"], TINY, seeds=[0], jobs=jobs)
+            return resequence(event for run in runs for event in run.events)
+
+        serial, fanned = traced(1), traced(2)
+        assert serial == fanned
+        mids = [e.data["mid"] for e in fanned if (e.layer, e.kind) == ("mc", "origin")]
+        assert mids and len(set(mids)) == len(mids)
 
 
 class TestMemberRequests:
@@ -297,7 +314,7 @@ class TestCaches:
 class TestPerfCounters:
     def test_add_sub_roundtrip(self):
         a = perf.PerfCounters(resolves=3, deliveries=10)
-        b = perf.PerfCounters(resolves=1, deliveries=4, multicast_trees=1)
+        b = perf.PerfCounters(resolves=1, deliveries=4, kernel_trees=1)
         total = a + b
         assert total.resolves == 4 and total.deliveries == 14
         assert (total - b) == a
@@ -311,7 +328,6 @@ class TestPerfCounters:
         before = perf.snapshot()
         group.multicast_from(group.random_member(Random(0)))
         delta = perf.since(before)
-        assert delta.multicast_trees == 1
         assert delta.kernel_trees == 1
         assert delta.deliveries == len(group.snapshot) - 1
         # The kernel resolves into its memoized slot tables, never
@@ -376,5 +392,5 @@ class TestPerfScoped:
         group.multicast_from(group.random_member(Random(0)))  # outside work
         with perf.scoped() as scope:
             group.multicast_from(group.random_member(Random(1)))
-        assert scope.delta.multicast_trees == 1
+        assert scope.delta.kernel_trees == 1
         assert scope.delta.deliveries == len(group.snapshot) - 1

@@ -278,12 +278,12 @@ class TestSpecValidation:
 
 class TestCli:
     def test_run_and_replay_round_trip(self, tmp_path, capsys):
-        from repro.scenarios.__main__ import main
+        from repro.faults.__main__ import main
 
         out_dir = tmp_path / "out"
         code = main(
             [
-                "run",
+                "campaign",
                 "--scenario",
                 "multi-source-storm",
                 "--systems",
@@ -308,7 +308,7 @@ class TestCli:
         assert "multi-source-storm x cam-chord: ok" in capsys.readouterr().out
 
     def test_replay_rejects_unrecognized_json(self, tmp_path):
-        from repro.scenarios.__main__ import main
+        from repro.faults.__main__ import main
 
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"nonsense": true}\n')
@@ -355,9 +355,9 @@ class TestUnknownKeys:
 
 class TestShrinkCell:
     def test_minimizes_to_the_marked_event_inside_the_cells_topology(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
-        from repro.scenarios import runner
+        from repro.faults import __main__ as cli
 
         cell = compile_cell(LIBRARY["regional-partition"], "cam-chord", 0)
         events = cell.plan.events
@@ -374,12 +374,13 @@ class TestShrinkCell:
             )
             return SimpleNamespace(cell=candidate, outcome=outcome)
 
-        monkeypatch.setattr(runner, "run_cell", run_cell_failing_on_marked)
-        minimized, final = runner.shrink_cell(run_cell_failing_on_marked(cell))
+        monkeypatch.setattr(cli, "run_cell", run_cell_failing_on_marked)
+        path = tmp_path / "min.json"
+        cli._shrink(cli._Repro(cell.plan, cell=cell), str(path), quiet=True)
+        minimized = CompiledCell.from_json_dict(json.loads(path.read_text()))
 
         assert minimized.plan.events == (marked,)
-        assert not final.outcome.passed
-        assert final.cell == minimized
+        assert not run_cell_failing_on_marked(minimized).outcome.passed
         size = minimized.plan.size
         assert size < cell.plan.size
         assert (minimized.scenario, minimized.system, minimized.seed) == (
