@@ -17,8 +17,9 @@ over internal tree nodes, averaged over several random sources.
 Expected shape (paper): both families decay like ``const / fanout``;
 the CAM curves sit 70-80% above their baselines across the sweep
 (the constant is E[B] vs the minimum bandwidth a), because a CAM
-allocation never drops below ``p`` while a uniform fanout lets a
-400-kbps node serve as many children as a 1000-kbps one.
+allocation stays at or above ``p`` wherever the system's capacity
+floor lifted no forwarder while a uniform fanout lets a 400-kbps node
+serve as many children as a 1000-kbps one.
 """
 
 from __future__ import annotations

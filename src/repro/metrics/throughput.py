@@ -7,9 +7,11 @@ children in the tree allocates ``B_x / d_x`` to each child link, so
 
     throughput = min over internal nodes x of  B_x / d_x.
 
-For the CAM systems ``d_x <= c_x = floor(B_x / p)`` guarantees every
-allocation is at least ``p``: throughput never drops below the
-configured per-link rate no matter how the tree turned out.  For the
+For the CAM systems ``d_x <= c_x = floor(B_x / p)`` unless the
+system's capacity floor (CAM-Chord's 2, CAM-Koorde's 4) lifted
+``c_x``: throughput is at least ``p`` whenever no forwarder's capacity
+was lifted.  A lifted one can allocate less (CAM-Koorde reads
+100.1 kbps at p = 140 in ``results/paper/fig6.txt``).  For the
 capacity-oblivious baselines a low-bandwidth node can end up with a
 large fanout and throttle the entire session — the effect Figure 6
 quantifies.

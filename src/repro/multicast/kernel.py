@@ -26,7 +26,8 @@ arrays instead of millions of per-node object operations:
   start; a CAM-Koorde shift group is a strided slice of the successor
   table wherever that table is no larger than the reads (a slice reads
   in C, a probe loops in Python; a table that small costs less to fill
-  than it saves).  A flood overlay's second source probes nothing;
+  than it saves).  A flood builds each row when it reaches the member
+  and stores no adjacency (a probed row is probed again every visit);
 * a child rule with no run formulation (El-Ansary's broadcast,
   proximity neighbor selection) is handed to :func:`select_tree`,
   which asks it for each node's children and stores them the same way;
@@ -61,7 +62,7 @@ from typing import Callable
 from repro import perf
 from repro.overlay.base import Node, Overlay, RingIndex, RingSnapshot
 from repro.overlay.cam_chord import CamChordOverlay, spare_sequences
-from repro.overlay.cam_koorde import CamKoordeOverlay, cam_koorde_shift_groups
+from repro.overlay.cam_koorde import cam_koorde_shift_groups
 from repro.overlay.koorde import KoordeOverlay
 from repro.trace.tracer import TRACER
 
@@ -243,68 +244,39 @@ class FlatTree:
 
 
 class _FloodState:
-    """The neighbor rows of one flood overlay, resolved once per state
+    """What one flood overlay's rows are built from, once per state
     lifetime.  Koorde's pointers are ``degree`` consecutive members, so
-    a row is one entry of ``starts`` and there is no adjacency; every
-    other overlay gets a CSR (``offsets`` / ``targets``) streamed over
-    the snapshot's columns, O(n) words at any n (a transient successor
-    table is no larger than the directory or the CSR it fills).  A row is in
+    a row is one entry of ``starts``; a CAM-Koorde row reads one
+    ``(by, members, stride)`` run per Section 4.1 group of its capacity
+    (``runs``) as a strided slice of the successor ``table`` or, where
+    there is none, one probe per element.  A row is in
     ``overlay.neighbors`` order but keeps the node itself and repeated
     neighbors: the flood takes a member's first visit, the same tree.
     """
 
-    __slots__ = ("degree", "starts", "offsets", "targets")
+    __slots__ = ("degree", "starts", "runs", "table")
 
     def __init__(self, overlay: Overlay) -> None:
         snapshot = overlay.snapshot
         idents = snapshot.identifiers
-        count = len(idents)
         size = snapshot.space.size
         index = snapshot.ring_index
-        probe = index.probe
         self.degree = 0
-        self.starts = self.offsets = self.targets = None
+        self.starts = self.runs = self.table = None
         if isinstance(overlay, KoordeOverlay):
             self.degree = degree = overlay.degree
-            self.starts = array("I", [probe(degree * x % size) for x in idents])
-            perf.COUNTERS.kernel_resolves += count
+            self.starts = array("I", [index.probe(degree * x % size) for x in idents])
+            perf.COUNTERS.kernel_resolves += len(idents)
             return
-        self.offsets = offsets = array("I", [0]) * (count + 1)
-        self.targets = targets = array("I")
-        append, extend = targets.append, targets.extend
-        probes = 0
-        if isinstance(overlay, CamKoordeOverlay):
-            bits = snapshot.space.bits
-            runs = {}
-            for capacity, holders in Counter(snapshot.capacities).items():
-                reads, runs[capacity] = _shift_runs(capacity, bits)
-                probes += holders * reads
-            table = _successor_table(index, size, probes)
-            shift, directory = index.shift, index.directory
-            for i, (x, capacity) in enumerate(zip(idents, snapshot.capacities)):
-                # predecessor and successor lead the row, unprobed
-                append((i - 1) % count)
-                append((i + 1) % count)
-                for by, members, stride in runs[capacity]:
-                    ident = x >> by
-                    if table is not None:
-                        extend(table[ident : ident + members * stride : stride])
-                        continue
-                    for _ in range(members):
-                        j = directory[ident >> shift]
-                        while j < count and idents[j] < ident:
-                            j += 1
-                        append(j if j < count else 0)
-                        ident += stride
-                offsets[i + 1] = len(targets)
-        else:
-            # No run structure to exploit: probe every neighbor identifier.
-            for i in range(count):
-                wanted = overlay.neighbor_identifiers(snapshot.node_for_index(i))
-                extend(probe(x % size) for x in wanted)
-                probes += len(wanted)
-                offsets[i + 1] = len(targets)
-        perf.COUNTERS.kernel_resolves += probes
+        # CAM-Koorde: the reads are booked once, whichever side answers them
+        bits = snapshot.space.bits
+        reads = 0
+        self.runs = runs = {}
+        for capacity, holders in Counter(snapshot.capacities).items():
+            each, runs[capacity] = _shift_runs(capacity, bits)
+            reads += holders * each
+        self.table = _successor_table(index, size, reads)
+        perf.COUNTERS.kernel_resolves += reads
 
 
 @lru_cache(maxsize=512)
@@ -319,20 +291,24 @@ def _shift_runs(capacity: int, bits: int) -> tuple[int, tuple[tuple[int, int, in
 
 def _successor_table(index: RingIndex, size: int, reads: int) -> array | None:
     """``table[x]``, for every identifier ``x``: the row responsible for
-    it, the ``n -> 0`` wrap already taken.  On a dense ring that is the
-    directory; else it is built, row ``j`` once per identifier in
-    ``(x[j - 1], x[j]]`` (n fills, no search), only when its ``size``
-    entries are no more than the ``reads`` it answers — None otherwise."""
+    it, the ``n -> 0`` wrap already taken (one allocation).  On a dense
+    ring that is the directory; else it is built, row ``j`` once per
+    identifier in ``(x[j - 1], x[j]]`` (n fills, no search), only when
+    its ``size`` entries are no more than the ``reads`` it answers —
+    None otherwise."""
     idents = index.idents
     last = idents[-1] + 1  # identifiers past the last member wrap to row 0
+    wrap = repeat(0, size - last)
     if index.shift == 0:
-        head = index.directory[:last]
+        table = index.directory[:size]
+        table[last:] = array("I", wrap)
     elif size <= reads:
         gaps = map(sub, idents, chain((-1,), idents))
-        head = array("I", chain.from_iterable(map(repeat, range(len(idents)), gaps)))
+        rows = chain.from_iterable(map(repeat, range(len(idents)), gaps))
+        table = array("I", chain(rows, wrap))
     else:
         return None
-    return head + array("I", [0]) * (size - last)
+    return table
 
 
 @lru_cache(maxsize=256)
@@ -429,22 +405,30 @@ def flood_tree(overlay: Overlay, source: Node) -> FlatTree:
 
     Forwarding decisions are those of a breadth-first flood over
     ``overlay.neighbors`` — a row reproduces that order exactly, and
-    the first visit wins — with each delivery two array stores.
+    the first visit wins — with each delivery two array stores.  The
+    delivery ``order`` is the queue, and a row is built when reached.
     """
     snapshot = overlay.snapshot
     source_index, parent_index, depths, child_count, order = _rooted(snapshot, source)
     state = _flood_state(overlay)
     count = len(snapshot)
+    idents, capacities = snapshot.identifiers, snapshot.capacities
     degree, starts = state.degree, state.starts
-    offsets, targets = state.offsets, state.targets
-    queue = deque([source_index])
-    pop = queue.popleft
-    push = queue.append
+    runs, table = state.runs, state.table
+    probe = snapshot.ring_index.probe
     deliver = order.append
-    while queue:
-        i = pop()
+    for i in order:  # grows as the walk delivers
         if starts is None:
-            row = targets[offsets[i] : offsets[i + 1]]
+            # CAM-Koorde: predecessor, successor, then the group runs
+            x = idents[i]
+            row = [(i - 1) % count, (i + 1) % count]
+            for by, members, stride in runs[capacities[i]]:
+                first = x >> by
+                stop = first + members * stride
+                if table is None:
+                    row += map(probe, range(first, stop, stride))
+                else:
+                    row += table[first:stop:stride]
         else:
             # Koorde: predecessor, successor, then the ``degree``
             # consecutive members from the one responsible for k * x;
@@ -464,7 +448,6 @@ def flood_tree(overlay: Overlay, source: Node) -> FlatTree:
             depths[j] = hop
             parent_index[j] = i
             deliver(j)
-            push(j)
             children += 1
         if children:
             child_count[i] = children

@@ -64,20 +64,29 @@ def _node_columns(nodes: Iterable[Node]) -> tuple[list, list, list, list]:
     )
 
 
+def _column(typecode: str, values: Sequence) -> array:
+    """``values`` as an ``array`` of ``typecode``, copied unless it is one."""
+    if type(values) is array and values.typecode == typecode:
+        return values
+    return array(typecode, values)
+
+
 def _capacity_column(capacities: Sequence[int], count: int) -> array:
-    """A snapshot's capacity column: ``count`` values, each at least 1."""
+    """A snapshot's capacity column: ``count`` values in ``[1, 2**32)``."""
     if len(capacities) != count:
         raise ValueError("member columns must have equal length")
     if min(capacities) < 1:
         raise ValueError(f"capacity must be >= 1, got {min(capacities)}")
-    return array("q", capacities)
+    if max(capacities) >> 32:
+        raise ValueError(f"capacity must be < 2**32, got {max(capacities)}")
+    return _column("I", capacities)
 
 
 class RingSnapshot:
     """An immutable membership view with O(log n) identifier resolution.
 
     The members are four parallel columns in ring order — identifiers
-    (``Q``), capacities (``q``), upload bandwidths (``d``) and host
+    (``Q``), capacities (``I``), upload bandwidths (``d``) and host
     names — and nothing else.  The bisect in :meth:`resolve_index`
     scans a contiguous machine-word buffer, tree extraction and the
     fused metric passes read the columns directly, and peak memory is
@@ -104,8 +113,10 @@ class RingSnapshot:
 
         Rejects exactly what the :class:`Node` path rejects.  Omitted
         ``bandwidths`` are 0.0 and omitted ``names`` are ``""``, like
-        the :class:`Node` defaults.  Every column is copied into the
-        snapshot's own flat ``array``, whatever sequence type came in.
+        the :class:`Node` defaults.  A column already in ring order as
+        an ``array`` of the snapshot's typecode (``Q``, ``I``, ``d``) is
+        kept, not copied, so the caller must not change it; any other
+        sequence is copied into the snapshot's own flat ``array``.
         """
         snapshot = cls.__new__(cls)
         snapshot._set_columns(space, idents, capacities, bandwidths, names)
@@ -148,9 +159,9 @@ class RingSnapshot:
         if min(bandwidths) < 0:
             raise ValueError(f"bandwidth must be >= 0, got {min(bandwidths)}")
         self._space = space
-        self._idents = array("Q", idents)
+        self._idents = _column("Q", idents)
         self._capacities = capacities
-        self._bandwidths = array("d", bandwidths)
+        self._bandwidths = _column("d", bandwidths)
         self._names = tuple(names)
         self._nodes: tuple[Node, ...] | None = None
         self._ring_index: RingIndex | None = None

@@ -36,7 +36,8 @@ class PerfCounters:
     ``kernel_trees`` trees built (the footer's ``trees=``),
     ``kernel_resolves`` probes of the snapshot's successor
     directory — at most n - 1 per region-split tree plus, once per flood
-    overlay, one per Koorde member or CAM-Koorde neighbor identifier,
+    overlay, one per Koorde member or CAM-Koorde neighbor identifier
+    (booked once even where a probed row is probed again each visit),
     ``kernel_resolves_saved`` always 0 (it counted hits in the per-node
     slot memo tables, which are gone; the field stays because the
     benchmark reports read it and the footer prints it),

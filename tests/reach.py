@@ -320,10 +320,12 @@ def run_matrix(tmp: Path, steps: Sequence[Step], log=print) -> set[tuple[str, in
         )
         if step.stdout:
             (tmp / step.stdout).write_text(done.stdout)
-        log(f"# {step.label}: exit {done.returncode}, {time.monotonic() - started:.1f}s")
+        elapsed = time.monotonic() - started
+        log(f"# {step.label}: exit {done.returncode}, {elapsed:.1f}s")
         if done.returncode not in step.ok_codes:
             raise SystemExit(
-                f"reach: step {step.label!r} exited {done.returncode}:\n{done.stderr[-4000:]}"
+                f"reach: step {step.label!r} exited {done.returncode}:\n"
+                f"{done.stderr[-4000:]}"
             )
     hit: set[tuple[str, int]] = set()
     for record in records.glob("*.txt"):
@@ -345,7 +347,9 @@ def read_allowlist(path: Path) -> dict[str, tuple[str, str]]:
             continue
         name, tag, *reason = line.split(None, 2)
         if tag not in TAGS or not reason:
-            raise SystemExit(f"{path}:{number}: want 'module:qualname  tag  reason', tag one of {TAGS}")
+            raise SystemExit(
+                f"{path}:{number}: want 'module:qualname  tag  reason', tag one of {TAGS}"
+            )
         entries[name] = (tag, reason[0])
     return entries
 
@@ -377,8 +381,12 @@ def main(argv: list[str] | None = None) -> int:
     if argv[:1] == ["_record"]:
         _record(argv[1], argv[2:])
         return 0
-    parser = argparse.ArgumentParser(prog="python -m tests.reach", description=__doc__.split("\n")[0])
-    parser.add_argument("--check", type=Path, metavar="FILE", help="allowlist to gate against")
+    parser = argparse.ArgumentParser(
+        prog="python -m tests.reach", description=__doc__.split("\n")[0]
+    )
+    parser.add_argument(
+        "--check", type=Path, metavar="FILE", help="allowlist to gate against"
+    )
     args = parser.parse_args(argv)
 
     started = time.monotonic()

@@ -87,7 +87,8 @@ class TestChordBroadcast:
         """A non-member source used to come back as a 21-receiver tree
         that included it; now it is refused like every other routine's."""
         snap = random_snapshot(10, 20, seed=8)
-        ghost = Node(ident=next(x for x in range(1024) if snap.index_of(x) is None), capacity=4)
+        outside = next(x for x in range(1024) if snap.index_of(x) is None)
+        ghost = Node(ident=outside, capacity=4)
         with pytest.raises(KeyError, match=f"source {ghost.ident} is not a group member"):
             chord_broadcast(ChordOverlay(snap, base=2), ghost)
 

@@ -152,9 +152,9 @@ def test_all_sources_match_on_all_registry_systems():
             assert_same_tree(flat, reference)
 
 
-def test_flood_csr_is_built_once_per_overlay():
-    """A second source over the same flood overlay probes nothing: the
-    CSR adjacency is complete after the first build."""
+def test_flood_state_books_its_reads_once_per_overlay():
+    """A second source over the same flood overlay books no resolves:
+    the state's reads are booked once, when it is built."""
     snap = make_snapshot(10, list(range(0, 1024, 9)), capacity=4)
     overlay = CamKoordeOverlay(snap)
     flood_tree(overlay, snap.nodes[0])
@@ -395,9 +395,10 @@ def test_children_are_runs_of_the_delivery_order(idents, caps, fanout, placement
 
 def test_every_builder_stores_four_32_bit_columns():
     """16 bytes per member: ``region_split_tree`` (CAM-Chord, and Chord
-    over its uniform fanout column), both ``flood_tree`` branches (the
-    CAM-Koorde CSR with its 32-bit offsets, Koorde's run starts) and
-    ``select_tree`` (El-Ansary's broadcast, proximity)."""
+    over its uniform fanout column), both ``flood_tree`` branches
+    (CAM-Koorde's runs over the successor table, Koorde's run starts)
+    and ``select_tree`` (El-Ansary's broadcast, proximity); the
+    capacity column the trees read is 32-bit too."""
     idents = [0, 1, 2, 300, 301, 640, 900, 1021, 1022, 1023]
     snap = make_snapshot(10, idents, capacity=cycle_capacities([4, 9, 5], 10, floor=4))
     systems = [*all_four(snap, fanout=3), *rule_systems(snap, base=3, placement=1)]
@@ -406,7 +407,7 @@ def test_every_builder_stores_four_32_bit_columns():
         columns = (tree.parent_index, tree.depth_array, tree.child_count, tree.order)
         assert [column.typecode for column in columns] == ["i"] * 4, routine
         assert tree.receiver_count == len(snap)
-    assert kernel._flood_state(CamKoordeOverlay(snap)).offsets.typecode == "I"
+    assert snap.capacities.typecode == "I"
 
 
 @pytest.mark.parametrize("degree", [7, 8, 19])
@@ -439,18 +440,15 @@ def test_cam_koorde_strided_runs_match_the_recorder(bits, count, capacity):
         assert_same_tree(flood_tree(overlay, source), dict_trees.flood(overlay, source))
 
 
-def probed_csr(snap) -> tuple[list[int], list[int]]:
-    """The CAM-Koorde CSR from one ``RingIndex.probe`` per group element:
-    predecessor and successor, then every Section 4.1 run in order."""
-    bits, count, probe = snap.space.bits, len(snap), snap.ring_index.probe
-    offsets, targets = [0], []
-    for i, (x, capacity) in enumerate(zip(snap.identifiers, snap.capacities)):
-        targets += [(i - 1) % count, (i + 1) % count]
-        for by, members in cam_koorde_shift_groups(capacity, bits):
-            for k in range(min(members, 1 << by)):
-                targets.append(probe((k << (bits - by)) + (x >> by)))
-        offsets.append(len(targets))
-    return offsets, targets
+def group_reads(snap) -> int:
+    """The CAM-Koorde group elements of every member: one successor
+    read each, the Section 4.1 run cut at ``2**by``."""
+    bits = snap.space.bits
+    return sum(
+        min(members, 1 << by)
+        for capacity in snap.capacities
+        for by, members in cam_koorde_shift_groups(capacity, bits)
+    )
 
 
 def table_rule_ring(bits: int, count: int, capacities: list[int], pinned=()):
@@ -489,29 +487,33 @@ def test_cam_koorde_successor_table_iff_no_larger_than_the_reads(
 ):
     """A shift group is a slice of the successor table when the ring is
     dense or the table has no more entries than the reads; otherwise it
-    is probed.  Every side fills the same CSR as one probe per element
-    and books the same ``kernel_resolves`` (the reads, not the table's
-    entries)."""
+    is probed.  Every side floods the recorder's tree and books the
+    same ``kernel_resolves`` (the reads, not the table's entries)."""
     snap = table_rule_ring(bits, count, capacities, pinned)
     tables = []
     real = kernel._successor_table
     monkeypatch.setattr(
         kernel, "_successor_table", lambda *args: tables.append(real(*args)) or tables[-1]
     )
+    overlay = CamKoordeOverlay(snap)
     before = perf.snapshot()
-    state = kernel._FloodState(CamKoordeOverlay(snap))
-    resolves = perf.since(before).kernel_resolves
-    offsets, targets = probed_csr(snap)
-    assert list(state.offsets) == offsets
-    assert list(state.targets) == targets
-    assert resolves == len(targets) - 2 * count
+    state = kernel._FloodState(overlay)
+    reads = group_reads(snap)
+    assert perf.since(before).kernel_resolves == reads
     (table,) = tables
-    taken = "probe" if table is None else "directory" if snap.ring_index.shift == 0 else "table"
+    assert state.table is table
+    if table is None:
+        taken = "probe"
+    else:
+        taken = "directory" if snap.ring_index.shift == 0 else "table"
     assert taken == side
     if table is not None:
         assert len(table) == 1 << bits
-    if taken == "table":  # built: never more entries than the CSR it fills
-        assert len(table) <= len(targets)
+    if taken == "table":  # built: never more entries than the reads it answers
+        assert len(table) <= reads
+    for index in {0, count // 2, count - 1}:
+        source = snap.node_for_index(index)
+        assert_same_tree(flood_tree(overlay, source), dict_trees.flood(overlay, source))
 
 
 def test_spread_equals_the_reference_float_loop():
@@ -571,7 +573,11 @@ def test_verify_exactly_once_names_missing_and_extra_members():
         (full, {*idents, 7}, "1 members never received the message, e.g. [7]"),
         (full, set(idents[1:]), "1 non-members received the message, e.g. [1]"),
         (partial, set(idents), f"1 members never received the message, e.g. [{lost}]"),
-        (partial, set(idents) - {lost, 50}, "1 non-members received the message, e.g. [50]"),
+        (
+            partial,
+            set(idents) - {lost, 50},
+            "1 non-members received the message, e.g. [50]",
+        ),
     ):
         with pytest.raises(AssertionError, match=re.escape(message)):
             tree.verify_exactly_once(members)

@@ -204,7 +204,8 @@ class TestMemberRequests:
             column.tobytes()
             for column in (mine.identifiers, mine.capacities, mine.bandwidths)
         )
-        assert len(expected) == 3 * 8 * len(mine)
+        # 8-byte identifiers and bandwidths, 4-byte capacities
+        assert len(expected) == (8 + 4 + 8) * len(mine)
         assert run_child(script, pickle.dumps(request_)) == expected
 
     def test_jobs_run_never_imports_shared_memory(self):
@@ -250,6 +251,16 @@ class TestCaches:
         assert identifier_draws(space, 500, seed=4) is not first
         clear_caches()
         assert identifier_draws(space, 500, seed=3) is not first
+
+    def test_ring_holds_no_copy_of_its_draws(self):
+        """The draw cache and the ring built from it share one
+        identifier buffer and one bandwidth buffer."""
+        request = bandwidth_members(SystemKind.CAM_KOORDE, TINY, per_link_kbps=40.0)
+        snapshot = members_snapshot(request)
+        space = IdentifierSpace(request.space_bits)
+        count, seed = request.count, request.seed
+        assert snapshot.identifiers is identifier_draws(space, count, seed)
+        assert snapshot.bandwidths is bandwidth_draws(request.bandwidth, count, seed)
 
     @pytest.mark.parametrize(
         "scale", [TINY, ExperimentScale("dense", 300, 2, 20, space_bits=10)]

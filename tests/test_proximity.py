@@ -70,7 +70,8 @@ class TestPnsMulticast:
         """A non-member source used to root a 20-receiver tree; now it is
         refused like every other routine's."""
         snap = random_snapshot(12, 20, seed=8)
-        ghost = Node(ident=next(x for x in range(4096) if snap.index_of(x) is None), capacity=4)
+        outside = next(x for x in range(4096) if snap.index_of(x) is None)
+        ghost = Node(ident=outside, capacity=4)
         with pytest.raises(KeyError, match=f"source {ghost.ident} is not a group member"):
             pns_cam_chord_multicast(CamChordOverlay(snap), ghost, geo_delay())
 

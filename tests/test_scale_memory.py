@@ -10,15 +10,20 @@ machine words shows up as its width.  ``tracemalloc`` sees every
 Python allocation (a dict, a list of boxed floats), which an
 ``array.buffer_info()`` sum over the known columns would not.
 
-Measured on CPython 3.11 (cam-chord 136.5, cam-koorde 162.4, chord
+Measured on CPython 3.11 with 64-bit capacity columns and a stored
+CAM-Koorde neighbour CSR (cam-chord 136.5, cam-koorde 162.4, chord
 158.4, koorde 144.4 bytes per member at seed 0, within 1 byte of that
 at seeds 1 and 2, and the same under any ``PYTHONHASHSEED``), the
 ceilings sit about halfway between those values and what the same
 pipeline costs with 64-bit tree columns (148.8, 174.0, 172.2, 157.8):
 a tree is four ``array("i")`` columns, and widening them to 8 bytes
 fails all four.  A per-member ``{identifier: row}`` dict adds about 85
-bytes per member and fails all four too.  n = 10^5 is not traced here:
-under ``tracemalloc`` it takes about half a minute.
+bytes per member and fails all four too.  With the 32-bit capacity
+column and CAM-Koorde rows built per visit from the successor table
+they read 137.0, 137.9, 154.4 and 140.7; the cam-koorde ceiling sits
+halfway between its CSR-era 162.4 and 137.9, so a stored CSR fails it.
+n = 10^5 is not traced here: under ``tracemalloc`` it takes about half
+a minute.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from repro.overlay.base import build_snapshot
 from repro.systems import get_system
 
 #: marginal traced bytes per member, n = 10^3 -> 10^4
-CEILINGS = {"cam-chord": 142, "cam-koorde": 168, "chord": 165, "koorde": 151}
+CEILINGS = {"cam-chord": 142, "cam-koorde": 150, "chord": 165, "koorde": 151}
 
 SMALL, LARGE = 1_000, 10_000
 

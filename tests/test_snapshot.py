@@ -294,6 +294,7 @@ REJECTED = {
     "identifier outside the space": ([3, 32], [2, 2], [1.0, 1.0]),
     "negative identifier": ([-1, 3], [2, 2], [1.0, 1.0]),
     "capacity below one": ([3, 9], [2, 0], [1.0, 1.0]),
+    "capacity past 32 bits": ([3, 9], [2, 1 << 32], [1.0, 1.0]),
     "negative bandwidth": ([3, 9], [2, 2], [1.0, -0.5]),
 }
 
@@ -324,13 +325,33 @@ def test_from_columns_copies_a_memoryview_into_its_own_array():
         memoryview(array("d", [1.0, 2.0, 3.0])),
     )
     for column, typecode in zip(
-        (snap.identifiers, snap.capacities, snap.bandwidths), "Qqd"
+        (snap.identifiers, snap.capacities, snap.bandwidths), "QId"
     ):
         assert type(column) is array and column.typecode == typecode
     backing[0] = 4
     window.release()
     assert list(snap.identifiers) == [3, 9, 20]
     assert snap.ring_index.probe(4) == 1
+
+
+def test_from_columns_keeps_an_array_of_its_typecode():
+    """An ``array`` of the column's own typecode, in ring order, is the
+    snapshot's column, not a copy of it; one of another typecode is."""
+    idents = array("Q", [3, 9, 20])
+    capacities = array("I", [2, 4, 6])
+    bandwidths = array("d", [1.0, 2.0, 3.0])
+    snap = RingSnapshot.from_columns(IdentifierSpace(5), idents, capacities, bandwidths)
+    assert snap.identifiers is idents
+    assert snap.capacities is capacities
+    assert snap.bandwidths is bandwidths
+    wide = array("q", [2, 4, 6])
+    other = RingSnapshot.from_columns(IdentifierSpace(5), idents, wide, bandwidths)
+    assert other.capacities.typecode == "I" and other.capacities == capacities
+    shuffled = RingSnapshot.from_columns(
+        IdentifierSpace(5), array("Q", [9, 3, 20]), capacities, bandwidths
+    )
+    assert list(shuffled.capacities) == [4, 2, 6]
+    assert shuffled.capacities is not capacities
 
 
 @pytest.mark.parametrize("column", ["capacities", "bandwidths", "names"])
@@ -354,7 +375,7 @@ def test_with_capacities_shares_every_column_but_the_capacities():
     assert derived is not snap
     for column in ("space", "identifiers", "bandwidths", "names", "ring_index"):
         assert getattr(derived, column) is getattr(snap, column), column
-    assert type(derived.capacities) is array and derived.capacities.typecode == "q"
+    assert type(derived.capacities) is array and derived.capacities.typecode == "I"
     assert list(derived.capacities) == [7, 8, 9]
     assert list(snap.capacities) == [4, 6, 2]
     assert derived.node_at(9) == Node(9, 8, 2.0, "b")
@@ -362,8 +383,13 @@ def test_with_capacities_shares_every_column_but_the_capacities():
 
 @pytest.mark.parametrize(
     "capacities, message",
-    [([2, 2], "equal length"), ([2, 2, 2, 2], "equal length"), ([2, 0, 2], ">= 1")],
-    ids=["short", "long", "below one"],
+    [
+        ([2, 2], "equal length"),
+        ([2, 2, 2, 2], "equal length"),
+        ([2, 0, 2], ">= 1"),
+        ([2, 1 << 32, 2], "< 2\\*\\*32"),
+    ],
+    ids=["short", "long", "below one", "past 32 bits"],
 )
 def test_with_capacities_rejects_what_the_constructors_reject(capacities, message):
     snap = RingSnapshot.from_columns(IdentifierSpace(5), [3, 9, 20], [2, 4, 6])
