@@ -258,15 +258,14 @@ class _FloodState:
 
     def __init__(self, overlay: Overlay) -> None:
         snapshot = overlay.snapshot
-        idents = snapshot.identifiers
         size = snapshot.space.size
         index = snapshot.ring_index
-        self.degree = 0
-        self.starts = self.runs = self.table = None
+        self.degree, self.starts, self.runs, self.table = 0, None, None, None
         if isinstance(overlay, KoordeOverlay):
             self.degree = degree = overlay.degree
-            self.starts = array("I", [index.probe(degree * x % size) for x in idents])
-            perf.COUNTERS.kernel_resolves += len(idents)
+            probes = [index.probe(degree * x % size) for x in snapshot.identifiers]
+            self.starts = array("I", probes)
+            perf.COUNTERS.kernel_resolves += len(probes)
             return
         # CAM-Koorde: the reads are booked once, whichever side answers them
         bits = snapshot.space.bits
@@ -413,26 +412,25 @@ def flood_tree(overlay: Overlay, source: Node) -> FlatTree:
     state = _flood_state(overlay)
     count = len(snapshot)
     idents, capacities = snapshot.identifiers, snapshot.capacities
-    degree, starts = state.degree, state.starts
-    runs, table = state.runs, state.table
-    probe = snapshot.ring_index.probe
+    degree, starts, runs, table = state.degree, state.starts, state.runs, state.table
     deliver = order.append
+    row = array("I", (0, 0))  # a CAM-Koorde row, refilled on every visit
     for i in order:  # grows as the walk delivers
         if starts is None:
             # CAM-Koorde: predecessor, successor, then the group runs
             x = idents[i]
-            row = [(i - 1) % count, (i + 1) % count]
+            del row[2:]
+            row[0], row[1] = (i - 1) % count, (i + 1) % count
             for by, members, stride in runs[capacities[i]]:
                 first = x >> by
                 stop = first + members * stride
                 if table is None:
-                    row += map(probe, range(first, stop, stride))
+                    row.extend(map(snapshot.ring_index.probe, range(first, stop, stride)))
                 else:
                     row += table[first:stop:stride]
         else:
-            # Koorde: predecessor, successor, then the ``degree``
-            # consecutive members from the one responsible for k * x;
-            # a run every member of which was reached is skipped whole.
+            # Koorde: predecessor, successor, then ``degree`` members from
+            # the one responsible for k * x, skipped whole once all reached
             start = starts[i]
             walk = range(start, start + degree)
             if walk.stop > count:  # the walk wraps past member n - 1
@@ -451,6 +449,8 @@ def flood_tree(overlay: Overlay, source: Node) -> FlatTree:
             children += 1
         if children:
             child_count[i] = children
+            if len(order) == count:
+                break  # every member is reached: no later row delivers
 
     return _finish(snapshot, source.ident, parent_index, depths, child_count, order)
 

@@ -34,10 +34,10 @@ class PerfCounters:
     The ``kernel_*`` counters instrument the flat-array multicast
     kernel (:mod:`repro.multicast.kernel`), which builds every tree:
     ``kernel_trees`` trees built (the footer's ``trees=``),
-    ``kernel_resolves`` probes of the snapshot's successor
-    directory — at most n - 1 per region-split tree plus, once per flood
-    overlay, one per Koorde member or CAM-Koorde neighbor identifier
-    (booked once even where a probed row is probed again each visit),
+    ``kernel_resolves`` successor reads — at most n - 1 probes per
+    region-split tree plus, once per flood state, one per Koorde member
+    or CAM-Koorde neighbor identifier: a state's reads, not the work done
+    (a probed CAM-Koorde row is probed again on every visit, unbooked),
     ``kernel_resolves_saved`` always 0 (it counted hits in the per-node
     slot memo tables, which are gone; the field stays because the
     benchmark reports read it and the footer prints it),
